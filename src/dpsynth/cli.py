@@ -2,7 +2,7 @@
 
 Subcommands: synth, evaluate, accountant, pretrain, best-mixture-error,
 gen-toy. Exit codes: 0 success, 2 usage or config conflict, 3 domain over
-the histogram cell cap, 4 file or data errors.
+the histogram cell cap (or past 2^63 cells), 4 file or data errors.
 """
 from __future__ import annotations
 
@@ -202,6 +202,12 @@ def cmd_synth(args) -> int:
     )
     if args.no_noise:
         print("warning: --no-noise disables privacy; output is NOT private", file=sys.stderr)
+    elif args.audit_errors:
+        print(
+            "warning: --audit-errors writes errors against the private answers; "
+            "the trace is NOT private",
+            file=sys.stderr,
+        )
 
     t0 = time.perf_counter()
     out, trace = run(data, queries, synth, acct, cfg, rng)
@@ -234,7 +240,8 @@ def cmd_synth(args) -> int:
         alpha=acct.alpha,
         seed=args.seed,
         n=data.n,
-        private=not args.no_noise,
+        # audits put a function of the private answers into the trace
+        private=not (args.no_noise or args.audit_errors),
         wall_time_sec=wall,
         config=_config_echo(args),
     )

@@ -20,6 +20,9 @@ MASS_FLOOR = 1e-300
 # (overridable per run).
 DEFAULT_CELL_CAP = 1 << 22
 
+# Flat cell indices are int64, so they cover at most this many cells.
+MAX_FLAT_CELLS = 1 << 63
+
 
 class DomainError(ValueError):
     """Malformed domain description."""
@@ -80,8 +83,15 @@ class Domain:
     def stride(self, attr: int) -> int:
         return self._strides[attr]
 
+    def _check_flat(self) -> None:
+        if self.total_cells > MAX_FLAT_CELLS:
+            raise CapacityError(
+                f"domain has {self.total_cells} cells, more than int64 cell indices cover"
+            )
+
     def encode(self, records: np.ndarray) -> np.ndarray:
         """Map records (n x d int array) to flat cell indices."""
+        self._check_flat()
         records = np.asarray(records, dtype=np.int64)
         if records.ndim == 1:
             records = records[None, :]
@@ -97,6 +107,7 @@ class Domain:
 
     def decode(self, cells: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`encode`; returns an n x d int array."""
+        self._check_flat()
         cells = np.asarray(cells, dtype=np.int64)
         out = np.empty((cells.shape[0], self.num_attrs), dtype=np.int64)
         for i, (sz, st) in enumerate(zip(self.sizes, self._strides)):
@@ -224,6 +235,61 @@ def normalize_mass(mass: np.ndarray) -> np.ndarray:
     if total <= 0:
         raise DataError("mass sums to zero")
     return mass / total
+
+
+def _min_positive(x: np.ndarray) -> float:
+    return float(np.min(x, where=x > 0, initial=np.inf))
+
+
+class CellWeights:
+    """A probability vector p = w / z kept as weights w and a tracked normalizer z.
+
+    The multiplicative rules (MWEM entry steps, PEP projections) scale the
+    cells one query matches by one factor and every other cell by another.
+    Here such a step touches only the matching cells, scaled by the ratio of
+    the two factors; z absorbs the rest. `scale` reports when w is due for a
+    full `normalize_mass`: when z leaves [1/2, 2] or is not finite, so its
+    rounding error cannot grow, or when a cell could have dropped below
+    MASS_FLOOR and must be flushed.
+    """
+
+    def __init__(self, probs: np.ndarray):
+        self.w = np.array(probs, dtype=np.float64)
+        self.z = float(self.w.sum())
+        self._low = _min_positive(self.w)  # lower bound on the smallest nonzero weight
+
+    def answer(self, cells: np.ndarray) -> float:
+        """Probability of the given cells."""
+        return float(self.w[cells].sum()) / self.z
+
+    def answers(self, cells: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
+        """Probability of each of `count` cell groups; cells[i] is in group groups[i]."""
+        return np.bincount(groups, weights=self.w[cells], minlength=count) / self.z
+
+    def scale(self, cells: np.ndarray, inside: float, outside: float) -> bool:
+        """p *= inside on `cells` and p *= outside elsewhere, up to normalization.
+
+        Returns True when the caller must renormalize the weights.
+        """
+        ratio = inside / outside
+        if not MASS_FLOOR <= ratio <= 1.0 / MASS_FLOOR:
+            # a factor this extreme flushes whole regions: take the dense step
+            mask = np.zeros(self.w.shape[0], dtype=bool)
+            mask[cells] = True
+            self.w = np.where(mask, self.w * (inside / self.z), self.w * (outside / self.z))
+            self.z = 1.0
+            return True
+        sub = self.w[cells]
+        before = sub.sum()
+        sub *= ratio
+        self.w[cells] = sub
+        self.z += float(sub.sum() - before)
+        self._low = min(self._low, _min_positive(sub))
+        return not 0.5 <= self.z <= 2.0 or self._low < MASS_FLOOR * self.z
+
+    def probs(self) -> np.ndarray:
+        """p = w / z, not yet flushed or renormalized."""
+        return self.w / self.z
 
 
 @dataclass

@@ -103,6 +103,7 @@ def run(
     ledger = MeasurementLedger()
     trace: list[dict] = []
     snapshots: list[Histogram] = []
+    post = None  # answers after the last update: the state has not moved since
     for t in range(1, cfg.T + 1):
         if synth.self_selecting:
             selected, noisy = synth.private_round(
@@ -116,7 +117,7 @@ def run(
                 "max_err_measured": None,
             }
         else:
-            current = synth.answers(queries)
+            current = synth.answers(queries) if post is None else post
             selected = select_and_measure_round(
                 ledger,
                 queries,

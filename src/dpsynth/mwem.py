@@ -8,7 +8,8 @@ the histogram's answer toward the measured value:
 
 followed by renormalization, with a~ clipped into [0, 1] for the multiplier
 only (ledger values stay as measured). eta is the step divisor; eta=2 is the
-classical step.
+classical step. A step touches only the matching cells (see CellWeights), so
+its cost is the size of the query, not of the domain.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import numpy as np
 from .domain import (
     DEFAULT_CELL_CAP,
     CapacityError,
+    CellWeights,
     Domain,
     Histogram,
     SupportDistribution,
@@ -51,14 +53,15 @@ class MwemSynthesizer(Synthesizer):
         self.mass = np.full(domain.total_cells, 1.0 / domain.total_cells)
         # answer of the histogram at the time each entry was (re)measured
         self.cached_at_measurement: dict[int, float] = {}
+        self._cell_lists: dict[int, np.ndarray] = {}  # matching cells per measured query
 
     def answers(self, queries: QuerySet) -> np.ndarray:
         return queries.answers_mass(self.mass)
 
-    def _mask(self, qidx: int) -> np.ndarray:
-        wi = self.queries.workload_of(qidx)
-        loc = self.queries._cell_locals()[wi]
-        return loc == (qidx - self.queries.workloads[wi].offset)
+    def _cells(self, qidx: int) -> np.ndarray:
+        if qidx not in self._cell_lists:
+            self._cell_lists[qidx] = self.queries.cells_of(qidx)
+        return self._cell_lists[qidx]
 
     def update(self, ledger: MeasurementLedger) -> None:
         entries = ledger.entries()
@@ -67,17 +70,16 @@ class MwemSynthesizer(Synthesizer):
         latest = max(e.round for e in entries)
         for e in entries:
             if e.round == latest or e.index not in self.cached_at_measurement:
-                self.cached_at_measurement[e.index] = float(
-                    self.mass[self._mask(e.index)].sum()
-                )
+                self.cached_at_measurement[e.index] = float(self.mass[self._cells(e.index)].sum())
+        weights = CellWeights(self.mass)
         for _ in range(self.cycles):
             for e in entries:
-                mask = self._mask(e.index)
-                current = self.mass[mask].sum()
-                delta = min(max(e.answer, 0.0), 1.0) - current
+                cells = self._cells(e.index)
+                delta = min(max(e.answer, 0.0), 1.0) - weights.answer(cells)
                 step = delta / self.eta
-                self.mass = np.where(mask, self.mass * np.exp(step), self.mass * np.exp(-step))
-                self.mass = normalize_mass(self.mass)
+                if weights.scale(cells, np.exp(step), np.exp(-step)):
+                    weights = CellWeights(normalize_mass(weights.probs()))
+        self.mass = normalize_mass(weights.probs())
 
     def snapshot(self) -> Histogram:
         return Histogram(self.domain, self.mass.copy())

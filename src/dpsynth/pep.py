@@ -9,7 +9,8 @@ reweights the distribution so that query's answer becomes exactly the
 
 which multiplies matching cells by a~/q(D) and the rest by (1-a~)/(1-q(D)).
 The state persists across rounds, so each round's solve starts warm from the
-previous distribution.
+previous distribution. A projection touches only the matching cells (see
+CellWeights), and reads the measured answers from their cached cell lists.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import numpy as np
 from .domain import (
     DEFAULT_CELL_CAP,
     CapacityError,
+    CellWeights,
     DataError,
     Domain,
     Histogram,
@@ -101,7 +103,8 @@ class PepSynthesizer(Synthesizer):
     ):
         self.domain = domain
         self.queries = queries
-        if support_cells is None:
+        full = support_cells is None
+        if full:
             if domain.total_cells > cell_cap:
                 raise CapacityError(
                     f"domain has {domain.total_cells} cells, over the cap {cell_cap}"
@@ -118,9 +121,16 @@ class PepSynthesizer(Synthesizer):
         self.gamma = float(gamma)
         self.t_max = int(t_max)
         self.target_clip = float(target_clip)
-        self._locals = [w.locals_of_cells(domain, self.cells) for w in queries.workloads]
+        # a public support keeps per-workload maps from support position to
+        # query; the full domain needs none (cells are reached by stride)
+        self._locals = None
+        if not full:
+            self._locals = [w.locals_of_cells(domain, self.cells) for w in queries.workloads]
+        self._cell_lists: dict[int, np.ndarray] = {}  # support positions per measured query
 
     def _answers_all(self) -> np.ndarray:
+        if self._locals is None:
+            return self.queries.answers_mass(self.probs)
         out = np.empty(self.queries.total_queries)
         for w, loc in zip(self.queries.workloads, self._locals):
             out[w.offset : w.offset + w.n_queries] = np.bincount(
@@ -133,9 +143,16 @@ class PepSynthesizer(Synthesizer):
             return self._answers_all()
         return queries.answers_support(self.cells, self.probs)
 
-    def _mask(self, qidx: int) -> np.ndarray:
-        wi = self.queries.workload_of(qidx)
-        return self._locals[wi] == (qidx - self.queries.workloads[wi].offset)
+    def _cells(self, qidx: int) -> np.ndarray:
+        if qidx not in self._cell_lists:
+            if self._locals is None:
+                cells = self.queries.cells_of(qidx)
+            else:
+                wi = self.queries.workload_of(qidx)
+                local = qidx - self.queries.workloads[wi].offset
+                cells = np.flatnonzero(self._locals[wi] == local)
+            self._cell_lists[qidx] = cells
+        return self._cell_lists[qidx]
 
     def update(self, ledger: MeasurementLedger) -> None:
         if len(ledger) == 0:
@@ -143,19 +160,26 @@ class PepSynthesizer(Synthesizer):
         idx = ledger.indices()
         clip = self.target_clip
         targets = np.clip(ledger.answers(), clip, 1.0 - clip)
+        lists = [self._cells(int(q)) for q in idx]
+        flat = np.concatenate(lists)
+        groups = np.repeat(np.arange(len(lists)), [c.size for c in lists])
+        weights = CellWeights(self.probs)
         dead = np.zeros(idx.shape[0], dtype=bool)  # entries no reweighting can move
         for _ in range(self.t_max):
-            res = np.abs(targets - self._answers_all()[idx])
+            current = weights.answers(flat, groups, len(lists))
+            res = np.abs(targets - current)
             res[dead] = -np.inf
             j = int(np.argmax(res))
             if res[j] <= self.gamma:
                 break
-            mask = self._mask(int(idx[j]))
-            a_cur = float(self.probs[mask].sum())
+            a_cur, a_target = float(current[j]), float(targets[j])
             if not (0.0 < a_cur < 1.0):
                 dead[j] = True
                 continue
-            self.probs = _project(self.probs, mask, float(targets[j]))
+            inside, outside = a_target / a_cur, (1.0 - a_target) / (1.0 - a_cur)
+            if weights.scale(lists[j], inside, outside):
+                weights = CellWeights(normalize_mass(weights.probs()))
+        self.probs = normalize_mass(weights.probs())
 
     def snapshot(self) -> Histogram | None:
         if self.domain.total_cells > DEFAULT_CELL_CAP:

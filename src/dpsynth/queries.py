@@ -153,44 +153,65 @@ class QuerySet:
             self._full_locals = [w.locals_of_cells(self.domain, cells) for w in self.workloads]
         return self._full_locals
 
+    def cells_of(self, qidx: int) -> np.ndarray:
+        """Ascending flat indices of the domain cells query `qidx` matches.
+
+        Built from the domain strides: matched attributes contribute their
+        target, the others every value, with no scan over the domain.
+        """
+        q = self.query(qidx)
+        fixed = dict(zip(q.features, q.targets))
+        dom = self.domain
+        axes = [
+            np.array([fixed[a]] if a in fixed else range(size), dtype=np.int64) * dom.stride(a)
+            for a, size in enumerate(dom.sizes)
+        ]
+        return sum(np.ix_(*axes)).ravel()
+
     def answers_histogram(self, hist: Histogram) -> np.ndarray:
         """Answers on a dense histogram.
 
         Uses the integer-count path when the histogram carries exact counts,
-        which reproduces record counting bit for bit.
+        which reproduces record counting bit for bit (integer-valued sums are
+        exact in any order).
         """
-        locals_ = self._cell_locals()
+        if hist.counts is not None:
+            return self.answers_mass(hist.counts.astype(np.float64)) / hist.n
+        return self.answers_mass(hist.mass)
 
-        def one_idx(args):
-            w, loc = args
-            if hist.counts is not None:
-                c = np.bincount(loc, weights=hist.counts.astype(np.float64), minlength=w.n_queries)
-                return c / hist.n
-            return np.bincount(loc, weights=hist.mass, minlength=w.n_queries)
+    def _marginal(self, margs: dict, keep: tuple[int, ...]) -> np.ndarray:
+        """Marginal on the attributes `keep`, cached in `margs` (keyed by kept attributes).
 
-        out = np.empty(self.total_queries)
-        pairs = list(zip(self.workloads, locals_))
-        if self.threads > 1 and len(pairs) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as ex:
-                parts = list(ex.map(one_idx, pairs))
-        else:
-            parts = [one_idx(p) for p in pairs]
-        for w, part in zip(self.workloads, parts):
-            out[w.offset : w.offset + w.n_queries] = part
-        return out
+        It is summed out of the marginal that also keeps the largest
+        attribute missing from `keep`.
+        """
+        if keep not in margs:
+            drop = max(a for a in range(self.domain.num_attrs) if a not in keep)
+            parent = tuple(sorted(keep + (drop,)))
+            margs[keep] = self._marginal(margs, parent).sum(axis=parent.index(drop))
+        return margs[keep]
 
     def answers_mass(self, mass: np.ndarray) -> np.ndarray:
-        """Answers of a dense mass vector over all cells (cached cell maps)."""
-        locals_ = self._cell_locals()
+        """Answers of a dense mass vector over all cells.
+
+        Each workload's answers are its marginal: the mass viewed as a
+        d-dimensional array, summed over the attributes outside the workload.
+        Marginals are summed out of one another, so the work that workloads
+        share is done once.
+        """
+        cube = np.asarray(mass, dtype=np.float64).reshape(self.domain.sizes)
+        margs = {tuple(range(self.domain.num_attrs)): cube}
         out = np.empty(self.total_queries)
-        for w, loc in zip(self.workloads, locals_):
-            out[w.offset : w.offset + w.n_queries] = np.bincount(
-                loc, weights=mass, minlength=w.n_queries
-            )
+        for w in self.workloads:
+            out[w.offset : w.offset + w.n_queries] = self._marginal(margs, w.features).ravel()
         return out
 
     def answers_support(self, cells: np.ndarray, probs: np.ndarray) -> np.ndarray:
         """Answers of a distribution given as (cells, probabilities)."""
+        cells = np.asarray(cells, dtype=np.int64)
+        total = self.domain.total_cells
+        if cells.shape[0] == total and np.array_equal(cells, np.arange(total)):
+            return self.answers_mass(probs)
 
         def one(w: Workload):
             loc = w.locals_of_cells(self.domain, cells)

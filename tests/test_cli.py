@@ -164,6 +164,17 @@ def test_no_noise_warns_and_marks_report(toy, tmp_path, capsys):
     assert '"private": false' in report.read_text()
 
 
+def test_audit_errors_marks_report_not_private(toy, tmp_path, capsys):
+    # the trace then carries errors against the private answers
+    report, trace = tmp_path / "report.json", tmp_path / "trace.jsonl"
+    rc = _synth(toy, tmp_path, "--audit-errors", "--report", report, "--trace", trace)
+    assert rc == 0
+    assert "NOT private" in capsys.readouterr().err
+    assert load_report(report)["private"] is False
+    rows = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert rows and all("max_err_all" in r for r in rows)
+
+
 def test_same_seed_same_outputs(toy, tmp_path, capsys):
     reports, csvs = [], []
     for tag in ("x", "y"):
@@ -350,6 +361,22 @@ def test_best_mixture_error_subcommand(toy, tmp_path, capsys):
     val = float(out.split("=")[1])
     # reweighting the private support itself can reproduce it (near-)exactly
     assert 0.0 <= val < 0.02
+
+
+def test_best_mixture_error_past_int64_cells_exits_3(tmp_path, capsys):
+    # 25 attributes of size 10: 10^25 cells, past int64 flat cell indices
+    dom, dat = tmp_path / "domain.json", tmp_path / "data.csv"
+    rc = main(
+        ["gen-toy", "--attrs", "25", "--sizes", "10", "--n", "50", "--seed", "0",
+         "--out", str(dat), "--domain-out", str(dom)]
+    )
+    assert rc == 0
+    rc = main(
+        ["best-mixture-error", "--domain", str(dom), "--data", str(dat), "--public", str(dat),
+         "--marginal-k", "1", "--iterations", "5"]
+    )
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_module_entry_point_subprocess():

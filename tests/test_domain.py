@@ -17,7 +17,7 @@ from dpsynth import (
     sample_records,
     uniform,
 )
-from dpsynth.domain import normalize_mass
+from dpsynth.domain import CellWeights, normalize_mass
 
 
 def test_domain_validation():
@@ -68,6 +68,22 @@ def test_encode_rejects_out_of_range():
         dom.encode(np.array([[3]]))
     with pytest.raises(DataError):
         dom.encode(np.array([[-1]]))
+
+
+def test_flat_indices_past_int64_raise_capacity_error():
+    dom = Domain(tuple(f"a{i}" for i in range(25)), (10,) * 25)  # 10^25 cells
+    rec = np.zeros((3, 25), dtype=np.int64)
+    with pytest.raises(CapacityError):
+        dom.encode(rec)
+    with pytest.raises(CapacityError):
+        dom.decode(np.zeros(3, dtype=np.int64))
+    with pytest.raises(CapacityError):
+        SupportDistribution.from_dataset(Dataset(dom, rec))
+    # 2^63 cells is the last size whose indices all fit in int64
+    edge = Domain(tuple(f"a{i}" for i in range(63)), (2,) * 63)
+    top = np.ones((1, 63), dtype=np.int64)
+    assert edge.encode(top)[0] == 2**63 - 1
+    assert np.array_equal(edge.decode(edge.encode(top)), top)
 
 
 def test_onehot():
@@ -152,6 +168,26 @@ def test_normalize_mass():
     # tiny positive values are flushed rather than kept as denormals
     m = normalize_mass(np.array([1.0, 1e-310]))
     assert m[1] == 0.0
+
+
+def test_cell_weights_ask_for_renormalization():
+    w = CellWeights(np.array([0.25, 0.25, 0.5]))
+    cells = np.array([0, 1])
+    assert abs(w.answer(cells) - 0.5) < 1e-15
+    # p = (0.25, 0.25, 0.5) -> (0.125, 0.125, 0.75): z stays inside [1/2, 2]
+    assert not w.scale(cells, 0.5, 1.5)
+    assert np.allclose(w.probs(), [0.125, 0.125, 0.75], atol=1e-15)
+    assert np.allclose(w.answers(np.array([0, 1, 2]), np.array([0, 0, 1]), 2), [0.25, 0.75], atol=1e-15)
+    # a cell pushed toward zero: once it could be under MASS_FLOOR the
+    # caller must renormalize, which flushes it
+    w = CellWeights(np.array([0.5, 0.5]))
+    assert not w.scale(np.array([0]), 1e-150, 1.0)
+    assert w.scale(np.array([0]), 1e-152, 1.0)
+    assert np.array_equal(normalize_mass(w.probs()), [0.0, 1.0])
+    # the normalizer leaving [1/2, 2] also asks for it
+    w = CellWeights(np.array([0.5, 0.5]))
+    assert w.scale(np.array([1]), 4.0, 1.0)
+    assert np.allclose(normalize_mass(w.probs()), [0.2, 0.8], atol=1e-15)
 
 
 def test_histogram_validation():

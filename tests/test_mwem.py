@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpsynth import CapacityError, Domain, MwemSynthesizer, build_workloads
+from dpsynth.domain import normalize_mass
 from dpsynth.mwem import mwem_closed_form_check
 from dpsynth.privacy import MeasurementLedger
 
@@ -181,3 +182,54 @@ def test_update_replays_all_past_entries():
     ans = synth.answers(qs)
     assert abs(ans[0] - 0.7) < 0.05
     assert abs(ans[2] - 0.2) < 0.05
+
+
+def _dense_update(mass, masks, answers, eta, cycles):
+    """The entry steps on the whole vector: two exps per cell, then normalize."""
+    for _ in range(cycles):
+        for m, a in zip(masks, answers):
+            step = (min(max(a, 0.0), 1.0) - mass[m].sum()) / eta
+            mass = normalize_mass(np.where(m, mass * np.exp(step), mass * np.exp(-step)))
+    return mass
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 99_999),
+    rounds=st.integers(1, 5),
+    cycles=st.integers(1, 10),
+    eta=st.floats(0.5, 10.0),
+)
+def test_cell_local_update_matches_dense_replay(seed, rounds, cycles, eta):
+    rng = np.random.default_rng(seed)
+    shape = [(2, 3), (3, 3), (2, 2, 4), (4, 4)][seed % 4]
+    dom = Domain(tuple("abc"[: len(shape)]), shape)
+    qs = build_workloads(dom, int(rng.integers(1, len(shape) + 1)))
+    cells = np.arange(dom.total_cells)
+    synth = MwemSynthesizer(dom, qs, eta=eta, cycles=cycles)
+    synth.mass = rng.dirichlet(np.ones(cells.size))
+    dense = synth.mass.copy()
+    led = MeasurementLedger()
+    picks = rng.choice(qs.total_queries, size=min(rounds, qs.total_queries), replace=False)
+    for rnd, qi in enumerate(picks, start=1):
+        led.record(int(qi), float(rng.uniform(-0.1, 1.1)), rnd)
+        synth.update(led)
+        masks = [qs.query(e.index).matches(dom, cells) for e in led.entries()]
+        dense = _dense_update(dense, masks, led.answers(), eta, cycles)
+        assert np.abs(synth.mass - dense).max() <= 1e-12
+
+
+def test_extreme_step_takes_the_dense_path():
+    # eta=1e-3 makes the in/out factor ratio overflow; the step must still
+    # match the whole-vector update (all mass on the matching cell)
+    dom, qs = _two_cell()
+    synth = MwemSynthesizer(dom, qs, eta=1e-3, cycles=2)
+    led = MeasurementLedger()
+    led.record(1, 1.0, 1)
+    with np.errstate(over="ignore"):
+        synth.update(led)
+    masks = [qs.query(1).matches(dom, np.arange(2))]
+    with np.errstate(over="ignore"):
+        dense = _dense_update(np.full(2, 0.5), masks, [1.0], 1e-3, 2)
+    assert np.array_equal(synth.mass, dense)
+    assert np.array_equal(synth.mass, [0.0, 1.0])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from dpsynth import DataError, Domain, Histogram, PepSynthesizer, build_workloads
-from dpsynth.pep import pep_dual_loss, pep_lambda, pep_project_once
+from dpsynth.pep import _project, pep_dual_loss, pep_lambda, pep_project_once
 from dpsynth.privacy import MeasurementLedger
 
 from oracles import maxent_dual_descent
@@ -137,6 +137,67 @@ def test_update_inconsistent_pair_terminates_at_cap():
     assert abs(synth.probs.sum() - 1.0) < 1e-9
     res = np.abs(np.array([0.2, 0.3]) - synth.answers(qs))
     assert 0.0 < res.max() <= 0.5 + 1e-9  # oscillates, never resolves
+
+
+def test_update_inconsistent_pair_long_run_keeps_normalizer():
+    # 200 projections on the inconsistent pair: the tracked normalizer keeps
+    # shrinking, so only renormalizing keeps the state inside the bound
+    dom = Domain(("a",), (2,))
+    qs = build_workloads(dom, 1)
+    synth = PepSynthesizer(dom, qs, t_max=200)
+    led = MeasurementLedger()
+    led.record(0, 0.2, 1)
+    led.record(1, 0.3, 2)
+    synth.update(led)
+    assert abs(synth.probs.sum() - 1.0) < 1e-9
+    res = np.abs(np.array([0.2, 0.3]) - synth.answers(qs))
+    assert 0.0 < res.max() <= 0.5 + 1e-9
+
+
+def _dense_update(probs, masks, targets, t_max, gamma):
+    """The projection loop on the whole vector: full sums, then `_project`."""
+    dead = np.zeros(len(masks), dtype=bool)
+    for _ in range(t_max):
+        current = np.array([probs[m].sum() for m in masks])
+        res = np.abs(targets - current)
+        res[dead] = -np.inf
+        j = int(np.argmax(res))
+        if res[j] <= gamma:
+            break
+        if not (0.0 < current[j] < 1.0):
+            dead[j] = True
+            continue
+        probs = _project(probs, masks[j], float(targets[j]))
+    return probs
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 99_999), public=st.booleans(), rounds=st.integers(1, 5))
+def test_cell_local_update_matches_dense_replay(seed, public, rounds):
+    rng = np.random.default_rng(seed)
+    shape = [(2, 3), (3, 3), (2, 2, 4), (4, 4)][seed % 4]
+    dom = Domain(tuple("abc"[: len(shape)]), shape)
+    qs = build_workloads(dom, int(rng.integers(1, len(shape) + 1)))
+    support = None
+    cells = np.arange(dom.total_cells)
+    if public:
+        support = np.sort(rng.choice(cells, size=int(rng.integers(2, cells.size + 1)), replace=False))
+        cells = support
+    synth = PepSynthesizer(
+        dom, qs, support_cells=support, init_probs=rng.dirichlet(np.ones(cells.size)),
+        t_max=int(rng.integers(1, 40)),
+    )
+    dense = synth.probs.copy()
+    led = MeasurementLedger()
+    masks = []
+    picks = rng.choice(qs.total_queries, size=min(rounds, qs.total_queries), replace=False)
+    for rnd, qi in enumerate(picks, start=1):
+        led.record(int(qi), float(rng.uniform(-0.1, 1.1)), rnd)
+        masks.append(qs.query(int(qi)).matches(dom, cells))
+        synth.update(led)
+        targets = np.clip(led.answers(), synth.target_clip, 1.0 - synth.target_clip)
+        dense = _dense_update(dense, masks, targets, synth.t_max, synth.gamma)
+        assert np.abs(synth.probs - dense).max() <= 1e-12
 
 
 def test_gamma_tolerance_skips_small_residuals():

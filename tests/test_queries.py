@@ -220,3 +220,50 @@ def test_thread_count_does_not_change_answers():
     one.threads = 1
     four.threads = 4
     assert np.array_equal(one.answers_records(data), four.answers_records(data))
+
+
+def _bincount_answers(qs, mass):
+    """Dense answers through per-cell query maps, one bincount per workload."""
+    cells = np.arange(qs.domain.total_cells)
+    out = np.empty(qs.total_queries)
+    for w, sl in zip(qs.workloads, qs.slices()):
+        out[sl] = np.bincount(w.locals_of_cells(qs.domain, cells), weights=mass, minlength=w.n_queries)
+    return out
+
+
+def _random_queries(rng):
+    d = int(rng.integers(1, 5))
+    sizes = tuple(int(s) for s in rng.integers(2, 5, size=d))
+    dom = Domain(tuple(f"a{i}" for i in range(d)), sizes)
+    return dom, build_workloads(dom, int(rng.integers(1, d + 1)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_cells_of_matches_scan(seed):
+    dom, qs = _random_queries(np.random.default_rng(seed))
+    cells = np.arange(dom.total_cells)
+    for qi in range(qs.total_queries):
+        want = np.flatnonzero(qs.query(qi).matches(dom, cells))
+        assert np.array_equal(qs.cells_of(qi), want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_answers_mass_matches_bincount(seed):
+    rng = np.random.default_rng(seed)
+    dom, qs = _random_queries(rng)
+    mass = rng.dirichlet(np.ones(dom.total_cells) * 0.5)
+    assert np.abs(qs.answers_mass(mass) - _bincount_answers(qs, mass)).max() <= 1e-15
+
+
+def test_answers_support_full_domain_uses_dense_path():
+    rng = np.random.default_rng(6)
+    dom = Domain(("a", "b", "c"), (2, 3, 4))
+    qs = build_workloads(dom, 2)
+    probs = rng.dirichlet(np.ones(dom.total_cells))
+    cells = np.arange(dom.total_cells)
+    assert np.array_equal(qs.answers_support(cells, probs), qs.answers_mass(probs))
+    # the same support in another order takes the per-support path
+    perm = rng.permutation(dom.total_cells)
+    assert np.allclose(qs.answers_support(cells[perm], probs[perm]), qs.answers_mass(probs), atol=1e-15)
