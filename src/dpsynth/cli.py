@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 
@@ -22,6 +21,7 @@ from .domain import (
     Dataset,
     Domain,
     DomainError,
+    ProductMixture,
     SupportDistribution,
 )
 from .gem import GemConfig, GemOutput, GemSynthesizer, forward, load_checkpoint, save_checkpoint
@@ -89,27 +89,16 @@ def _workload_args(p: argparse.ArgumentParser) -> None:
 
 
 def _build_queries(args, domain: Domain) -> QuerySet:
-    count = None if str(args.workloads) == "all" else int(args.workloads)
+    count = None if str(args.workloads) == "all" else _int_arg("--workloads", args.workloads)
     wl_seed = args.workload_seed if args.workload_seed is not None else getattr(args, "seed", 0)
-    qs = build_workloads(domain, args.marginal_k, count, np.random.default_rng(wl_seed))
-    qs.threads = _threads(args)
-    return qs
+    return build_workloads(domain, args.marginal_k, count, np.random.default_rng(wl_seed))
 
 
-def _threads(args) -> int:
-    t = getattr(args, "threads", None)
-    if t is None:
-        env = os.environ.get("DPSYNTH_THREADS")
-        if env:
-            try:
-                t = int(env)
-            except ValueError:
-                raise UsageError(f"DPSYNTH_THREADS must be an integer, got {env!r}") from None
-        else:
-            t = os.cpu_count() or 1
-    if t < 1:
-        raise UsageError("--threads must be >= 1")
-    return t
+def _int_arg(flag: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{flag} must be an integer, got {text!r}") from None
 
 
 def _load_public(path, domain: Domain) -> Dataset:
@@ -129,16 +118,9 @@ def _load_public(path, domain: Domain) -> Dataset:
     return Dataset.from_csv(path, Domain(names, sizes))
 
 
-def _parse_hidden(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in str(text).split(",") if x.strip())
-    except ValueError:
-        raise UsageError(f"bad hidden layer list: {text!r}") from None
-
-
 def _gem_config(args) -> GemConfig:
     return GemConfig(
-        hidden=_parse_hidden(args.gem_hidden),
+        hidden=tuple(_int_arg("--gem-hidden", x) for x in args.gem_hidden.split(",") if x.strip()),
         z_dim=args.gem_zdim,
         batch=args.gem_batch,
         lr=args.gem_lr,
@@ -331,10 +313,8 @@ def _build_synth(args, domain, data, queries, rng):
 def _save_artifact(out, path) -> None:
     if isinstance(out, GemOutput):
         out.save_checkpoint(path)
-    elif isinstance(out, SupportDistribution):
-        out.save_npz(path)
     else:
-        out.save_npz(path)  # relaxed rows
+        out.save_npz(path)  # support distribution or relaxed rows
 
 
 def _config_echo(args) -> dict:
@@ -386,10 +366,8 @@ def _load_artifact(path, domain: Domain, args):
         if {"cells", "probs"} <= keys:
             dist = SupportDistribution.load_npz(path)
         elif "P" in keys:
-            from .rap import RapOutput
-
             with np.load(path, allow_pickle=False) as z:
-                dist = RapOutput(Domain.from_json(str(z["domain"])), z["P"])
+                dist = ProductMixture(Domain.from_json(str(z["domain"])), z["P"])
         else:
             raise DataError(f"{path}: unrecognized artifact layout")
         if dist.domain.names != domain.names or dist.domain.sizes != domain.sizes:
@@ -463,9 +441,9 @@ def cmd_best_mixture_error(args) -> int:
 def cmd_gen_toy(args) -> int:
     sizes: int | list[int]
     if "," in str(args.sizes):
-        sizes = [int(s) for s in str(args.sizes).split(",") if s.strip()]
+        sizes = [_int_arg("--sizes", s) for s in str(args.sizes).split(",") if s.strip()]
     else:
-        sizes = int(args.sizes)
+        sizes = _int_arg("--sizes", args.sizes)
     domain, data = gen_toy(
         attrs=args.attrs, sizes=sizes, n=args.n, seed=args.seed, components=args.components
     )
@@ -498,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--audit-errors", action="store_true")
     p.add_argument("--output-average", action="store_true")
     p.add_argument("--em-halved", action="store_true", help="halve the selection exponent")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--cell-cap", type=int, default=DEFAULT_CELL_CAP)
     p.add_argument("--samples", type=int, default=None, help="synthetic records to sample")
     p.add_argument("--out", default=None, help="synthetic CSV path")
@@ -533,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", default=None, help="distribution artifact")
     _workload_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--gem-batch", type=int, default=100)
     p.add_argument("--report", default=None)
     p.add_argument("--dump-errors", default=None)
@@ -553,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _workload_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--steps", type=int, default=3000)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=0.0)
@@ -568,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--public", required=True)
     _workload_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--iterations", type=int, default=2000)
     p.set_defaults(func=cmd_best_mixture_error)
 

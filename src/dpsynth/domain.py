@@ -83,6 +83,11 @@ class Domain:
     def stride(self, attr: int) -> int:
         return self._strides[attr]
 
+    def check_cap(self, cap: int) -> None:
+        """Refuse a dense-histogram method on a domain with more than `cap` cells."""
+        if self.total_cells > cap:
+            raise CapacityError(f"domain has {self.total_cells} cells, over the cap {cap}")
+
     def _check_flat(self) -> None:
         if self.total_cells > MAX_FLAT_CELLS:
             raise CapacityError(
@@ -381,18 +386,14 @@ class SupportDistribution:
         return Dataset(self.domain, self.domain.decode(cells))
 
     def to_histogram(self, cap: int = DEFAULT_CELL_CAP) -> Histogram:
-        if self.domain.total_cells > cap:
-            raise CapacityError("domain too large to densify")
+        self.domain.check_cap(cap)
         mass = np.zeros(self.domain.total_cells)
         np.add.at(mass, self.cells, self.probs)
         return Histogram(self.domain, mass)
 
     @classmethod
     def full(cls, domain: Domain, cap: int = DEFAULT_CELL_CAP) -> "SupportDistribution":
-        if domain.total_cells > cap:
-            raise CapacityError(
-                f"domain has {domain.total_cells} cells, over the cap {cap}"
-            )
+        domain.check_cap(cap)
         t = domain.total_cells
         return cls(domain, np.arange(t, dtype=np.int64), np.full(t, 1.0 / t))
 
@@ -412,3 +413,38 @@ class SupportDistribution:
         with np.load(path, allow_pickle=False) as z:
             dom = Domain.from_json(str(z["domain"]))
             return cls(dom, z["cells"], z["probs"])
+
+
+class ProductMixture:
+    """Uniform mixture of per-row product distributions (gem and rap-softmax output).
+
+    Row b of P holds one distribution per attribute, concatenated in the
+    one-hot layout; a record is drawn by picking a row, then each attribute
+    from its block. Blocks need not be normalized (rap's clipping variant):
+    each is rescaled before sampling, and an all-zero block is uniform.
+    """
+
+    def __init__(self, domain: Domain, P: np.ndarray):
+        self.domain = domain
+        self.P = P
+
+    def answers(self, queries) -> np.ndarray:
+        return queries.answers_probs(self.P)
+
+    def sample_dataset(self, count: int, rng: np.random.Generator) -> Dataset:
+        if count <= 0:
+            raise DataError("count must be positive")
+        rows = rng.integers(0, self.P.shape[0], size=count)
+        rec = np.empty((count, self.domain.num_attrs), dtype=np.int64)
+        for a in range(self.domain.num_attrs):
+            off, sz = self.domain.offset(a), self.domain.sizes[a]
+            block = self.P[:, off : off + sz]
+            sums = block.sum(axis=1, keepdims=True)
+            safe = np.where(sums > 0, block / np.where(sums > 0, sums, 1.0), 1.0 / sz)
+            cdf = np.cumsum(safe, axis=1)
+            u = rng.random(count)
+            rec[:, a] = np.minimum((cdf[rows] < u[:, None]).sum(axis=1), sz - 1)
+        return Dataset(self.domain, rec)
+
+    def save_npz(self, path) -> None:
+        np.savez(path, P=self.P, domain=self.domain.to_json())

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DataError, Dataset, Domain
+from .domain import DataError, Domain, ProductMixture
 from .loop import Synthesizer
 from .privacy import MeasurementLedger
 from .queries import QuerySet, product_answers, product_answers_grad
@@ -92,18 +92,25 @@ def forward(params: Params, Z: np.ndarray, domain: Domain):
     return P, (acts, pres, P)
 
 
-def backward(params: Params, cache, dP: np.ndarray, domain: Domain) -> Params:
-    """Gradient of a scalar loss w.r.t. every parameter, given dLoss/dP."""
-    acts, pres, P = cache
-    # softmax blocks: dlogit = p * (g - <g, p>) within each block
+def block_softmax_grad(P: np.ndarray, dP: np.ndarray, domain: Domain) -> np.ndarray:
+    """dLoss/dlogits from dLoss/dP through `block_softmax`.
+
+    Within each attribute block: dlogit = p * (g - <g, p>).
+    """
     gl = np.empty_like(P)
     for a in range(domain.num_attrs):
         off, sz = domain.offset(a), domain.sizes[a]
         s = P[:, off : off + sz]
         g = dP[:, off : off + sz]
         gl[:, off : off + sz] = s * (g - (g * s).sum(axis=1, keepdims=True))
+    return gl
+
+
+def backward(params: Params, cache, dP: np.ndarray, domain: Domain) -> Params:
+    """Gradient of a scalar loss w.r.t. every parameter, given dLoss/dP."""
+    acts, pres, P = cache
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params)  # type: ignore
-    dA = gl
+    dA = block_softmax_grad(P, dP, domain)
     for li in range(len(params) - 1, -1, -1):
         W, _ = params[li]
         A_prev = acts[li]
@@ -231,29 +238,13 @@ def ema_update(ema: Params, current: Params, beta: float) -> Params:
     return out
 
 
-class GemOutput:
-    """Uniform mixture of per-row product distributions."""
+class GemOutput(ProductMixture):
+    """The generator's mixture, with the parameters that produced it."""
 
     def __init__(self, domain: Domain, P: np.ndarray, params: Params, config: GemConfig):
-        self.domain = domain
-        self.P = P
+        super().__init__(domain, P)
         self.params = params
         self.config = config
-
-    def answers(self, queries: QuerySet) -> np.ndarray:
-        return queries.answers_probs(self.P)
-
-    def sample_dataset(self, count: int, rng: np.random.Generator) -> Dataset:
-        if count <= 0:
-            raise DataError("count must be positive")
-        rows = rng.integers(0, self.P.shape[0], size=count)
-        rec = np.empty((count, self.domain.num_attrs), dtype=np.int64)
-        for a in range(self.domain.num_attrs):
-            off, sz = self.domain.offset(a), self.domain.sizes[a]
-            cdf = np.cumsum(self.P[:, off : off + sz], axis=1)
-            u = rng.random(count)
-            rec[:, a] = np.minimum((cdf[rows] < u[:, None]).sum(axis=1), sz - 1)
-        return Dataset(self.domain, rec)
 
     def save_checkpoint(self, path) -> None:
         save_checkpoint(self.params, self.domain, self.config, path)

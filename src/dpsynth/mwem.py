@@ -17,8 +17,8 @@ import numpy as np
 
 from .domain import (
     DEFAULT_CELL_CAP,
-    CapacityError,
     CellWeights,
+    DataError,
     Domain,
     Histogram,
     SupportDistribution,
@@ -38,14 +38,11 @@ class MwemSynthesizer(Synthesizer):
         cycles: int = 10,
         cell_cap: int = DEFAULT_CELL_CAP,
     ):
-        if domain.total_cells > cell_cap:
-            raise CapacityError(
-                f"domain has {domain.total_cells} cells, over the cap {cell_cap}"
-            )
+        domain.check_cap(cell_cap)
         if eta <= 0:
-            raise ValueError("eta must be positive")
+            raise DataError("eta must be positive")
         if cycles < 1:
-            raise ValueError("cycles must be >= 1")
+            raise DataError("cycles must be >= 1")
         self.domain = domain
         self.queries = queries
         self.eta = float(eta)

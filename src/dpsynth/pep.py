@@ -20,7 +20,6 @@ import numpy as np
 
 from .domain import (
     DEFAULT_CELL_CAP,
-    CapacityError,
     CellWeights,
     DataError,
     Domain,
@@ -103,12 +102,8 @@ class PepSynthesizer(Synthesizer):
     ):
         self.domain = domain
         self.queries = queries
-        full = support_cells is None
-        if full:
-            if domain.total_cells > cell_cap:
-                raise CapacityError(
-                    f"domain has {domain.total_cells} cells, over the cap {cell_cap}"
-                )
+        if support_cells is None:
+            domain.check_cap(cell_cap)
             support_cells = np.arange(domain.total_cells, dtype=np.int64)
         self.cells = np.asarray(support_cells, dtype=np.int64)
         if init_probs is None:
@@ -121,22 +116,14 @@ class PepSynthesizer(Synthesizer):
         self.gamma = float(gamma)
         self.t_max = int(t_max)
         self.target_clip = float(target_clip)
-        # a public support keeps per-workload maps from support position to
-        # query; the full domain needs none (cells are reached by stride)
-        self._locals = None
-        if not full:
-            self._locals = [w.locals_of_cells(domain, self.cells) for w in queries.workloads]
+        # a public support keeps its per-workload query map (None on the full domain)
+        self._locals = queries._cell_locals(self.cells)
         self._cell_lists: dict[int, np.ndarray] = {}  # support positions per measured query
 
     def _answers_all(self) -> np.ndarray:
         if self._locals is None:
             return self.queries.answers_mass(self.probs)
-        out = np.empty(self.queries.total_queries)
-        for w, loc in zip(self.queries.workloads, self._locals):
-            out[w.offset : w.offset + w.n_queries] = np.bincount(
-                loc, weights=self.probs, minlength=w.n_queries
-            )
-        return out
+        return self.queries.answers_support(self.cells, self.probs, self._locals)
 
     def answers(self, queries: QuerySet) -> np.ndarray:
         if queries is self.queries:
@@ -145,13 +132,7 @@ class PepSynthesizer(Synthesizer):
 
     def _cells(self, qidx: int) -> np.ndarray:
         if qidx not in self._cell_lists:
-            if self._locals is None:
-                cells = self.queries.cells_of(qidx)
-            else:
-                wi = self.queries.workload_of(qidx)
-                local = qidx - self.queries.workloads[wi].offset
-                cells = np.flatnonzero(self._locals[wi] == local)
-            self._cell_lists[qidx] = cells
+            self._cell_lists[qidx] = self.queries.cells_of(qidx, self._locals)
         return self._cell_lists[qidx]
 
     def update(self, ledger: MeasurementLedger) -> None:
@@ -184,9 +165,7 @@ class PepSynthesizer(Synthesizer):
     def snapshot(self) -> Histogram | None:
         if self.domain.total_cells > DEFAULT_CELL_CAP:
             return None
-        mass = np.zeros(self.domain.total_cells)
-        np.add.at(mass, self.cells, self.probs)
-        return Histogram(self.domain, mass)
+        return self.finalize().to_histogram()
 
     def finalize(self) -> SupportDistribution:
         return SupportDistribution(self.domain, self.cells.copy(), self.probs.copy())

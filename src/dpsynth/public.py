@@ -8,14 +8,13 @@ a target answer vector (the floor that support restriction imposes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import DataError, Dataset, Domain, DomainError, SupportDistribution
-from .gem import Adam, GemConfig, Params, forward, gem_gradient, gem_loss, init_params
+from .gem import Adam, GemConfig, Params, gem_gradient, init_params
 from .pep import PepSynthesizer
-from .queries import QuerySet, Workload, product_answers
+from .queries import QuerySet
 
 
 def pep_pub_init(
@@ -59,28 +58,21 @@ def restrict_to_public(queries: QuerySet, public_domain: Domain) -> QuerySet:
             keep.append(w.features)
     if not keep:
         raise DataError("no workload fits inside the public schema")
-    workloads = []
-    off = 0
-    for feats in keep:
-        sizes = tuple(dom.sizes[f] for f in feats)
-        workloads.append(Workload(feats, sizes, off))
-        off += math.prod(sizes)
-    return QuerySet(dom, workloads, queries.k)
+    return QuerySet.from_subsets(dom, keep, queries.k)
 
 
 def public_answers(restricted: QuerySet, public: Dataset) -> np.ndarray:
-    """Exact answers of the public records to a restricted query collection."""
+    """Exact answers of the public records to a restricted query collection.
+
+    The public columns are placed at their private attribute positions; the
+    other columns stay 0 and no restricted query reads them.
+    """
     dom = restricted.domain
     col_of = {nm: j for j, nm in enumerate(public.domain.names)}
-    out = np.empty(restricted.total_queries)
-    for w in restricted.workloads:
-        loc = np.zeros(public.n, dtype=np.int64)
-        for f, st in zip(w.features, w.local_strides()):
-            loc += public.records[:, col_of[dom.names[f]]] * st
-        out[w.offset : w.offset + w.n_queries] = (
-            np.bincount(loc, minlength=w.n_queries) / public.n
-        )
-    return out
+    records = np.zeros((public.n, dom.num_attrs), dtype=np.int64)
+    for f in {f for w in restricted.workloads for f in w.features}:
+        records[:, f] = public.records[:, col_of[dom.names[f]]]
+    return restricted.answers_records(Dataset(dom, records))
 
 
 def gem_pub_pretrain(
@@ -137,35 +129,21 @@ def best_mixture_error(
         raise DataError("target vector does not match the query collection")
     if iterations < 1:
         raise DataError("iterations must be >= 1")
-    dom = queries.domain
-    locals_ = [w.locals_of_cells(dom, cells) for w in queries.workloads]
-
-    def mix_answers(mu: np.ndarray) -> np.ndarray:
-        out = np.empty(queries.total_queries)
-        for w, loc in zip(queries.workloads, locals_):
-            out[w.offset : w.offset + w.n_queries] = np.bincount(
-                loc, weights=mu, minlength=w.n_queries
-            )
-        return out
-
-    def indicator(qidx: int) -> np.ndarray:
-        wi = queries.workload_of(qidx)
-        return (locals_[wi] == (qidx - queries.workloads[wi].offset)).astype(np.float64)
-
+    locals_ = queries._cell_locals(cells)
     lr = 0.5 / math.sqrt(iterations)
     mu = np.full(cells.size, 1.0 / cells.size)
     avg = np.zeros_like(mu)
     best = float("inf")
     for it in range(1, iterations + 1):
-        r = targets - mix_answers(mu)
+        r = targets - queries.answers_support(cells, mu, locals_)
         worst = int(np.argmax(np.abs(r)))
         best = min(best, float(np.abs(r).max()))
         # mixture player response: downweight cells that worsen the residual
         sign = 1.0 if r[worst] >= 0 else -1.0
-        mu = mu * np.exp(lr * sign * indicator(worst))
+        mu[queries.cells_of(worst, locals_)] *= np.exp(lr * sign)
         mu /= mu.sum()
         avg += mu
         if it % 50 == 0 or it == iterations:
-            r_avg = targets - mix_answers(avg / it)
+            r_avg = targets - queries.answers_support(cells, avg / it, locals_)
             best = min(best, float(np.abs(r_avg).max()))
     return best

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +96,6 @@ class QuerySet:
         self.k = k
         self.workloads = workloads
         self.total_queries = sum(w.n_queries for w in workloads)
-        self.threads = 1
         # one-hot index matrix, row per query (every query has exactly k ones)
         idx = np.empty((self.total_queries, k), dtype=np.int64)
         for w in workloads:
@@ -105,7 +103,19 @@ class QuerySet:
             for j, f in enumerate(w.features):
                 idx[w.offset : w.offset + w.n_queries, j] = domain.offset(f) + combos[:, j]
         self.idx = idx
-        self._full_locals: list[np.ndarray] | None = None
+        # per workload: the cells that are 0 on its attributes (see cells_of)
+        self._zero_cells: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def from_subsets(cls, domain: Domain, subsets, k: int) -> "QuerySet":
+        """One workload per feature subset, indexed in the given order."""
+        workloads = []
+        off = 0
+        for feats in subsets:
+            sizes = tuple(domain.sizes[f] for f in feats)
+            workloads.append(Workload(tuple(feats), sizes, off))
+            off += math.prod(sizes)
+        return cls(domain, workloads, k)
 
     # -- indexing helpers -------------------------------------------------
 
@@ -124,49 +134,54 @@ class QuerySet:
 
     # -- evaluation -------------------------------------------------------
 
-    def _map_reduce(self, fn) -> np.ndarray:
-        out = np.empty(self.total_queries)
-        if self.threads > 1 and len(self.workloads) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as ex:
-                parts = list(ex.map(fn, self.workloads))
-        else:
-            parts = [fn(w) for w in self.workloads]
-        for w, part in zip(self.workloads, parts):
-            out[w.offset : w.offset + w.n_queries] = part
-        return out
-
     def answers_records(self, data: Dataset) -> np.ndarray:
         """Exact answers on a dataset (integer counting, then one division)."""
         if data.n == 0:
             raise DataError("empty dataset")
-        rec = data.records
+        out = np.empty(self.total_queries)
+        for w in self.workloads:
+            counts = np.bincount(w.locals_of_records(data.records), minlength=w.n_queries)
+            out[w.offset : w.offset + w.n_queries] = counts / data.n
+        return out
 
-        def one(w: Workload):
-            counts = np.bincount(w.locals_of_records(rec), minlength=w.n_queries)
-            return counts / data.n
+    def _is_full(self, cells: np.ndarray) -> bool:
+        total = self.domain.total_cells
+        return cells.shape[0] == total and np.array_equal(cells, np.arange(total))
 
-        return self._map_reduce(one)
+    def _cell_locals(self, cells: np.ndarray) -> list[np.ndarray] | None:
+        """Per-workload query map of a support: which query of each workload each cell meets.
 
-    def _cell_locals(self) -> list[np.ndarray]:
-        if self._full_locals is None:
-            cells = np.arange(self.domain.total_cells, dtype=np.int64)
-            self._full_locals = [w.locals_of_cells(self.domain, cells) for w in self.workloads]
-        return self._full_locals
-
-    def cells_of(self, qidx: int) -> np.ndarray:
-        """Ascending flat indices of the domain cells query `qidx` matches.
-
-        Built from the domain strides: matched attributes contribute their
-        target, the others every value, with no scan over the domain.
+        None for the full domain (cells 0..total_cells-1 in order), whose
+        answers are dense marginals and whose cells are reached by stride.
         """
-        q = self.query(qidx)
-        fixed = dict(zip(q.features, q.targets))
+        cells = np.asarray(cells, dtype=np.int64)
+        if self._is_full(cells):
+            return None
+        return [w.locals_of_cells(self.domain, cells) for w in self.workloads]
+
+    def cells_of(self, qidx: int, locals: list[np.ndarray] | None = None) -> np.ndarray:
+        """Ascending positions, in a support, of the cells query `qidx` matches.
+
+        `locals` is the support's `_cell_locals` map; without one the support
+        is the full domain, where positions are flat cell indices: the query's
+        targets times their strides, plus every cell that is 0 on the
+        workload's attributes (built from the strides once per workload, with
+        no scan over the domain).
+        """
+        wi = self.workload_of(qidx)
+        w = self.workloads[wi]
+        if locals is not None:
+            return np.flatnonzero(locals[wi] == qidx - w.offset)
         dom = self.domain
-        axes = [
-            np.array([fixed[a]] if a in fixed else range(size), dtype=np.int64) * dom.stride(a)
-            for a, size in enumerate(dom.sizes)
-        ]
-        return sum(np.ix_(*axes)).ravel()
+        if wi not in self._zero_cells:
+            axes = [
+                np.arange(1 if a in w.features else size, dtype=np.int64) * dom.stride(a)
+                for a, size in enumerate(dom.sizes)
+            ]
+            self._zero_cells[wi] = sum(np.ix_(*axes)).ravel()
+        targets = np.unravel_index(qidx - w.offset, w.sizes)
+        fixed = sum(int(t) * dom.stride(f) for f, t in zip(w.features, targets))
+        return self._zero_cells[wi] + fixed
 
     def answers_histogram(self, hist: Histogram) -> np.ndarray:
         """Answers on a dense histogram.
@@ -206,18 +221,26 @@ class QuerySet:
             out[w.offset : w.offset + w.n_queries] = self._marginal(margs, w.features).ravel()
         return out
 
-    def answers_support(self, cells: np.ndarray, probs: np.ndarray) -> np.ndarray:
-        """Answers of a distribution given as (cells, probabilities)."""
-        cells = np.asarray(cells, dtype=np.int64)
-        total = self.domain.total_cells
-        if cells.shape[0] == total and np.array_equal(cells, np.arange(total)):
-            return self.answers_mass(probs)
+    def answers_support(
+        self, cells: np.ndarray, probs: np.ndarray, locals: list[np.ndarray] | None = None
+    ) -> np.ndarray:
+        """Answers of a distribution given as (cells, probabilities).
 
-        def one(w: Workload):
-            loc = w.locals_of_cells(self.domain, cells)
-            return np.bincount(loc, weights=probs, minlength=w.n_queries)
-
-        return self._map_reduce(one)
+        `locals` is the support's `_cell_locals` map, for callers that
+        evaluate one support many times. Without it, the full domain takes
+        the dense `answers_mass` path and any other support builds its map.
+        """
+        if locals is None:
+            cells = np.asarray(cells, dtype=np.int64)
+            if self._is_full(cells):
+                return self.answers_mass(probs)
+            locals = self._cell_locals(cells)
+        out = np.empty(self.total_queries)
+        for w, loc in zip(self.workloads, locals):
+            out[w.offset : w.offset + w.n_queries] = np.bincount(
+                loc, weights=probs, minlength=w.n_queries
+            )
+        return out
 
     def answers_probs(self, P: np.ndarray) -> np.ndarray:
         """Mean product-query answers over a batch of probability rows.
@@ -254,13 +277,7 @@ def build_workloads(
         picks = rng.choice(total, size=count, replace=False)
         all_subsets = list(itertools.combinations(range(d), k))
         subsets = sorted(all_subsets[int(i)] for i in picks)
-    workloads = []
-    off = 0
-    for feats in subsets:
-        sizes = tuple(domain.sizes[f] for f in feats)
-        workloads.append(Workload(tuple(feats), sizes, off))
-        off += math.prod(sizes)
-    return QuerySet(domain, workloads, k)
+    return QuerySet.from_subsets(domain, subsets, k)
 
 
 # -- single-query answers (reference path) --------------------------------

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DataError, Dataset, Domain
+from .domain import DataError, Domain, ProductMixture
 from .loop import Synthesizer
 from .privacy import MeasurementLedger
 from .queries import QuerySet, product_answers, product_answers_grad
-from .gem import block_softmax
+from .gem import block_softmax, block_softmax_grad
 
 
 @dataclass
@@ -53,34 +53,6 @@ def rap_answers(rd: RelaxedDataset, queries: QuerySet) -> np.ndarray:
     return queries.answers_probs(rd.probs())
 
 
-class RapOutput:
-    def __init__(self, domain: Domain, P: np.ndarray):
-        self.domain = domain
-        self.P = P
-
-    def answers(self, queries: QuerySet) -> np.ndarray:
-        return queries.answers_probs(self.P)
-
-    def sample_dataset(self, count: int, rng: np.random.Generator) -> Dataset:
-        if count <= 0:
-            raise DataError("count must be positive")
-        rows = rng.integers(0, self.P.shape[0], size=count)
-        rec = np.empty((count, self.domain.num_attrs), dtype=np.int64)
-        for a in range(self.domain.num_attrs):
-            off, sz = self.domain.offset(a), self.domain.sizes[a]
-            block = self.P[:, off : off + sz]
-            sums = block.sum(axis=1, keepdims=True)
-            # clipped rows may not be normalized; fall back to uniform on empty blocks
-            safe = np.where(sums > 0, block / np.where(sums > 0, sums, 1.0), 1.0 / sz)
-            cdf = np.cumsum(safe, axis=1)
-            u = rng.random(count)
-            rec[:, a] = np.minimum((cdf[rows] < u[:, None]).sum(axis=1), sz - 1)
-        return Dataset(self.domain, rec)
-
-    def save_npz(self, path) -> None:
-        np.savez(path, P=self.P, domain=self.domain.to_json())
-
-
 class RapSynthesizer(Synthesizer):
     def __init__(self, domain: Domain, queries: QuerySet, cfg: RapConfig, rng: np.random.Generator):
         self.domain = domain
@@ -110,12 +82,7 @@ class RapSynthesizer(Synthesizer):
         if self.cfg.original:
             gM = dP * ((M > 0.0) & (M < 1.0))
         else:
-            gM = np.empty_like(dP)
-            for a in range(self.domain.num_attrs):
-                off, sz = self.domain.offset(a), self.domain.sizes[a]
-                s = P[:, off : off + sz]
-                g = dP[:, off : off + sz]
-                gM[:, off : off + sz] = s * (g - (g * s).sum(axis=1, keepdims=True))
+            gM = block_softmax_grad(P, dP, self.domain)
         return loss, gM
 
     def update(self, ledger: MeasurementLedger) -> None:
@@ -168,5 +135,5 @@ class RapSynthesizer(Synthesizer):
                     break
         self.rd = RelaxedDataset(self.domain, M, self.cfg.original)
 
-    def finalize(self) -> RapOutput:
-        return RapOutput(self.domain, self.rd.probs())
+    def finalize(self) -> ProductMixture:
+        return ProductMixture(self.domain, self.rd.probs())

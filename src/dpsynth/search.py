@@ -14,7 +14,6 @@ import numpy as np
 
 from .domain import (
     DEFAULT_CELL_CAP,
-    CapacityError,
     DataError,
     Domain,
     SupportDistribution,
@@ -48,10 +47,7 @@ class _SearchBase(Synthesizer):
     self_selecting = True
 
     def __init__(self, domain: Domain, queries: QuerySet, cell_cap: int = DEFAULT_CELL_CAP):
-        if domain.total_cells > cell_cap:
-            raise CapacityError(
-                f"domain has {domain.total_cells} cells, over the cap {cell_cap}"
-            )
+        domain.check_cap(cell_cap)
         self.domain = domain
         self.queries = queries
         self.records: list[int] = []  # accumulated cell indices
@@ -76,13 +72,6 @@ class _SearchBase(Synthesizer):
         cells, counts = np.unique(np.array(self.records, dtype=np.int64), return_counts=True)
         return SupportDistribution(self.domain, cells, counts / counts.sum())
 
-    def _query_indicator(self, qidx: int) -> np.ndarray:
-        """0/1 vector over all cells for one query."""
-        wi = self.queries.workload_of(qidx)
-        w = self.queries.workloads[wi]
-        loc = self.queries._cell_locals()[wi]
-        return (loc == (qidx - w.offset)).astype(np.float64)
-
 
 class DualQuerySynthesizer(_SearchBase):
     """Query player runs multiplicative weights; data player best-responds.
@@ -104,7 +93,7 @@ class DualQuerySynthesizer(_SearchBase):
         drawn = np.minimum(np.searchsorted(cum / cum[-1], u, side="right"), cum.size - 1)
         objective = np.zeros(self.domain.total_cells)
         for q in drawn:
-            objective += self._query_indicator(int(q))
+            objective[self.queries.cells_of(int(q))] += 1.0
         x = int(np.argmin(objective))
         self.records.append(x)
         payoff = np.abs(private_answers - self.answers(queries))
@@ -144,7 +133,7 @@ class FemSynthesizer(_SearchBase):
             picked.append(q)
         for q in picked:
             self.selected.append(q)
-            self.base += self._query_indicator(q)
+            self.base[self.queries.cells_of(q)] += 1.0
         for _ in range(self.cfg.samples):
             noise = rng.exponential(self.cfg.sigma, size=self.domain.onehot_width)
             perturb = np.zeros(self.domain.total_cells)

@@ -112,7 +112,8 @@ def test_option_conflicts_exit_2(toy, tmp_path):
     assert _synth(toy, tmp_path, "--public", "whatever.csv") == 2  # mwem has no public variant
     assert _synth(toy, tmp_path, "--output-average", method="rap-softmax") == 2
     assert _synth(toy, tmp_path, "--gem-init", "ck.json") == 2
-    assert _synth(toy, tmp_path, "--threads", "0") == 2
+    assert _synth(toy, tmp_path, "--workloads", "abc") == 2
+    assert main(["gen-toy", "--sizes", "a,b", "--out", str(tmp_path / "t.csv")]) == 2
 
 
 def test_budget_error_exits_2(toy, tmp_path):
@@ -143,7 +144,7 @@ def test_missing_files_exit_4(toy, tmp_path):
     assert rc == 4
 
 
-def test_bad_data_exits_4(toy, tmp_path):
+def test_bad_data_exits_4(toy, tmp_path, capsys):
     dom, _ = toy
     bad = tmp_path / "bad.csv"
     _write_csv(bad, ["a0", "a1"], [[0, 7]])  # 7 out of range for size 3
@@ -151,6 +152,10 @@ def test_bad_data_exits_4(toy, tmp_path):
         ["synth", "--domain", str(dom), "--data", str(bad), "--method", "mwem", "--rho", "0.1"]
     )
     assert rc == 4
+    capsys.readouterr()
+    for flags in (("--mwem-eta", "0"), ("--mwem-cycles", "0")):
+        assert _synth(toy, tmp_path, *flags) == 4
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_no_noise_warns_and_marks_report(toy, tmp_path, capsys):
@@ -186,24 +191,6 @@ def test_same_seed_same_outputs(toy, tmp_path, capsys):
     assert canonical_json(reports[0]) == canonical_json(reports[1])
     assert csvs[0] == csvs[1]
     capsys.readouterr()
-
-
-def test_threads_do_not_change_answers(toy, tmp_path, monkeypatch, capsys):
-    rep1 = tmp_path / "rep1.json"
-    assert _synth(toy, tmp_path, "--threads", "1", "--report", rep1) == 0
-    rep2 = tmp_path / "rep2.json"
-    monkeypatch.setenv("DPSYNTH_THREADS", "3")
-    assert _synth(toy, tmp_path, "--report", rep2) == 0
-    a, b = load_report(rep1), load_report(rep2)
-    assert a["errors"] == b["errors"]
-    capsys.readouterr()
-
-
-def test_threads_env_validation(toy, tmp_path, monkeypatch):
-    monkeypatch.setenv("DPSYNTH_THREADS", "zero")
-    assert _synth(toy, tmp_path) == 2
-    monkeypatch.setenv("DPSYNTH_THREADS", "0")
-    assert _synth(toy, tmp_path) == 2
 
 
 def test_accountant_frozen_values(capsys):

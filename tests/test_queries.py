@@ -208,18 +208,10 @@ def test_answers_support_matches_dense():
     dense = np.zeros(dom.total_cells)
     dense[cells] = probs
     assert np.allclose(qs.answers_support(cells, probs), qs.answers_mass(dense), atol=1e-15)
-
-
-def test_thread_count_does_not_change_answers():
-    rng = np.random.default_rng(8)
-    dom = Domain(tuple(f"a{i}" for i in range(5)), (3,) * 5)
-    rec = np.column_stack([rng.integers(0, 3, size=200) for _ in range(5)])
-    data = Dataset(dom, rec)
-    one = QuerySet(dom, build_workloads(dom, 3).workloads, 3)
-    four = QuerySet(dom, build_workloads(dom, 3).workloads, 3)
-    one.threads = 1
-    four.threads = 4
-    assert np.array_equal(one.answers_records(data), four.answers_records(data))
+    # a precomputed support map gives the same answers
+    locals_ = qs._cell_locals(cells)
+    with_map = qs.answers_support(cells, probs, locals_)
+    assert np.array_equal(with_map, qs.answers_support(cells, probs))
 
 
 def _bincount_answers(qs, mass):
@@ -243,9 +235,14 @@ def _random_queries(rng):
 def test_cells_of_matches_scan(seed):
     dom, qs = _random_queries(np.random.default_rng(seed))
     cells = np.arange(dom.total_cells)
+    # a sparse, unordered support: positions into it, through its support map
+    support = np.random.default_rng(seed).permutation(dom.total_cells)[: dom.total_cells // 2]
+    locals_ = qs._cell_locals(support)
     for qi in range(qs.total_queries):
         want = np.flatnonzero(qs.query(qi).matches(dom, cells))
         assert np.array_equal(qs.cells_of(qi), want)
+        want = np.flatnonzero(qs.query(qi).matches(dom, support))
+        assert np.array_equal(qs.cells_of(qi, locals_), want)
 
 
 @settings(max_examples=50, deadline=None)
