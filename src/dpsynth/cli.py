@@ -156,6 +156,8 @@ def cmd_synth(args) -> int:
         raise UsageError("give --public or --gem-init, not both")
     if args.output_average and args.method not in HISTOGRAM_METHODS:
         raise UsageError("--output-average is only available for mwem and pep")
+    if args.em_halved and args.method == "dualquery":
+        raise UsageError("--em-halved does not apply to dualquery, which draws no exponential mechanism")
 
     domain = Domain.load(args.domain)
     data = Dataset.from_csv(args.data, domain)
@@ -255,9 +257,7 @@ def _build_synth(args, domain, data, queries, rng):
         cfg = _gem_config(args)
         init = None
         if args.gem_init:
-            params, ck_domain, z_dim, hidden = load_checkpoint(args.gem_init)
-            if ck_domain.names != domain.names or ck_domain.sizes != domain.sizes:
-                raise DataError("checkpoint domain does not match --domain")
+            params, z_dim, hidden = _load_checkpoint(args.gem_init, domain)
             # the checkpoint's weights fix the architecture; flags keep the
             # training knobs (batch, lr, t_max, loss, ...)
             cfg = dataclasses.replace(cfg, z_dim=z_dim, hidden=hidden)
@@ -373,15 +373,21 @@ def _load_artifact(path, domain: Domain, args):
         if dist.domain.names != domain.names or dist.domain.sizes != domain.sizes:
             raise DataError(f"{path}: artifact domain does not match --domain")
         return dist
-    params, ck_domain, z_dim, hidden = load_checkpoint(path)
-    if ck_domain.names != domain.names or ck_domain.sizes != domain.sizes:
-        raise DataError(f"{path}: checkpoint domain does not match --domain")
+    params, z_dim, hidden = _load_checkpoint(path, domain)
     batch = getattr(args, "gem_batch", 100)
     rng = np.random.default_rng(getattr(args, "seed", 0))
     Z = rng.standard_normal((batch, z_dim))
-    P, _ = forward(params, Z, ck_domain)
+    P, _ = forward(params, Z, domain)
     cfg = GemConfig(hidden=hidden, z_dim=z_dim, batch=batch)
-    return GemOutput(ck_domain, P, params, cfg)
+    return GemOutput(domain, P, params, cfg)
+
+
+def _load_checkpoint(path, domain: Domain):
+    """(params, z_dim, hidden) of a generator checkpoint over `domain`."""
+    params, ck_domain, z_dim, hidden = load_checkpoint(path)
+    if ck_domain.names != domain.names or ck_domain.sizes != domain.sizes:
+        raise DataError(f"{path}: checkpoint domain does not match --domain")
+    return params, z_dim, hidden
 
 
 # ------------------------------------------------------------ accountant --

@@ -120,6 +120,40 @@ def backward(params: Params, cache, dP: np.ndarray, domain: Domain) -> Params:
     return grads
 
 
+def _fit_terms(c: np.ndarray, gamma: float, kind: str):
+    """(loss, active set, d loss / d answers on it) of residuals c = targets - answers.
+
+    The active set is {j : |c_j| >= gamma}; raises if it is empty.
+    """
+    active = np.abs(c) >= gamma
+    if not active.any():
+        raise DataError("no residual at or above gamma; nothing to fit")
+    n_act = int(active.sum())
+    if kind == "l1":
+        loss = float(np.abs(c[active]).mean())
+        coeff = -np.sign(c[active]) / n_act  # d mean|ans - t| / d ans
+    elif kind == "l2":
+        loss = float((c[active] ** 2).mean())
+        coeff = -2.0 * c[active] / n_act
+    else:
+        raise DataError("loss must be 'l1' or 'l2'")
+    return loss, active, coeff
+
+
+def _residuals(params: Params, Z: np.ndarray, domain: Domain, idx: np.ndarray, targets: np.ndarray):
+    """One forward pass: (cache, residuals c = targets - answers)."""
+    P, cache = forward(params, Z, domain)
+    return cache, np.asarray(targets, dtype=np.float64) - product_answers(P, idx)
+
+
+def _gradient(params: Params, cache, domain: Domain, idx: np.ndarray, c: np.ndarray, gamma: float, kind: str):
+    """(loss, parameter gradients) from the cache (which ends with P) and
+    residuals of one forward pass."""
+    loss, active, coeff = _fit_terms(c, gamma, kind)
+    dP = product_answers_grad(cache[2], idx[active], coeff)
+    return loss, backward(params, cache, dP, domain)
+
+
 def gem_loss(
     params: Params,
     Z: np.ndarray,
@@ -134,19 +168,8 @@ def gem_loss(
     Returns (loss, residuals c = targets - answers). Raises if gamma leaves
     no active entry.
     """
-    P, _ = forward(params, Z, domain)
-    ans = product_answers(P, idx)
-    c = np.asarray(targets, dtype=np.float64) - ans
-    active = np.abs(c) >= gamma
-    if not active.any():
-        raise DataError("no residual at or above gamma; nothing to fit")
-    if kind == "l1":
-        loss = float(np.abs(c[active]).mean())
-    elif kind == "l2":
-        loss = float((c[active] ** 2).mean())
-    else:
-        raise DataError("loss must be 'l1' or 'l2'")
-    return loss, c
+    _, c = _residuals(params, Z, domain, idx, targets)
+    return _fit_terms(c, gamma, kind)[0], c
 
 
 def gem_gradient(
@@ -159,23 +182,9 @@ def gem_gradient(
     kind: str = "l1",
 ):
     """Loss, parameter gradients, and residuals in one reverse pass."""
-    P, cache = forward(params, Z, domain)
-    ans = product_answers(P, idx)
-    c = np.asarray(targets, dtype=np.float64) - ans
-    active = np.abs(c) >= gamma
-    if not active.any():
-        raise DataError("no residual at or above gamma; nothing to fit")
-    n_act = int(active.sum())
-    if kind == "l1":
-        loss = float(np.abs(c[active]).mean())
-        coeff = -np.sign(c[active]) / n_act  # d mean|ans - t| / d ans
-    elif kind == "l2":
-        loss = float((c[active] ** 2).mean())
-        coeff = -2.0 * c[active] / n_act
-    else:
-        raise DataError("loss must be 'l1' or 'l2'")
-    dP = product_answers_grad(P, idx[active], coeff)
-    return loss, backward(params, cache, dP, domain), c
+    cache, c = _residuals(params, Z, domain, idx, targets)
+    loss, grads = _gradient(params, cache, domain, idx, c, gamma, kind)
+    return loss, grads, c
 
 
 def flatten_params(params: Params) -> np.ndarray:
@@ -195,35 +204,36 @@ def unflatten_params(vec: np.ndarray, like: Params) -> Params:
 
 
 class Adam:
-    """Bias-corrected first/second moment steps."""
+    """Bias-corrected first/second moment steps.
 
-    def __init__(self, params: Params, lr: float, b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
+    Parameters and gradients are lists of layers, each a tuple of arrays:
+    (W, b) pairs for the generator, one (M,) layer for relaxed rows.
+    """
+
+    def __init__(self, params, lr: float, b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
         self.t = 0
-        self.m = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
-        self.v = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+        self.m = [[np.zeros_like(x) for x in layer] for layer in params]
+        self.v = [[np.zeros_like(x) for x in layer] for layer in params]
 
-    def step(self, params: Params, grads: Params) -> Params:
+    def direction(self, grads) -> list[tuple[np.ndarray, ...]]:
+        """Advance the moments by `grads` and return the steps to subtract."""
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
         out = []
-        for li, ((W, b), (gW, gb)) in enumerate(zip(params, grads)):
-            mW, mb = self.m[li]
-            vW, vb = self.v[li]
-            mW = self.b1 * mW + (1 - self.b1) * gW
-            mb = self.b1 * mb + (1 - self.b1) * gb
-            vW = self.b2 * vW + (1 - self.b2) * gW**2
-            vb = self.b2 * vb + (1 - self.b2) * gb**2
-            self.m[li] = (mW, mb)
-            self.v[li] = (vW, vb)
-            out.append(
-                (
-                    W - self.lr * (mW / c1) / (np.sqrt(vW / c2) + self.eps),
-                    b - self.lr * (mb / c1) / (np.sqrt(vb / c2) + self.eps),
-                )
-            )
+        for m, v, g in zip(self.m, self.v, grads):
+            for i, gi in enumerate(g):
+                m[i] = self.b1 * m[i] + (1 - self.b1) * gi
+                v[i] = self.b2 * v[i] + (1 - self.b2) * gi**2
+            out.append(tuple(self.lr * (mi / c1) / (np.sqrt(vi / c2) + self.eps) for mi, vi in zip(m, v)))
         return out
+
+    def step(self, params, grads):
+        return [
+            tuple(x - d for x, d in zip(layer, steps))
+            for layer, steps in zip(params, self.direction(grads))
+        ]
 
 
 def ema_update(ema: Params, current: Params, beta: float) -> Params:
@@ -298,8 +308,8 @@ class GemSynthesizer(Synthesizer):
         # sampled max error of this round's fresh measurements, before fitting
         rounds = ledger.rounds()
         fresh = rounds == rounds.max()
-        cur = product_answers(forward(self.params, self.z_batch, self.domain)[0], sub)
-        sampled_max = float(np.abs(targets[fresh] - cur[fresh]).max())
+        _, c = _residuals(self.params, self.z_batch, self.domain, sub, targets)
+        sampled_max = float(np.abs(c[fresh]).max())
         if self.exact_targets:
             self.gamma = 0.0
         elif self.gamma is None:
@@ -309,13 +319,11 @@ class GemSynthesizer(Synthesizer):
             self.gamma = b * self.gamma + (1 - b) * sampled_max
         ema_on = self.round > self.total_rounds // 2
         for _ in range(self.cfg.t_max):
-            Z = self._noise()
-            _, c = gem_loss(self.params, Z, self.domain, sub, targets, 0.0, self.cfg.loss)
+            # the stop test and the gradient read the same forward pass
+            cache, c = _residuals(self.params, self._noise(), self.domain, sub, targets)
             if np.abs(c).max() < self.gamma:
                 break
-            _, grads, _ = gem_gradient(
-                self.params, Z, self.domain, sub, targets, self.gamma, self.cfg.loss
-            )
+            _, grads = _gradient(self.params, cache, self.domain, sub, c, self.gamma, self.cfg.loss)
             self.params = self.opt.step(self.params, grads)
             if ema_on:
                 if self.ema is None:

@@ -64,7 +64,7 @@ class Synthesizer(abc.ABC):
         """Dense copy of the current distribution, when cheap; None otherwise."""
         return None
 
-    def private_round(self, rnd, queries, private_answers, acct, rng, no_noise):
+    def private_round(self, rnd, queries, private_answers, acct, rng, no_noise, em_halved=False):
         raise NotImplementedError
 
 
@@ -107,7 +107,7 @@ def run(
     for t in range(1, cfg.T + 1):
         if synth.self_selecting:
             selected, noisy = synth.private_round(
-                t, queries, private, acct, rng, cfg.no_noise
+                t, queries, private, acct, rng, cfg.no_noise, cfg.em_score_halved
             )
             post = synth.answers(queries)
             rec: dict = {

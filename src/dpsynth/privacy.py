@@ -103,6 +103,18 @@ class Accountant:
         return zcdp_to_dp(self.rho, delta)
 
 
+def exp_mechanism_probs(scores: np.ndarray, acct: Accountant, *, halved: bool = False) -> np.ndarray:
+    """Selection distribution of :func:`exp_mechanism_select`."""
+    scores = np.asarray(scores, dtype=np.float64)
+    coef = acct.alpha * acct.eps0 * acct.n
+    if halved:
+        coef *= 0.5
+    logits = coef * scores
+    logits = logits - logits.max()
+    p = np.exp(logits)
+    return p / p.sum()
+
+
 def exp_mechanism_select(
     scores: np.ndarray,
     acct: Accountant,
@@ -120,27 +132,23 @@ def exp_mechanism_select(
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or scores.size == 0:
         raise BudgetError("need a nonempty score vector")
-    coef = acct.alpha * acct.eps0 * acct.n
-    if halved:
-        coef *= 0.5
-    logits = coef * scores
-    logits = logits - logits.max()
-    probs = np.exp(logits)
-    probs /= probs.sum()
-    cum = np.cumsum(probs)
+    cum = np.cumsum(exp_mechanism_probs(scores, acct, halved=halved))
     return int(min(np.searchsorted(cum, rng.random(), side="right"), scores.size - 1))
 
 
-def exp_mechanism_probs(scores: np.ndarray, acct: Accountant, *, halved: bool = False) -> np.ndarray:
-    """Selection distribution of :func:`exp_mechanism_select` (for tests/diagnostics)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    coef = acct.alpha * acct.eps0 * acct.n
-    if halved:
-        coef *= 0.5
-    logits = coef * scores
-    logits = logits - logits.max()
-    p = np.exp(logits)
-    return p / p.sum()
+def select_k(
+    scores: np.ndarray,
+    acct: Accountant,
+    rng: np.random.Generator,
+    *,
+    no_noise: bool = False,
+    halved: bool = False,
+) -> list[int]:
+    """acct.k selections over `scores`: exponential-mechanism draws, or the
+    exact argmax (lowest index on ties) k times under no_noise."""
+    if no_noise:
+        return [int(np.argmax(scores))] * acct.k
+    return [exp_mechanism_select(scores, acct, rng, halved=halved) for _ in range(acct.k)]
 
 
 def gaussian_measure(
@@ -220,36 +228,17 @@ def select_and_measure_round(
     exact argmax (lowest index wins ties) and measurements are exact.
     """
     scores = np.abs(private_answers - current_answers)
-    selected: list[int] = []
+    slices = queries.slices()
     if per_workload:
-        wl_scores = np.array([scores[sl].max() for sl in queries.slices()])
-        for _ in range(acct.k):
-            if no_noise:
-                w = int(np.argmax(wl_scores))
-            else:
-                w = exp_mechanism_select(wl_scores, acct, rng, halved=em_halved)
-            selected.append(w)
-        for w in selected:
-            sl = queries.slices()[w]
-            for q in range(sl.start, sl.stop):
-                if no_noise:
-                    a = float(private_answers[q])
-                else:
-                    a = gaussian_measure(
-                        private_answers[q], acct, rng, sensitivity_scale=math.sqrt(2.0)
-                    )
-                ledger.record(q, a, rnd)
-    else:
-        for _ in range(acct.k):
-            if no_noise:
-                q = int(np.argmax(scores))
-            else:
-                q = exp_mechanism_select(scores, acct, rng, halved=em_halved)
-            selected.append(q)
-        for q in selected:
+        scores = np.array([scores[sl].max() for sl in slices])
+    selected = select_k(scores, acct, rng, no_noise=no_noise, halved=em_halved)
+    scale = math.sqrt(2.0) if per_workload else 1.0
+    for s in selected:
+        measured = range(slices[s].start, slices[s].stop) if per_workload else [s]
+        for q in measured:
             if no_noise:
                 a = float(private_answers[q])
             else:
-                a = gaussian_measure(private_answers[q], acct, rng, sensitivity_scale=1.0)
+                a = gaussian_measure(private_answers[q], acct, rng, sensitivity_scale=scale)
             ledger.record(q, a, rnd)
     return selected

@@ -18,7 +18,7 @@ from .domain import DataError, Domain, ProductMixture
 from .loop import Synthesizer
 from .privacy import MeasurementLedger
 from .queries import QuerySet, product_answers, product_answers_grad
-from .gem import block_softmax, block_softmax_grad
+from .gem import Adam, block_softmax, block_softmax_grad
 
 
 @dataclass
@@ -70,20 +70,18 @@ class RapSynthesizer(Synthesizer):
     def answers(self, queries: QuerySet) -> np.ndarray:
         return rap_answers(self.rd, queries)
 
-    def _loss_grad(self, M: np.ndarray, idx: np.ndarray, targets: np.ndarray, want_grad: bool):
-        rd = RelaxedDataset(self.domain, M, self.cfg.original)
-        P = rd.probs()
-        ans = product_answers(P, idx)
-        diff = ans - targets
-        loss = float((diff**2).sum())
-        if not want_grad:
-            return loss, None
+    def _loss(self, M: np.ndarray, idx: np.ndarray, targets: np.ndarray):
+        """(squared-error loss, P, residual answers - targets) at rows M."""
+        P = RelaxedDataset(self.domain, M, self.cfg.original).probs()
+        diff = product_answers(P, idx) - targets
+        return float((diff**2).sum()), P, diff
+
+    def _grad(self, M: np.ndarray, P: np.ndarray, idx: np.ndarray, diff: np.ndarray) -> np.ndarray:
+        """d loss / d M from the P and residual that `_loss` returned for M."""
         dP = product_answers_grad(P, idx, 2.0 * diff)
         if self.cfg.original:
-            gM = dP * ((M > 0.0) & (M < 1.0))
-        else:
-            gM = block_softmax_grad(P, dP, self.domain)
-        return loss, gM
+            return dP * ((M > 0.0) & (M < 1.0))
+        return block_softmax_grad(P, dP, self.domain)
 
     def update(self, ledger: MeasurementLedger) -> None:
         if len(ledger) == 0:
@@ -93,40 +91,32 @@ class RapSynthesizer(Synthesizer):
         # constant-size pull at the boundary and collapses rows to one-hots
         targets = np.clip(ledger.answers(), 0.0, 1.0)
         M = self.rd.M
-        loss, _ = self._loss_grad(M, idx, targets, want_grad=False)
+        loss, P, diff = self._loss(M, idx, targets)
         history = [loss]
         # per-coordinate moment scaling; raw softmax gradients are ~1e-4 so a
         # bare lr*g step at lr=0.1 goes nowhere. Moments reset each round.
-        m = np.zeros_like(M)
-        v = np.zeros_like(M)
-        b1, b2, aeps = 0.9, 0.999, 1e-8
-        tm = 0  # steps since last momentum restart (bias correction)
+        opt = Adam([(M,)], self.cfg.lr)
         for _ in range(self.cfg.max_steps):
-            _, g = self._loss_grad(M, idx, targets, want_grad=True)
+            g = self._grad(M, P, idx, diff)
             if np.abs(g).max() == 0.0:  # exact stationary point
                 break
-            tm += 1
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g**2
-            delta = self.cfg.lr * (m / (1 - b1**tm)) / (np.sqrt(v / (1 - b2**tm)) + aeps)
+            ((delta,),) = opt.direction([(g,)])
             scale = 1.0
             accepted = False
             for _ in range(30):
                 M_try = M - scale * delta
-                new_loss, _ = self._loss_grad(M_try, idx, targets, want_grad=False)
+                new_loss, new_P, new_diff = self._loss(M_try, idx, targets)
                 if new_loss <= loss:
                     accepted = True
                     break
                 scale *= 0.5
             if not accepted:
-                if tm == 1:
+                if opt.t == 1:
                     break  # even the plain scaled gradient fails: done
                 # stale momentum points uphill near the optimum; restart
-                m[:] = 0.0
-                v[:] = 0.0
-                tm = 0
+                opt = Adam([(M,)], self.cfg.lr)
                 continue
-            M, loss = M_try, new_loss
+            M, loss, P, diff = M_try, new_loss, new_P, new_diff
             history.append(loss)
             w = self.cfg.plateau_window
             if len(history) > w:

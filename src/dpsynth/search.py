@@ -19,7 +19,7 @@ from .domain import (
     SupportDistribution,
 )
 from .loop import Synthesizer
-from .privacy import Accountant, MeasurementLedger, exp_mechanism_select
+from .privacy import Accountant, MeasurementLedger, select_k
 from .queries import QuerySet
 
 
@@ -87,7 +87,9 @@ class DualQuerySynthesizer(_SearchBase):
         self.cfg = cfg
         self.qweights = np.full(queries.total_queries, 1.0 / queries.total_queries)
 
-    def private_round(self, rnd, queries, private_answers, acct, rng, no_noise):
+    def private_round(self, rnd, queries, private_answers, acct, rng, no_noise, em_halved=False):
+        if em_halved:
+            raise DataError("dualquery draws no exponential mechanism; em_halved does not apply")
         cum = np.cumsum(self.qweights)
         u = rng.random(self.cfg.samples)
         drawn = np.minimum(np.searchsorted(cum / cum[-1], u, side="right"), cum.size - 1)
@@ -122,15 +124,9 @@ class FemSynthesizer(_SearchBase):
             for a in range(domain.num_attrs)
         ]
 
-    def private_round(self, rnd, queries, private_answers, acct: Accountant, rng, no_noise):
+    def private_round(self, rnd, queries, private_answers, acct: Accountant, rng, no_noise, em_halved=False):
         scores = np.abs(private_answers - self.answers(queries))
-        picked = []
-        for _ in range(acct.k):
-            if no_noise:
-                q = int(np.argmax(scores))
-            else:
-                q = exp_mechanism_select(scores, acct, rng)
-            picked.append(q)
+        picked = select_k(scores, acct, rng, no_noise=no_noise, halved=em_halved)
         for q in picked:
             self.selected.append(q)
             self.base[self.queries.cells_of(q)] += 1.0

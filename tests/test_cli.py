@@ -281,6 +281,46 @@ def test_dist_domain_mismatch_exits_4(toy, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_checkpoint_domain_mismatch_exits_4(toy, tmp_path, capsys):
+    # evaluate --dist and synth --gem-init share one checkpoint loader
+    dom, dat = toy
+    ck = tmp_path / "gen.json"
+    rc = main(
+        ["pretrain", "--domain", str(dom), "--public", str(dat), "--out", str(ck),
+         "--marginal-k", "2", "--steps", "5", "--gem-hidden", "8", "--gem-zdim", "4"]
+    )
+    assert rc == 0
+    capsys.readouterr()
+    other_dom = tmp_path / "other.json"
+    _write_domain(other_dom, [("a0", 3), ("zz", 3)])
+    other_dat = tmp_path / "other.csv"
+    _write_csv(other_dat, ["a0", "zz"], [[0, 0], [1, 2]])
+    common = ["--domain", str(other_dom), "--data", str(other_dat), "--marginal-k", "2"]
+    for argv in (
+        ["evaluate", *common, "--dist", str(ck)],
+        ["synth", *common, "--method", "gem", "--rho", "0.1", "--gem-init", str(ck)],
+    ):
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"error: {ck}: checkpoint domain does not match --domain\n"
+
+
+def test_em_halved_reaches_fem_and_dualquery_refuses_it(toy, tmp_path, capsys):
+    traces = []
+    for flags in ((), ("--em-halved",)):
+        trace = tmp_path / f"trace{len(flags)}.jsonl"
+        rc = _synth(
+            toy, tmp_path, *flags, "--T", "5", "--fem-samples", "30", "--trace", trace,
+            method="fem", budget=("--rho", "0.05"),
+        )
+        assert rc == 0
+        traces.append([json.loads(line)["selected"] for line in trace.read_text().splitlines()])
+    assert traces[0] != traces[1]
+    capsys.readouterr()
+    rc = _synth(toy, tmp_path, "--em-halved", method="dualquery", budget=("--rho", "0.2"))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --em-halved")
+
+
 def test_search_methods_run(toy, tmp_path, capsys):
     report = tmp_path / "report.json"
     rc = _synth(

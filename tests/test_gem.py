@@ -306,3 +306,39 @@ def test_adam_moves_against_gradient():
     stepped = opt.step(params, grads)
     assert stepped[0][0][0, 0] < 0 < stepped[0][0][0, 1]
     assert stepped[0][1][0] < 0 < stepped[0][1][1]
+
+
+def test_update_runs_one_forward_pass_per_step(monkeypatch):
+    # the stop test and the gradient share a pass; the one extra pass is the
+    # round's sampled error before fitting
+    import dpsynth.gem as gem
+
+    dom = Domain(("a", "b"), (3, 3))
+    qs = build_workloads(dom, 1)
+    cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, t_max=7)
+    synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(5), total_rounds=2, exact_targets=True)
+    led = MeasurementLedger()
+    led.record(0, 0.9, 1)
+    led.record(4, 0.05, 1)
+    calls = []
+    real = gem.forward
+    monkeypatch.setattr(gem, "forward", lambda *a: calls.append(1) or real(*a))
+    steps = []
+    real_step = gem.Adam.step
+    monkeypatch.setattr(gem.Adam, "step", lambda self, *a: steps.append(1) or real_step(self, *a))
+    synth.update(led)
+    assert len(steps) == cfg.t_max
+    assert len(calls) == 1 + cfg.t_max
+
+
+def test_adam_direction_then_subtract_equals_step():
+    rng = np.random.default_rng(4)
+    params = init_params(rng, 3, (5,), 6)
+    a, b = Adam(params, lr=0.01), Adam(params, lr=0.01)
+    p_step = p_dir = params
+    for _ in range(5):
+        grads = [(rng.standard_normal(W.shape), rng.standard_normal(bb.shape)) for W, bb in params]
+        p_step = a.step(p_step, grads)
+        p_dir = [(W - dW, bb - db) for (W, bb), (dW, db) in zip(p_dir, b.direction(grads))]
+        assert np.array_equal(flatten_params(p_step), flatten_params(p_dir))
+    assert a.t == b.t == 5

@@ -18,7 +18,7 @@ from dpsynth import (
     select_and_measure_round,
     zcdp_to_dp,
 )
-from dpsynth.privacy import exp_mechanism_probs
+from dpsynth.privacy import exp_mechanism_probs, select_k
 
 
 def test_zcdp_to_dp_frozen():
@@ -121,6 +121,32 @@ def test_em_select_frequencies():
     freq = np.bincount(draws, minlength=4) / draws.size
     se = np.sqrt(want * (1 - want) / draws.size)
     assert np.all(np.abs(freq - want) < 4 * se + 1e-12)
+
+
+def test_em_select_frozen_draws():
+    # draws through exp_mechanism_probs; the sequence is pinned to the seed
+    acct = Accountant(rho=0.5, T=10, k=1, alpha=0.5, n=100)
+    scores = np.array([0.0, 0.01, 0.03, 0.05, 0.02])
+    rng = np.random.default_rng(2024)
+    assert [exp_mechanism_select(scores, acct, rng) for _ in range(12)] == [
+        3, 1, 2, 3, 4, 1, 0, 1, 2, 1, 3, 3
+    ]
+    assert [exp_mechanism_select(scores, acct, rng, halved=True) for _ in range(12)] == [
+        0, 3, 0, 2, 4, 3, 3, 2, 1, 2, 1, 4
+    ]
+
+
+def test_select_k_argmax_or_k_draws():
+    acct = Accountant(rho=0.5, T=10, k=3, alpha=0.5, n=100)
+    scores = np.array([0.02, 0.05, 0.05, 0.01])
+    # exact selection: the lowest-index maximum, k times, and no draw
+    rng = np.random.default_rng(8)
+    assert select_k(scores, acct, rng, no_noise=True, halved=True) == [1, 1, 1]
+    assert rng.random() == np.random.default_rng(8).random()
+    for halved in (False, True):
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        want = [exp_mechanism_select(scores, acct, twin, halved=halved) for _ in range(3)]
+        assert select_k(scores, acct, rng, halved=halved) == want
 
 
 def test_gaussian_measure_stats():

@@ -192,3 +192,50 @@ def test_out_of_range_targets_clipped():
         synth.update(led)
         fits.append(synth.rd.M.copy())
     assert np.array_equal(fits[0], fits[1])
+
+
+def test_gradient_reuses_cached_forward_pass(monkeypatch):
+    # each step's gradient reads the P and residual of the accepted trial;
+    # only loss evaluations compute product answers
+    import dpsynth.rap as rap
+
+    dom = Domain(("a", "b"), (3, 3))
+    qs = build_workloads(dom, 1)
+    synth = RapSynthesizer(dom, qs, RapConfig(rows=5, max_steps=40), np.random.default_rng(6))
+    led = MeasurementLedger()
+    led.record(0, 0.6, 1)
+    led.record(4, 0.2, 2)
+    evals = []
+    real_answers = rap.product_answers
+    monkeypatch.setattr(rap, "product_answers", lambda *a: evals.append(1) or real_answers(*a))
+    in_grad = []
+    real_grad = RapSynthesizer._grad
+
+    def grad(self, *a):
+        before = len(evals)
+        out = real_grad(self, *a)
+        in_grad.append(len(evals) - before)
+        return out
+
+    monkeypatch.setattr(RapSynthesizer, "_grad", grad)
+    synth.update(led)
+    assert len(in_grad) > 1 and not any(in_grad)
+
+
+@pytest.mark.parametrize("original", [False, True])
+def test_gradient_matches_finite_differences(original):
+    from oracles import central_difference
+
+    dom = Domain(("a", "b"), (2, 3))
+    qs = build_workloads(dom, 2)
+    rng = np.random.default_rng(3)
+    synth = RapSynthesizer(dom, qs, RapConfig(rows=3, original=original), rng)
+    idx = qs.idx[np.array([0, 2, 5])]
+    targets = np.array([0.3, 0.1, 0.25])
+    M = synth.rd.M.copy()
+    _, P, diff = synth._loss(M, idx, targets)
+    g = synth._grad(M, P, idx, diff)
+    fd = central_difference(
+        lambda v: synth._loss(v.reshape(M.shape), idx, targets)[0], M.ravel().copy(), h=1e-6
+    ).reshape(M.shape)
+    assert np.abs(g - fd).max() < 1e-7

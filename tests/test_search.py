@@ -180,3 +180,43 @@ def test_search_methods_through_the_loop():
         assert len(trace) == 3
         assert all(r["max_err_measured"] is None for r in trace)
         assert abs(out.probs.sum() - 1.0) < 1e-12
+
+
+def test_fem_selection_honours_em_halved():
+    # the halved exponent draws from the halved selection distribution
+    from dpsynth.privacy import exp_mechanism_select
+
+    dom, qs = _setup((2, 4))
+    priv = np.array([0.8, 0.2, 0.4, 0.3, 0.2, 0.1])
+    acct = Accountant(rho=0.1, T=2, k=3, alpha=1.0, n=100)
+    synth = FemSynthesizer(dom, qs, FemConfig(samples=2))
+    scores = np.abs(priv - synth.answers(qs))
+    differs = False
+    for seed in range(20):
+        want = {}
+        for halved in (False, True):
+            twin = np.random.default_rng(seed)
+            want[halved] = [exp_mechanism_select(scores, acct, twin, halved=halved) for _ in range(3)]
+            picked, _ = FemSynthesizer(dom, qs, FemConfig(samples=2)).private_round(
+                1, qs, priv, acct, np.random.default_rng(seed), False, em_halved=halved
+            )
+            assert picked == want[halved]
+        differs |= want[False] != want[True]
+    assert differs
+
+
+def test_loop_passes_em_halved_to_fem_and_dualquery_refuses_it():
+    dom, qs = _setup((2, 4))
+    data = Dataset(dom, np.array([[0, 1], [1, 3], [0, 0], [1, 1]] * 10))
+    acct = Accountant(rho=0.2, T=5, k=1, alpha=1.0, n=data.n)
+    picks = []
+    for halved in (False, True):
+        synth = FemSynthesizer(dom, qs, FemConfig(samples=5))
+        cfg = RunConfig(T=5, k=1, alpha=1.0, em_score_halved=halved)
+        _, trace = run(data, qs, synth, acct, cfg, np.random.default_rng(1))
+        picks.append([r["selected"] for r in trace])
+    assert picks[0] != picks[1]
+    synth = DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=5))
+    cfg = RunConfig(T=5, k=1, alpha=1.0, em_score_halved=True)
+    with pytest.raises(DataError):
+        run(data, qs, synth, acct, cfg, np.random.default_rng(1))
