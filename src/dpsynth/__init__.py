@@ -7,16 +7,12 @@ from .domain import (
     Dataset,
     Domain,
     DomainError,
-    Histogram,
     SupportDistribution,
-    from_records,
-    sample_records,
-    uniform,
 )
 from .gem import GemConfig, GemSynthesizer, ema_update, gem_gradient, gem_loss
-from .loop import RunConfig, Synthesizer, average_output, run
-from .mwem import MwemSynthesizer, mwem_closed_form_check
-from .pep import PepSynthesizer, pep_dual_loss, pep_project_once
+from .loop import RunConfig, Synthesizer, run
+from .mwem import MwemSynthesizer
+from .pep import PepSynthesizer
 from .privacy import (
     Accountant,
     BudgetError,
@@ -28,17 +24,8 @@ from .privacy import (
     zcdp_to_dp,
 )
 from .public import best_mixture_error, gem_pub_pretrain, pep_pub_init
-from .queries import (
-    MarginalQuery,
-    QuerySet,
-    Workload,
-    answer_batch,
-    answer_histogram,
-    answer_records,
-    build_workloads,
-    product_query,
-)
-from .rap import RapConfig, RapSynthesizer, RelaxedDataset, rap_answers
+from .queries import MarginalQuery, QuerySet, Workload, build_workloads
+from .rap import RapConfig, RapSynthesizer, RelaxedDataset
 from .report import build_report, canonical_json, errors, write_report
 from .search import DualQueryConfig, DualQuerySynthesizer, FemConfig, FemSynthesizer
 from .toy import gen_toy

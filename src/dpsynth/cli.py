@@ -359,7 +359,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _load_artifact(path, domain: Domain, args):
-    """Histogram/support .npz, relaxed-rows .npz, or a generator checkpoint."""
+    """Support-distribution .npz, relaxed-rows .npz, or a generator checkpoint."""
     if str(path).endswith(".npz"):
         with np.load(path, allow_pickle=False) as z:
             keys = set(z.files)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,7 @@ import numpy as np
 # distributions never carry denormal dust around.
 MASS_FLOOR = 1e-300
 
-# Histogram-based synthesizers refuse domains with more cells than this
+# Full-domain synthesizers refuse domains with more cells than this
 # (overridable per run).
 DEFAULT_CELL_CAP = 1 << 22
 
@@ -122,31 +122,6 @@ class Domain:
     def attr_values(self, cells: np.ndarray, attr: int) -> np.ndarray:
         """Values of one attribute for an array of cell indices."""
         return (np.asarray(cells, dtype=np.int64) // self._strides[attr]) % self.sizes[attr]
-
-    def onehot(self, record) -> np.ndarray:
-        """Concatenated one-hot encoding of a single record.
-
-        The output has exactly `num_attrs` ones, one inside each attribute's
-        block of the `onehot_width`-long layout.
-        """
-        record = np.asarray(record, dtype=np.int64).ravel()
-        if record.shape[0] != self.num_attrs:
-            raise DataError("record width does not match domain")
-        v = np.zeros(self.onehot_width)
-        for i, val in enumerate(record):
-            if not (0 <= val < self.sizes[i]):
-                raise DataError(f"value out of range for attribute {self.names[i]!r}")
-            v[self._offsets[i] + val] = 1.0
-        return v
-
-    def project_names(self, names) -> tuple[int, ...]:
-        """Attribute indices for a list of names (KeyError style on miss)."""
-        idx = []
-        for nm in names:
-            if nm not in self.names:
-                raise DomainError(f"unknown attribute {nm!r}")
-            idx.append(self.names.index(nm))
-        return tuple(idx)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -298,66 +273,12 @@ class CellWeights:
 
 
 @dataclass
-class Histogram:
-    """Dense probability vector over all domain cells.
-
-    When built from records, the exact integer counts (and the record count
-    n) are kept alongside the mass so query answers on such histograms can be
-    computed in integer arithmetic.
-    """
-
-    domain: Domain
-    mass: np.ndarray
-    counts: np.ndarray | None = None
-    n: int | None = None
-
-    def __post_init__(self):
-        m = np.asarray(self.mass, dtype=np.float64)
-        if m.shape != (self.domain.total_cells,):
-            raise DataError("mass length does not match domain size")
-        if not np.all(np.isfinite(m)) or m.min() < 0:
-            raise DataError("mass must be finite and nonnegative")
-        self.mass = m
-
-    def normalized(self) -> "Histogram":
-        return Histogram(self.domain, normalize_mass(self.mass))
-
-
-def from_records(data: Dataset) -> Histogram:
-    """Empirical distribution of a dataset (counts / n, exact counting)."""
-    if data.n == 0:
-        raise DataError("empty dataset")
-    counts = np.bincount(data.cells(), minlength=data.domain.total_cells).astype(np.int64)
-    return Histogram(data.domain, counts / data.n, counts=counts, n=data.n)
-
-
-def uniform(domain: Domain) -> Histogram:
-    return Histogram(domain, np.full(domain.total_cells, 1.0 / domain.total_cells))
-
-
-def _sample_cells(cum: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random(count)
-    return np.minimum(np.searchsorted(cum, u, side="right"), cum.shape[0] - 1)
-
-
-def sample_records(hist: Histogram, count: int, rng: np.random.Generator) -> Dataset:
-    """Draw `count` i.i.d. records from the histogram."""
-    if count <= 0:
-        raise DataError("count must be positive")
-    cum = np.cumsum(hist.mass)
-    if not np.isclose(cum[-1], 1.0, atol=1e-6):
-        raise DataError("histogram is not normalized")
-    cells = _sample_cells(cum / cum[-1], count, rng)
-    return Dataset(hist.domain, hist.domain.decode(cells))
-
-
-@dataclass
 class SupportDistribution:
     """Probability vector over an explicit subset of domain cells.
 
-    Histogram-style synthesizers use this both for full domains
-    (cells = 0..total_cells-1) and for distributions restricted to the
-    support of an auxiliary dataset.
+    The one distribution over cells: the histogram and search synthesizers
+    return it both for full domains (cells = 0..total_cells-1) and for
+    distributions restricted to the support of an auxiliary dataset.
     """
 
     domain: Domain
@@ -372,9 +293,6 @@ class SupportDistribution:
         if self.cells.size == 0:
             raise DataError("empty support")
 
-    def renormalize(self) -> None:
-        self.probs = normalize_mass(self.probs)
-
     def answers(self, queries) -> np.ndarray:
         return queries.answers_support(self.cells, self.probs)
 
@@ -382,20 +300,9 @@ class SupportDistribution:
         if count <= 0:
             raise DataError("count must be positive")
         cum = np.cumsum(self.probs)
-        cells = self.cells[_sample_cells(cum / cum[-1], count, rng)]
+        pos = np.searchsorted(cum / cum[-1], rng.random(count), side="right")
+        cells = self.cells[np.minimum(pos, cum.shape[0] - 1)]
         return Dataset(self.domain, self.domain.decode(cells))
-
-    def to_histogram(self, cap: int = DEFAULT_CELL_CAP) -> Histogram:
-        self.domain.check_cap(cap)
-        mass = np.zeros(self.domain.total_cells)
-        np.add.at(mass, self.cells, self.probs)
-        return Histogram(self.domain, mass)
-
-    @classmethod
-    def full(cls, domain: Domain, cap: int = DEFAULT_CELL_CAP) -> "SupportDistribution":
-        domain.check_cap(cap)
-        t = domain.total_cells
-        return cls(domain, np.arange(t, dtype=np.int64), np.full(t, 1.0 / t))
 
     @classmethod
     def from_dataset(cls, data: Dataset) -> "SupportDistribution":

@@ -187,22 +187,6 @@ def gem_gradient(
     return loss, grads, c
 
 
-def flatten_params(params: Params) -> np.ndarray:
-    return np.concatenate([np.concatenate([W.ravel(), b.ravel()]) for W, b in params])
-
-
-def unflatten_params(vec: np.ndarray, like: Params) -> Params:
-    out = []
-    pos = 0
-    for W, b in like:
-        w = vec[pos : pos + W.size].reshape(W.shape)
-        pos += W.size
-        bb = vec[pos : pos + b.size].copy()
-        pos += b.size
-        out.append((w.copy(), bb))
-    return out
-
-
 class Adam:
     """Bias-corrected first/second moment steps.
 

@@ -9,11 +9,11 @@ scores, and the measurements.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DataError, Dataset, Domain, Histogram, normalize_mass
+from .domain import DataError, Dataset, Domain, SupportDistribution, normalize_mass
 from .privacy import Accountant, BudgetError, MeasurementLedger, select_and_measure_round
 from .queries import QuerySet
 
@@ -60,23 +60,8 @@ class Synthesizer(abc.ABC):
     def finalize(self):
         """Output distribution handle (answers / sample_dataset / save)."""
 
-    def snapshot(self) -> Histogram | None:
-        """Dense copy of the current distribution, when cheap; None otherwise."""
-        return None
-
     def private_round(self, rnd, queries, private_answers, acct, rng, no_noise, em_halved=False):
         raise NotImplementedError
-
-
-def average_output(snapshots: list[Histogram]) -> Histogram:
-    """Pointwise average of per-round histograms, renormalized."""
-    if not snapshots:
-        raise DataError("no snapshots to average")
-    dom = snapshots[0].domain
-    if any(h.domain != dom for h in snapshots):
-        raise DataError("snapshots over different domains")
-    mass = np.mean([h.mass for h in snapshots], axis=0)
-    return Histogram(dom, normalize_mass(mass))
 
 
 def run(
@@ -92,7 +77,9 @@ def run(
     The trace is one dict per round: selected query indices, their measured
     answers, and the post-update max error over the measured set. Full
     workload error is recorded only when auditing is allowed to read the
-    private answers again (no_noise or audit_errors).
+    private answers again (no_noise or audit_errors). With output="average"
+    the output is the mean of every round's distribution over the method's
+    own support, summed in round order.
     """
     if data.n < 1:
         raise DataError("empty private dataset")
@@ -102,7 +89,7 @@ def run(
     private = queries.answers_records(data)
     ledger = MeasurementLedger()
     trace: list[dict] = []
-    snapshots: list[Histogram] = []
+    total = None  # running sum of each round's output probabilities
     post = None  # answers after the last update: the state has not moved since
     for t in range(1, cfg.T + 1):
         if synth.self_selecting:
@@ -145,19 +132,10 @@ def run(
             rec["max_err_all"] = float(np.abs(private - post).max())
         trace.append(rec)
         if want_avg:
-            snap = synth.snapshot()
-            if snap is None:
+            out = synth.finalize()
+            if synth.self_selecting or not isinstance(out, SupportDistribution):
                 raise DataError("averaged output is only available for histogram methods")
-            snapshots.append(snap)
+            total = out.probs if total is None else total + out.probs
     if want_avg:
-        from .domain import SupportDistribution
-
-        avg = average_output(snapshots)
-        out = SupportDistribution(
-            avg.domain,
-            np.arange(avg.domain.total_cells, dtype=np.int64),
-            avg.mass,
-        )
-    else:
-        out = synth.finalize()
-    return out, trace
+        return SupportDistribution(out.domain, out.cells, normalize_mass(total / cfg.T)), trace
+    return synth.finalize(), trace

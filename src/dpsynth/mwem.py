@@ -20,7 +20,6 @@ from .domain import (
     CellWeights,
     DataError,
     Domain,
-    Histogram,
     SupportDistribution,
     normalize_mass,
 )
@@ -48,8 +47,6 @@ class MwemSynthesizer(Synthesizer):
         self.eta = float(eta)
         self.cycles = int(cycles)
         self.mass = np.full(domain.total_cells, 1.0 / domain.total_cells)
-        # answer of the histogram at the time each entry was (re)measured
-        self.cached_at_measurement: dict[int, float] = {}
         self._cell_lists: dict[int, np.ndarray] = {}  # matching cells per measured query
 
     def answers(self, queries: QuerySet) -> np.ndarray:
@@ -64,10 +61,6 @@ class MwemSynthesizer(Synthesizer):
         entries = ledger.entries()
         if not entries:
             return
-        latest = max(e.round for e in entries)
-        for e in entries:
-            if e.round == latest or e.index not in self.cached_at_measurement:
-                self.cached_at_measurement[e.index] = float(self.mass[self._cells(e.index)].sum())
         weights = CellWeights(self.mass)
         for _ in range(self.cycles):
             for e in entries:
@@ -78,39 +71,9 @@ class MwemSynthesizer(Synthesizer):
                     weights = CellWeights(normalize_mass(weights.probs()))
         self.mass = normalize_mass(weights.probs())
 
-    def snapshot(self) -> Histogram:
-        return Histogram(self.domain, self.mass.copy())
-
     def finalize(self) -> SupportDistribution:
         return SupportDistribution(
             self.domain,
             np.arange(self.domain.total_cells, dtype=np.int64),
             self.mass.copy(),
         )
-
-
-def mwem_closed_form_check(
-    queries: QuerySet,
-    items: list[tuple[int, float, float]],
-    sign: float = -1.0,
-) -> Histogram:
-    """Exponential-family histogram built directly from measurement items.
-
-    items are (global query index, measured target, answer cached at
-    measurement time); the result is
-
-        D(x) proportional to exp(sign * sum_i 1[x matches q_i] * (a~_i - cached_i))
-
-    over a uniform base. sign=-1 is the stationary point of the entropy-
-    regularized linear loss in those coefficients; sign=+1 with a single item
-    reproduces one eta=2 update step exactly.
-    """
-    domain = queries.domain
-    expo = np.zeros(domain.total_cells)
-    cells = np.arange(domain.total_cells, dtype=np.int64)
-    for qidx, target, cached in items:
-        q = queries.query(int(qidx))
-        coef = min(max(float(target), 0.0), 1.0) - float(cached)
-        expo[q.matches(domain, cells)] += sign * coef
-    expo -= expo.max()
-    return Histogram(domain, normalize_mass(np.exp(expo)))

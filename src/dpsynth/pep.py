@@ -14,8 +14,6 @@ CellWeights), and reads the measured answers from their cached cell lists.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .domain import (
@@ -23,69 +21,14 @@ from .domain import (
     CellWeights,
     DataError,
     Domain,
-    Histogram,
     SupportDistribution,
     normalize_mass,
 )
 from .loop import Synthesizer
 from .privacy import MeasurementLedger
-from .queries import MarginalQuery, QuerySet
+from .queries import QuerySet
 
 TARGET_CLIP = 1e-4
-
-
-def pep_lambda(a_target: float, a_current: float) -> float:
-    """Closed-form multiplier exponent; see module docstring."""
-    if not (0.0 < a_target < 1.0) or not (0.0 < a_current < 1.0):
-        raise DataError("projection needs both answers strictly inside (0, 1)")
-    return -math.log(a_target * (1.0 - a_current) / ((1.0 - a_target) * a_current))
-
-
-def _project(probs: np.ndarray, mask: np.ndarray, a_target: float) -> np.ndarray:
-    a_cur = float(probs[mask].sum())
-    if not (0.0 < a_cur < 1.0):
-        raise DataError("current answer is degenerate; cannot reweight")
-    if not (0.0 < a_target < 1.0):
-        raise DataError("target answer must lie strictly inside (0, 1)")
-    out = np.where(mask, probs * (a_target / a_cur), probs * ((1.0 - a_target) / (1.0 - a_cur)))
-    return normalize_mass(out)
-
-
-def pep_project_once(hist: Histogram, q: MarginalQuery, a_target: float) -> Histogram:
-    """Reweight a histogram so q's answer equals a_target exactly."""
-    cells = np.arange(hist.domain.total_cells, dtype=np.int64)
-    mask = q.matches(hist.domain, cells)
-    return Histogram(hist.domain, _project(hist.mass, mask, a_target))
-
-
-def pep_dual_loss(
-    lambdas: np.ndarray,
-    queries: QuerySet,
-    indices: np.ndarray,
-    targets: np.ndarray,
-    gamma: float = 0.0,
-) -> float:
-    """Dual objective of the projection problem (diagnostic / test surface).
-
-    L(lambda) = log sum_x exp( sum_i lambda_i (q_i(x) - a_i) ) + gamma * ||lambda||_1
-
-    evaluated over the full domain with a max-shift for stability. At
-    lambda = 0 this is log(total_cells).
-    """
-    lambdas = np.asarray(lambdas, dtype=np.float64)
-    indices = np.asarray(indices, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if lambdas.shape != indices.shape or lambdas.shape != targets.shape:
-        raise DataError("lambdas, indices, targets must align")
-    dom = queries.domain
-    cells = np.arange(dom.total_cells, dtype=np.int64)
-    expo = np.zeros(dom.total_cells)
-    for lam, qidx in zip(lambdas, indices):
-        q = queries.query(int(qidx))
-        expo[q.matches(dom, cells)] += lam
-    expo -= lambdas @ targets
-    shift = expo.max()
-    return float(shift + math.log(np.exp(expo - shift).sum()) + gamma * np.abs(lambdas).sum())
 
 
 class PepSynthesizer(Synthesizer):
@@ -161,11 +104,6 @@ class PepSynthesizer(Synthesizer):
             if weights.scale(lists[j], inside, outside):
                 weights = CellWeights(normalize_mass(weights.probs()))
         self.probs = normalize_mass(weights.probs())
-
-    def snapshot(self) -> Histogram | None:
-        if self.domain.total_cells > DEFAULT_CELL_CAP:
-            return None
-        return self.finalize().to_histogram()
 
     def finalize(self) -> SupportDistribution:
         return SupportDistribution(self.domain, self.cells.copy(), self.probs.copy())

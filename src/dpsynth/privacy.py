@@ -67,10 +67,6 @@ class Accountant:
             raise BudgetError("alpha must lie in (0, 1]")
 
     @classmethod
-    def from_dp(cls, eps: float, delta: float, T: int, k: int, alpha: float, n: int) -> "Accountant":
-        return cls(dp_to_zcdp(eps, delta), T, k, alpha, n)
-
-    @classmethod
     def selection_only(cls, rho: float, T: int, k: int, n: int) -> "Accountant":
         """Budget for methods that only ever sample queries (no measurement)."""
         return cls(rho, T, k, 1.0, n)

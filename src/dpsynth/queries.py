@@ -3,7 +3,7 @@
 A workload is one feature subset S (|S| = k); its queries are the indicator
 counts for every value combination of S, in lexicographic order. A QuerySet
 concatenates workloads into one global query index space and evaluates the
-whole collection against datasets, dense histograms, cell-support
+whole collection against datasets, dense mass vectors, cell-support
 distributions, and batches of relaxed one-hot probability rows.
 """
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DataError, Dataset, Domain, DomainError, Histogram
+from .domain import DataError, Dataset, Domain
 
 # block size (query-index direction) for batched product-query evaluation
 _CHUNK_TARGET = 4_000_000
@@ -32,20 +32,6 @@ class MarginalQuery:
             raise DataError("need one target per feature")
         if list(self.features) != sorted(set(self.features)):
             raise DataError("features must be strictly increasing")
-
-    def onehot_indices(self, domain: Domain) -> np.ndarray:
-        """Positions of this query's ones in the concatenated one-hot layout."""
-        return np.array(
-            [domain.offset(f) + t for f, t in zip(self.features, self.targets)],
-            dtype=np.int64,
-        )
-
-    def matches(self, domain: Domain, cells: np.ndarray) -> np.ndarray:
-        """Boolean mask over an array of cell indices."""
-        mask = np.ones(np.asarray(cells).shape[0], dtype=bool)
-        for f, t in zip(self.features, self.targets):
-            mask &= domain.attr_values(cells, f) == t
-        return mask
 
 
 @dataclass(frozen=True)
@@ -183,17 +169,6 @@ class QuerySet:
         fixed = sum(int(t) * dom.stride(f) for f, t in zip(w.features, targets))
         return self._zero_cells[wi] + fixed
 
-    def answers_histogram(self, hist: Histogram) -> np.ndarray:
-        """Answers on a dense histogram.
-
-        Uses the integer-count path when the histogram carries exact counts,
-        which reproduces record counting bit for bit (integer-valued sums are
-        exact in any order).
-        """
-        if hist.counts is not None:
-            return self.answers_mass(hist.counts.astype(np.float64)) / hist.n
-        return self.answers_mass(hist.mass)
-
     def _marginal(self, margs: dict, keep: tuple[int, ...]) -> np.ndarray:
         """Marginal on the attributes `keep`, cached in `margs` (keyed by kept attributes).
 
@@ -280,61 +255,7 @@ def build_workloads(
     return QuerySet.from_subsets(domain, subsets, k)
 
 
-# -- single-query answers (reference path) --------------------------------
-
-
-def answer_histogram(q: MarginalQuery, hist: Histogram) -> float:
-    """Answer of one query on a histogram.
-
-    Count-backed histograms use exact integer counting; otherwise the
-    matching mass is accumulated left to right in cell order.
-    """
-    cells = np.arange(hist.domain.total_cells, dtype=np.int64)
-    mask = q.matches(hist.domain, cells)
-    if hist.counts is not None:
-        return float(int(hist.counts[mask].sum()) / hist.n)
-    m = hist.mass[mask]
-    if m.size == 0:
-        return 0.0
-    return float(np.cumsum(m)[-1])
-
-
-def answer_records(q: MarginalQuery, data: Dataset) -> float:
-    """Answer of one query on records: matching count / n."""
-    if data.n == 0:
-        raise DataError("empty dataset")
-    mask = np.ones(data.n, dtype=bool)
-    for f, t in zip(q.features, q.targets):
-        mask &= data.records[:, f] == t
-    return float(int(mask.sum()) / data.n)
-
-
 # -- product-query relaxation (differentiable path) -----------------------
-
-
-def product_query(q: MarginalQuery, p: np.ndarray, domain: Domain) -> float:
-    """Multilinear relaxation of a query on one probability row.
-
-    f(p) = prod of p at the query's one-hot positions. Every attribute block
-    of p must sum to 1 (within 1e-6).
-    """
-    p = np.asarray(p, dtype=np.float64).ravel()
-    if p.shape[0] != domain.onehot_width:
-        raise DataError("row width does not match one-hot layout")
-    for a in range(domain.num_attrs):
-        block = p[domain.offset(a) : domain.offset(a) + domain.sizes[a]]
-        if abs(block.sum() - 1.0) > 1e-6 or block.min() < -1e-9:
-            raise DataError(f"attribute block {domain.names[a]!r} is not a distribution")
-    return float(np.prod(p[q.onehot_indices(domain)]))
-
-
-def answer_batch(q: MarginalQuery, P: np.ndarray, domain: Domain) -> float:
-    """Mean of `product_query` over the rows of P."""
-    P = np.asarray(P, dtype=np.float64)
-    if P.ndim != 2 or P.shape[0] == 0:
-        raise DataError("need a nonempty batch of rows")
-    idx = q.onehot_indices(domain)
-    return float(P[:, idx].prod(axis=1).mean())
 
 
 def product_answers(P: np.ndarray, idx: np.ndarray) -> np.ndarray:

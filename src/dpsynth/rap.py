@@ -49,10 +49,6 @@ class RelaxedDataset:
         return block_softmax(self.M, self.domain)
 
 
-def rap_answers(rd: RelaxedDataset, queries: QuerySet) -> np.ndarray:
-    return queries.answers_probs(rd.probs())
-
-
 class RapSynthesizer(Synthesizer):
     def __init__(self, domain: Domain, queries: QuerySet, cfg: RapConfig, rng: np.random.Generator):
         self.domain = domain
@@ -68,7 +64,7 @@ class RapSynthesizer(Synthesizer):
         self.rd = RelaxedDataset(domain, M, cfg.original)
 
     def answers(self, queries: QuerySet) -> np.ndarray:
-        return rap_answers(self.rd, queries)
+        return queries.answers_probs(self.rd.probs())
 
     def _loss(self, M: np.ndarray, idx: np.ndarray, targets: np.ndarray):
         """(squared-error loss, P, residual answers - targets) at rows M."""

@@ -2,9 +2,15 @@
 
 Everything here is written from the mathematical definitions with none of the
 package's vectorized machinery: plain loops, sort-based simplex projection,
-line-searched first-order descent. Slow on purpose.
+line-searched first-order descent. Slow on purpose. Distributions over cells
+are plain mass vectors indexed by flat cell index, and a query's cells are a
+boolean mask over them.
 """
+import math
+
 import numpy as np
+
+from dpsynth.domain import DataError, normalize_mass
 
 
 def brute_force_answer(domain, dataset, features, targets):
@@ -14,6 +20,130 @@ def brute_force_answer(domain, dataset, features, targets):
         if all(row[f] == v for f, v in zip(features, targets)):
             hits += 1
     return hits / len(dataset.records)
+
+
+def query_mask(domain, q, cells):
+    """Boolean mask over an array of cell indices: the cells q counts."""
+    values = domain.decode(np.asarray(cells, dtype=np.int64))
+    mask = np.ones(values.shape[0], dtype=bool)
+    for f, t in zip(q.features, q.targets):
+        mask &= values[:, f] == t
+    return mask
+
+
+def answer_records(q, data):
+    """Answer of one query on records: matching count / n."""
+    if data.n == 0:
+        raise DataError("empty dataset")
+    mask = np.ones(data.n, dtype=bool)
+    for f, t in zip(q.features, q.targets):
+        mask &= data.records[:, f] == t
+    return float(int(mask.sum()) / data.n)
+
+
+def answer_histogram(q, domain, mass):
+    """Answer of one query on a mass vector over all cells.
+
+    The matching mass is accumulated left to right in cell order; integer
+    counts sum exactly, so counts / n reproduces record counting.
+    """
+    m = mass[query_mask(domain, q, np.arange(domain.total_cells))]
+    return float(np.cumsum(m)[-1]) if m.size else 0.0
+
+
+def product_query(q, p, domain):
+    """Multilinear relaxation of a query on one probability row.
+
+    f(p) = prod of p at the query's one-hot positions. Every attribute block
+    of p must sum to 1 (within 1e-6).
+    """
+    p = np.asarray(p, dtype=np.float64).ravel()
+    if p.shape[0] != domain.onehot_width:
+        raise DataError("row width does not match one-hot layout")
+    for a in range(domain.num_attrs):
+        block = p[domain.offset(a) : domain.offset(a) + domain.sizes[a]]
+        if abs(block.sum() - 1.0) > 1e-6 or block.min() < -1e-9:
+            raise DataError(f"attribute block {domain.names[a]!r} is not a distribution")
+    return math.prod(p[domain.offset(f) + t] for f, t in zip(q.features, q.targets))
+
+
+def answer_batch(q, P, domain):
+    """Mean of `product_query` over the rows of P."""
+    return sum(product_query(q, row, domain) for row in P) / len(P)
+
+
+def mwem_closed_form_check(queries, items, sign=-1.0):
+    """Exponential-family mass vector built directly from measurement items.
+
+    items are (global query index, measured target, answer cached at
+    measurement time); the result is
+
+        D(x) proportional to exp(sign * sum_i 1[x matches q_i] * (a~_i - cached_i))
+
+    over a uniform base. sign=-1 is the stationary point of the entropy-
+    regularized linear loss in those coefficients; sign=+1 with a single item
+    reproduces one eta=2 update step exactly.
+    """
+    domain = queries.domain
+    cells = np.arange(domain.total_cells)
+    expo = np.zeros(domain.total_cells)
+    for qidx, target, cached in items:
+        coef = min(max(float(target), 0.0), 1.0) - float(cached)
+        expo[query_mask(domain, queries.query(int(qidx)), cells)] += sign * coef
+    expo -= expo.max()
+    return normalize_mass(np.exp(expo))
+
+
+def pep_project_once(probs, mask, a_target):
+    """Reweight probs so the mass on `mask` equals a_target exactly.
+
+    Matching cells are multiplied by a_target / q(D), the rest by
+    (1 - a_target) / (1 - q(D)), on the whole vector.
+    """
+    a_cur = float(probs[mask].sum())
+    if not (0.0 < a_cur < 1.0) or not (0.0 < a_target < 1.0):
+        raise DataError("projection needs both answers strictly inside (0, 1)")
+    out = np.where(mask, probs * (a_target / a_cur), probs * ((1.0 - a_target) / (1.0 - a_cur)))
+    return normalize_mass(out)
+
+
+def pep_dual_loss(lambdas, queries, indices, targets, gamma=0.0):
+    """Dual objective of the projection problem.
+
+    L(lambda) = log sum_x exp( sum_i lambda_i (q_i(x) - a_i) ) + gamma * ||lambda||_1
+
+    evaluated over the full domain with a max-shift for stability. At
+    lambda = 0 this is log(total_cells).
+    """
+    lambdas = np.asarray(lambdas, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if lambdas.shape != np.shape(indices) or lambdas.shape != targets.shape:
+        raise DataError("lambdas, indices, targets must align")
+    dom = queries.domain
+    cells = np.arange(dom.total_cells)
+    expo = np.zeros(dom.total_cells)
+    for lam, qidx in zip(lambdas, indices):
+        expo[query_mask(dom, queries.query(int(qidx)), cells)] += lam
+    expo -= lambdas @ targets
+    shift = expo.max()
+    return float(shift + math.log(np.exp(expo - shift).sum()) + gamma * np.abs(lambdas).sum())
+
+
+def flatten_params(params):
+    """Generator parameters [(W, b), ...] as one vector."""
+    return np.concatenate([np.concatenate([W.ravel(), b.ravel()]) for W, b in params])
+
+
+def unflatten_params(vec, like):
+    """Inverse of `flatten_params`, shaped like the parameter list `like`."""
+    out = []
+    pos = 0
+    for W, b in like:
+        w = vec[pos : pos + W.size].reshape(W.shape)
+        pos += W.size
+        out.append((w.copy(), vec[pos : pos + b.size].copy()))
+        pos += b.size
+    return out
 
 
 def simplex_project(v):

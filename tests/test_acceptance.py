@@ -13,19 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from dpsynth.domain import Dataset, Domain, from_records
-from dpsynth.gem import (
-    GemConfig,
-    GemSynthesizer,
-    flatten_params,
-    gem_gradient,
-    gem_loss,
-    init_params,
-    unflatten_params,
-)
+from dpsynth.domain import Dataset, Domain
+from dpsynth.gem import GemConfig, GemSynthesizer, gem_gradient, gem_loss, init_params
 from dpsynth.loop import RunConfig, run
-from dpsynth.mwem import MwemSynthesizer, mwem_closed_form_check
-from dpsynth.pep import PepSynthesizer, pep_project_once
+from dpsynth.mwem import MwemSynthesizer
+from dpsynth.pep import PepSynthesizer
 from dpsynth.privacy import (
     Accountant,
     MeasurementLedger,
@@ -36,7 +28,7 @@ from dpsynth.privacy import (
     zcdp_to_dp,
 )
 from dpsynth.public import best_mixture_error, pep_pub_init
-from dpsynth.queries import answer_histogram, answer_records, build_workloads
+from dpsynth.queries import build_workloads
 from dpsynth.rap import RapConfig, RapSynthesizer
 from dpsynth.report import canonical_json, errors, load_report
 from dpsynth.toy import gen_toy
@@ -45,8 +37,12 @@ from oracles import (
     brute_force_answer,
     central_difference,
     entropy_linear_minimizer,
+    flatten_params,
     kl_divergence,
     maxent_dual_descent,
+    mwem_closed_form_check,
+    query_mask,
+    unflatten_params,
 )
 
 
@@ -74,10 +70,12 @@ def test_criterion_1_query_oracle(capsys):
         rec = np.column_stack([rng.integers(0, s, size=n) for s in sizes])
         data = Dataset(dom, rec)
         qs = build_workloads(dom, int(rng.integers(1, attrs + 1)))
-        q = qs.query(int(rng.integers(qs.total_queries)))
+        qi = int(rng.integers(qs.total_queries))
+        q = qs.query(qi)
         ref = brute_force_answer(dom, data, q.features, q.targets)
-        a_rec = answer_records(q, data)
-        a_hist = answer_histogram(q, from_records(data))
+        a_rec = qs.answers_records(data)[qi]
+        counts = np.bincount(data.cells(), minlength=dom.total_cells)
+        a_hist = (qs.answers_mass(counts) / n)[qi]
         worst = max(worst, abs(a_rec - ref), abs(a_hist - ref))
         ok = a_rec == ref and a_hist == ref
         if not ok:
@@ -95,18 +93,19 @@ def test_criterion_2_pep_projection(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(202)
     worst_proj = 0.0
-    from dpsynth.domain import Histogram
-
     for _ in range(1000):
         size = int(rng.integers(2, 51))
         dom = Domain(("a",), (size,))
         qs = build_workloads(dom, 1)
         mass = rng.dirichlet(np.ones(size) * 0.7) + 1e-12
-        h = Histogram(dom, mass / mass.sum())
         cell = int(rng.integers(size))
         target = float(rng.uniform(0.001, 0.999))
-        out = pep_project_once(h, qs.query(cell), target)
-        worst_proj = max(worst_proj, abs(out.mass[cell] - target))
+        # one projection of one measured entry, through CellWeights.scale
+        synth = PepSynthesizer(dom, qs, init_probs=mass / mass.sum(), t_max=1)
+        led = MeasurementLedger()
+        led.record(cell, target, 1)
+        synth.update(led)
+        worst_proj = max(worst_proj, abs(synth.probs[cell] - target))
     proj_ok = worst_proj <= 1e-12
 
     worst_tv = 0.0
@@ -129,7 +128,7 @@ def test_criterion_2_pep_projection(capsys):
         synth.update(led)
         cells = np.arange(dom.total_cells)
         masks = np.stack(
-            [qs.query(int(qi)).matches(dom, cells).astype(float) for qi in picks]
+            [query_mask(dom, qs.query(int(qi)), cells).astype(float) for qi in picks]
         )
         ref = maxent_dual_descent(masks, np.array(targets))
         worst_tv = max(worst_tv, 0.5 * np.abs(ref - synth.probs).sum())
@@ -161,18 +160,18 @@ def test_criterion_3_mwem_loss_minimizer(capsys):
         synth = MwemSynthesizer(dom, qs, cycles=1)
         led = MeasurementLedger()
         chosen = rng.choice(qs.total_queries, size=min(3, qs.total_queries), replace=False)
+        cached = {}
         for rnd, qidx in enumerate(chosen, start=1):
             led.record(int(qidx), float(rng.uniform(0.1, 0.9)), rnd)
+            cached[int(qidx)] = float(synth.answers(qs)[qidx])  # just before this round's update
             synth.update(led)
-        items = [
-            (e.index, e.answer, synth.cached_at_measurement[e.index]) for e in led.entries()
-        ]
-        closed = mwem_closed_form_check(qs, items, sign=-1.0).mass
+        items = [(e.index, e.answer, cached[e.index]) for e in led.entries()]
+        closed = mwem_closed_form_check(qs, items, sign=-1.0)
         cells = np.arange(dom.total_cells)
         g = np.zeros(dom.total_cells)
-        for qidx, target, cached in items:
-            match = qs.query(qidx).matches(dom, cells)
-            g[match] += min(max(target, 0.0), 1.0) - cached
+        for qidx, target, cached_answer in items:
+            match = query_mask(dom, qs.query(qidx), cells)
+            g[match] += min(max(target, 0.0), 1.0) - cached_answer
         pgd = entropy_linear_minimizer(g)
         worst = max(worst, kl_divergence(closed, pgd))
     dt = time.perf_counter() - t0

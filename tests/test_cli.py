@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dpsynth.cli import main
+from dpsynth.domain import Dataset, Domain
 from dpsynth.report import canonical_json, load_report
 
 
@@ -264,6 +265,24 @@ def test_save_dist_average_then_evaluate(toy, tmp_path, capsys):
     assert load_report(eval_report)["errors"]["max"] == pytest.approx(
         load_report(report)["errors"]["max"], abs=1e-12
     )
+
+
+def test_pep_public_output_average_past_the_cell_cap(tmp_path, capsys):
+    # 2^23 cells, over the default cap: averaging runs on the public support
+    dom, dat, pub = tmp_path / "domain.json", tmp_path / "data.csv", tmp_path / "public.csv"
+    gen = ["gen-toy", "--attrs", "23", "--sizes", "2", "--domain-out", str(dom)]
+    assert main(gen + ["--n", "300", "--seed", "0", "--out", str(dat)]) == 0
+    assert main(gen + ["--n", "100", "--seed", "1", "--out", str(pub)]) == 0
+    dist = tmp_path / "dist.npz"
+    rc = main(
+        ["synth", "--domain", str(dom), "--data", str(dat), "--method", "pep",
+         "--public", str(pub), "--output-average", "--workloads", "5", "--T", "3",
+         "--rho", "0.05", "--seed", "0", "--save-dist", str(dist)]
+    )
+    assert rc == 0, capsys.readouterr().err
+    public = Dataset.from_csv(pub, Domain.load(dom))
+    with np.load(dist) as z:
+        assert np.array_equal(z["cells"], np.unique(public.cells()))
 
 
 def test_dist_domain_mismatch_exits_4(toy, tmp_path, capsys):

@@ -11,11 +11,7 @@ from dpsynth import (
     Dataset,
     Domain,
     DomainError,
-    Histogram,
     SupportDistribution,
-    from_records,
-    sample_records,
-    uniform,
 )
 from dpsynth.domain import CellWeights, normalize_mass
 
@@ -86,19 +82,6 @@ def test_flat_indices_past_int64_raise_capacity_error():
     assert np.array_equal(edge.decode(edge.encode(top)), top)
 
 
-def test_onehot():
-    dom = Domain(("a", "b"), (2, 3))
-    v = dom.onehot([1, 2])
-    assert v.tolist() == [0, 1, 0, 0, 1]
-
-
-def test_project_names():
-    dom = Domain(("a", "b", "c"), (2, 3, 4))
-    assert dom.project_names(["c", "a"]) == (2, 0)
-    with pytest.raises(DomainError):
-        dom.project_names(["z"])
-
-
 def test_domain_json_roundtrip(tmp_path):
     dom = Domain(("x", "y"), (5, 7))
     assert Domain.from_json(dom.to_json()) == dom
@@ -122,10 +105,9 @@ def test_from_records_frozen_example():
     # [(0,0),(0,0),(1,1),(0,1)] on a 2x2 domain -> (0.5, 0.25, 0, 0.25)
     dom = Domain(("a", "b"), (2, 2))
     data = Dataset(dom, np.array([[0, 0], [0, 0], [1, 1], [0, 1]]))
-    h = from_records(data)
-    assert np.allclose(h.mass, [0.5, 0.25, 0.0, 0.25])
-    assert h.counts is not None and h.counts.tolist() == [2, 1, 0, 1]
-    assert h.n == 4
+    sd = SupportDistribution.from_dataset(data)
+    assert sd.cells.tolist() == [0, 1, 3]
+    assert sd.probs.tolist() == [0.5, 0.25, 0.25]
 
 
 def test_csv_roundtrip(tmp_path):
@@ -193,28 +175,22 @@ def test_cell_weights_ask_for_renormalization():
 def test_histogram_validation():
     dom = Domain(("a",), (2,))
     with pytest.raises(DataError):
-        Histogram(dom, np.array([0.5, 0.4, 0.1]))
+        SupportDistribution(dom, np.array([0, 1]), np.array([0.5, 0.4, 0.1]))
     with pytest.raises(DataError):
-        Histogram(dom, np.array([1.2, -0.2]))
-
-
-def test_uniform():
-    dom = Domain(("a", "b"), (2, 2))
-    h = uniform(dom)
-    assert np.allclose(h.mass, 0.25)
+        SupportDistribution(dom, np.array([], dtype=np.int64), np.array([]))
 
 
 def test_sample_records_concentrates():
     dom = Domain(("a",), (4,))
-    h = Histogram(dom, np.array([0.0, 1.0, 0.0, 0.0]))
-    data = sample_records(h, 64, np.random.default_rng(0))
+    sd = SupportDistribution(dom, np.arange(4), np.array([0.0, 1.0, 0.0, 0.0]))
+    data = sd.sample_dataset(64, np.random.default_rng(0))
     assert np.all(data.records == 1)
 
 
 def test_sample_records_frequencies():
     dom = Domain(("a",), (2,))
-    h = Histogram(dom, np.array([0.2, 0.8]))
-    data = sample_records(h, 20000, np.random.default_rng(7))
+    sd = SupportDistribution(dom, np.arange(2), np.array([0.2, 0.8]))
+    data = sd.sample_dataset(20000, np.random.default_rng(7))
     frac = data.records.mean()
     assert abs(frac - 0.8) < 0.02
 
@@ -236,17 +212,6 @@ def test_support_from_dataset_merges_duplicates():
     sd = SupportDistribution.from_dataset(data)
     assert sd.cells.tolist() == [0, 2]
     assert np.allclose(sd.probs, [2 / 3, 1 / 3])
-
-
-def test_support_to_histogram_and_cap():
-    dom = Domain(("a", "b"), (2, 2))
-    sd = SupportDistribution(dom, np.array([3]), np.array([1.0]))
-    h = sd.to_histogram()
-    assert h.mass.tolist() == [0.0, 0.0, 0.0, 1.0]
-    with pytest.raises(CapacityError):
-        sd.to_histogram(cap=2)
-    with pytest.raises(CapacityError):
-        SupportDistribution.full(dom, cap=2)
 
 
 def test_support_sample_dataset_deterministic():

@@ -8,19 +8,17 @@ from dpsynth.gem import (
     Adam,
     block_softmax,
     ema_update,
-    flatten_params,
     forward,
     gem_gradient,
     gem_loss,
     init_params,
     load_checkpoint,
     save_checkpoint,
-    unflatten_params,
 )
 from dpsynth.privacy import MeasurementLedger
 from dpsynth.queries import product_answers_grad
 
-from oracles import central_difference
+from oracles import central_difference, flatten_params, unflatten_params
 
 
 def _zero_params(z_dim, hidden, width):

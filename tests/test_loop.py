@@ -7,13 +7,17 @@ from dpsynth import (
     DataError,
     Dataset,
     Domain,
-    Histogram,
+    DualQueryConfig,
+    DualQuerySynthesizer,
+    GemConfig,
+    GemSynthesizer,
     MwemSynthesizer,
     RunConfig,
     build_workloads,
+    pep_pub_init,
     run,
 )
-from dpsynth.loop import average_output
+from dpsynth.domain import normalize_mass
 
 
 def _instance(seed=0, n=80):
@@ -97,13 +101,47 @@ def test_run_average_output():
     assert out.cells.size == dom.total_cells  # dense average over the domain
 
 
-def test_average_output_helper():
-    dom = Domain(("a",), (2,))
-    hs = [Histogram(dom, np.array([1.0, 0.0])), Histogram(dom, np.array([0.0, 1.0]))]
-    avg = average_output(hs)
-    assert np.allclose(avg.mass, [0.5, 0.5])
-    with pytest.raises(DataError):
-        average_output([])
+def test_run_average_output_is_mean_of_iterates():
+    dom, data, qs = _instance()
+    T = 6
+    iterates = []
+
+    class Recording(MwemSynthesizer):
+        def update(self, ledger):
+            super().update(ledger)
+            iterates.append(self.mass.copy())
+
+    acct = Accountant(rho=0.5, T=T, k=1, alpha=0.5, n=data.n)
+    cfg = RunConfig(T=T, k=1, output="average")
+    out, _ = run(data, qs, Recording(dom, qs), acct, cfg, np.random.default_rng(2))
+    assert len(iterates) == T
+    assert np.array_equal(out.probs, normalize_mass(np.mean(iterates, axis=0)))
+
+
+def test_run_average_output_on_public_support():
+    dom, data, qs = _instance()
+    public = Dataset(dom, data.records[:5])
+    support = np.unique(public.cells())
+    acct = Accountant(rho=0.5, T=4, k=1, alpha=0.5, n=data.n)
+    synth = pep_pub_init(public, dom, qs)
+    out, _ = run(data, qs, synth, acct, RunConfig(T=4, k=1, output="average"), np.random.default_rng(0))
+    assert np.array_equal(out.cells, support)  # averaged on the method's own support
+    assert abs(out.probs.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("method", ["gem", "dualquery"])
+def test_run_average_output_refuses_other_methods(method):
+    dom, data, qs = _instance()
+    rng = np.random.default_rng(0)
+    if method == "gem":
+        synth = GemSynthesizer(dom, qs, GemConfig(hidden=(8,), t_max=2), rng, total_rounds=2)
+        acct = Accountant(rho=0.5, T=2, k=1, alpha=0.5, n=data.n)
+    else:
+        synth = DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=5))
+        acct = Accountant.selection_only(rho=0.5, T=2, k=1, n=data.n)
+    cfg = RunConfig(T=2, k=1, alpha=acct.alpha, output="average")
+    with pytest.raises(DataError, match="averaged output"):
+        run(data, qs, synth, acct, cfg, rng)
 
 
 def test_run_empty_dataset_rejected():

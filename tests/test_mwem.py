@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from dpsynth import CapacityError, Domain, MwemSynthesizer, build_workloads
 from dpsynth.domain import normalize_mass
-from dpsynth.mwem import mwem_closed_form_check
 from dpsynth.privacy import MeasurementLedger
 
-from oracles import entropy_linear_minimizer, kl_divergence
+from oracles import entropy_linear_minimizer, kl_divergence, mwem_closed_form_check, query_mask
 
 
 def _two_cell():
@@ -104,7 +103,7 @@ def test_single_step_strictly_reduces_error(size, cell, target, seed):
 def test_closed_form_empty_is_uniform():
     dom, qs = _two_cell()
     h = mwem_closed_form_check(qs, [])
-    assert np.allclose(h.mass, [0.5, 0.5])
+    assert np.allclose(h, [0.5, 0.5])
 
 
 def test_closed_form_single_item_matches_one_step():
@@ -117,7 +116,7 @@ def test_closed_form_single_item_matches_one_step():
     cached = float(synth.answers(qs)[3])
     synth.update(led)
     h = mwem_closed_form_check(qs, [(3, 0.7, cached)], sign=+1.0)
-    assert np.allclose(h.mass, synth.mass, atol=1e-12)
+    assert np.allclose(h, synth.mass, atol=1e-12)
 
 
 def test_closed_form_two_items_is_product_of_factors():
@@ -128,15 +127,16 @@ def test_closed_form_two_items_is_product_of_factors():
     cells = np.arange(4)
     expo = np.zeros(4)
     for qidx, target, cached in items:
-        match = qs.query(qidx).matches(dom, cells)
+        match = query_mask(dom, qs.query(qidx), cells)
         expo[match] += -(target - cached)
     direct = np.exp(expo)
     direct /= direct.sum()
-    assert np.allclose(h.mass, direct, atol=1e-12)
+    assert np.allclose(h, direct, atol=1e-12)
 
 
 def _random_items(seed):
-    """Ledger replay on a tiny domain, caching answers the way the loop does."""
+    """Ledger replay on a tiny domain, caching each entry's answer just before
+    the update of the round that measured it."""
     rng = np.random.default_rng(seed)
     shape = [(4, 4), (2, 8), (16,), (2, 2, 4)][seed % 4]
     dom = Domain(tuple("abcd"[: len(shape)]), shape)
@@ -144,13 +144,12 @@ def _random_items(seed):
     synth = MwemSynthesizer(dom, qs, cycles=1)
     led = MeasurementLedger()
     chosen = rng.choice(qs.total_queries, size=min(3, qs.total_queries), replace=False)
+    cached = {}
     for rnd, qidx in enumerate(chosen, start=1):
         led.record(int(qidx), float(rng.uniform(0.1, 0.9)), rnd)
+        cached[int(qidx)] = float(synth.answers(qs)[qidx])
         synth.update(led)
-    items = [
-        (e.index, e.answer, synth.cached_at_measurement[e.index])
-        for e in led.entries()
-    ]
+    items = [(e.index, e.answer, cached[e.index]) for e in led.entries()]
     return dom, qs, items
 
 
@@ -159,11 +158,11 @@ def test_loss_minimizer_matches_projected_gradient():
     # the entropy-regularized linear loss with the same frozen coefficients
     for seed in range(6):
         dom, qs, items = _random_items(seed)
-        closed = mwem_closed_form_check(qs, items, sign=-1.0).mass
+        closed = mwem_closed_form_check(qs, items, sign=-1.0)
         cells = np.arange(dom.total_cells)
         g = np.zeros(dom.total_cells)
         for qidx, target, cached in items:
-            match = qs.query(qidx).matches(dom, cells)
+            match = query_mask(dom, qs.query(qidx), cells)
             g[match] += min(max(target, 0.0), 1.0) - cached
         pgd = entropy_linear_minimizer(g)
         assert kl_divergence(closed, pgd) < 1e-4
@@ -214,7 +213,7 @@ def test_cell_local_update_matches_dense_replay(seed, rounds, cycles, eta):
     for rnd, qi in enumerate(picks, start=1):
         led.record(int(qi), float(rng.uniform(-0.1, 1.1)), rnd)
         synth.update(led)
-        masks = [qs.query(e.index).matches(dom, cells) for e in led.entries()]
+        masks = [query_mask(dom, qs.query(e.index), cells) for e in led.entries()]
         dense = _dense_update(dense, masks, led.answers(), eta, cycles)
         assert np.abs(synth.mass - dense).max() <= 1e-12
 
@@ -228,7 +227,7 @@ def test_extreme_step_takes_the_dense_path():
     led.record(1, 1.0, 1)
     with np.errstate(over="ignore"):
         synth.update(led)
-    masks = [qs.query(1).matches(dom, np.arange(2))]
+    masks = [query_mask(dom, qs.query(1), np.arange(2))]
     with np.errstate(over="ignore"):
         dense = _dense_update(np.full(2, 0.5), masks, [1.0], 1e-3, 2)
     assert np.array_equal(synth.mass, dense)

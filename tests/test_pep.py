@@ -7,31 +7,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from dpsynth import DataError, Domain, Histogram, PepSynthesizer, build_workloads
+from dpsynth import DataError, Domain, PepSynthesizer, build_workloads
 from dpsynth.domain import CellWeights
-from dpsynth.pep import _project, pep_dual_loss, pep_lambda, pep_project_once
 from dpsynth.privacy import MeasurementLedger
 
-from oracles import maxent_dual_descent
+from oracles import maxent_dual_descent, pep_dual_loss, pep_project_once, query_mask
 
 
-def test_lambda_frozen_value():
-    # uniform 2-cell, target 0.8: -lambda = ln 4
-    lam = pep_lambda(0.8, 0.5)
-    assert abs(-lam - math.log(4.0)) < 1e-12
-    assert abs(pep_lambda(0.5, 0.5)) < 1e-15  # matched answer: identity
-    with pytest.raises(DataError):
-        pep_lambda(1.0, 0.5)
-    with pytest.raises(DataError):
-        pep_lambda(0.5, 0.0)
+def _mask(dom, qs, qidx):
+    return query_mask(dom, qs.query(qidx), np.arange(dom.total_cells))
 
 
 def test_project_once_two_cells():
     dom = Domain(("a",), (2,))
     qs = build_workloads(dom, 1)
-    h = Histogram(dom, np.array([0.5, 0.5]))
-    out = pep_project_once(h, qs.query(1), 0.8)
-    assert np.allclose(out.mass, [0.2, 0.8], atol=1e-15)
+    out = pep_project_once(np.array([0.5, 0.5]), _mask(dom, qs, 1), 0.8)
+    assert np.allclose(out, [0.2, 0.8], atol=1e-15)
 
 
 def test_project_once_shared_mass():
@@ -39,9 +30,8 @@ def test_project_once_shared_mass():
     # scale up to 0.375 each
     dom = Domain(("a", "b"), (2, 2))
     qs = build_workloads(dom, 1)
-    h = Histogram(dom, np.full(4, 0.25))
-    out = pep_project_once(h, qs.query(0), 0.25)  # a == 0 matches cells {0, 1}
-    assert np.allclose(out.mass, [0.125, 0.125, 0.375, 0.375], atol=1e-15)
+    out = pep_project_once(np.full(4, 0.25), _mask(dom, qs, 0), 0.25)  # a == 0 matches cells {0, 1}
+    assert np.allclose(out, [0.125, 0.125, 0.375, 0.375], atol=1e-15)
 
 
 @settings(max_examples=100, deadline=None)
@@ -56,10 +46,9 @@ def test_projection_exactness(size, cell, target, seed):
     dom = Domain(("a",), (size,))
     qs = build_workloads(dom, 1)
     rng = np.random.default_rng(seed)
-    h = Histogram(dom, rng.dirichlet(np.ones(size) * 0.7) + 1e-9)
-    h = Histogram(dom, h.mass / h.mass.sum())
-    out = pep_project_once(h, qs.query(cell), target)
-    assert abs(out.mass[cell] - target) <= 1e-12
+    mass = rng.dirichlet(np.ones(size) * 0.7) + 1e-9
+    out = pep_project_once(mass / mass.sum(), _mask(dom, qs, cell), target)
+    assert abs(out[cell] - target) <= 1e-12
 
 
 def test_dual_loss_values():
@@ -96,8 +85,8 @@ def test_dual_minimum_reproduces_projection():
     lam = res.x
     w = np.array([1.0, math.exp(lam)])  # exp(lam * q(x)) over the two cells
     w /= w.sum()
-    proj = pep_project_once(Histogram(dom, np.array([0.5, 0.5])), qs.query(1), 0.8)
-    assert np.allclose(w, proj.mass, atol=1e-6)
+    proj = pep_project_once(np.array([0.5, 0.5]), _mask(dom, qs, 1), 0.8)
+    assert np.allclose(w, proj, atol=1e-6)
     assert abs(lam - math.log(4.0)) < 1e-5
 
 
@@ -157,7 +146,7 @@ def test_update_inconsistent_pair_long_run_keeps_normalizer():
 
 
 def _dense_update(probs, masks, targets, t_max, gamma, picks):
-    """The projection loop on the whole vector: full sums, then `_project`.
+    """The projection loop on the whole vector: full sums, then `pep_project_once`.
 
     `picks` are the entries the cell-local update projected, in order. The
     last bit of a sum decides between residuals within 1e-12 of the
@@ -186,7 +175,7 @@ def _dense_update(probs, masks, targets, t_max, gamma, picks):
             assert min(current[j], 1.0 - current[j]) <= 1e-12
             dead[j] = True
             continue
-        probs = _project(probs, masks[j], float(targets[j]))
+        probs = pep_project_once(probs, masks[j], float(targets[j]))
     assert not picks
     return probs
 
@@ -226,7 +215,7 @@ def test_cell_local_update_matches_dense_replay(seed, public, rounds):
     picks = rng.choice(qs.total_queries, size=min(rounds, qs.total_queries), replace=False)
     for rnd, qi in enumerate(picks, start=1):
         led.record(int(qi), float(rng.uniform(-0.1, 1.1)), rnd)
-        masks.append(qs.query(int(qi)).matches(dom, cells))
+        masks.append(query_mask(dom, qs.query(int(qi)), cells))
         scaled = []
         with mock.patch.object(CellWeights, "scale", _scale_logger(scaled)):
             synth.update(led)
@@ -333,7 +322,7 @@ def test_converged_matches_dual_descent_maxent():
         synth.update(led)
         cells = np.arange(16)
         masks = np.stack(
-            [qs.query(int(qi)).matches(dom, cells).astype(float) for qi in picks]
+            [query_mask(dom, qs.query(int(qi)), cells).astype(float) for qi in picks]
         )
         ref = maxent_dual_descent(masks, np.array(targets))
         tv = 0.5 * np.abs(ref - synth.probs).sum()
@@ -348,7 +337,7 @@ def test_projection_is_i_projection():
     rng = np.random.default_rng(3)
     D = rng.dirichlet(np.ones(3))
     target = 0.55
-    Dp = pep_project_once(Histogram(dom, D), qs.query(0), target).mass
+    Dp = pep_project_once(D, _mask(dom, qs, 0), target)
 
     def kl(p, q):
         return float(np.sum(p * np.log(p / q)))

@@ -79,7 +79,7 @@ def test_budget_identity():
 
 
 def test_from_dp_and_epsilon_roundtrip():
-    acct = Accountant.from_dp(1.0, 1e-6, T=10, k=1, alpha=0.67, n=1000)
+    acct = Accountant(dp_to_zcdp(1.0, 1e-6), T=10, k=1, alpha=0.67, n=1000)
     assert abs(acct.epsilon(1e-6) - 1.0) < 1e-9
 
 

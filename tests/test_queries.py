@@ -3,20 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpsynth import (
-    DataError,
-    Dataset,
-    Domain,
-    Histogram,
-    MarginalQuery,
-    answer_batch,
-    answer_histogram,
-    answer_records,
-    build_workloads,
-    from_records,
-    product_query,
-)
+from dpsynth import DataError, Dataset, Domain, MarginalQuery, build_workloads
 from dpsynth.queries import QuerySet, Workload, product_answers, product_answers_grad
+
+from oracles import answer_batch, answer_histogram, answer_records, product_query, query_mask
 
 
 def brute_force_answer(dom, records, q):
@@ -39,10 +29,14 @@ def test_marginal_query_validation():
 
 def test_onehot_indices_and_matches():
     dom = Domain(("a", "b", "c"), (2, 3, 2))
-    q = MarginalQuery((0, 2), (1, 0))
-    assert q.onehot_indices(dom).tolist() == [1, 5]
+    qs = build_workloads(dom, 2)
+    qi = qs.workloads[1].offset + 2  # features (0, 2), targets (1, 0)
+    q = qs.query(qi)
+    assert q == MarginalQuery((0, 2), (1, 0))
+    assert qs.idx[qi].tolist() == [1, 5]  # its one-hot positions
     cells = dom.encode(np.array([[1, 0, 0], [1, 2, 1], [0, 0, 0]]))
-    assert q.matches(dom, cells).tolist() == [True, False, False]
+    assert query_mask(dom, q, cells).tolist() == [True, False, False]
+    assert np.isin(cells, qs.cells_of(qi)).tolist() == [True, False, False]
 
 
 def test_workload_query_order_lexicographic():
@@ -90,14 +84,15 @@ def test_answers_match_brute_force():
         k = int(rng.integers(1, d + 1))
         qs = build_workloads(dom, k)
         ans = qs.answers_records(data)
-        hist_ans = qs.answers_histogram(from_records(data))
+        counts = np.bincount(data.cells(), minlength=dom.total_cells)
+        hist_ans = qs.answers_mass(counts) / n
         for qi in rng.choice(qs.total_queries, size=min(10, qs.total_queries), replace=False):
             q = qs.query(int(qi))
             want = brute_force_answer(dom, rec, q)
             assert ans[qi] == want  # integer counting: exact
             assert hist_ans[qi] == want
             assert answer_records(q, data) == want
-            assert answer_histogram(q, from_records(data)) == want
+            assert answer_histogram(q, dom, counts) / n == want
 
 
 def test_workload_answers_sum_to_one():
@@ -111,11 +106,10 @@ def test_workload_answers_sum_to_one():
 
 
 def test_answers_histogram_mass_path():
-    # histogram without counts: plain mass accumulation
+    # a dense mass vector: its 1-way marginals
     dom = Domain(("a", "b"), (2, 2))
-    h = Histogram(dom, np.array([0.1, 0.2, 0.3, 0.4]))
     qs = build_workloads(dom, 1)
-    ans = qs.answers_histogram(h)
+    ans = qs.answers_mass(np.array([0.1, 0.2, 0.3, 0.4]))
     assert np.allclose(ans, [0.3, 0.7, 0.4, 0.6])
 
 
@@ -187,7 +181,8 @@ def test_answers_records_vs_histogram_property(seed):
     rec = np.column_stack([rng.integers(0, s, size=23) for s in sizes])
     data = Dataset(dom, rec)
     qs = build_workloads(dom, 2)
-    assert np.array_equal(qs.answers_records(data), qs.answers_histogram(from_records(data)))
+    counts = np.bincount(data.cells(), minlength=dom.total_cells)
+    assert np.array_equal(qs.answers_records(data), qs.answers_mass(counts) / data.n)
 
 
 def test_answers_mass_matches_histogram():
@@ -196,7 +191,8 @@ def test_answers_mass_matches_histogram():
     qs = build_workloads(dom, 2)
     m = rng.random(dom.total_cells)
     m /= m.sum()
-    assert np.allclose(qs.answers_mass(m), qs.answers_histogram(Histogram(dom, m)), atol=1e-15)
+    want = [answer_histogram(qs.query(qi), dom, m) for qi in range(qs.total_queries)]
+    assert np.allclose(qs.answers_mass(m), want, atol=1e-15)
 
 
 def test_answers_support_matches_dense():
@@ -239,9 +235,9 @@ def test_cells_of_matches_scan(seed):
     support = np.random.default_rng(seed).permutation(dom.total_cells)[: dom.total_cells // 2]
     locals_ = qs._cell_locals(support)
     for qi in range(qs.total_queries):
-        want = np.flatnonzero(qs.query(qi).matches(dom, cells))
+        want = np.flatnonzero(query_mask(dom, qs.query(qi), cells))
         assert np.array_equal(qs.cells_of(qi), want)
-        want = np.flatnonzero(qs.query(qi).matches(dom, support))
+        want = np.flatnonzero(query_mask(dom, qs.query(qi), support))
         assert np.array_equal(qs.cells_of(qi, locals_), want)
 
 

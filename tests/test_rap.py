@@ -4,7 +4,7 @@ import pytest
 from dpsynth import DataError, Domain, PepSynthesizer, RapConfig, RapSynthesizer, build_workloads
 from dpsynth.privacy import MeasurementLedger
 from dpsynth.queries import product_answers
-from dpsynth.rap import RelaxedDataset, rap_answers
+from dpsynth.rap import RelaxedDataset
 
 
 def test_config_validation():
@@ -20,10 +20,10 @@ def test_answers_zero_logits_uniform():
     dom = Domain(("a", "b"), (2, 4))
     qs = build_workloads(dom, 2)
     rd = RelaxedDataset(dom, np.zeros((5, dom.onehot_width)))
-    ans = rap_answers(rd, qs)
+    ans = qs.answers_probs(rd.probs())
     assert np.allclose(ans, 1.0 / 8.0, atol=1e-12)
     qs1 = build_workloads(dom, 1)
-    a1 = rap_answers(rd, qs1)
+    a1 = qs1.answers_probs(rd.probs())
     assert np.allclose(a1[:2], 0.5, atol=1e-12)
     assert np.allclose(a1[2:], 0.25, atol=1e-12)
 
@@ -36,7 +36,7 @@ def test_answers_one_hot_limit():
     M[0, 1] = 60.0  # a = 1
     M[0, 2] = 60.0  # b = 0
     rd = RelaxedDataset(dom, M)
-    ans = rap_answers(rd, qs)
+    ans = qs.answers_probs(rd.probs())
     expect = np.zeros(5)
     expect[1] = 1.0  # P(a=1)
     expect[2] = 1.0  # P(b=0)
@@ -54,7 +54,7 @@ def test_answers_two_rows_hand_products():
         ]
     )
     rd = RelaxedDataset(dom, M, original=True)
-    ans = rap_answers(rd, qs)
+    ans = qs.answers_probs(rd.probs())
     # query (a=0, b=0): (0.3*0.2 + 0.6*0.5) / 2
     assert abs(ans[0] - 0.18) < 1e-12
     # query (a=1, b=1): (0.7*0.8 + 0.4*0.5) / 2
