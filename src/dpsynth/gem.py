@@ -121,9 +121,9 @@ def backward(params: Params, cache, dP: np.ndarray, domain: Domain) -> Params:
 
 
 def _fit_terms(c: np.ndarray, gamma: float, kind: str):
-    """(loss, active set, d loss / d answers on it) of residuals c = targets - answers.
+    """(loss, active set, d loss / d answers) of residuals c = targets - answers.
 
-    The active set is {j : |c_j| >= gamma}; raises if it is empty.
+    The active set is {j : |c_j| >= gamma}, the derivative 0 outside it; raises if it is empty.
     """
     active = np.abs(c) >= gamma
     if not active.any():
@@ -131,59 +131,61 @@ def _fit_terms(c: np.ndarray, gamma: float, kind: str):
     n_act = int(active.sum())
     if kind == "l1":
         loss = float(np.abs(c[active]).mean())
-        coeff = -np.sign(c[active]) / n_act  # d mean|ans - t| / d ans
+        coeff = np.where(active, -np.sign(c) / n_act, 0.0)  # d mean|ans - t| / d ans
     elif kind == "l2":
         loss = float((c[active] ** 2).mean())
-        coeff = -2.0 * c[active] / n_act
+        coeff = np.where(active, -2.0 * c / n_act, 0.0)
     else:
         raise DataError("loss must be 'l1' or 'l2'")
     return loss, active, coeff
 
 
-def _residuals(params: Params, Z: np.ndarray, domain: Domain, idx: np.ndarray, targets: np.ndarray):
-    """One forward pass: (cache, residuals c = targets - answers)."""
-    P, cache = forward(params, Z, domain)
-    return cache, np.asarray(targets, dtype=np.float64) - product_answers(P, idx)
+def _residuals(params: Params, Z: np.ndarray, queries: QuerySet, qidx, targets: np.ndarray):
+    """One forward pass: (cache, residuals c = targets - answers) at query ids qidx."""
+    P, cache = forward(params, Z, queries.domain)
+    return cache, np.asarray(targets, dtype=np.float64) - product_answers(P, queries, qidx)
 
 
-def _gradient(params: Params, cache, domain: Domain, idx: np.ndarray, c: np.ndarray, gamma: float, kind: str):
+def _gradient(params: Params, cache, queries: QuerySet, qidx, c: np.ndarray, gamma: float, kind: str):
     """(loss, parameter gradients) from the cache (which ends with P) and
     residuals of one forward pass."""
     loss, active, coeff = _fit_terms(c, gamma, kind)
-    dP = product_answers_grad(cache[2], idx[active], coeff)
-    return loss, backward(params, cache, dP, domain)
+    if qidx is not None:  # gather only the active queries
+        qidx, coeff = qidx[active], coeff[active]
+    dP = product_answers_grad(cache[2], queries, coeff, qidx)
+    return loss, backward(params, cache, dP, queries.domain)
 
 
 def gem_loss(
     params: Params,
     Z: np.ndarray,
-    domain: Domain,
-    idx: np.ndarray,
+    queries: QuerySet,
+    qidx: np.ndarray | None,
     targets: np.ndarray,
     gamma: float = 0.0,
     kind: str = "l1",
 ):
     """Residual loss over the active set {j : |c_j| >= gamma}.
 
-    Returns (loss, residuals c = targets - answers). Raises if gamma leaves
-    no active entry.
+    Fits `queries` at the ids qidx (None: all). Returns (loss, residuals
+    c = targets - answers). Raises if gamma leaves no active entry.
     """
-    _, c = _residuals(params, Z, domain, idx, targets)
+    _, c = _residuals(params, Z, queries, qidx, targets)
     return _fit_terms(c, gamma, kind)[0], c
 
 
 def gem_gradient(
     params: Params,
     Z: np.ndarray,
-    domain: Domain,
-    idx: np.ndarray,
+    queries: QuerySet,
+    qidx: np.ndarray | None,
     targets: np.ndarray,
     gamma: float = 0.0,
     kind: str = "l1",
 ):
     """Loss, parameter gradients, and residuals in one reverse pass."""
-    cache, c = _residuals(params, Z, domain, idx, targets)
-    loss, grads = _gradient(params, cache, domain, idx, c, gamma, kind)
+    cache, c = _residuals(params, Z, queries, qidx, targets)
+    loss, grads = _gradient(params, cache, queries, qidx, c, gamma, kind)
     return loss, grads, c
 
 
@@ -286,13 +288,12 @@ class GemSynthesizer(Synthesizer):
         if len(ledger) == 0:
             return
         self.round += 1
-        idx = ledger.indices()
+        qidx = ledger.indices()
         targets = ledger.answers()
-        sub = self.queries.idx[idx]
         # sampled max error of this round's fresh measurements, before fitting
         rounds = ledger.rounds()
         fresh = rounds == rounds.max()
-        _, c = _residuals(self.params, self.z_batch, self.domain, sub, targets)
+        _, c = _residuals(self.params, self.z_batch, self.queries, qidx, targets)
         sampled_max = float(np.abs(c[fresh]).max())
         if self.exact_targets:
             self.gamma = 0.0
@@ -304,10 +305,10 @@ class GemSynthesizer(Synthesizer):
         ema_on = self.round > self.total_rounds // 2
         for _ in range(self.cfg.t_max):
             # the stop test and the gradient read the same forward pass
-            cache, c = _residuals(self.params, self._noise(), self.domain, sub, targets)
+            cache, c = _residuals(self.params, self._noise(), self.queries, qidx, targets)
             if np.abs(c).max() < self.gamma:
                 break
-            _, grads = _gradient(self.params, cache, self.domain, sub, c, self.gamma, self.cfg.loss)
+            _, grads = _gradient(self.params, cache, self.queries, qidx, c, self.gamma, self.cfg.loss)
             self.params = self.opt.step(self.params, grads)
             if ema_on:
                 if self.ema is None:

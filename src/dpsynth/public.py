@@ -97,11 +97,10 @@ def gem_pub_pretrain(
     params = init_params(rng, cfg.z_dim, cfg.hidden, domain.onehot_width)
     Z = rng.standard_normal((cfg.batch, cfg.z_dim))
     opt = Adam(params, lr)
-    idx = restricted.idx
     max_err = float("inf")
     used = 0
     for used in range(1, max(1, steps) + 1):
-        _, grads, c = gem_gradient(params, Z, domain, idx, targets, 0.0, cfg.loss)
+        _, grads, c = gem_gradient(params, Z, restricted, None, targets, 0.0, cfg.loss)
         params = opt.step(params, grads)
         max_err = float(np.abs(c).max())
         if max_err < tol:

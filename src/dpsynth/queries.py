@@ -5,18 +5,25 @@ counts for every value combination of S, in lexicographic order. A QuerySet
 concatenates workloads into one global query index space and evaluates the
 whole collection against datasets, dense mass vectors, cell-support
 distributions, and batches of relaxed one-hot probability rows.
+
+Product queries over relaxed rows (gem, rap-softmax) take one of two paths.
+The whole collection is one contraction per workload: the row-wise outer
+product of its first k-1 attribute blocks times its last block, in row chunks
+of bounded size (the gradient contracts the other blocks with the coefficient
+tensor, per attribute). A subset of query ids gathers just their positions.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .domain import DataError, Dataset, Domain
 
-# block size (query-index direction) for batched product-query evaluation
+# element budget of the intermediate tensor of product-query evaluation
 _CHUNK_TARGET = 4_000_000
 
 
@@ -42,7 +49,7 @@ class Workload:
     sizes: tuple[int, ...]
     offset: int  # global index of this workload's first query
 
-    @property
+    @cached_property
     def n_queries(self) -> int:
         return math.prod(self.sizes)
 
@@ -53,10 +60,7 @@ class Workload:
         return tuple(st)
 
     def query(self, local: int) -> MarginalQuery:
-        targets = []
-        for sz, st in zip(self.sizes, self.local_strides()):
-            targets.append((local // st) % sz)
-        return MarginalQuery(self.features, tuple(targets))
+        return MarginalQuery(self.features, tuple(int(t) for t in np.unravel_index(local, self.sizes)))
 
     def locals_of_cells(self, domain: Domain, cells: np.ndarray) -> np.ndarray:
         """Which of this workload's queries each cell satisfies (exactly one)."""
@@ -89,6 +93,7 @@ class QuerySet:
             for j, f in enumerate(w.features):
                 idx[w.offset : w.offset + w.n_queries, j] = domain.offset(f) + combos[:, j]
         self.idx = idx
+        self._starts = np.array([w.offset for w in workloads])
         # per workload: the cells that are 0 on its attributes (see cells_of)
         self._zero_cells: dict[int, np.ndarray] = {}
 
@@ -109,14 +114,9 @@ class QuerySet:
         return [slice(w.offset, w.offset + w.n_queries) for w in self.workloads]
 
     def workload_of(self, qidx: int) -> int:
-        for wi, w in enumerate(self.workloads):
-            if w.offset <= qidx < w.offset + w.n_queries:
-                return wi
-        raise IndexError(qidx)
-
-    def query(self, qidx: int) -> MarginalQuery:
-        w = self.workloads[self.workload_of(qidx)]
-        return w.query(qidx - w.offset)
+        if not 0 <= qidx < self.total_queries:
+            raise IndexError(qidx)
+        return int(np.searchsorted(self._starts, qidx, side="right")) - 1
 
     # -- evaluation -------------------------------------------------------
 
@@ -223,8 +223,7 @@ class QuerySet:
         P has shape (B, onehot_width); every attribute block of every row is
         assumed normalized. Answer of query q = mean_b prod_{i in q} P[b, i].
         """
-        P = np.asarray(P, dtype=np.float64)
-        return product_answers(P, self.idx)
+        return product_answers(np.asarray(P, dtype=np.float64), self)
 
 
 def build_workloads(
@@ -258,40 +257,81 @@ def build_workloads(
 # -- product-query relaxation (differentiable path) -----------------------
 
 
-def product_answers(P: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Batch-mean product answers for many queries at once.
+def _blocks(P: np.ndarray, domain: Domain, w: Workload) -> list[np.ndarray]:
+    """The (B, size) attribute blocks of P that workload w reads, in its order."""
+    return [P[:, domain.offset(f) : domain.offset(f) + sz] for f, sz in zip(w.features, w.sizes)]
 
-    idx is (m, k): one-hot positions per query. Evaluation is chunked over
-    queries to bound the intermediate (B, chunk, k) tensor.
-    """
-    B = P.shape[0]
-    m, k = idx.shape
-    out = np.empty(m)
-    chunk = max(1, _CHUNK_TARGET // max(1, B * k))
-    for s in range(0, m, chunk):
-        e = min(m, s + chunk)
-        vals = P[:, idx[s:e]]  # (B, e-s, k)
-        out[s:e] = vals.prod(axis=2).mean(axis=0)
+
+def _row_chunks(B: int, width: int) -> list[slice]:
+    """Row ranges whose (rows, width) intermediates stay within _CHUNK_TARGET elements."""
+    step = max(1, _CHUNK_TARGET // width)
+    return [slice(r, min(B, r + step)) for r in range(0, B, step)]
+
+
+def _outer(blocks: list[np.ndarray], rows: slice) -> np.ndarray:
+    """Row-wise outer product of the blocks over `rows`, flattened in C order."""
+    out = blocks[0][rows] if blocks else np.ones((rows.stop - rows.start, 1))
+    for A in blocks[1:]:
+        out = (out[:, :, None] * A[rows, None, :]).reshape(out.shape[0], -1)
     return out
 
 
-def product_answers_grad(P: np.ndarray, idx: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """Gradient of sum_j coeff[j] * batch-mean product answer j w.r.t. P.
+def _gather(P: np.ndarray, queries: QuerySet, qidx: np.ndarray):
+    """Chunks (positions in qidx, one-hot positions, (B, chunk, k) values of P there)."""
+    idx = queries.idx[qidx]
+    step = max(1, _CHUNK_TARGET // (P.shape[0] * queries.k))
+    for s in range(0, idx.shape[0], step):
+        yield slice(s, s + step), idx[s : s + step], P[:, idx[s : s + step]]
+
+
+def product_answers(P: np.ndarray, queries: QuerySet, qidx: np.ndarray | None = None) -> np.ndarray:
+    """Batch-mean product answers: answer of q = mean_b prod_{i in q} P[b, i].
+
+    qidx=None answers the whole collection, one contraction per workload;
+    an array of query ids answers just those, through a gather.
+    """
+    B = P.shape[0]
+    if qidx is not None:
+        out = np.empty(len(qidx))
+        for s, _, vals in _gather(P, queries, qidx):
+            out[s] = vals.prod(axis=2).mean(axis=0)
+        return out
+    out = np.empty(queries.total_queries)
+    for w in queries.workloads:
+        *first, last = _blocks(P, queries.domain, w)
+        # 1-way: the block's column sums, added in row order as the gather adds them
+        chunks = _row_chunks(B, w.n_queries // w.sizes[-1])
+        acc = sum(_outer(first, r).T @ last[r] if first else last[r].sum(axis=0) for r in chunks)
+        out[w.offset : w.offset + w.n_queries] = acc.ravel() / B
+    return out
+
+
+def product_answers_grad(
+    P: np.ndarray, queries: QuerySet, coeff: np.ndarray, qidx: np.ndarray | None = None
+) -> np.ndarray:
+    """Gradient w.r.t. P of sum_j coeff[j] * product_answers(P, queries, qidx)[j].
 
     Leave-one-out products are formed explicitly (no division) so zero
     entries stay differentiable.
     """
-    B = P.shape[0]
-    m, k = idx.shape
+    B, W = P.shape
+    if qidx is not None:
+        k = queries.k
+        flat = np.zeros(B * W)
+        base = np.arange(B)[:, None] * W
+        for s, idx, vals in _gather(P, queries, qidx):
+            # one bincount over all k slots: each entry sums its terms in (slot, row, query) order
+            loo = np.stack([vals[:, :, [u for u in range(k) if u != t]].prod(axis=2) for t in range(k)])
+            cols = base + idx.T[:, None, :]  # (k, B, chunk)
+            flat += np.bincount(cols.ravel(), weights=(loo * (coeff[s] / B)).ravel(), minlength=B * W)
+        return flat.reshape(B, W)
     dP = np.zeros_like(P)
-    chunk = max(1, _CHUNK_TARGET // max(1, B * k))
-    rows = np.arange(B)[:, None]
-    for s in range(0, m, chunk):
-        e = min(m, s + chunk)
-        vals = P[:, idx[s:e]]  # (B, c, k)
-        w = coeff[s:e][None, :] / B
-        for t in range(k):
-            others = [u for u in range(k) if u != t]
-            loo = vals[:, :, others].prod(axis=2) if others else np.ones_like(vals[:, :, 0])
-            np.add.at(dP, (rows, idx[s:e, t][None, :]), loo * w)
-    return dP
+    dom = queries.domain
+    for w in queries.workloads:
+        C = coeff[w.offset : w.offset + w.n_queries].reshape(w.sizes)
+        blocks = _blocks(P, dom, w)
+        for t, (f, sz) in enumerate(zip(w.features, w.sizes)):
+            Ct = np.moveaxis(C, t, -1).reshape(-1, sz)  # axis t last
+            for r in _row_chunks(B, Ct.shape[0]):
+                dP[r, dom.offset(f) : dom.offset(f) + sz] += _outer(blocks[:t] + blocks[t + 1 :], r) @ Ct
+    return dP / B

@@ -66,15 +66,15 @@ class RapSynthesizer(Synthesizer):
     def answers(self, queries: QuerySet) -> np.ndarray:
         return queries.answers_probs(self.rd.probs())
 
-    def _loss(self, M: np.ndarray, idx: np.ndarray, targets: np.ndarray):
+    def _loss(self, M: np.ndarray, qidx: np.ndarray, targets: np.ndarray):
         """(squared-error loss, P, residual answers - targets) at rows M."""
         P = RelaxedDataset(self.domain, M, self.cfg.original).probs()
-        diff = product_answers(P, idx) - targets
+        diff = product_answers(P, self.queries, qidx) - targets
         return float((diff**2).sum()), P, diff
 
-    def _grad(self, M: np.ndarray, P: np.ndarray, idx: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    def _grad(self, M: np.ndarray, P: np.ndarray, qidx: np.ndarray, diff: np.ndarray) -> np.ndarray:
         """d loss / d M from the P and residual that `_loss` returned for M."""
-        dP = product_answers_grad(P, idx, 2.0 * diff)
+        dP = product_answers_grad(P, self.queries, 2.0 * diff, qidx)
         if self.cfg.original:
             return dP * ((M > 0.0) & (M < 1.0))
         return block_softmax_grad(P, dP, self.domain)
@@ -82,18 +82,18 @@ class RapSynthesizer(Synthesizer):
     def update(self, ledger: MeasurementLedger) -> None:
         if len(ledger) == 0:
             return
-        idx = self.queries.idx[ledger.indices()]
+        qidx = ledger.indices()
         # answers live in [0,1]; an out-of-range noisy target keeps a
         # constant-size pull at the boundary and collapses rows to one-hots
         targets = np.clip(ledger.answers(), 0.0, 1.0)
         M = self.rd.M
-        loss, P, diff = self._loss(M, idx, targets)
+        loss, P, diff = self._loss(M, qidx, targets)
         history = [loss]
         # per-coordinate moment scaling; raw softmax gradients are ~1e-4 so a
         # bare lr*g step at lr=0.1 goes nowhere. Moments reset each round.
         opt = Adam([(M,)], self.cfg.lr)
         for _ in range(self.cfg.max_steps):
-            g = self._grad(M, P, idx, diff)
+            g = self._grad(M, P, qidx, diff)
             if np.abs(g).max() == 0.0:  # exact stationary point
                 break
             ((delta,),) = opt.direction([(g,)])
@@ -101,7 +101,7 @@ class RapSynthesizer(Synthesizer):
             accepted = False
             for _ in range(30):
                 M_try = M - scale * delta
-                new_loss, new_P, new_diff = self._loss(M_try, idx, targets)
+                new_loss, new_P, new_diff = self._loss(M_try, qidx, targets)
                 if new_loss <= loss:
                     accepted = True
                     break

@@ -22,6 +22,12 @@ def brute_force_answer(domain, dataset, features, targets):
     return hits / len(dataset.records)
 
 
+def query_of(qs, qidx):
+    """The marginal query at global index qidx of a query collection."""
+    w = qs.workloads[qs.workload_of(qidx)]
+    return w.query(qidx - w.offset)
+
+
 def query_mask(domain, q, cells):
     """Boolean mask over an array of cell indices: the cells q counts."""
     values = domain.decode(np.asarray(cells, dtype=np.int64))
@@ -89,7 +95,7 @@ def mwem_closed_form_check(queries, items, sign=-1.0):
     expo = np.zeros(domain.total_cells)
     for qidx, target, cached in items:
         coef = min(max(float(target), 0.0), 1.0) - float(cached)
-        expo[query_mask(domain, queries.query(int(qidx)), cells)] += sign * coef
+        expo[query_mask(domain, query_of(queries, int(qidx)), cells)] += sign * coef
     expo -= expo.max()
     return normalize_mass(np.exp(expo))
 
@@ -123,7 +129,7 @@ def pep_dual_loss(lambdas, queries, indices, targets, gamma=0.0):
     cells = np.arange(dom.total_cells)
     expo = np.zeros(dom.total_cells)
     for lam, qidx in zip(lambdas, indices):
-        expo[query_mask(dom, queries.query(int(qidx)), cells)] += lam
+        expo[query_mask(dom, query_of(queries, int(qidx)), cells)] += lam
     expo -= lambdas @ targets
     shift = expo.max()
     return float(shift + math.log(np.exp(expo - shift).sum()) + gamma * np.abs(lambdas).sum())

@@ -42,6 +42,7 @@ from oracles import (
     maxent_dual_descent,
     mwem_closed_form_check,
     query_mask,
+    query_of,
     unflatten_params,
 )
 
@@ -71,7 +72,7 @@ def test_criterion_1_query_oracle(capsys):
         data = Dataset(dom, rec)
         qs = build_workloads(dom, int(rng.integers(1, attrs + 1)))
         qi = int(rng.integers(qs.total_queries))
-        q = qs.query(qi)
+        q = query_of(qs, qi)
         ref = brute_force_answer(dom, data, q.features, q.targets)
         a_rec = qs.answers_records(data)[qi]
         counts = np.bincount(data.cells(), minlength=dom.total_cells)
@@ -128,7 +129,7 @@ def test_criterion_2_pep_projection(capsys):
         synth.update(led)
         cells = np.arange(dom.total_cells)
         masks = np.stack(
-            [query_mask(dom, qs.query(int(qi)), cells).astype(float) for qi in picks]
+            [query_mask(dom, query_of(qs, int(qi)), cells).astype(float) for qi in picks]
         )
         ref = maxent_dual_descent(masks, np.array(targets))
         worst_tv = max(worst_tv, 0.5 * np.abs(ref - synth.probs).sum())
@@ -170,7 +171,7 @@ def test_criterion_3_mwem_loss_minimizer(capsys):
         cells = np.arange(dom.total_cells)
         g = np.zeros(dom.total_cells)
         for qidx, target, cached_answer in items:
-            match = query_mask(dom, qs.query(qidx), cells)
+            match = query_mask(dom, query_of(qs, qidx), cells)
             g[match] += min(max(target, 0.0), 1.0) - cached_answer
         pgd = entropy_linear_minimizer(g)
         worst = max(worst, kl_divergence(closed, pgd))
@@ -187,7 +188,7 @@ def test_criterion_4_gem_gradient(capsys):
     t0 = time.perf_counter()
     dom = Domain(("a", "b"), (3, 3))
     qs = build_workloads(dom, 1)
-    idx = qs.idx[np.array([0, 2, 4])]
+    qidx = np.array([0, 2, 4])
     worst = 0.0
     for seed in range(10):
         r = np.random.default_rng(seed)
@@ -195,11 +196,11 @@ def test_criterion_4_gem_gradient(capsys):
         Z = r.standard_normal((4, 4))
         targets = r.uniform(0.05, 0.95, size=3)
         kind = "l1" if seed % 2 == 0 else "l2"
-        _, grads, _ = gem_gradient(params, Z, dom, idx, targets, 0.0, kind)
+        _, grads, _ = gem_gradient(params, Z, qs, qidx, targets, 0.0, kind)
         rev = flatten_params(grads)
 
         def f(vec):
-            return gem_loss(unflatten_params(vec, params), Z, dom, idx, targets, 0.0, kind)[0]
+            return gem_loss(unflatten_params(vec, params), Z, qs, qidx, targets, 0.0, kind)[0]
 
         fd = central_difference(f, flatten_params(params).copy(), h=1e-5)
         denom = np.maximum(np.maximum(np.abs(rev), np.abs(fd)), 1e-6)

@@ -82,45 +82,45 @@ def _fixed_answer_setup():
 
 def test_loss_frozen_values():
     dom, qs, params, Z = _fixed_answer_setup()
-    idx = qs.idx[np.array([0, 2])]  # P(a=0) = 0.4, P(b=0) = 0.2
+    qidx = np.array([0, 2])  # P(a=0) = 0.4, P(b=0) = 0.2
     # perfect fit
-    loss, c = gem_loss(params, Z, dom, idx, np.array([0.4, 0.2]))
+    loss, c = gem_loss(params, Z, qs, qidx, np.array([0.4, 0.2]))
     assert abs(loss) < 1e-12
     # one active entry, answer 0.4, target 0.7
-    loss, c = gem_loss(params, Z, dom, qs.idx[np.array([0])], np.array([0.7]))
+    loss, c = gem_loss(params, Z, qs, np.array([0]), np.array([0.7]))
     assert abs(loss - 0.3) < 1e-12
     # errors 0.1 and 0.3 average to 0.2
-    loss, c = gem_loss(params, Z, dom, idx, np.array([0.5, 0.5]))
+    loss, c = gem_loss(params, Z, qs, qidx, np.array([0.5, 0.5]))
     assert abs(loss - 0.2) < 1e-12
     assert np.allclose(c, [0.1, 0.3], atol=1e-12)
     # l2 variant: mean of squares
-    loss, _ = gem_loss(params, Z, dom, idx, np.array([0.5, 0.5]), kind="l2")
+    loss, _ = gem_loss(params, Z, qs, qidx, np.array([0.5, 0.5]), kind="l2")
     assert abs(loss - (0.01 + 0.09) / 2) < 1e-12
 
 
 def test_loss_empty_active_set_raises():
     dom, qs, params, Z = _fixed_answer_setup()
     with pytest.raises(DataError):
-        gem_loss(params, Z, dom, qs.idx[np.array([0])], np.array([0.41]), gamma=0.5)
+        gem_loss(params, Z, qs, np.array([0]), np.array([0.41]), gamma=0.5)
 
 
 def test_gradient_matches_finite_differences():
     dom = Domain(("a", "b"), (3, 3))
     qs = build_workloads(dom, 1)
     rng = np.random.default_rng(42)
-    idx = qs.idx[np.array([0, 2, 4])]
+    qidx = np.array([0, 2, 4])
     for seed in range(10):
         r = np.random.default_rng(seed)
         params = init_params(r, 4, (8,), dom.onehot_width)
         Z = r.standard_normal((4, 4))
         targets = r.uniform(0.05, 0.95, size=3)
         kind = "l1" if seed % 2 == 0 else "l2"
-        _, grads, _ = gem_gradient(params, Z, dom, idx, targets, 0.0, kind)
+        _, grads, _ = gem_gradient(params, Z, qs, qidx, targets, 0.0, kind)
         rev = flatten_params(grads)
 
         def f(vec):
             p = unflatten_params(vec, params)
-            return gem_loss(p, Z, dom, idx, targets, 0.0, kind)[0]
+            return gem_loss(p, Z, qs, qidx, targets, 0.0, kind)[0]
 
         fd = central_difference(f, flatten_params(params).copy(), h=1e-5)
         denom = np.maximum(np.maximum(np.abs(rev), np.abs(fd)), 1e-6)
@@ -128,14 +128,30 @@ def test_gradient_matches_finite_differences():
         assert rel.max() < 1e-4
 
 
+def test_full_collection_gradient_matches_subset():
+    dom = Domain(("a", "b", "c"), (3, 2, 4))
+    qs = build_workloads(dom, 2)
+    all_ids = np.arange(qs.total_queries)
+    for seed, kind in ((0, "l1"), (1, "l2")):
+        r = np.random.default_rng(seed)
+        params = init_params(r, 4, (8,), dom.onehot_width)
+        Z = r.standard_normal((5, 4))
+        targets = r.uniform(0.0, 0.5, size=qs.total_queries)
+        loss, grads, c = gem_gradient(params, Z, qs, None, targets, 0.0, kind)
+        loss_s, grads_s, c_s = gem_gradient(params, Z, qs, all_ids, targets, 0.0, kind)
+        assert abs(loss - loss_s) < 1e-12
+        assert np.abs(c - c_s).max() < 1e-12
+        assert np.abs(flatten_params(grads) - flatten_params(grads_s)).max() < 1e-12
+
+
 def test_gradient_zero_on_flat_region():
     # at residuals exactly zero the l1 subgradient is defined as 0
     dom, qs, params, Z = _fixed_answer_setup()
-    idx = qs.idx[np.array([0, 2])]
+    qidx = np.array([0, 2])
     from dpsynth.queries import product_answers
 
-    exact = product_answers(forward(params, Z, dom)[0], idx)
-    _, grads, c = gem_gradient(params, Z, dom, idx, exact)
+    exact = product_answers(forward(params, Z, dom)[0], qs, qidx)
+    _, grads, c = gem_gradient(params, Z, qs, qidx, exact)
     assert np.abs(c).max() == 0.0
     assert np.abs(flatten_params(grads)).max() == 0.0
 
@@ -145,8 +161,8 @@ def test_product_query_grad_is_leave_one_out():
     dom = Domain(("a", "b"), (2, 2))
     qs = build_workloads(dom, 2)
     P = np.array([[0.3, 0.7, 0.2, 0.8]])
-    idx = qs.idx[np.array([0])]  # columns (0, 2)
-    dP = product_answers_grad(P, idx, np.array([1.0]))
+    # query 0 reads columns (0, 2)
+    dP = product_answers_grad(P, qs, np.array([1.0]), np.array([0]))
     assert abs(dP[0, 0] - 0.2) < 1e-12
     assert abs(dP[0, 2] - 0.3) < 1e-12
     assert abs(dP[0, 1]) < 1e-15 and abs(dP[0, 3]) < 1e-15
@@ -184,10 +200,10 @@ def test_update_reduces_loss_on_seeded_instance():
     synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(7), total_rounds=2, exact_targets=True)
     led = MeasurementLedger()
     led.record(0, 0.8, 1)
-    sub = qs.idx[led.indices()]
-    before, _ = gem_loss(synth.params, synth.z_batch, dom, sub, led.answers())
+    qidx = led.indices()
+    before, _ = gem_loss(synth.params, synth.z_batch, qs, qidx, led.answers())
     synth.update(led)
-    after, _ = gem_loss(synth.params, synth.z_batch, dom, sub, led.answers())
+    after, _ = gem_loss(synth.params, synth.z_batch, qs, qidx, led.answers())
     assert after < before
 
 

@@ -7,7 +7,7 @@ from dpsynth import CapacityError, Domain, MwemSynthesizer, build_workloads
 from dpsynth.domain import normalize_mass
 from dpsynth.privacy import MeasurementLedger
 
-from oracles import entropy_linear_minimizer, kl_divergence, mwem_closed_form_check, query_mask
+from oracles import entropy_linear_minimizer, kl_divergence, mwem_closed_form_check, query_mask, query_of
 
 
 def _two_cell():
@@ -127,7 +127,7 @@ def test_closed_form_two_items_is_product_of_factors():
     cells = np.arange(4)
     expo = np.zeros(4)
     for qidx, target, cached in items:
-        match = query_mask(dom, qs.query(qidx), cells)
+        match = query_mask(dom, query_of(qs, qidx), cells)
         expo[match] += -(target - cached)
     direct = np.exp(expo)
     direct /= direct.sum()
@@ -162,7 +162,7 @@ def test_loss_minimizer_matches_projected_gradient():
         cells = np.arange(dom.total_cells)
         g = np.zeros(dom.total_cells)
         for qidx, target, cached in items:
-            match = query_mask(dom, qs.query(qidx), cells)
+            match = query_mask(dom, query_of(qs, qidx), cells)
             g[match] += min(max(target, 0.0), 1.0) - cached
         pgd = entropy_linear_minimizer(g)
         assert kl_divergence(closed, pgd) < 1e-4
@@ -213,7 +213,7 @@ def test_cell_local_update_matches_dense_replay(seed, rounds, cycles, eta):
     for rnd, qi in enumerate(picks, start=1):
         led.record(int(qi), float(rng.uniform(-0.1, 1.1)), rnd)
         synth.update(led)
-        masks = [query_mask(dom, qs.query(e.index), cells) for e in led.entries()]
+        masks = [query_mask(dom, query_of(qs, e.index), cells) for e in led.entries()]
         dense = _dense_update(dense, masks, led.answers(), eta, cycles)
         assert np.abs(synth.mass - dense).max() <= 1e-12
 
@@ -227,7 +227,7 @@ def test_extreme_step_takes_the_dense_path():
     led.record(1, 1.0, 1)
     with np.errstate(over="ignore"):
         synth.update(led)
-    masks = [query_mask(dom, qs.query(1), np.arange(2))]
+    masks = [query_mask(dom, query_of(qs, 1), np.arange(2))]
     with np.errstate(over="ignore"):
         dense = _dense_update(np.full(2, 0.5), masks, [1.0], 1e-3, 2)
     assert np.array_equal(synth.mass, dense)

@@ -11,11 +11,11 @@ from dpsynth import DataError, Domain, PepSynthesizer, build_workloads
 from dpsynth.domain import CellWeights
 from dpsynth.privacy import MeasurementLedger
 
-from oracles import maxent_dual_descent, pep_dual_loss, pep_project_once, query_mask
+from oracles import maxent_dual_descent, pep_dual_loss, pep_project_once, query_mask, query_of
 
 
 def _mask(dom, qs, qidx):
-    return query_mask(dom, qs.query(qidx), np.arange(dom.total_cells))
+    return query_mask(dom, query_of(qs, qidx), np.arange(dom.total_cells))
 
 
 def test_project_once_two_cells():
@@ -215,7 +215,7 @@ def test_cell_local_update_matches_dense_replay(seed, public, rounds):
     picks = rng.choice(qs.total_queries, size=min(rounds, qs.total_queries), replace=False)
     for rnd, qi in enumerate(picks, start=1):
         led.record(int(qi), float(rng.uniform(-0.1, 1.1)), rnd)
-        masks.append(query_mask(dom, qs.query(int(qi)), cells))
+        masks.append(query_mask(dom, query_of(qs, int(qi)), cells))
         scaled = []
         with mock.patch.object(CellWeights, "scale", _scale_logger(scaled)):
             synth.update(led)
@@ -322,7 +322,7 @@ def test_converged_matches_dual_descent_maxent():
         synth.update(led)
         cells = np.arange(16)
         masks = np.stack(
-            [query_mask(dom, qs.query(int(qi)), cells).astype(float) for qi in picks]
+            [query_mask(dom, query_of(qs, int(qi)), cells).astype(float) for qi in picks]
         )
         ref = maxent_dual_descent(masks, np.array(targets))
         tv = 0.5 * np.abs(ref - synth.probs).sum()

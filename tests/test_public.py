@@ -21,7 +21,7 @@ from dpsynth.public import (
 )
 from dpsynth.queries import QuerySet
 
-from oracles import query_mask
+from oracles import query_mask, query_of
 
 
 def _empty_dataset(dom):
@@ -204,7 +204,7 @@ def _lp_mixture_error(cells, qs, targets):
     A = np.zeros((Q, S))
     for j, c in enumerate(cells):
         for qi in range(Q):
-            if query_mask(dom, qs.query(qi), np.array([c]))[0]:
+            if query_mask(dom, query_of(qs, qi), np.array([c]))[0]:
                 A[qi, j] = 1.0
     # variables: mu (S), t; minimize t subject to |A mu - targets| <= t
     c_obj = np.zeros(S + 1)

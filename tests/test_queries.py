@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from dpsynth import DataError, Dataset, Domain, MarginalQuery, build_workloads
 from dpsynth.queries import QuerySet, Workload, product_answers, product_answers_grad
 
-from oracles import answer_batch, answer_histogram, answer_records, product_query, query_mask
+from oracles import answer_batch, answer_histogram, answer_records, product_query, query_mask, query_of
 
 
 def brute_force_answer(dom, records, q):
@@ -31,7 +31,7 @@ def test_onehot_indices_and_matches():
     dom = Domain(("a", "b", "c"), (2, 3, 2))
     qs = build_workloads(dom, 2)
     qi = qs.workloads[1].offset + 2  # features (0, 2), targets (1, 0)
-    q = qs.query(qi)
+    q = query_of(qs, qi)
     assert q == MarginalQuery((0, 2), (1, 0))
     assert qs.idx[qi].tolist() == [1, 5]  # its one-hot positions
     cells = dom.encode(np.array([[1, 0, 0], [1, 2, 1], [0, 0, 0]]))
@@ -87,7 +87,7 @@ def test_answers_match_brute_force():
         counts = np.bincount(data.cells(), minlength=dom.total_cells)
         hist_ans = qs.answers_mass(counts) / n
         for qi in rng.choice(qs.total_queries, size=min(10, qs.total_queries), replace=False):
-            q = qs.query(int(qi))
+            q = query_of(qs, int(qi))
             want = brute_force_answer(dom, rec, q)
             assert ans[qi] == want  # integer counting: exact
             assert hist_ans[qi] == want
@@ -135,19 +135,86 @@ def test_answer_batch_is_mean_of_products():
     assert abs(answer_batch(q, P, dom) - want) < 1e-12
 
 
-def test_product_answers_matches_single():
-    rng = np.random.default_rng(5)
-    dom = Domain(("a", "b", "c"), (3, 2, 4))
-    qs = build_workloads(dom, 2)
-    B = 7
+def _normalized_rows(rng, dom, B):
     P = np.empty((B, dom.onehot_width))
     for a in range(dom.num_attrs):
         off, sz = dom.offset(a), dom.sizes[a]
         block = rng.random((B, sz))
         P[:, off : off + sz] = block / block.sum(axis=1, keepdims=True)
-    ans = product_answers(P, qs.idx)
+    return P
+
+
+def test_product_answers_matches_single():
+    rng = np.random.default_rng(5)
+    dom = Domain(("a", "b", "c"), (3, 2, 4))
+    qs = build_workloads(dom, 2)
+    P = _normalized_rows(rng, dom, 7)
+    ans = product_answers(P, qs)
     for qi in range(qs.total_queries):
-        assert abs(ans[qi] - answer_batch(qs.query(qi), P, dom)) < 1e-12
+        assert abs(ans[qi] - answer_batch(query_of(qs, qi), P, dom)) < 1e-12
+    # a subset of query ids answers just those, in the given order
+    picks = np.array([5, 0, 11, 5])
+    assert np.array_equal(product_answers(P, qs, picks), ans[picks])
+
+
+RELAXED_SIZES = (2, 3, 4, 5, 6, 8, 10, 12, 16, 4, 6, 8)
+
+
+@pytest.mark.parametrize(
+    "sizes,k,B,clipped",
+    [
+        (RELAXED_SIZES, 1, 5, False),
+        (RELAXED_SIZES, 2, 5, False),
+        (RELAXED_SIZES, 3, 3, False),
+        ((3, 2, 5, 4, 2), 4, 6, False),
+        ((3, 2, 5, 4, 2), 3, 1, False),
+        ((3, 2, 5, 4, 2), 2, 4, True),
+    ],
+)
+def test_full_product_answers_match_gather(sizes, k, B, clipped):
+    rng = np.random.default_rng(sum(sizes) + 10 * k + B)
+    dom = Domain(tuple(f"a{i}" for i in range(len(sizes))), sizes)
+    qs = build_workloads(dom, k)
+    if clipped:  # rows of the clipping variant: blocks in [0, 1], not normalized
+        P = np.clip(rng.normal(0.5, 0.5, size=(B, dom.onehot_width)), 0.0, 1.0)
+    else:
+        P = _normalized_rows(rng, dom, B)
+    gather = P[:, qs.idx].prod(axis=2).mean(axis=0)
+    assert np.abs(product_answers(P, qs) - gather).max() < 1e-12
+
+
+def test_full_product_answers_chunk_rows(monkeypatch):
+    # B * prod(sizes[:-1]) = 6 * 20 is far over a 7-element budget, so every
+    # workload is contracted in several row chunks, answers and gradient alike
+    import dpsynth.queries as queries
+
+    rng = np.random.default_rng(2)
+    dom = Domain(("a", "b", "c", "d"), (4, 5, 3, 2))
+    qs = build_workloads(dom, 3)
+    P = _normalized_rows(rng, dom, 6)
+    coeff = rng.standard_normal(qs.total_queries)
+    want = product_answers(P, qs), product_answers_grad(P, qs, coeff)
+    monkeypatch.setattr(queries, "_CHUNK_TARGET", 7)
+    assert len(queries._row_chunks(6, 20)) == 6
+    assert np.abs(product_answers(P, qs) - want[0]).max() < 1e-12
+    assert np.abs(product_answers(P, qs) - P[:, qs.idx].prod(axis=2).mean(axis=0)).max() < 1e-12
+    assert np.abs(product_answers_grad(P, qs, coeff) - want[1]).max() < 1e-12
+    # the gather chunks its queries under the same budget
+    ids = np.arange(qs.total_queries)
+    assert np.abs(product_answers(P, qs, ids) - want[0]).max() < 1e-12
+    assert np.abs(product_answers_grad(P, qs, coeff, ids) - want[1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("sizes,k,B", [((2, 3, 2), 3, 4), ((3, 2, 4, 2), 2, 1), ((4, 3), 1, 3)])
+def test_full_product_gradient_matches_subset(sizes, k, B):
+    rng = np.random.default_rng(9)
+    dom = Domain(tuple(f"a{i}" for i in range(len(sizes))), sizes)
+    qs = build_workloads(dom, k)
+    P = rng.random((B, dom.onehot_width)) * 0.9 + 0.05
+    coeff = rng.standard_normal(qs.total_queries)
+    full = product_answers_grad(P, qs, coeff)
+    subset = product_answers_grad(P, qs, coeff, np.arange(qs.total_queries))
+    assert np.abs(full - subset).max() < 1e-12
 
 
 def test_product_answers_grad_finite_differences():
@@ -157,19 +224,33 @@ def test_product_answers_grad_finite_differences():
     B = 4
     P = rng.random((B, dom.onehot_width)) * 0.9 + 0.05
     coeff = rng.standard_normal(qs.total_queries)
-    g = product_answers_grad(P, qs.idx, coeff)
+    # the whole collection (dense contraction) and all ids (gather)
+    for qidx in (None, np.arange(qs.total_queries)):
+        g = product_answers_grad(P, qs, coeff, qidx)
 
-    def scalar(Pflat):
-        ans = product_answers(Pflat.reshape(P.shape), qs.idx)
-        return float(coeff @ ans)
+        def scalar(Pflat):
+            ans = product_answers(Pflat.reshape(P.shape), qs, qidx)
+            return float(coeff @ ans)
 
-    h = 1e-6
-    flat = P.ravel().copy()
-    for j in rng.choice(flat.size, size=12, replace=False):
-        up = flat.copy(); up[j] += h
-        dn = flat.copy(); dn[j] -= h
-        fd = (scalar(up) - scalar(dn)) / (2 * h)
-        assert abs(fd - g.ravel()[j]) < 1e-5
+        h = 1e-6
+        flat = P.ravel().copy()
+        for j in rng.choice(flat.size, size=12, replace=False):
+            up = flat.copy(); up[j] += h
+            dn = flat.copy(); dn[j] -= h
+            fd = (scalar(up) - scalar(dn)) / (2 * h)
+            assert abs(fd - g.ravel()[j]) < 1e-5
+
+
+def test_workload_of_first_last_and_out_of_range():
+    dom = Domain(("a", "b", "c", "d"), (2, 3, 4, 2))
+    for k in (1, 2, 3):
+        qs = build_workloads(dom, k)
+        for wi, w in enumerate(qs.workloads):
+            assert qs.workload_of(w.offset) == wi
+            assert qs.workload_of(w.offset + w.n_queries - 1) == wi
+        for bad in (-1, qs.total_queries, qs.total_queries + 5):
+            with pytest.raises(IndexError):
+                qs.workload_of(bad)
 
 
 @settings(max_examples=30, deadline=None)
@@ -191,7 +272,7 @@ def test_answers_mass_matches_histogram():
     qs = build_workloads(dom, 2)
     m = rng.random(dom.total_cells)
     m /= m.sum()
-    want = [answer_histogram(qs.query(qi), dom, m) for qi in range(qs.total_queries)]
+    want = [answer_histogram(query_of(qs, qi), dom, m) for qi in range(qs.total_queries)]
     assert np.allclose(qs.answers_mass(m), want, atol=1e-15)
 
 
@@ -235,9 +316,9 @@ def test_cells_of_matches_scan(seed):
     support = np.random.default_rng(seed).permutation(dom.total_cells)[: dom.total_cells // 2]
     locals_ = qs._cell_locals(support)
     for qi in range(qs.total_queries):
-        want = np.flatnonzero(query_mask(dom, qs.query(qi), cells))
+        want = np.flatnonzero(query_mask(dom, query_of(qs, qi), cells))
         assert np.array_equal(qs.cells_of(qi), want)
-        want = np.flatnonzero(query_mask(dom, qs.query(qi), support))
+        want = np.flatnonzero(query_mask(dom, query_of(qs, qi), support))
         assert np.array_equal(qs.cells_of(qi, locals_), want)
 
 

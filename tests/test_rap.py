@@ -97,11 +97,11 @@ def test_update_loss_non_increasing_across_calls():
     led.record(0, 0.55, 1)
     led.record(4, 0.1, 2)
     led.record(5, 0.35, 3)
-    idx = qs.idx[led.indices()]
+    qidx = led.indices()
     targets = led.answers()
 
     def loss():
-        return float(((product_answers(synth.rd.probs(), idx) - targets) ** 2).sum())
+        return float(((product_answers(synth.rd.probs(), qs, qidx) - targets) ** 2).sum())
 
     prev = loss()
     for _ in range(60):
@@ -230,12 +230,12 @@ def test_gradient_matches_finite_differences(original):
     qs = build_workloads(dom, 2)
     rng = np.random.default_rng(3)
     synth = RapSynthesizer(dom, qs, RapConfig(rows=3, original=original), rng)
-    idx = qs.idx[np.array([0, 2, 5])]
+    qidx = np.array([0, 2, 5])
     targets = np.array([0.3, 0.1, 0.25])
     M = synth.rd.M.copy()
-    _, P, diff = synth._loss(M, idx, targets)
-    g = synth._grad(M, P, idx, diff)
+    _, P, diff = synth._loss(M, qidx, targets)
+    g = synth._grad(M, P, qidx, diff)
     fd = central_difference(
-        lambda v: synth._loss(v.reshape(M.shape), idx, targets)[0], M.ravel().copy(), h=1e-6
+        lambda v: synth._loss(v.reshape(M.shape), qidx, targets)[0], M.ravel().copy(), h=1e-6
     ).reshape(M.shape)
     assert np.abs(g - fd).max() < 1e-7

@@ -16,7 +16,7 @@ from dpsynth import (
     run,
 )
 
-from oracles import query_mask
+from oracles import query_mask, query_of
 
 
 def _setup(sizes=(4,), k=1):
@@ -79,7 +79,7 @@ def test_dualquery_argmin_matches_brute_force():
         # independent scan: count matches of each drawn query, cell by cell
         scores = np.zeros(dom.total_cells)
         for qidx in drawn:
-            q = qs.query(qidx)
+            q = query_of(qs, qidx)
             for x in cells:
                 if query_mask(dom, q, np.array([x]))[0]:
                     scores[x] += 1
@@ -143,7 +143,7 @@ def test_fem_seeded_run_matches_independent_scan():
         picked, _ = synth.private_round(rnd, qs, priv, acct, rng, True)
         base = np.zeros(dom.total_cells)
         for qidx in synth.selected:
-            q = qs.query(qidx)
+            q = query_of(qs, qidx)
             for x in range(dom.total_cells):
                 if query_mask(dom, q, np.array([x]))[0]:
                     base[x] += 1
