@@ -24,7 +24,7 @@ from .privacy import (
     zcdp_to_dp,
 )
 from .public import best_mixture_error, gem_pub_pretrain, pep_pub_init
-from .queries import MarginalQuery, QuerySet, Workload, build_workloads
+from .queries import QuerySet, Workload, build_workloads
 from .rap import RapConfig, RapSynthesizer, RelaxedDataset
 from .report import build_report, canonical_json, errors, write_report
 from .search import DualQueryConfig, DualQuerySynthesizer, FemConfig, FemSynthesizer

@@ -158,6 +158,8 @@ def cmd_synth(args) -> int:
         raise UsageError("--output-average is only available for mwem and pep")
     if args.em_halved and args.method == "dualquery":
         raise UsageError("--em-halved does not apply to dualquery, which draws no exponential mechanism")
+    if args.pretrain_steps < 1:
+        raise UsageError(f"--pretrain-steps must be >= 1, got {args.pretrain_steps}")
 
     domain = Domain.load(args.domain)
     data = Dataset.from_csv(args.data, domain)
@@ -410,6 +412,8 @@ def cmd_accountant(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    if args.steps < 1:
+        raise UsageError(f"--steps must be >= 1, got {args.steps}")
     domain = Domain.load(args.domain)
     public = _load_public(args.public, domain)
     queries = _build_queries(args, domain)
@@ -430,6 +434,8 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_best_mixture_error(args) -> int:
+    if args.iterations < 1:
+        raise UsageError(f"--iterations must be >= 1, got {args.iterations}")
     domain = Domain.load(args.domain)
     data = Dataset.from_csv(args.data, domain)
     public = Dataset.from_csv(args.public, domain)

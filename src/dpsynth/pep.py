@@ -59,14 +59,14 @@ class PepSynthesizer(Synthesizer):
         self.gamma = float(gamma)
         self.t_max = int(t_max)
         self.target_clip = float(target_clip)
-        # a public support keeps its per-workload query map (None on the full domain)
-        self._locals = queries._cell_locals(self.cells)
+        # a public support keeps its query map (None on the full domain)
+        self._qmap = queries._cell_locals(self.cells)
         self._cell_lists: dict[int, np.ndarray] = {}  # support positions per measured query
 
     def _answers_all(self) -> np.ndarray:
-        if self._locals is None:
+        if self._qmap is None:
             return self.queries.answers_mass(self.probs)
-        return self.queries.answers_support(self.cells, self.probs, self._locals)
+        return self.queries.answers_support(self.cells, self.probs, self._qmap)
 
     def answers(self, queries: QuerySet) -> np.ndarray:
         if queries is self.queries:
@@ -75,7 +75,7 @@ class PepSynthesizer(Synthesizer):
 
     def _cells(self, qidx: int) -> np.ndarray:
         if qidx not in self._cell_lists:
-            self._cell_lists[qidx] = self.queries.cells_of(qidx, self._locals)
+            self._cell_lists[qidx] = self.queries.cells_of(qidx, self._qmap)
         return self._cell_lists[qidx]
 
     def update(self, ledger: MeasurementLedger) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 from .domain import DataError, Dataset, Domain, DomainError, SupportDistribution
 from .gem import Adam, GemConfig, Params, gem_gradient, init_params
 from .pep import PepSynthesizer
-from .queries import QuerySet
+from .queries import QuerySet, SupportMap
 
 
 def pep_pub_init(
@@ -92,14 +92,14 @@ def gem_pub_pretrain(
     """
     if public.n == 0:
         raise DataError("empty public dataset")
+    if steps < 1:
+        raise DataError("steps must be >= 1")
     restricted = restrict_to_public(queries, public.domain)
     targets = public_answers(restricted, public)
     params = init_params(rng, cfg.z_dim, cfg.hidden, domain.onehot_width)
     Z = rng.standard_normal((cfg.batch, cfg.z_dim))
     opt = Adam(params, lr)
-    max_err = float("inf")
-    used = 0
-    for used in range(1, max(1, steps) + 1):
+    for used in range(1, steps + 1):
         _, grads, c = gem_gradient(params, Z, restricted, None, targets, 0.0, cfg.loss)
         params = opt.step(params, grads)
         max_err = float(np.abs(c).max())
@@ -119,6 +119,13 @@ def best_mixture_error(
     Solved as a zero-sum game by multiplicative weights on the mixture
     against best-response signed queries, rate 0.5/sqrt(iterations); returns
     the smallest max-residual seen across iterates and the running average.
+
+    The step is cell-local: the mixture is w / z, with unnormalized weights w,
+    their sum z and their answers A, so the worst query is the argmax of
+    |targets * z - A|, and scaling its cells changes only z and, per scaled
+    cell, the answer of the query it meets in each workload. Every 50
+    iterations and at the last, w is rescaled to sum 1, z and A are recomputed
+    in full so rounding cannot drift, and the running average is evaluated.
     """
     cells = np.asarray(support_cells, dtype=np.int64)
     if cells.size == 0:
@@ -128,21 +135,33 @@ def best_mixture_error(
         raise DataError("target vector does not match the query collection")
     if iterations < 1:
         raise DataError("iterations must be >= 1")
-    locals_ = queries._cell_locals(cells)
+    qmap = SupportMap(queries, cells)  # the full domain too: steps scatter through it
     lr = 0.5 / math.sqrt(iterations)
-    mu = np.full(cells.size, 1.0 / cells.size)
-    avg = np.zeros_like(mu)
+    w, z = np.full(cells.size, 1.0 / cells.size), 1.0
+    answers = queries.answers_support(cells, w, qmap)
+    avg = np.zeros_like(w)
+    gap = np.empty_like(targets)
+    steps: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # picked query -> positions, their query ids
     best = float("inf")
     for it in range(1, iterations + 1):
-        r = targets - queries.answers_support(cells, mu, locals_)
-        worst = int(np.argmax(np.abs(r)))
-        best = min(best, float(np.abs(r).max()))
+        np.subtract(np.multiply(targets, z, out=gap), answers, out=gap)  # residual times z
+        worst = int(np.abs(gap).argmax())
+        best = min(best, abs(float(gap[worst])) / z)
+        if worst not in steps:
+            sel = queries.cells_of(worst, qmap)
+            steps[worst] = sel, qmap.ids[:, sel].T.ravel()
+        sel, ids = steps[worst]
         # mixture player response: downweight cells that worsen the residual
-        sign = 1.0 if r[worst] >= 0 else -1.0
-        mu[queries.cells_of(worst, locals_)] *= np.exp(lr * sign)
-        mu /= mu.sum()
-        avg += mu
+        delta = w[sel] * math.expm1(lr if gap[worst] >= 0 else -lr)
+        w[sel] += delta
+        z += float(delta.sum())
+        # one value per flat id: np.add.at broadcasting 1-D values over a
+        # 2-D index reads out of bounds in numpy 2.4
+        np.add.at(answers, ids, delta.repeat(qmap.ids.shape[0]))
+        avg += w / z
         if it % 50 == 0 or it == iterations:
-            r_avg = targets - queries.answers_support(cells, avg / it, locals_)
-            best = min(best, float(np.abs(r_avg).max()))
+            w /= w.sum()
+            z = 1.0
+            answers = queries.answers_support(cells, w, qmap)
+            best = min(best, float(np.abs(targets - queries.answers_support(cells, avg / it, qmap)).max()))
     return best

@@ -6,6 +6,10 @@ concatenates workloads into one global query index space and evaluates the
 whole collection against datasets, dense mass vectors, cell-support
 distributions, and batches of relaxed one-hot probability rows.
 
+An explicit support (any cell set but the full domain) gets one query map: the
+global query each of its cells meets in each workload, so its answers are one
+`bincount`, and a query -> positions index, so listing cells scans nothing.
+
 Product queries over relaxed rows (gem, rap-softmax) take one of two paths.
 The whole collection is one contraction per workload: the row-wise outer
 product of its first k-1 attribute blocks times its last block, in row chunks
@@ -28,20 +32,6 @@ _CHUNK_TARGET = 4_000_000
 
 
 @dataclass(frozen=True)
-class MarginalQuery:
-    """Single counting query: fraction of records with records[S] == targets."""
-
-    features: tuple[int, ...]
-    targets: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.features) != len(self.targets) or not self.features:
-            raise DataError("need one target per feature")
-        if list(self.features) != sorted(set(self.features)):
-            raise DataError("features must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class Workload:
     """All value combinations of one feature subset, lexicographic order."""
 
@@ -59,21 +49,29 @@ class Workload:
             st[i] = st[i + 1] * self.sizes[i + 1]
         return tuple(st)
 
-    def query(self, local: int) -> MarginalQuery:
-        return MarginalQuery(self.features, tuple(int(t) for t in np.unravel_index(local, self.sizes)))
-
-    def locals_of_cells(self, domain: Domain, cells: np.ndarray) -> np.ndarray:
-        """Which of this workload's queries each cell satisfies (exactly one)."""
-        loc = np.zeros(np.asarray(cells).shape[0], dtype=np.int64)
-        for f, st in zip(self.features, self.local_strides()):
-            loc += domain.attr_values(cells, f) * st
-        return loc
-
     def locals_of_records(self, records: np.ndarray) -> np.ndarray:
         loc = np.zeros(records.shape[0], dtype=np.int64)
         for f, st in zip(self.features, self.local_strides()):
             loc += records[:, f] * st
         return loc
+
+
+class SupportMap:
+    """The query map of an explicit support (see the module docstring): `ids[i, s]` is
+    the global id of the query of workload i that the cell at support position s meets."""
+
+    def __init__(self, queries: "QuerySet", cells: np.ndarray):
+        values = queries.domain.decode(cells)
+        self.ids = np.stack([w.offset + w.locals_of_records(values) for w in queries.workloads])
+        self._total_queries = queries.total_queries
+
+    @cached_property
+    def index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, positions), built on first use: query q's positions are
+        positions[indptr[q] : indptr[q + 1]], ascending, as the stable sort keeps them."""
+        flat = self.ids.ravel()
+        counts = np.bincount(flat, minlength=self._total_queries)
+        return np.concatenate(([0], np.cumsum(counts))), np.argsort(flat, kind="stable") % self.ids.shape[1]
 
 
 class QuerySet:
@@ -134,8 +132,8 @@ class QuerySet:
         total = self.domain.total_cells
         return cells.shape[0] == total and np.array_equal(cells, np.arange(total))
 
-    def _cell_locals(self, cells: np.ndarray) -> list[np.ndarray] | None:
-        """Per-workload query map of a support: which query of each workload each cell meets.
+    def _cell_locals(self, cells: np.ndarray) -> SupportMap | None:
+        """The query map of a support, for callers that evaluate it many times.
 
         None for the full domain (cells 0..total_cells-1 in order), whose
         answers are dense marginals and whose cells are reached by stride.
@@ -143,21 +141,22 @@ class QuerySet:
         cells = np.asarray(cells, dtype=np.int64)
         if self._is_full(cells):
             return None
-        return [w.locals_of_cells(self.domain, cells) for w in self.workloads]
+        return SupportMap(self, cells)
 
-    def cells_of(self, qidx: int, locals: list[np.ndarray] | None = None) -> np.ndarray:
+    def cells_of(self, qidx: int, qmap: SupportMap | None = None) -> np.ndarray:
         """Ascending positions, in a support, of the cells query `qidx` matches.
 
-        `locals` is the support's `_cell_locals` map; without one the support
-        is the full domain, where positions are flat cell indices: the query's
-        targets times their strides, plus every cell that is 0 on the
-        workload's attributes (built from the strides once per workload, with
-        no scan over the domain).
+        `qmap` is the support's query map, whose index lists them; without
+        one the support is the full domain, where positions are flat cell
+        indices: the query's targets times their strides, plus every cell
+        that is 0 on the workload's attributes (built from the strides once
+        per workload, with no scan over the domain).
         """
         wi = self.workload_of(qidx)
+        if qmap is not None:
+            indptr, positions = qmap.index
+            return positions[indptr[qidx] : indptr[qidx + 1]]
         w = self.workloads[wi]
-        if locals is not None:
-            return np.flatnonzero(locals[wi] == qidx - w.offset)
         dom = self.domain
         if wi not in self._zero_cells:
             axes = [
@@ -197,25 +196,22 @@ class QuerySet:
         return out
 
     def answers_support(
-        self, cells: np.ndarray, probs: np.ndarray, locals: list[np.ndarray] | None = None
+        self, cells: np.ndarray, probs: np.ndarray, qmap: SupportMap | None = None
     ) -> np.ndarray:
         """Answers of a distribution given as (cells, probabilities).
 
-        `locals` is the support's `_cell_locals` map, for callers that
-        evaluate one support many times. Without it, the full domain takes
-        the dense `answers_mass` path and any other support builds its map.
+        `qmap` is the support's query map, for callers that evaluate one
+        support many times. Without it, the full domain takes the dense
+        `answers_mass` path and any other support builds its map. Each query
+        sums its cells in position order.
         """
-        if locals is None:
+        if qmap is None:
             cells = np.asarray(cells, dtype=np.int64)
             if self._is_full(cells):
                 return self.answers_mass(probs)
-            locals = self._cell_locals(cells)
-        out = np.empty(self.total_queries)
-        for w, loc in zip(self.workloads, locals):
-            out[w.offset : w.offset + w.n_queries] = np.bincount(
-                loc, weights=probs, minlength=w.n_queries
-            )
-        return out
+            qmap = self._cell_locals(cells)
+        weights = np.tile(probs, qmap.ids.shape[0])
+        return np.bincount(qmap.ids.ravel(), weights=weights, minlength=self.total_queries)
 
     def answers_probs(self, P: np.ndarray) -> np.ndarray:
         """Mean product-query answers over a batch of probability rows.

@@ -115,13 +115,12 @@ def write_errors_csv(queries: QuerySet, true_answers, synth_answers, path) -> No
         w.writerow(["features", "targets", "true", "synthetic", "abs_error"])
         for wl, sl in zip(queries.workloads, queries.slices()):
             names = "|".join(queries.domain.names[ft] for ft in wl.features)
-            for local in range(wl.n_queries):
-                q = wl.query(local)
+            for local, targets in enumerate(np.ndindex(*wl.sizes)):  # lexicographic, as indexed
                 gi = sl.start + local
                 w.writerow(
                     [
                         names,
-                        "|".join(str(t) for t in q.targets),
+                        "|".join(str(t) for t in targets),
                         repr(float(true_answers[gi])),
                         repr(float(synth_answers[gi])),
                         repr(abs(float(true_answers[gi]) - float(synth_answers[gi]))),

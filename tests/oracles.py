@@ -7,10 +7,25 @@ are plain mass vectors indexed by flat cell index, and a query's cells are a
 boolean mask over them.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from dpsynth.domain import DataError, normalize_mass
+
+
+@dataclass(frozen=True)
+class MarginalQuery:
+    """Single counting query: fraction of records with records[S] == targets."""
+
+    features: tuple[int, ...]
+    targets: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.features) != len(self.targets) or not self.features:
+            raise DataError("need one target per feature")
+        if list(self.features) != sorted(set(self.features)):
+            raise DataError("features must be strictly increasing")
 
 
 def brute_force_answer(domain, dataset, features, targets):
@@ -25,7 +40,7 @@ def brute_force_answer(domain, dataset, features, targets):
 def query_of(qs, qidx):
     """The marginal query at global index qidx of a query collection."""
     w = qs.workloads[qs.workload_of(qidx)]
-    return w.query(qidx - w.offset)
+    return MarginalQuery(w.features, tuple(int(t) for t in np.unravel_index(qidx - w.offset, w.sizes)))
 
 
 def query_mask(domain, q, cells):
@@ -111,6 +126,38 @@ def pep_project_once(probs, mask, a_target):
         raise DataError("projection needs both answers strictly inside (0, 1)")
     out = np.where(mask, probs * (a_target / a_cur), probs * ((1.0 - a_target) / (1.0 - a_cur)))
     return normalize_mass(out)
+
+
+def best_mixture_error_dense(cells, qs, targets, iterations=2000):
+    """The multiplicative-weights floor of `public.best_mixture_error`, dense.
+
+    Every iteration recomputes every answer of the normalized mixture (one
+    bincount per workload over the support's per-workload query map), scales
+    the worst query's cells by e^{+-lr} and renormalizes the whole mixture.
+    """
+    values = qs.domain.decode(np.asarray(cells, dtype=np.int64))
+    locals_ = [w.locals_of_records(values) for w in qs.workloads]
+
+    def answers(mu):
+        return np.concatenate(
+            [np.bincount(loc, weights=mu, minlength=w.n_queries) for w, loc in zip(qs.workloads, locals_)]
+        )
+
+    lr = 0.5 / math.sqrt(iterations)
+    mu = np.full(len(values), 1.0 / len(values))
+    avg = np.zeros_like(mu)
+    best = math.inf
+    for it in range(1, iterations + 1):
+        r = targets - answers(mu)
+        worst = int(np.argmax(np.abs(r)))
+        best = min(best, float(np.abs(r).max()))
+        wi = qs.workload_of(worst)
+        mu[locals_[wi] == worst - qs.workloads[wi].offset] *= math.exp(lr if r[worst] >= 0 else -lr)
+        mu /= mu.sum()
+        avg += mu
+        if it % 50 == 0 or it == iterations:
+            best = min(best, float(np.abs(targets - answers(avg / it)).max()))
+    return best
 
 
 def pep_dual_loss(lambdas, queries, indices, targets, gamma=0.0):

@@ -114,6 +114,7 @@ def test_option_conflicts_exit_2(toy, tmp_path):
     assert _synth(toy, tmp_path, "--output-average", method="rap-softmax") == 2
     assert _synth(toy, tmp_path, "--gem-init", "ck.json") == 2
     assert _synth(toy, tmp_path, "--workloads", "abc") == 2
+    assert _synth(toy, tmp_path, "--pretrain-steps", "0") == 2
     assert main(["gen-toy", "--sizes", "a,b", "--out", str(tmp_path / "t.csv")]) == 2
 
 
@@ -357,6 +358,15 @@ def test_search_methods_run(toy, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_pretrain_zero_steps_exits_2(toy, tmp_path, capsys):
+    dom, dat = toy
+    ck = tmp_path / "gen.json"
+    rc = main(["pretrain", "--domain", str(dom), "--public", str(dat), "--out", str(ck), "--steps", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --steps must be >= 1, got 0\n"
+    assert not ck.exists()
+
+
 def test_pretrain_then_gem_init(toy, tmp_path, capsys):
     dom, dat = toy
     ck = tmp_path / "gen.json"
@@ -407,6 +417,17 @@ def test_best_mixture_error_subcommand(toy, tmp_path, capsys):
     val = float(out.split("=")[1])
     # reweighting the private support itself can reproduce it (near-)exactly
     assert 0.0 <= val < 0.02
+
+
+@pytest.mark.parametrize("iterations", ["0", "-3"])
+def test_best_mixture_error_non_positive_iterations_exits_2(toy, capsys, iterations):
+    dom, dat = toy
+    rc = main(
+        ["best-mixture-error", "--domain", str(dom), "--data", str(dat), "--public", str(dat),
+         "--iterations", iterations]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --iterations must be >= 1, got {iterations}\n"
 
 
 def test_best_mixture_error_past_int64_cells_exits_3(tmp_path, capsys):

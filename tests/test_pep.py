@@ -181,21 +181,39 @@ def _dense_update(probs, masks, targets, t_max, gamma, picks):
 
 
 def _scale_logger(log):
-    """`CellWeights.scale` that records the cells of every projection."""
+    """`CellWeights.scale` that records (cells, inside, outside) of every projection."""
     real = CellWeights.scale
 
     def scale(self, cells, inside, outside):
-        log.append(cells)
+        log.append((cells, inside, outside))
         return real(self, cells, inside, outside)
 
     return scale
+
+
+# relative rounding of one projection's answer q: a sum of at most 16 cells
+# divided by a normalizer that folded in at most 39 earlier steps
+_ROUNDING = 64 * np.finfo(float).eps
+
+
+def _amplification(inside, outside, target):
+    """max(1/q, 1/(1-q)) of a projection, from its factors a/q and (1-a)/(1-q)."""
+    return max(inside / target, outside / (1.0 - target))
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 99_999), public=st.booleans(), rounds=st.integers(1, 5))
 @example(seed=3000, public=False, rounds=4)
 @example(seed=581, public=False, rounds=5)
+@example(seed=10670, public=True, rounds=5)
 def test_cell_local_update_matches_dense_replay(seed, public, rounds):
+    """The update equals a dense replay of its picks, within the rounding its projections amplify.
+
+    A projection computes 1 - q(D) (or divides by q(D)) from an answer that
+    carries a relative rounding error up to _ROUNDING, so its factors, and
+    the state, move by up to _ROUNDING * max(1/q, 1/(1-q)). Those terms add
+    up over every projection so far; 1e-12 stays the bound until they pass it.
+    """
     rng = np.random.default_rng(seed)
     shape = [(2, 3), (3, 3), (2, 2, 4), (4, 4)][seed % 4]
     dom = Domain(tuple("abc"[: len(shape)]), shape)
@@ -212,6 +230,7 @@ def test_cell_local_update_matches_dense_replay(seed, public, rounds):
     dense = synth.probs.copy()
     led = MeasurementLedger()
     masks = []
+    amplified = 0.0
     picks = rng.choice(qs.total_queries, size=min(rounds, qs.total_queries), replace=False)
     for rnd, qi in enumerate(picks, start=1):
         led.record(int(qi), float(rng.uniform(-0.1, 1.1)), rnd)
@@ -220,10 +239,11 @@ def test_cell_local_update_matches_dense_replay(seed, public, rounds):
         with mock.patch.object(CellWeights, "scale", _scale_logger(scaled)):
             synth.update(led)
         lists = [synth._cells(int(q)) for q in led.indices()]
-        projected = [next(i for i, c in enumerate(lists) if c is s) for s in scaled]
+        projected = [next(i for i, c in enumerate(lists) if c is s) for s, _, _ in scaled]
         targets = np.clip(led.answers(), synth.target_clip, 1.0 - synth.target_clip)
+        amplified += sum(_amplification(i, o, targets[j]) for (_, i, o), j in zip(scaled, projected))
         dense = _dense_update(dense, masks, targets, synth.t_max, synth.gamma, projected)
-        assert np.abs(synth.probs - dense).max() <= 1e-12
+        assert np.abs(synth.probs - dense).max() <= max(1e-12, _ROUNDING * amplified)
 
 
 def test_gamma_tolerance_skips_small_residuals():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from dpsynth import (
@@ -20,8 +22,9 @@ from dpsynth.public import (
     restrict_to_public,
 )
 from dpsynth.queries import QuerySet
+from dpsynth.toy import gen_toy
 
-from oracles import query_mask, query_of
+from oracles import best_mixture_error_dense, query_mask, query_of
 
 
 def _empty_dataset(dom):
@@ -151,6 +154,8 @@ def test_gem_pub_pretrain_restricts_queries():
     with pytest.raises(DataError):
         gem_pub_pretrain(dom, _empty_dataset(pub_dom), qs, cfg, rng)
     with pytest.raises(DataError):
+        gem_pub_pretrain(dom, pub, qs, cfg, rng, steps=0)
+    with pytest.raises(DataError):
         gem_pub_pretrain(dom, Dataset(Domain(("z",), (2,)), np.array([[0]])), qs, cfg, rng)
 
 
@@ -238,3 +243,63 @@ def test_best_mixture_error_matches_lp():
         lp = _lp_mixture_error(cells, qs, targets)
         assert got >= lp - 1e-9  # the dynamics can never beat the true minimax
         assert abs(got - lp) <= 1e-2
+
+
+def _public_floor_case(attrs, seed, public_n):
+    """(support, queries, targets): a gen_toy table's 3-way answers and a second table's support."""
+    domain, data = gen_toy(attrs=attrs, sizes=8, n=2000, seed=seed)
+    _, public = gen_toy(attrs=attrs, sizes=8, n=public_n, seed=seed + 1)
+    qs = build_workloads(domain, 3)
+    return np.unique(public.cells()), qs, qs.answers_records(data)
+
+
+def _criterion_9_case():
+    """The support of acceptance criterion 9: the toy table without its commonest first value."""
+    domain, data = gen_toy(attrs=4, sizes=8, n=2000, seed=0)
+    qs = build_workloads(domain, 3)
+    v_star = int(np.argmax(np.bincount(data.records[:, 0], minlength=8)))
+    public = Dataset(domain, data.records[data.records[:, 0] != v_star])
+    return np.unique(public.cells()), qs, qs.answers_records(data)
+
+
+@pytest.mark.parametrize("targets_from", ["data", "support"])
+@pytest.mark.parametrize("case", ["grid", "toy", "hist", "criterion_9"])
+def test_best_mixture_error_matches_dense_oracle(case, targets_from):
+    if case == "grid":
+        qs = build_workloads(Domain(("a", "b"), (2, 2)), 1)
+        cells, targets = np.array([0, 3]), np.array([0.65, 0.35, 0.55, 0.45])
+    elif case == "toy":
+        cells, qs, targets = _public_floor_case(4, 3, 500)
+    elif case == "hist":
+        cells, qs, targets = _public_floor_case(6, 5, 2000)
+    else:
+        cells, qs, targets = _criterion_9_case()
+    if targets_from == "support":
+        # reachable targets: the floor is the game's convergence, not the
+        # target of a query that no support cell meets
+        targets = qs.answers_support(cells, np.random.default_rng(0).dirichlet(np.ones(cells.size)))
+    got = best_mixture_error(cells, qs, targets)
+    assert abs(got - best_mixture_error_dense(cells, qs, targets)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    kind=st.sampled_from(["point", "full", "sparse"]),
+    iterations=st.integers(1, 120),
+)
+def test_best_mixture_error_matches_dense_oracle_small(seed, kind, iterations):
+    # sparse and point supports leave queries with no support cell
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    dom = Domain(tuple(f"a{i}" for i in range(d)), tuple(int(s) for s in rng.integers(2, 5, size=d)))
+    qs = build_workloads(dom, int(rng.integers(1, d + 1)))
+    if kind == "point":
+        cells = rng.integers(dom.total_cells, size=1)
+    elif kind == "full":
+        cells = np.arange(dom.total_cells)
+    else:
+        cells = np.sort(rng.choice(dom.total_cells, size=int(rng.integers(1, dom.total_cells)), replace=False))
+    targets = qs.answers_mass(rng.dirichlet(np.full(dom.total_cells, 0.5)))
+    got = best_mixture_error(cells, qs, targets, iterations)
+    assert abs(got - best_mixture_error_dense(cells, qs, targets, iterations)) <= 1e-12

@@ -3,10 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpsynth import DataError, Dataset, Domain, MarginalQuery, build_workloads
+from dpsynth import DataError, Dataset, Domain, build_workloads
 from dpsynth.queries import QuerySet, Workload, product_answers, product_answers_grad
 
-from oracles import answer_batch, answer_histogram, answer_records, product_query, query_mask, query_of
+from oracles import (
+    MarginalQuery,
+    answer_batch,
+    answer_histogram,
+    answer_records,
+    product_query,
+    query_mask,
+    query_of,
+)
 
 
 def brute_force_answer(dom, records, q):
@@ -45,9 +53,10 @@ def test_workload_query_order_lexicographic():
     w = qs.workloads[0]
     assert w.features == (0, 1)
     # local index runs over targets lexicographically, last feature fastest
-    assert w.query(0).targets == (0, 0)
-    assert w.query(1).targets == (0, 1)
-    assert w.query(3).targets == (1, 0)
+    assert query_of(qs, 0).targets == (0, 0)
+    assert query_of(qs, 1).targets == (0, 1)
+    assert query_of(qs, 3).targets == (1, 0)
+    assert qs.idx[3].tolist() == [1, 2]  # one-hot positions of a=1, b=0
     assert w.n_queries == 6
 
 
@@ -286,17 +295,18 @@ def test_answers_support_matches_dense():
     dense[cells] = probs
     assert np.allclose(qs.answers_support(cells, probs), qs.answers_mass(dense), atol=1e-15)
     # a precomputed support map gives the same answers
-    locals_ = qs._cell_locals(cells)
-    with_map = qs.answers_support(cells, probs, locals_)
+    qmap = qs._cell_locals(cells)
+    with_map = qs.answers_support(cells, probs, qmap)
     assert np.array_equal(with_map, qs.answers_support(cells, probs))
 
 
-def _bincount_answers(qs, mass):
-    """Dense answers through per-cell query maps, one bincount per workload."""
-    cells = np.arange(qs.domain.total_cells)
+def _bincount_answers(qs, mass, cells=None):
+    """Answers through per-cell query maps, one bincount per workload (all cells by default)."""
+    if cells is None:
+        cells = np.arange(qs.domain.total_cells)
     out = np.empty(qs.total_queries)
     for w, sl in zip(qs.workloads, qs.slices()):
-        out[sl] = np.bincount(w.locals_of_cells(qs.domain, cells), weights=mass, minlength=w.n_queries)
+        out[sl] = np.bincount(w.locals_of_records(qs.domain.decode(cells)), weights=mass, minlength=w.n_queries)
     return out
 
 
@@ -310,16 +320,19 @@ def _random_queries(rng):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_cells_of_matches_scan(seed):
-    dom, qs = _random_queries(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    dom, qs = _random_queries(rng)
     cells = np.arange(dom.total_cells)
-    # a sparse, unordered support: positions into it, through its support map
-    support = np.random.default_rng(seed).permutation(dom.total_cells)[: dom.total_cells // 2]
-    locals_ = qs._cell_locals(support)
+    # a sparse, unordered support (down to one cell, so some queries meet
+    # none of it): positions into it, through its support map
+    support = rng.permutation(dom.total_cells)[: int(rng.integers(1, dom.total_cells))]
+    qmap = qs._cell_locals(support)
     for qi in range(qs.total_queries):
         want = np.flatnonzero(query_mask(dom, query_of(qs, qi), cells))
         assert np.array_equal(qs.cells_of(qi), want)
         want = np.flatnonzero(query_mask(dom, query_of(qs, qi), support))
-        assert np.array_equal(qs.cells_of(qi, locals_), want)
+        assert np.array_equal(qs.cells_of(qi, qmap), want)
+    assert sum(qs.cells_of(qi, qmap).size for qi in range(qs.total_queries)) == len(qs.workloads) * support.size
 
 
 @settings(max_examples=50, deadline=None)
@@ -329,6 +342,18 @@ def test_answers_mass_matches_bincount(seed):
     dom, qs = _random_queries(rng)
     mass = rng.dirichlet(np.ones(dom.total_cells) * 0.5)
     assert np.abs(qs.answers_mass(mass) - _bincount_answers(qs, mass)).max() <= 1e-15
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_answers_support_matches_per_workload_bincount(seed):
+    # the one bincount over the support map adds each query's cells in the
+    # order of one bincount per workload, so the answers are bit-identical
+    rng = np.random.default_rng(seed)
+    dom, qs = _random_queries(rng)
+    cells = rng.permutation(dom.total_cells)[: int(rng.integers(1, dom.total_cells))]  # never the full domain
+    probs = rng.dirichlet(np.ones(cells.size))
+    assert np.array_equal(qs.answers_support(cells, probs), _bincount_answers(qs, probs, cells))
 
 
 def test_answers_support_full_domain_uses_dense_path():
