@@ -25,7 +25,7 @@ from .privacy import (
 )
 from .public import best_mixture_error, gem_pub_pretrain, pep_pub_init
 from .queries import QuerySet, Workload, build_workloads
-from .rap import RapConfig, RapSynthesizer, RelaxedDataset
+from .rap import RapConfig, RapSynthesizer
 from .report import build_report, canonical_json, errors, write_report
 from .search import DualQueryConfig, DualQuerySynthesizer, FemConfig, FemSynthesizer
 from .toy import gen_toy

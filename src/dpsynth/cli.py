@@ -7,7 +7,6 @@ the histogram cell cap (or past 2^63 cells), 4 file or data errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -23,6 +22,7 @@ from .domain import (
     DomainError,
     ProductMixture,
     SupportDistribution,
+    load_npz,
 )
 from .gem import GemConfig, GemOutput, GemSynthesizer, forward, load_checkpoint, save_checkpoint
 from .loop import RunConfig, run
@@ -48,6 +48,7 @@ EXIT_FILE = 4
 
 METHODS = ("mwem", "pep", "gem", "rap-softmax", "dualquery", "fem")
 HISTOGRAM_METHODS = ("mwem", "pep")
+SEARCH_METHODS = ("dualquery", "fem")  # self-selecting: no Gaussian measurements
 
 
 class UsageError(ValueError):
@@ -158,6 +159,10 @@ def cmd_synth(args) -> int:
         raise UsageError("--output-average is only available for mwem and pep")
     if args.em_halved and args.method == "dualquery":
         raise UsageError("--em-halved does not apply to dualquery, which draws no exponential mechanism")
+    if args.marginal_trick and args.method in SEARCH_METHODS:
+        raise UsageError(f"--marginal-trick does not apply to {args.method}, which measures no answers")
+    if args.samples is not None and args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     if args.pretrain_steps < 1:
         raise UsageError(f"--pretrain-steps must be >= 1, got {args.pretrain_steps}")
 
@@ -168,7 +173,7 @@ def cmd_synth(args) -> int:
     queries = _build_queries(args, domain)
     rng = np.random.default_rng(args.seed)
 
-    if args.method in ("dualquery", "fem"):
+    if args.method in SEARCH_METHODS:
         acct = Accountant.selection_only(rho, args.T, args.k, data.n)
     else:
         acct = Accountant(rho, args.T, args.k, args.alpha, data.n)
@@ -203,7 +208,7 @@ def cmd_synth(args) -> int:
     synth_ans = out.answers(queries)
 
     if args.out:
-        count = args.samples if args.samples else data.n
+        count = args.samples if args.samples is not None else data.n
         out.sample_dataset(count, rng).to_csv(args.out)
     if args.save_dist:
         _save_artifact(out, args.save_dist)
@@ -259,11 +264,9 @@ def _build_synth(args, domain, data, queries, rng):
         cfg = _gem_config(args)
         init = None
         if args.gem_init:
-            params, z_dim, hidden = _load_checkpoint(args.gem_init, domain)
             # the checkpoint's weights fix the architecture; flags keep the
             # training knobs (batch, lr, t_max, loss, ...)
-            cfg = dataclasses.replace(cfg, z_dim=z_dim, hidden=hidden)
-            init = params
+            init = _load_checkpoint(args.gem_init, domain)
         elif args.public:
             public = _load_public(args.public, domain)
             init, info = gem_pub_pretrain(
@@ -312,7 +315,7 @@ def _build_synth(args, domain, data, queries, rng):
     raise UsageError(f"unknown method {method!r}")
 
 
-def _save_artifact(out, path) -> None:
+def _save_artifact(out: SupportDistribution | ProductMixture, path) -> None:
     if isinstance(out, GemOutput):
         out.save_checkpoint(path)
     else:
@@ -332,6 +335,8 @@ def _config_echo(args) -> dict:
 def cmd_evaluate(args) -> int:
     if (args.synthetic is None) == (args.dist is None):
         raise UsageError("give exactly one of --synthetic or --dist")
+    if args.gem_batch < 1:
+        raise UsageError(f"--gem-batch must be >= 1, got {args.gem_batch}")
     domain = Domain.load(args.domain)
     data = Dataset.from_csv(args.data, domain)
     queries = _build_queries(args, domain)
@@ -363,33 +368,21 @@ def cmd_evaluate(args) -> int:
 def _load_artifact(path, domain: Domain, args):
     """Support-distribution .npz, relaxed-rows .npz, or a generator checkpoint."""
     if str(path).endswith(".npz"):
-        with np.load(path, allow_pickle=False) as z:
-            keys = set(z.files)
-        if {"cells", "probs"} <= keys:
-            dist = SupportDistribution.load_npz(path)
-        elif "P" in keys:
-            with np.load(path, allow_pickle=False) as z:
-                dist = ProductMixture(Domain.from_json(str(z["domain"])), z["P"])
-        else:
-            raise DataError(f"{path}: unrecognized artifact layout")
+        dist = load_npz(path)
         if dist.domain.names != domain.names or dist.domain.sizes != domain.sizes:
             raise DataError(f"{path}: artifact domain does not match --domain")
         return dist
-    params, z_dim, hidden = _load_checkpoint(path, domain)
-    batch = getattr(args, "gem_batch", 100)
-    rng = np.random.default_rng(getattr(args, "seed", 0))
-    Z = rng.standard_normal((batch, z_dim))
-    P, _ = forward(params, Z, domain)
-    cfg = GemConfig(hidden=hidden, z_dim=z_dim, batch=batch)
-    return GemOutput(domain, P, params, cfg)
+    params = _load_checkpoint(path, domain)
+    Z = np.random.default_rng(args.seed).standard_normal((args.gem_batch, params[0][0].shape[0]))
+    return ProductMixture(domain, forward(params, Z, domain)[0])
 
 
 def _load_checkpoint(path, domain: Domain):
-    """(params, z_dim, hidden) of a generator checkpoint over `domain`."""
-    params, ck_domain, z_dim, hidden = load_checkpoint(path)
+    """The parameters of a generator checkpoint over `domain`."""
+    params, ck_domain = load_checkpoint(path)
     if ck_domain.names != domain.names or ck_domain.sizes != domain.sizes:
         raise DataError(f"{path}: checkpoint domain does not match --domain")
-    return params, z_dim, hidden
+    return params
 
 
 # ------------------------------------------------------------ accountant --
@@ -422,7 +415,7 @@ def cmd_pretrain(args) -> int:
     params, info = gem_pub_pretrain(
         domain, public, queries, cfg, rng, steps=args.steps, lr=args.lr, tol=args.tol
     )
-    save_checkpoint(params, domain, cfg, args.out)
+    save_checkpoint(params, domain, args.out)
     print(
         f"pretrained: {info['queries']} public queries, {info['steps']} steps, "
         f"max_err={info['max_err']:.6g} -> {args.out}"

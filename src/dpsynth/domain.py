@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,10 +120,6 @@ class Domain:
             out[:, i] = (cells // st) % sz
         return out
 
-    def attr_values(self, cells: np.ndarray, attr: int) -> np.ndarray:
-        """Values of one attribute for an array of cell indices."""
-        return (np.asarray(cells, dtype=np.int64) // self._strides[attr]) % self.sizes[attr]
-
     def to_json(self) -> str:
         return json.dumps(
             {"attributes": [{"name": n, "size": s} for n, s in zip(self.names, self.sizes)]}
@@ -131,14 +128,12 @@ class Domain:
     @classmethod
     def from_json(cls, text: str) -> "Domain":
         try:
-            obj = json.loads(text)
-            attrs = obj["attributes"]
-            return cls(
-                names=tuple(a["name"] for a in attrs),
-                sizes=tuple(int(a["size"]) for a in attrs),
-            )
-        except (KeyError, TypeError, json.JSONDecodeError) as e:
+            attrs = json.loads(text)["attributes"]
+            names = tuple(a["name"] for a in attrs)
+            sizes = tuple(int(a["size"]) for a in attrs)
+        except (KeyError, TypeError, ValueError) as e:  # ValueError: not JSON, or a size not an integer
             raise DomainError(f"bad domain description: {e}") from e
+        return cls(names=names, sizes=sizes)
 
     @classmethod
     def load(cls, path) -> "Domain":
@@ -315,12 +310,6 @@ class SupportDistribution:
     def save_npz(self, path) -> None:
         np.savez(path, cells=self.cells, probs=self.probs, domain=self.domain.to_json())
 
-    @classmethod
-    def load_npz(cls, path) -> "SupportDistribution":
-        with np.load(path, allow_pickle=False) as z:
-            dom = Domain.from_json(str(z["domain"]))
-            return cls(dom, z["cells"], z["probs"])
-
 
 class ProductMixture:
     """Uniform mixture of per-row product distributions (gem and rap-softmax output).
@@ -332,6 +321,8 @@ class ProductMixture:
     """
 
     def __init__(self, domain: Domain, P: np.ndarray):
+        if P.ndim != 2 or P.shape[1] != domain.onehot_width:
+            raise DataError(f"P of shape {P.shape} is not rows of the one-hot width {domain.onehot_width}")
         self.domain = domain
         self.P = P
 
@@ -355,3 +346,24 @@ class ProductMixture:
 
     def save_npz(self, path) -> None:
         np.savez(path, P=self.P, domain=self.domain.to_json())
+
+
+def load_npz(path) -> SupportDistribution | ProductMixture:
+    """The distribution that a `save_npz` wrote, read from one opening of the archive.
+
+    Raises DataError for a file that is not such an archive.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            arrays = dict(z)
+    except (EOFError, TypeError, ValueError, zipfile.BadZipFile) as e:
+        # TypeError: a bare .npy array; ValueError: pickled or object data
+        raise DataError(f"{path}: not a distribution archive: {e}") from None
+    if "domain" not in arrays:
+        raise DataError(f"{path}: the archive names no domain")
+    domain = Domain.from_json(str(arrays["domain"]))
+    if {"cells", "probs"} <= arrays.keys():
+        return SupportDistribution(domain, arrays["cells"], arrays["probs"])
+    if "P" in arrays:
+        return ProductMixture(domain, arrays["P"])
+    raise DataError(f"{path}: unrecognized artifact layout")

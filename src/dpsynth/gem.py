@@ -39,15 +39,20 @@ class GemConfig:
     loss: str = "l1"  # "l1" or "l2"
     resample_z: bool = False  # draw fresh noise every training step
     ema_beta: float = 0.9
-    gamma_beta: float = 0.5
 
     def __post_init__(self):
         if self.loss not in ("l1", "l2"):
             raise DataError("loss must be 'l1' or 'l2'")
         if self.z_dim < 1 or self.batch < 1 or self.t_max < 0:
             raise DataError("z_dim and batch must be >= 1, t_max >= 0")
-        if not (0.0 < self.ema_beta < 1.0) or not (0.0 < self.gamma_beta < 1.0):
-            raise DataError("ema betas must lie in (0, 1)")
+        if not (0.0 < self.ema_beta < 1.0):
+            raise DataError("ema_beta must lie in (0, 1)")
+
+
+# moving-average weight of the fit threshold gamma (see the module docstring)
+GAMMA_BETA = 0.5
+# Adam's moment decays and denominator guard
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 # parameters are a list of (W, b) per layer; hidden layers use a rectifier,
@@ -196,8 +201,8 @@ class Adam:
     (W, b) pairs for the generator, one (M,) layer for relaxed rows.
     """
 
-    def __init__(self, params, lr: float, b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
+    def __init__(self, params, lr: float):
+        self.lr = lr
         self.t = 0
         self.m = [[np.zeros_like(x) for x in layer] for layer in params]
         self.v = [[np.zeros_like(x) for x in layer] for layer in params]
@@ -205,14 +210,14 @@ class Adam:
     def direction(self, grads) -> list[tuple[np.ndarray, ...]]:
         """Advance the moments by `grads` and return the steps to subtract."""
         self.t += 1
-        c1 = 1.0 - self.b1**self.t
-        c2 = 1.0 - self.b2**self.t
+        c1 = 1.0 - ADAM_B1**self.t
+        c2 = 1.0 - ADAM_B2**self.t
         out = []
         for m, v, g in zip(self.m, self.v, grads):
             for i, gi in enumerate(g):
-                m[i] = self.b1 * m[i] + (1 - self.b1) * gi
-                v[i] = self.b2 * v[i] + (1 - self.b2) * gi**2
-            out.append(tuple(self.lr * (mi / c1) / (np.sqrt(vi / c2) + self.eps) for mi, vi in zip(m, v)))
+                m[i] = ADAM_B1 * m[i] + (1 - ADAM_B1) * gi
+                v[i] = ADAM_B2 * v[i] + (1 - ADAM_B2) * gi**2
+            out.append(tuple(self.lr * (mi / c1) / (np.sqrt(vi / c2) + ADAM_EPS) for mi, vi in zip(m, v)))
         return out
 
     def step(self, params, grads):
@@ -237,13 +242,12 @@ def ema_update(ema: Params, current: Params, beta: float) -> Params:
 class GemOutput(ProductMixture):
     """The generator's mixture, with the parameters that produced it."""
 
-    def __init__(self, domain: Domain, P: np.ndarray, params: Params, config: GemConfig):
+    def __init__(self, domain: Domain, P: np.ndarray, params: Params):
         super().__init__(domain, P)
         self.params = params
-        self.config = config
 
     def save_checkpoint(self, path) -> None:
-        save_checkpoint(self.params, self.domain, self.config, path)
+        save_checkpoint(self.params, self.domain, path)
 
 
 class GemSynthesizer(Synthesizer):
@@ -265,9 +269,11 @@ class GemSynthesizer(Synthesizer):
         # the early-stop threshold guards against overfitting noisy targets;
         # with exact measurements it would stall the fit, so drop it
         self.exact_targets = bool(exact_targets)
-        self.z_batch = rng.standard_normal((cfg.batch, cfg.z_dim))
+        # a warm start's weights fix the architecture; cfg's shape is for fresh weights
+        z_dim = cfg.z_dim if init is None else init[0][0].shape[0]
+        self.z_batch = rng.standard_normal((cfg.batch, z_dim))
         if init is None:
-            self.params = init_params(rng, cfg.z_dim, cfg.hidden, domain.onehot_width)
+            self.params = init_params(rng, z_dim, cfg.hidden, domain.onehot_width)
         else:
             self.params = [(W.copy(), b.copy()) for W, b in init]
         self.opt = Adam(self.params, cfg.lr)
@@ -277,7 +283,7 @@ class GemSynthesizer(Synthesizer):
 
     def _noise(self) -> np.ndarray:
         if self.cfg.resample_z:
-            return self.rng.standard_normal((self.cfg.batch, self.cfg.z_dim))
+            return self.rng.standard_normal(self.z_batch.shape)
         return self.z_batch
 
     def answers(self, queries: QuerySet) -> np.ndarray:
@@ -300,8 +306,7 @@ class GemSynthesizer(Synthesizer):
         elif self.gamma is None:
             self.gamma = sampled_max
         else:
-            b = self.cfg.gamma_beta
-            self.gamma = b * self.gamma + (1 - b) * sampled_max
+            self.gamma = GAMMA_BETA * self.gamma + (1 - GAMMA_BETA) * sampled_max
         ema_on = self.round > self.total_rounds // 2
         for _ in range(self.cfg.t_max):
             # the stop test and the gradient read the same forward pass
@@ -319,7 +324,7 @@ class GemSynthesizer(Synthesizer):
     def finalize(self) -> GemOutput:
         params = self.ema if self.ema is not None else self.params
         P, _ = forward(params, self.z_batch, self.domain)
-        return GemOutput(self.domain, P, params, self.cfg)
+        return GemOutput(self.domain, P, params)
 
 
 # -- checkpoint I/O --------------------------------------------------------
@@ -328,17 +333,19 @@ CHECKPOINT_FORMAT = "generator-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(params: Params, domain: Domain, cfg: GemConfig, path) -> None:
+def save_checkpoint(params: Params, domain: Domain, path) -> None:
     """JSON container of layer shapes and parameters.
 
     Floats are serialized with shortest round-trip repr, so a save/load
-    cycle reproduces the arrays bit for bit.
+    cycle reproduces the arrays bit for bit. The noise width `z_dim` and the
+    `hidden` widths are written for readers of the file; loading reads them
+    off the weights.
     """
     obj = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "z_dim": cfg.z_dim,
-        "hidden": list(cfg.hidden),
+        "z_dim": params[0][0].shape[0],
+        "hidden": [W.shape[1] for W, _ in params[:-1]],
         "domain": json.loads(domain.to_json()),
         "layers": [
             {"shape": list(W.shape), "w": W.ravel().tolist(), "b": b.tolist()}
@@ -349,16 +356,31 @@ def save_checkpoint(params: Params, domain: Domain, cfg: GemConfig, path) -> Non
         json.dump(obj, f)
 
 
-def load_checkpoint(path) -> tuple[Params, Domain, int, tuple[int, ...]]:
+def load_checkpoint(path) -> tuple[Params, Domain]:
+    """(params, domain) of a checkpoint; raises DataError unless its layers
+    chain from the noise to the domain's one-hot width."""
     with open(path) as f:
-        obj = json.load(f)
-    if obj.get("format") != CHECKPOINT_FORMAT or obj.get("version") != CHECKPOINT_VERSION:
+        try:
+            obj = json.load(f)
+        except ValueError as e:  # not JSON, or not text
+            raise DataError(f"{path}: not a JSON file: {e}") from None
+    header = (obj.get("format"), obj.get("version")) if isinstance(obj, dict) else None
+    if header != (CHECKPOINT_FORMAT, CHECKPOINT_VERSION):
         raise DataError(f"{path}: not a version-{CHECKPOINT_VERSION} {CHECKPOINT_FORMAT} file")
-    domain = Domain.from_json(json.dumps(obj["domain"]))
-    params = []
-    for layer in obj["layers"]:
-        shape = tuple(layer["shape"])
-        W = np.array(layer["w"], dtype=np.float64).reshape(shape)
-        b = np.array(layer["b"], dtype=np.float64)
-        params.append((W, b))
-    return params, domain, int(obj["z_dim"]), tuple(obj["hidden"])
+    domain = Domain.from_json(json.dumps(obj.get("domain")))
+    try:
+        params = [
+            (np.array(ly["w"], dtype=np.float64).reshape(ly["shape"]), np.array(ly["b"], dtype=np.float64))
+            for ly in obj["layers"]
+        ]
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: malformed layers: {e!r}") from None
+    width = None  # each layer's fan-in is the previous layer's width
+    for W, b in params:
+        if W.ndim != 2 or b.shape != W.shape[1:] or width not in (None, W.shape[0]):
+            width = None
+            break
+        width = W.shape[1]
+    if width != domain.onehot_width:
+        raise DataError(f"{path}: layers do not chain from the noise to the domain's one-hot width")
+    return params, domain

@@ -85,6 +85,8 @@ def run(
         raise DataError("empty private dataset")
     if acct.T != cfg.T or acct.k != cfg.k:
         raise BudgetError("accountant and run config disagree on T or k")
+    if cfg.per_workload and synth.self_selecting:
+        raise DataError("per_workload measurement does not apply to a self-selecting synthesizer")
     want_avg = cfg.output == "average"
     private = queries.answers_records(data)
     ledger = MeasurementLedger()

@@ -40,7 +40,6 @@ class PepSynthesizer(Synthesizer):
         init_probs: np.ndarray | None = None,
         gamma: float = 0.0,
         t_max: int = 25,
-        target_clip: float = TARGET_CLIP,
         cell_cap: int = DEFAULT_CELL_CAP,
     ):
         self.domain = domain
@@ -58,7 +57,6 @@ class PepSynthesizer(Synthesizer):
             raise DataError("gamma must be >= 0 and t_max >= 1")
         self.gamma = float(gamma)
         self.t_max = int(t_max)
-        self.target_clip = float(target_clip)
         # a public support keeps its query map (None on the full domain)
         self._qmap = queries._cell_locals(self.cells)
         self._cell_lists: dict[int, np.ndarray] = {}  # support positions per measured query
@@ -82,8 +80,7 @@ class PepSynthesizer(Synthesizer):
         if len(ledger) == 0:
             return
         idx = ledger.indices()
-        clip = self.target_clip
-        targets = np.clip(ledger.answers(), clip, 1.0 - clip)
+        targets = np.clip(ledger.answers(), TARGET_CLIP, 1.0 - TARGET_CLIP)
         lists = [self._cells(int(q)) for q in idx]
         flat = np.concatenate(lists)
         groups = np.repeat(np.arange(len(lists)), [c.size for c in lists])

@@ -58,7 +58,7 @@ def restrict_to_public(queries: QuerySet, public_domain: Domain) -> QuerySet:
             keep.append(w.features)
     if not keep:
         raise DataError("no workload fits inside the public schema")
-    return QuerySet.from_subsets(dom, keep, queries.k)
+    return QuerySet.from_subsets(dom, keep)
 
 
 def public_answers(restricted: QuerySet, public: Dataset) -> np.ndarray:

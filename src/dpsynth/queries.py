@@ -75,17 +75,20 @@ class SupportMap:
 
 
 class QuerySet:
-    """Concatenation of marginal workloads with a global query index."""
+    """Concatenation of marginal workloads of one order k with a global query index."""
 
-    def __init__(self, domain: Domain, workloads: list[Workload], k: int):
+    def __init__(self, domain: Domain, workloads: list[Workload]):
         if not workloads:
             raise DataError("empty query collection")
+        orders = {len(w.features) for w in workloads}
+        if len(orders) != 1:
+            raise DataError(f"workloads mix marginal orders {sorted(orders)}")
+        (self.k,) = orders
         self.domain = domain
-        self.k = k
         self.workloads = workloads
         self.total_queries = sum(w.n_queries for w in workloads)
         # one-hot index matrix, row per query (every query has exactly k ones)
-        idx = np.empty((self.total_queries, k), dtype=np.int64)
+        idx = np.empty((self.total_queries, self.k), dtype=np.int64)
         for w in workloads:
             combos = np.indices(w.sizes).reshape(len(w.sizes), -1).T  # lexicographic
             for j, f in enumerate(w.features):
@@ -96,7 +99,7 @@ class QuerySet:
         self._zero_cells: dict[int, np.ndarray] = {}
 
     @classmethod
-    def from_subsets(cls, domain: Domain, subsets, k: int) -> "QuerySet":
+    def from_subsets(cls, domain: Domain, subsets) -> "QuerySet":
         """One workload per feature subset, indexed in the given order."""
         workloads = []
         off = 0
@@ -104,7 +107,7 @@ class QuerySet:
             sizes = tuple(domain.sizes[f] for f in feats)
             workloads.append(Workload(tuple(feats), sizes, off))
             off += math.prod(sizes)
-        return cls(domain, workloads, k)
+        return cls(domain, workloads)
 
     # -- indexing helpers -------------------------------------------------
 
@@ -247,7 +250,7 @@ def build_workloads(
         picks = rng.choice(total, size=count, replace=False)
         all_subsets = list(itertools.combinations(range(d), k))
         subsets = sorted(all_subsets[int(i)] for i in picks)
-    return QuerySet.from_subsets(domain, subsets, k)
+    return QuerySet.from_subsets(domain, subsets)
 
 
 # -- product-query relaxation (differentiable path) -----------------------

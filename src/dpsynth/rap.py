@@ -26,8 +26,6 @@ class RapConfig:
     rows: int = 1000
     lr: float = 0.1
     max_steps: int = 1000  # per update call
-    plateau_window: int = 10
-    plateau_tol: float = 1e-6
     original: bool = False  # clip rows to [0,1] instead of softmax blocks
 
     def __post_init__(self):
@@ -35,21 +33,15 @@ class RapConfig:
             raise DataError("rows >= 1, lr > 0, max_steps >= 0 required")
 
 
-@dataclass
-class RelaxedDataset:
-    """Trainable logits, one row per synthetic pseudo-record."""
-
-    domain: Domain
-    M: np.ndarray  # rows x onehot_width
-    original: bool = False
-
-    def probs(self) -> np.ndarray:
-        if self.original:
-            return np.clip(self.M, 0.0, 1.0)
-        return block_softmax(self.M, self.domain)
+# an update stops once PLATEAU_WINDOW accepted steps cut the loss by less than
+# PLATEAU_TOL of its value before them
+PLATEAU_WINDOW = 10
+PLATEAU_TOL = 1e-6
 
 
 class RapSynthesizer(Synthesizer):
+    """Trainable logits M, one row per synthetic pseudo-record (rows x onehot_width)."""
+
     def __init__(self, domain: Domain, queries: QuerySet, cfg: RapConfig, rng: np.random.Generator):
         self.domain = domain
         self.queries = queries
@@ -58,17 +50,22 @@ class RapSynthesizer(Synthesizer):
         # (answers are row means) and the table degenerates to one product
         # distribution no matter how many rows it has
         if cfg.original:
-            M = rng.random((cfg.rows, domain.onehot_width))
+            self.M = rng.random((cfg.rows, domain.onehot_width))
         else:
-            M = rng.standard_normal((cfg.rows, domain.onehot_width))
-        self.rd = RelaxedDataset(domain, M, cfg.original)
+            self.M = rng.standard_normal((cfg.rows, domain.onehot_width))
+
+    def _probs(self, M: np.ndarray) -> np.ndarray:
+        """The rows' attribute distributions: block softmax, or clipped to [0,1] (original)."""
+        if self.cfg.original:
+            return np.clip(M, 0.0, 1.0)
+        return block_softmax(M, self.domain)
 
     def answers(self, queries: QuerySet) -> np.ndarray:
-        return queries.answers_probs(self.rd.probs())
+        return queries.answers_probs(self._probs(self.M))
 
     def _loss(self, M: np.ndarray, qidx: np.ndarray, targets: np.ndarray):
         """(squared-error loss, P, residual answers - targets) at rows M."""
-        P = RelaxedDataset(self.domain, M, self.cfg.original).probs()
+        P = self._probs(M)
         diff = product_answers(P, self.queries, qidx) - targets
         return float((diff**2).sum()), P, diff
 
@@ -86,7 +83,7 @@ class RapSynthesizer(Synthesizer):
         # answers live in [0,1]; an out-of-range noisy target keeps a
         # constant-size pull at the boundary and collapses rows to one-hots
         targets = np.clip(ledger.answers(), 0.0, 1.0)
-        M = self.rd.M
+        M = self.M
         loss, P, diff = self._loss(M, qidx, targets)
         history = [loss]
         # per-coordinate moment scaling; raw softmax gradients are ~1e-4 so a
@@ -114,12 +111,11 @@ class RapSynthesizer(Synthesizer):
                 continue
             M, loss, P, diff = M_try, new_loss, new_P, new_diff
             history.append(loss)
-            w = self.cfg.plateau_window
-            if len(history) > w:
-                ref = history[-w - 1]
-                if ref - loss < self.cfg.plateau_tol * max(ref, 1e-12):
+            if len(history) > PLATEAU_WINDOW:
+                ref = history[-PLATEAU_WINDOW - 1]
+                if ref - loss < PLATEAU_TOL * max(ref, 1e-12):
                     break
-        self.rd = RelaxedDataset(self.domain, M, self.cfg.original)
+        self.M = M
 
     def finalize(self) -> ProductMixture:
-        return ProductMixture(self.domain, self.rd.probs())
+        return ProductMixture(self.domain, self._probs(self.M))

@@ -117,24 +117,17 @@ class FemSynthesizer(_SearchBase):
         super().__init__(domain, queries, cell_cap)
         self.cfg = cfg
         self.base = np.zeros(domain.total_cells)  # sum of selected-query indicators
-        self.selected: list[int] = []
-        # value of each attribute per cell, for the noise inner product
-        self._vals = [
-            domain.attr_values(np.arange(domain.total_cells, dtype=np.int64), a)
-            for a in range(domain.num_attrs)
-        ]
 
     def private_round(self, rnd, queries, private_answers, acct: Accountant, rng, no_noise, em_halved=False):
         scores = np.abs(private_answers - self.answers(queries))
         picked = select_k(scores, acct, rng, no_noise=no_noise, halved=em_halved)
         for q in picked:
-            self.selected.append(q)
             self.base[self.queries.cells_of(q)] += 1.0
+        dom = self.domain
         for _ in range(self.cfg.samples):
-            noise = rng.exponential(self.cfg.sigma, size=self.domain.onehot_width)
-            perturb = np.zeros(self.domain.total_cells)
-            for a in range(self.domain.num_attrs):
-                block = noise[self.domain.offset(a) : self.domain.offset(a) + self.domain.sizes[a]]
-                perturb += block[self._vals[a]]
+            noise = rng.exponential(self.cfg.sigma, size=dom.onehot_width)
+            # <one-hot(x), noise> of every cell x: the attribute blocks summed over a row-major grid
+            blocks = [noise[dom.offset(a) : dom.offset(a) + size] for a, size in enumerate(dom.sizes)]
+            perturb = sum(np.ix_(*blocks)).ravel()
             self.records.append(int(np.argmin(self.base + perturb)))
         return picked, None

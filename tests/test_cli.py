@@ -10,6 +10,7 @@ import pytest
 
 from dpsynth.cli import main
 from dpsynth.domain import Dataset, Domain
+from dpsynth.gem import init_params, save_checkpoint
 from dpsynth.report import canonical_json, load_report
 
 
@@ -115,6 +116,11 @@ def test_option_conflicts_exit_2(toy, tmp_path):
     assert _synth(toy, tmp_path, "--gem-init", "ck.json") == 2
     assert _synth(toy, tmp_path, "--workloads", "abc") == 2
     assert _synth(toy, tmp_path, "--pretrain-steps", "0") == 2
+    assert _synth(toy, tmp_path, "--samples", "0", "--out", tmp_path / "s.csv") == 2
+    assert _synth(toy, tmp_path, "--samples", "-5", "--out", tmp_path / "s.csv") == 2
+    # dualquery and fem measure no answers, so the flag would be silently ignored
+    assert _synth(toy, tmp_path, "--marginal-trick", method="dualquery") == 2
+    assert _synth(toy, tmp_path, "--marginal-trick", method="fem") == 2
     assert main(["gen-toy", "--sizes", "a,b", "--out", str(tmp_path / "t.csv")]) == 2
 
 
@@ -246,6 +252,8 @@ def test_evaluate_requires_one_source(toy, tmp_path):
          "--synthetic", str(dat), "--dist", "x.npz"]
     )
     assert rc == 2
+    rc = main(["evaluate", "--domain", str(dom), "--data", str(dat), "--dist", "x.npz", "--gem-batch", "0"])
+    assert rc == 2
 
 
 def test_save_dist_average_then_evaluate(toy, tmp_path, capsys):
@@ -322,6 +330,83 @@ def test_checkpoint_domain_mismatch_exits_4(toy, tmp_path, capsys):
     ):
         assert main(argv) == 4
         assert capsys.readouterr().err == f"error: {ck}: checkpoint domain does not match --domain\n"
+
+
+def _checkpoint(path, dom):
+    """A valid generator checkpoint over the domain file `dom`, as a JSON object."""
+    domain = Domain.load(dom)
+    save_checkpoint(init_params(np.random.default_rng(0), 4, (8,), domain.onehot_width), domain, path)
+    return json.loads(path.read_text())
+
+
+def _malformed_checkpoint(path, dom, edit):
+    obj = _checkpoint(path, dom)
+    edit(obj)
+    path.write_text(json.dumps(obj))
+
+
+def _npz(path, dom, **arrays):
+    np.savez(path, domain=Domain.load(dom).to_json(), **arrays)
+
+
+MALFORMED = {
+    "domain-size-not-an-integer": lambda p, dom: _write_domain(p, [("a0", "x"), ("a1", 3)]),
+    "checkpoint-not-json": lambda p, dom: p.write_text("{not json"),
+    "checkpoint-a-json-list": lambda p, dom: p.write_text("[1, 2]"),
+    "checkpoint-without-layers": lambda p, dom: _malformed_checkpoint(p, dom, lambda o: o.pop("layers")),
+    "checkpoint-weights-unlike-shape": lambda p, dom: _malformed_checkpoint(
+        p, dom, lambda o: o["layers"][0].update(shape=[5, 8])
+    ),
+    "checkpoint-not-chaining-to-domain": lambda p, dom: _malformed_checkpoint(
+        p, dom, lambda o: o["layers"].pop()
+    ),
+    "npz-not-an-archive": lambda p, dom: p.write_text("not a zip archive"),
+    "npz-object-arrays": lambda p, dom: _npz(p, dom, cells=np.arange(2).astype(object), probs=np.ones(2)),
+    "npz-without-domain": lambda p, dom: np.savez(p, cells=np.array([0, 1]), probs=np.ones(2) / 2),
+    "npz-rows-of-another-width": lambda p, dom: _npz(p, dom, P=np.full((2, 5), 0.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_file_exits_4(toy, tmp_path, capsys, case):
+    # one "error:" line, never a traceback
+    dom, dat = toy
+    common = ["--data", str(dat), "--marginal-k", "2"]
+    if case.startswith("domain"):
+        bad = tmp_path / "domain.json"
+        runs = [["synth", "--domain", str(bad), *common, "--method", "mwem", "--rho", "0.1"]]
+    elif case.startswith("checkpoint"):
+        bad = tmp_path / "gen.json"
+        runs = [
+            ["evaluate", "--domain", str(dom), *common, "--dist", str(bad)],
+            ["synth", "--domain", str(dom), *common, "--method", "gem", "--rho", "0.1",
+             "--gem-init", str(bad)],
+        ]
+    else:
+        bad = tmp_path / "dist.npz"
+        runs = [["evaluate", "--domain", str(dom), *common, "--dist", str(bad)]]
+    MALFORMED[case](bad, dom)
+    for argv in runs:
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_checkpoint_architecture_is_read_off_the_weights(toy, tmp_path, capsys):
+    # the file's z_dim and hidden fields are written for readers, never trusted
+    dom, dat = toy
+    ck, edited = tmp_path / "gen.json", tmp_path / "edited.json"
+    obj = _checkpoint(ck, dom)
+    edited.write_text(json.dumps({**obj, "z_dim": 3, "hidden": [99, 7]}))
+    common = ["--domain", str(dom), "--data", str(dat), "--marginal-k", "2"]
+    lines = []
+    for path in (ck, edited):
+        assert main(["evaluate", *common, "--dist", str(path)]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1]
+    rc = main(["synth", *common, "--method", "gem", "--rho", "0.1", "--T", "2", "--gem-tmax", "2",
+               "--gem-init", str(edited)])
+    assert rc == 0, capsys.readouterr().err
 
 
 def test_em_halved_reaches_fem_and_dualquery_refuses_it(toy, tmp_path, capsys):

@@ -1,0 +1,64 @@
+"""Every field of each `*Config` dataclass in the library is set somewhere.
+
+A field counts as set where a call to its class passes it by keyword, in
+`src/dpsynth`, `perfbench/` or `scripts/`, outside the class's own definition.
+A field that nothing sets has one value in use, and belongs in a module
+constant instead.
+"""
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dpsynth"
+
+
+def _name(node):
+    """The name a call or decorator refers to: `f`, `f(...)` or `mod.f`."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def _configs():
+    """(path, class node, field names) of every `*Config` dataclass in the library."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.ClassDef)
+                and node.name.endswith("Config")
+                and any(_name(d) == "dataclass" for d in node.decorator_list)
+            ):
+                fields = {s.target.id for s in node.body if isinstance(s, ast.AnnAssign)}
+                yield path, node, fields
+
+
+def _keywords(configs):
+    """class name -> the keywords that calls to it pass outside its definition."""
+    inside = {(path, node.name): (node.lineno, node.end_lineno) for path, node, _ in configs}
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    files += sorted((ROOT / "scripts").glob("*.py"))
+    given = defaultdict(set)
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            cls = _name(node)
+            lo, hi = inside.get((path, cls), (0, -1))
+            if not lo <= node.lineno <= hi:
+                given[cls] |= {kw.arg for kw in node.keywords if kw.arg}
+    return given
+
+
+def test_every_config_field_is_set_by_keyword_outside_its_definition():
+    configs = list(_configs())
+    assert {"GemConfig", "RapConfig", "RunConfig", "DualQueryConfig", "FemConfig"} <= {
+        node.name for _, node, _ in configs
+    }
+    given = _keywords(configs)
+    unset = [
+        f"{path.name}: {node.name}.{field}"
+        for path, node, fields in configs
+        for field in sorted(fields - given[node.name])
+    ]
+    assert not unset, "never set: " + ", ".join(unset)

@@ -13,7 +13,7 @@ from dpsynth import (
     DomainError,
     SupportDistribution,
 )
-from dpsynth.domain import CellWeights, normalize_mass
+from dpsynth.domain import CellWeights, load_npz, normalize_mass
 
 
 def test_domain_validation():
@@ -200,7 +200,7 @@ def test_support_distribution_roundtrip(tmp_path):
     sd = SupportDistribution(dom, np.array([0, 4, 8]), np.array([0.5, 0.25, 0.25]))
     p = tmp_path / "dist.npz"
     sd.save_npz(p)
-    back = SupportDistribution.load_npz(p)
+    back = load_npz(p)
     assert back.domain == dom
     assert np.array_equal(back.cells, sd.cells)
     assert np.allclose(back.probs, sd.probs)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -257,18 +258,33 @@ def test_ema_starts_after_half_the_rounds():
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     dom = Domain(("a", "b"), (3, 2))
-    cfg = GemConfig(hidden=(8, 4), z_dim=5)
     params = init_params(np.random.default_rng(9), 5, (8, 4), dom.onehot_width)
     path = tmp_path / "model.json"
-    save_checkpoint(params, dom, cfg, path)
-    loaded, dom2, z_dim, hidden = load_checkpoint(path)
-    assert dom2 == dom and z_dim == 5 and hidden == (8, 4)
+    save_checkpoint(params, dom, path)
+    obj = json.loads(path.read_text())
+    assert obj["z_dim"] == 5 and obj["hidden"] == [8, 4]  # written, read off the weights
+    loaded, dom2 = load_checkpoint(path)
+    assert dom2 == dom and len(loaded) == 3
     for (W, b), (W2, b2) in zip(params, loaded):
         assert np.array_equal(W, W2) and np.array_equal(b, b2)
     # saving the loaded params reproduces the same file
     path2 = tmp_path / "model2.json"
-    save_checkpoint(loaded, dom2, cfg, path2)
+    save_checkpoint(loaded, dom2, path2)
     assert path.read_text() == path2.read_text()
+
+
+def test_warm_start_reads_the_architecture_off_its_weights():
+    # the config's z_dim and hidden shape fresh weights only
+    dom = Domain(("a", "b"), (3, 2))
+    qs = build_workloads(dom, 1)
+    init = init_params(np.random.default_rng(2), 3, (6,), dom.onehot_width)
+    cfg = GemConfig(batch=8, t_max=2, resample_z=True)
+    synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(0), total_rounds=2, init=init)
+    assert synth.z_batch.shape == (8, 3)
+    led = MeasurementLedger()
+    led.record(0, 0.9, 1)
+    synth.update(led)  # resampled noise has the weights' width too
+    assert synth.finalize().P.shape == (8, dom.onehot_width)
 
 
 def test_checkpoint_rejects_wrong_format(tmp_path):

@@ -9,6 +9,8 @@ from dpsynth import (
     Domain,
     DualQueryConfig,
     DualQuerySynthesizer,
+    FemConfig,
+    FemSynthesizer,
     GemConfig,
     GemSynthesizer,
     MwemSynthesizer,
@@ -142,6 +144,20 @@ def test_run_average_output_refuses_other_methods(method):
     cfg = RunConfig(T=2, k=1, alpha=acct.alpha, output="average")
     with pytest.raises(DataError, match="averaged output"):
         run(data, qs, synth, acct, cfg, rng)
+
+
+@pytest.mark.parametrize("search", ["dualquery", "fem"])
+def test_run_per_workload_refuses_self_selecting_methods(search):
+    # they measure no answers, so whole-workload measurement cannot apply
+    dom, data, qs = _instance()
+    if search == "dualquery":
+        synth = DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=5))
+    else:
+        synth = FemSynthesizer(dom, qs, FemConfig(samples=5))
+    acct = Accountant.selection_only(rho=0.5, T=2, k=1, n=data.n)
+    cfg = RunConfig(T=2, k=1, alpha=acct.alpha, per_workload=True)
+    with pytest.raises(DataError, match="per_workload"):
+        run(data, qs, synth, acct, cfg, np.random.default_rng(0))
 
 
 def test_run_empty_dataset_rejected():

@@ -9,6 +9,7 @@ from scipy.optimize import minimize_scalar
 
 from dpsynth import DataError, Domain, PepSynthesizer, build_workloads
 from dpsynth.domain import CellWeights
+from dpsynth.pep import TARGET_CLIP
 from dpsynth.privacy import MeasurementLedger
 
 from oracles import maxent_dual_descent, pep_dual_loss, pep_project_once, query_mask, query_of
@@ -240,7 +241,7 @@ def test_cell_local_update_matches_dense_replay(seed, public, rounds):
             synth.update(led)
         lists = [synth._cells(int(q)) for q in led.indices()]
         projected = [next(i for i, c in enumerate(lists) if c is s) for s, _, _ in scaled]
-        targets = np.clip(led.answers(), synth.target_clip, 1.0 - synth.target_clip)
+        targets = np.clip(led.answers(), TARGET_CLIP, 1.0 - TARGET_CLIP)
         amplified += sum(_amplification(i, o, targets[j]) for (_, i, o), j in zip(scaled, projected))
         dense = _dense_update(dense, masks, targets, synth.t_max, synth.gamma, projected)
         assert np.abs(synth.probs - dense).max() <= max(1e-12, _ROUNDING * amplified)

@@ -250,6 +250,15 @@ def test_product_answers_grad_finite_differences():
             assert abs(fd - g.ravel()[j]) < 1e-5
 
 
+def test_query_set_takes_k_from_its_workloads():
+    dom = Domain(("a", "b", "c"), (2, 3, 4))
+    qs = QuerySet.from_subsets(dom, [(0, 2), (1, 2)])
+    assert qs.k == 2 and qs.idx.shape == (2 * 4 + 3 * 4, 2)
+    # mixed orders would leave the idx columns past a 1-way query unset
+    with pytest.raises(DataError, match="mix marginal orders"):
+        QuerySet.from_subsets(dom, [(0,), (1, 2)])
+
+
 def test_workload_of_first_last_and_out_of_range():
     dom = Domain(("a", "b", "c", "d"), (2, 3, 4, 2))
     for k in (1, 2, 3):

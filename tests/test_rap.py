@@ -4,7 +4,14 @@ import pytest
 from dpsynth import DataError, Domain, PepSynthesizer, RapConfig, RapSynthesizer, build_workloads
 from dpsynth.privacy import MeasurementLedger
 from dpsynth.queries import product_answers
-from dpsynth.rap import RelaxedDataset
+
+
+def _probs(dom, M, original=False):
+    """The rows' distributions that a synthesizer holding logits M outputs."""
+    cfg = RapConfig(rows=M.shape[0], original=original)
+    synth = RapSynthesizer(dom, build_workloads(dom, 1), cfg, np.random.default_rng(0))
+    synth.M = M
+    return synth.finalize().P
 
 
 def test_config_validation():
@@ -19,11 +26,11 @@ def test_config_validation():
 def test_answers_zero_logits_uniform():
     dom = Domain(("a", "b"), (2, 4))
     qs = build_workloads(dom, 2)
-    rd = RelaxedDataset(dom, np.zeros((5, dom.onehot_width)))
-    ans = qs.answers_probs(rd.probs())
+    P = _probs(dom, np.zeros((5, dom.onehot_width)))
+    ans = qs.answers_probs(P)
     assert np.allclose(ans, 1.0 / 8.0, atol=1e-12)
     qs1 = build_workloads(dom, 1)
-    a1 = qs1.answers_probs(rd.probs())
+    a1 = qs1.answers_probs(P)
     assert np.allclose(a1[:2], 0.5, atol=1e-12)
     assert np.allclose(a1[2:], 0.25, atol=1e-12)
 
@@ -35,8 +42,7 @@ def test_answers_one_hot_limit():
     M = np.full((1, dom.onehot_width), -60.0)
     M[0, 1] = 60.0  # a = 1
     M[0, 2] = 60.0  # b = 0
-    rd = RelaxedDataset(dom, M)
-    ans = qs.answers_probs(rd.probs())
+    ans = qs.answers_probs(_probs(dom, M))
     expect = np.zeros(5)
     expect[1] = 1.0  # P(a=1)
     expect[2] = 1.0  # P(b=0)
@@ -53,8 +59,7 @@ def test_answers_two_rows_hand_products():
             [0.6, 0.4, 0.5, 0.5],
         ]
     )
-    rd = RelaxedDataset(dom, M, original=True)
-    ans = qs.answers_probs(rd.probs())
+    ans = qs.answers_probs(_probs(dom, M, original=True))
     # query (a=0, b=0): (0.3*0.2 + 0.6*0.5) / 2
     assert abs(ans[0] - 0.18) < 1e-12
     # query (a=1, b=1): (0.7*0.8 + 0.4*0.5) / 2
@@ -69,9 +74,9 @@ def test_update_already_matched_no_movement():
     led = MeasurementLedger()
     led.record(0, float(exact[0]), 1)
     led.record(2, float(exact[2]), 2)
-    before = synth.rd.M.copy()
+    before = synth.M.copy()
     synth.update(led)
-    assert np.array_equal(before, synth.rd.M)
+    assert np.array_equal(before, synth.M)
 
 
 def test_update_binary_single_query():
@@ -81,7 +86,7 @@ def test_update_binary_single_query():
     led = MeasurementLedger()
     led.record(1, 0.8, 1)
     synth.update(led)
-    P = synth.rd.probs()
+    P = synth.finalize().P
     assert abs(P[0, 1] - 0.8) < 1e-3
     assert abs(P[0, 0] - 0.2) < 1e-3
 
@@ -101,7 +106,7 @@ def test_update_loss_non_increasing_across_calls():
     targets = led.answers()
 
     def loss():
-        return float(((product_answers(synth.rd.probs(), qs, qidx) - targets) ** 2).sum())
+        return float(((product_answers(synth.finalize().P, qs, qidx) - targets) ** 2).sum())
 
     prev = loss()
     for _ in range(60):
@@ -142,7 +147,7 @@ def test_rows_stay_valid_distributions():
     led.record(1, 0.9, 1)
     led.record(5, 0.05, 2)
     synth.update(led)
-    P = synth.rd.probs()
+    P = synth.finalize().P
     assert P.min() >= 0.0
     for off, sz in zip([0, 3], dom.sizes):
         assert np.abs(P[:, off : off + sz].sum(axis=1) - 1.0).max() < 1e-9
@@ -152,12 +157,12 @@ def test_original_variant_clips_without_renormalizing():
     dom = Domain(("a",), (2,))
     qs = build_workloads(dom, 1)
     synth = RapSynthesizer(dom, qs, RapConfig(rows=1, original=True), np.random.default_rng(0))
-    synth.rd.M[:] = 0.5
-    assert np.allclose(synth.rd.probs(), 0.5)
+    synth.M[:] = 0.5
+    assert np.allclose(synth.finalize().P, 0.5)
     led = MeasurementLedger()
     led.record(1, 0.8, 1)
     synth.update(led)
-    P = synth.rd.probs()
+    P = synth.finalize().P
     assert abs(P[0, 1] - 0.8) < 1e-3
     assert P[0, 0] == 0.5  # untouched column: no normalization in this variant
 
@@ -190,7 +195,7 @@ def test_out_of_range_targets_clipped():
         led = MeasurementLedger()
         led.record(1, tgt, 1)
         synth.update(led)
-        fits.append(synth.rd.M.copy())
+        fits.append(synth.M.copy())
     assert np.array_equal(fits[0], fits[1])
 
 
@@ -232,7 +237,7 @@ def test_gradient_matches_finite_differences(original):
     synth = RapSynthesizer(dom, qs, RapConfig(rows=3, original=original), rng)
     qidx = np.array([0, 2, 5])
     targets = np.array([0.3, 0.1, 0.25])
-    M = synth.rd.M.copy()
+    M = synth.M.copy()
     _, P, diff = synth._loss(M, qidx, targets)
     g = synth._grad(M, P, qidx, diff)
     fd = central_difference(

@@ -138,11 +138,13 @@ def test_fem_seeded_run_matches_independent_scan():
     twin = np.random.default_rng(9)
     priv = np.array([0.8, 0.2, 0.4, 0.3, 0.2, 0.1])
     acct = Accountant(rho=0.1, T=2, k=1, alpha=1.0, n=100)
+    selected = []
     for rnd in (1, 2):
         before = len(synth.records)
         picked, _ = synth.private_round(rnd, qs, priv, acct, rng, True)
+        selected += picked
         base = np.zeros(dom.total_cells)
-        for qidx in synth.selected:
+        for qidx in selected:
             q = query_of(qs, qidx)
             for x in range(dom.total_cells):
                 if query_mask(dom, q, np.array([x]))[0]:
