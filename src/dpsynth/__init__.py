@@ -3,6 +3,7 @@
 from .domain import (
     DEFAULT_CELL_CAP,
     CapacityError,
+    ConfigError,
     DataError,
     Dataset,
     Domain,

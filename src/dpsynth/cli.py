@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: synth, evaluate, accountant, pretrain, best-mixture-error,
-gen-toy. Exit codes: 0 success, 2 usage or config conflict, 3 domain over
-the histogram cell cap (or past 2^63 cells), 4 file or data errors.
+gen-toy. Exit codes: 0 success, 2 a bad setting or flag conflict
+(ConfigError), 3 domain over the histogram cell cap or past 2^63 cells
+(CapacityError), 4 a bad file or bad data (DataError, DomainError, OSError).
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import numpy as np
 from .domain import (
     DEFAULT_CELL_CAP,
     CapacityError,
+    ConfigError,
     DataError,
     Dataset,
     Domain,
@@ -28,7 +30,7 @@ from .gem import GemConfig, GemOutput, GemSynthesizer, forward, load_checkpoint,
 from .loop import RunConfig, run
 from .mwem import MwemSynthesizer
 from .pep import PepSynthesizer
-from .privacy import Accountant, BudgetError, dp_to_zcdp
+from .privacy import Accountant, dp_to_zcdp
 from .public import best_mixture_error, gem_pub_pretrain, pep_pub_init
 from .queries import QuerySet, build_workloads
 from .rap import RapConfig, RapSynthesizer
@@ -51,10 +53,6 @@ HISTOGRAM_METHODS = ("mwem", "pep")
 SEARCH_METHODS = ("dualquery", "fem")  # self-selecting: no Gaussian measurements
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _budget_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rho", type=float, default=None, help="zCDP budget")
     p.add_argument("--epsilon", type=float, default=None, help="DP epsilon (needs --delta)")
@@ -64,7 +62,7 @@ def _budget_args(p: argparse.ArgumentParser) -> None:
 def _resolve_budget(args) -> tuple[float, float | None, float | None]:
     """Returns (rho, epsilon, delta). Exactly one of --rho / --epsilon."""
     if args.rho is not None and args.epsilon is not None:
-        raise UsageError("give either --rho or --epsilon/--delta, not both")
+        raise ConfigError("give either --rho or --epsilon/--delta, not both")
     if args.rho is not None:
         eps = None
         if args.delta is not None:
@@ -74,9 +72,9 @@ def _resolve_budget(args) -> tuple[float, float | None, float | None]:
         return args.rho, eps, args.delta
     if args.epsilon is not None:
         if args.delta is None:
-            raise UsageError("--epsilon needs --delta")
+            raise ConfigError("--epsilon needs --delta")
         return dp_to_zcdp(args.epsilon, args.delta), args.epsilon, args.delta
-    raise UsageError("a privacy budget is required: --rho or --epsilon/--delta")
+    raise ConfigError("a privacy budget is required: --rho or --epsilon/--delta")
 
 
 def _workload_args(p: argparse.ArgumentParser) -> None:
@@ -99,7 +97,7 @@ def _int_arg(flag: str, text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise UsageError(f"{flag} must be an integer, got {text!r}") from None
+        raise ConfigError(f"{flag} must be an integer, got {text!r}") from None
 
 
 def _load_public(path, domain: Domain) -> Dataset:
@@ -119,28 +117,16 @@ def _load_public(path, domain: Domain) -> Dataset:
     return Dataset.from_csv(path, Domain(names, sizes))
 
 
-def _gem_config(args) -> GemConfig:
-    return GemConfig(
-        hidden=tuple(_int_arg("--gem-hidden", x) for x in args.gem_hidden.split(",") if x.strip()),
-        z_dim=args.gem_zdim,
-        batch=args.gem_batch,
-        lr=args.gem_lr,
-        t_max=args.gem_tmax,
-        loss=args.gem_loss,
-        resample_z=args.gem_resample_z,
-        ema_beta=args.gem_ema_beta,
-    )
+def _gem_hidden(args) -> tuple[int, ...]:
+    return tuple(_int_arg("--gem-hidden", x) for x in args.gem_hidden.split(",") if x.strip())
 
 
-def _gem_args(p: argparse.ArgumentParser) -> None:
+def _gem_shape_args(p: argparse.ArgumentParser) -> None:
+    """The generator-shape flags, which pretraining reads too."""
     p.add_argument("--gem-hidden", default="64,128")
     p.add_argument("--gem-zdim", type=int, default=16)
     p.add_argument("--gem-batch", type=int, default=100)
-    p.add_argument("--gem-lr", type=float, default=1e-4)
-    p.add_argument("--gem-tmax", type=int, default=100)
     p.add_argument("--gem-loss", choices=("l1", "l2"), default="l1")
-    p.add_argument("--gem-resample-z", action="store_true")
-    p.add_argument("--gem-ema-beta", type=float, default=0.9)
 
 
 # ---------------------------------------------------------------- synth ---
@@ -150,21 +136,21 @@ def cmd_synth(args) -> int:
     # pure argument validation comes before any file is touched
     rho, epsilon, delta = _resolve_budget(args)
     if args.public and args.method not in ("pep", "gem"):
-        raise UsageError("--public applies only to methods pep and gem")
+        raise ConfigError("--public applies only to methods pep and gem")
     if args.gem_init and args.method != "gem":
-        raise UsageError("--gem-init applies only to method gem")
+        raise ConfigError("--gem-init applies only to method gem")
     if args.public and args.gem_init:
-        raise UsageError("give --public or --gem-init, not both")
+        raise ConfigError("give --public or --gem-init, not both")
     if args.output_average and args.method not in HISTOGRAM_METHODS:
-        raise UsageError("--output-average is only available for mwem and pep")
+        raise ConfigError("--output-average is only available for mwem and pep")
     if args.em_halved and args.method == "dualquery":
-        raise UsageError("--em-halved does not apply to dualquery, which draws no exponential mechanism")
+        raise ConfigError("--em-halved does not apply to dualquery, which draws no exponential mechanism")
     if args.marginal_trick and args.method in SEARCH_METHODS:
-        raise UsageError(f"--marginal-trick does not apply to {args.method}, which measures no answers")
+        raise ConfigError(f"--marginal-trick does not apply to {args.method}, which measures no answers")
     if args.samples is not None and args.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     if args.pretrain_steps < 1:
-        raise UsageError(f"--pretrain-steps must be >= 1, got {args.pretrain_steps}")
+        raise ConfigError(f"--pretrain-steps must be >= 1, got {args.pretrain_steps}")
 
     domain = Domain.load(args.domain)
     data = Dataset.from_csv(args.data, domain)
@@ -183,8 +169,6 @@ def cmd_synth(args) -> int:
     cfg = RunConfig(
         T=args.T,
         k=args.k,
-        alpha=acct.alpha,
-        seed=args.seed,
         per_workload=args.marginal_trick,
         no_noise=args.no_noise,
         audit_errors=args.audit_errors,
@@ -222,15 +206,10 @@ def cmd_synth(args) -> int:
         queries=queries,
         true_answers=true_ans,
         synth_answers=synth_ans,
-        rho=rho,
+        acct=acct,
         epsilon=epsilon,
         delta=delta,
-        eps0=acct.eps0,
-        T=args.T,
-        k=args.k,
-        alpha=acct.alpha,
         seed=args.seed,
-        n=data.n,
         # audits put a function of the private answers into the trace
         private=not (args.no_noise or args.audit_errors),
         wall_time_sec=wall,
@@ -261,7 +240,16 @@ def _build_synth(args, domain, data, queries, rng):
             domain, queries, gamma=args.pep_gamma, t_max=args.pep_tmax, cell_cap=args.cell_cap
         )
     if method == "gem":
-        cfg = _gem_config(args)
+        cfg = GemConfig(
+            hidden=_gem_hidden(args),
+            z_dim=args.gem_zdim,
+            batch=args.gem_batch,
+            lr=args.gem_lr,
+            t_max=args.gem_tmax,
+            loss=args.gem_loss,
+            resample_z=args.gem_resample_z,
+            ema_beta=args.gem_ema_beta,
+        )
         init = None
         if args.gem_init:
             # the checkpoint's weights fix the architecture; flags keep the
@@ -305,14 +293,13 @@ def _build_synth(args, domain, data, queries, rng):
             DualQueryConfig(eta=args.dq_eta, samples=args.dq_samples),
             cell_cap=args.cell_cap,
         )
-    if method == "fem":
-        return FemSynthesizer(
-            domain,
-            queries,
-            FemConfig(sigma=args.fem_sigma, samples=args.fem_samples),
-            cell_cap=args.cell_cap,
-        )
-    raise UsageError(f"unknown method {method!r}")
+    # fem: the parser's choices admit no other method
+    return FemSynthesizer(
+        domain,
+        queries,
+        FemConfig(sigma=args.fem_sigma, samples=args.fem_samples),
+        cell_cap=args.cell_cap,
+    )
 
 
 def _save_artifact(out: SupportDistribution | ProductMixture, path) -> None:
@@ -334,9 +321,9 @@ def _config_echo(args) -> dict:
 
 def cmd_evaluate(args) -> int:
     if (args.synthetic is None) == (args.dist is None):
-        raise UsageError("give exactly one of --synthetic or --dist")
+        raise ConfigError("give exactly one of --synthetic or --dist")
     if args.gem_batch < 1:
-        raise UsageError(f"--gem-batch must be >= 1, got {args.gem_batch}")
+        raise ConfigError(f"--gem-batch must be >= 1, got {args.gem_batch}")
     domain = Domain.load(args.domain)
     data = Dataset.from_csv(args.data, domain)
     queries = _build_queries(args, domain)
@@ -406,11 +393,11 @@ def cmd_accountant(args) -> int:
 
 def cmd_pretrain(args) -> int:
     if args.steps < 1:
-        raise UsageError(f"--steps must be >= 1, got {args.steps}")
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     domain = Domain.load(args.domain)
     public = _load_public(args.public, domain)
     queries = _build_queries(args, domain)
-    cfg = _gem_config(args)
+    cfg = GemConfig(hidden=_gem_hidden(args), z_dim=args.gem_zdim, batch=args.gem_batch, loss=args.gem_loss)
     rng = np.random.default_rng(args.seed)
     params, info = gem_pub_pretrain(
         domain, public, queries, cfg, rng, steps=args.steps, lr=args.lr, tol=args.tol
@@ -428,7 +415,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_best_mixture_error(args) -> int:
     if args.iterations < 1:
-        raise UsageError(f"--iterations must be >= 1, got {args.iterations}")
+        raise ConfigError(f"--iterations must be >= 1, got {args.iterations}")
     domain = Domain.load(args.domain)
     data = Dataset.from_csv(args.data, domain)
     public = Dataset.from_csv(args.public, domain)
@@ -497,7 +484,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mwem-cycles", type=int, default=10)
     p.add_argument("--pep-gamma", type=float, default=0.0)
     p.add_argument("--pep-tmax", type=int, default=25)
-    _gem_args(p)
+    _gem_shape_args(p)
+    p.add_argument("--gem-lr", type=float, default=1e-4)
+    p.add_argument("--gem-tmax", type=int, default=100)
+    p.add_argument("--gem-resample-z", action="store_true")
+    p.add_argument("--gem-ema-beta", type=float, default=0.9)
     p.add_argument("--rap-rows", type=int, default=1000)
     p.add_argument("--rap-lr", type=float, default=0.1)
     p.add_argument("--rap-steps", type=int, default=1000)
@@ -537,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=3000)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=0.0)
-    _gem_args(p)
+    _gem_shape_args(p)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser(
@@ -569,10 +560,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetError as e:
+    except ConfigError as e:  # BudgetError included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as e:

@@ -37,6 +37,10 @@ class CapacityError(ValueError):
     """Domain too large for a dense-histogram method."""
 
 
+class ConfigError(ValueError):
+    """A setting out of range, or in conflict with another setting."""
+
+
 @dataclass(frozen=True)
 class Domain:
     """Ordered categorical schema: attribute names and sizes."""
@@ -293,7 +297,7 @@ class SupportDistribution:
 
     def sample_dataset(self, count: int, rng: np.random.Generator) -> Dataset:
         if count <= 0:
-            raise DataError("count must be positive")
+            raise ConfigError("count must be positive")
         cum = np.cumsum(self.probs)
         pos = np.searchsorted(cum / cum[-1], rng.random(count), side="right")
         cells = self.cells[np.minimum(pos, cum.shape[0] - 1)]
@@ -321,7 +325,7 @@ class ProductMixture:
     """
 
     def __init__(self, domain: Domain, P: np.ndarray):
-        if P.ndim != 2 or P.shape[1] != domain.onehot_width:
+        if P.ndim != 2 or P.shape[0] < 1 or P.shape[1] != domain.onehot_width:
             raise DataError(f"P of shape {P.shape} is not rows of the one-hot width {domain.onehot_width}")
         self.domain = domain
         self.P = P
@@ -331,7 +335,7 @@ class ProductMixture:
 
     def sample_dataset(self, count: int, rng: np.random.Generator) -> Dataset:
         if count <= 0:
-            raise DataError("count must be positive")
+            raise ConfigError("count must be positive")
         rows = rng.integers(0, self.P.shape[0], size=count)
         rec = np.empty((count, self.domain.num_attrs), dtype=np.int64)
         for a in range(self.domain.num_attrs):
@@ -351,7 +355,10 @@ class ProductMixture:
 def load_npz(path) -> SupportDistribution | ProductMixture:
     """The distribution that a `save_npz` wrote, read from one opening of the archive.
 
-    Raises DataError for a file that is not such an archive.
+    Raises DataError for a file that is not such an archive, or whose arrays
+    are not a distribution: support cells must be distinct integers of the
+    domain with finite nonnegative probabilities summing to 1 (within 1e-9),
+    and mixture rows must hold finite values in [0, 1].
     """
     try:
         with np.load(path, allow_pickle=False) as z:
@@ -363,7 +370,19 @@ def load_npz(path) -> SupportDistribution | ProductMixture:
         raise DataError(f"{path}: the archive names no domain")
     domain = Domain.from_json(str(arrays["domain"]))
     if {"cells", "probs"} <= arrays.keys():
-        return SupportDistribution(domain, arrays["cells"], arrays["probs"])
+        cells, probs = arrays["cells"], arrays["probs"]
+        if cells.dtype.kind not in "iu" or probs.dtype.kind not in "iuf":
+            raise DataError(f"{path}: cells must be integers and probs numbers")
+        dist = SupportDistribution(domain, cells, probs)
+        cells, probs = dist.cells, dist.probs
+        if cells.min() < 0 or int(cells.max()) >= domain.total_cells or np.unique(cells).size < cells.size:
+            raise DataError(f"{path}: cells must be distinct cells of the domain, in [0, {domain.total_cells})")
+        if not np.all(np.isfinite(probs)) or probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-9:
+            raise DataError(f"{path}: probs must be finite, nonnegative and sum to 1")
+        return dist
     if "P" in arrays:
-        return ProductMixture(domain, arrays["P"])
+        P = arrays["P"]
+        if P.dtype.kind not in "iuf" or not np.all(np.isfinite(P) & (P >= 0) & (P <= 1)):
+            raise DataError(f"{path}: P must hold numbers in [0, 1]")
+        return ProductMixture(domain, P)
     raise DataError(f"{path}: unrecognized artifact layout")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DataError, Domain, ProductMixture
+from .domain import ConfigError, DataError, Domain, ProductMixture
 from .loop import Synthesizer
 from .privacy import MeasurementLedger
 from .queries import QuerySet, product_answers, product_answers_grad
@@ -42,11 +42,13 @@ class GemConfig:
 
     def __post_init__(self):
         if self.loss not in ("l1", "l2"):
-            raise DataError("loss must be 'l1' or 'l2'")
-        if self.z_dim < 1 or self.batch < 1 or self.t_max < 0:
-            raise DataError("z_dim and batch must be >= 1, t_max >= 0")
+            raise ConfigError("loss must be 'l1' or 'l2'")
+        if self.z_dim < 1 or self.batch < 1 or self.t_max < 0 or any(h < 1 for h in self.hidden):
+            raise ConfigError("z_dim, batch and hidden widths must be >= 1, t_max >= 0")
+        if not self.lr > 0:
+            raise ConfigError("lr must be > 0")
         if not (0.0 < self.ema_beta < 1.0):
-            raise DataError("ema_beta must lie in (0, 1)")
+            raise ConfigError("ema_beta must lie in (0, 1)")
 
 
 # moving-average weight of the fit threshold gamma (see the module docstring)
@@ -141,7 +143,7 @@ def _fit_terms(c: np.ndarray, gamma: float, kind: str):
         loss = float((c[active] ** 2).mean())
         coeff = np.where(active, -2.0 * c / n_act, 0.0)
     else:
-        raise DataError("loss must be 'l1' or 'l2'")
+        raise ConfigError("loss must be 'l1' or 'l2'")
     return loss, active, coeff
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DataError, Dataset, Domain, SupportDistribution, normalize_mass
+from .domain import ConfigError, DataError, Dataset, Domain, SupportDistribution, normalize_mass
 from .privacy import Accountant, BudgetError, MeasurementLedger, select_and_measure_round
 from .queries import QuerySet
 
@@ -38,7 +38,7 @@ class RunConfig:
         if self.k < 1:
             raise BudgetError("k must be >= 1")
         if self.output not in ("last", "average"):
-            raise DataError("output must be 'last' or 'average'")
+            raise ConfigError("output must be 'last' or 'average'")
 
 
 class Synthesizer(abc.ABC):
@@ -86,7 +86,7 @@ def run(
     if acct.T != cfg.T or acct.k != cfg.k:
         raise BudgetError("accountant and run config disagree on T or k")
     if cfg.per_workload and synth.self_selecting:
-        raise DataError("per_workload measurement does not apply to a self-selecting synthesizer")
+        raise ConfigError("per_workload measurement does not apply to a self-selecting synthesizer")
     want_avg = cfg.output == "average"
     private = queries.answers_records(data)
     ledger = MeasurementLedger()
@@ -136,7 +136,7 @@ def run(
         if want_avg:
             out = synth.finalize()
             if synth.self_selecting or not isinstance(out, SupportDistribution):
-                raise DataError("averaged output is only available for histogram methods")
+                raise ConfigError("averaged output is only available for histogram methods")
             total = out.probs if total is None else total + out.probs
     if want_avg:
         return SupportDistribution(out.domain, out.cells, normalize_mass(total / cfg.T)), trace

@@ -18,7 +18,7 @@ import numpy as np
 from .domain import (
     DEFAULT_CELL_CAP,
     CellWeights,
-    DataError,
+    ConfigError,
     Domain,
     SupportDistribution,
     normalize_mass,
@@ -38,10 +38,10 @@ class MwemSynthesizer(Synthesizer):
         cell_cap: int = DEFAULT_CELL_CAP,
     ):
         domain.check_cap(cell_cap)
-        if eta <= 0:
-            raise DataError("eta must be positive")
+        if not eta > 0:
+            raise ConfigError("eta must be positive")
         if cycles < 1:
-            raise DataError("cycles must be >= 1")
+            raise ConfigError("cycles must be >= 1")
         self.domain = domain
         self.queries = queries
         self.eta = float(eta)

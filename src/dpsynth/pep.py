@@ -19,6 +19,7 @@ import numpy as np
 from .domain import (
     DEFAULT_CELL_CAP,
     CellWeights,
+    ConfigError,
     DataError,
     Domain,
     SupportDistribution,
@@ -53,8 +54,8 @@ class PepSynthesizer(Synthesizer):
         self.probs = normalize_mass(np.asarray(init_probs, dtype=np.float64))
         if self.probs.shape != self.cells.shape:
             raise DataError("support and init probabilities must align")
-        if gamma < 0 or t_max < 1:
-            raise DataError("gamma must be >= 0 and t_max >= 1")
+        if not gamma >= 0 or t_max < 1:
+            raise ConfigError("gamma must be >= 0 and t_max >= 1")
         self.gamma = float(gamma)
         self.t_max = int(t_max)
         # a public support keeps its query map (None on the full domain)

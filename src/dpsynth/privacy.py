@@ -18,10 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .domain import ConfigError
 from .queries import QuerySet
 
 
-class BudgetError(ValueError):
+class BudgetError(ConfigError):
     """Inconsistent or degenerate privacy parameters."""
 
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .domain import DataError, Dataset, Domain, DomainError, SupportDistribution
+from .domain import ConfigError, DataError, Dataset, Domain, DomainError, SupportDistribution
 from .gem import Adam, GemConfig, Params, gem_gradient, init_params
 from .pep import PepSynthesizer
 from .queries import QuerySet, SupportMap
@@ -93,7 +93,9 @@ def gem_pub_pretrain(
     if public.n == 0:
         raise DataError("empty public dataset")
     if steps < 1:
-        raise DataError("steps must be >= 1")
+        raise ConfigError("steps must be >= 1")
+    if not lr > 0:
+        raise ConfigError("lr must be > 0")
     restricted = restrict_to_public(queries, public.domain)
     targets = public_answers(restricted, public)
     params = init_params(rng, cfg.z_dim, cfg.hidden, domain.onehot_width)
@@ -134,7 +136,7 @@ def best_mixture_error(
     if targets.shape[0] != queries.total_queries:
         raise DataError("target vector does not match the query collection")
     if iterations < 1:
-        raise DataError("iterations must be >= 1")
+        raise ConfigError("iterations must be >= 1")
     qmap = SupportMap(queries, cells)  # the full domain too: steps scatter through it
     lr = 0.5 / math.sqrt(iterations)
     w, z = np.full(cells.size, 1.0 / cells.size), 1.0

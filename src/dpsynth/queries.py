@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import DataError, Dataset, Domain
+from .domain import ConfigError, DataError, Dataset, Domain
 
 # element budget of the intermediate tensor of product-query evaluation
 _CHUNK_TARGET = 4_000_000
@@ -236,17 +236,17 @@ def build_workloads(
     """
     d = domain.num_attrs
     if not (1 <= k <= d):
-        raise DataError(f"marginal order k={k} out of range for {d} attributes")
+        raise ConfigError(f"marginal order k={k} out of range for {d} attributes")
     total = math.comb(d, k)
     if count is None or count >= total:
         if count is not None and count > total:
-            raise DataError(f"asked for {count} workloads, only {total} exist")
+            raise ConfigError(f"asked for {count} workloads, only {total} exist")
         subsets = list(itertools.combinations(range(d), k))
     else:
         if count < 1:
-            raise DataError("count must be >= 1")
+            raise ConfigError("count must be >= 1")
         if rng is None:
-            raise DataError("sampling workloads needs an rng")
+            raise ConfigError("sampling workloads needs an rng")
         picks = rng.choice(total, size=count, replace=False)
         all_subsets = list(itertools.combinations(range(d), k))
         subsets = sorted(all_subsets[int(i)] for i in picks)

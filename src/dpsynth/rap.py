@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DataError, Domain, ProductMixture
+from .domain import ConfigError, Domain, ProductMixture
 from .loop import Synthesizer
 from .privacy import MeasurementLedger
 from .queries import QuerySet, product_answers, product_answers_grad
@@ -29,8 +29,8 @@ class RapConfig:
     original: bool = False  # clip rows to [0,1] instead of softmax blocks
 
     def __post_init__(self):
-        if self.rows < 1 or self.lr <= 0 or self.max_steps < 0:
-            raise DataError("rows >= 1, lr > 0, max_steps >= 0 required")
+        if self.rows < 1 or not self.lr > 0 or self.max_steps < 0:
+            raise ConfigError("rows >= 1, lr > 0, max_steps >= 0 required")
 
 
 # an update stops once PLATEAU_WINDOW accepted steps cut the loss by less than

@@ -12,6 +12,7 @@ import json
 import numpy as np
 
 from .domain import DataError
+from .privacy import Accountant
 from .queries import QuerySet
 
 SCHEMA_VERSION = 1
@@ -50,28 +51,24 @@ def build_report(
     queries: QuerySet,
     true_answers,
     synth_answers,
-    rho: float | None,
+    acct: Accountant,
     epsilon: float | None,
     delta: float | None,
-    eps0: float | None,
-    T: int,
-    k: int,
-    alpha: float,
     seed: int,
-    n: int,
     private: bool,
     wall_time_sec: float,
     config: dict | None = None,
 ) -> dict:
+    """The run report; the budget split (rho, eps0, T, k, alpha) and n are read off `acct`."""
     mx, mn, rmse = errors(true_answers, synth_answers)
     return {
         "schema_version": SCHEMA_VERSION,
         "method": method,
-        "n": n,
-        "budget": {"rho": rho, "epsilon": epsilon, "delta": delta, "eps0": eps0},
-        "T": T,
-        "k": k,
-        "alpha": alpha,
+        "n": acct.n,
+        "budget": {"rho": acct.rho, "epsilon": epsilon, "delta": delta, "eps0": acct.eps0},
+        "T": acct.T,
+        "k": acct.k,
+        "alpha": acct.alpha,
         "seed": seed,
         "private": private,
         "marginal_k": queries.k,

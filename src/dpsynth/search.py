@@ -14,6 +14,7 @@ import numpy as np
 
 from .domain import (
     DEFAULT_CELL_CAP,
+    ConfigError,
     DataError,
     Domain,
     SupportDistribution,
@@ -29,8 +30,8 @@ class DualQueryConfig:
     samples: int = 100  # queries drawn per round
 
     def __post_init__(self):
-        if self.eta <= 0 or self.samples < 1:
-            raise DataError("eta must be > 0 and samples >= 1")
+        if not self.eta > 0 or self.samples < 1:
+            raise ConfigError("eta must be > 0 and samples >= 1")
 
 
 @dataclass
@@ -39,8 +40,8 @@ class FemConfig:
     samples: int = 100  # records generated per round
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.samples < 1:
-            raise DataError("sigma must be > 0 and samples >= 1")
+        if not self.sigma > 0 or self.samples < 1:
+            raise ConfigError("sigma must be > 0 and samples >= 1")
 
 
 class _SearchBase(Synthesizer):
@@ -89,7 +90,7 @@ class DualQuerySynthesizer(_SearchBase):
 
     def private_round(self, rnd, queries, private_answers, acct, rng, no_noise, em_halved=False):
         if em_halved:
-            raise DataError("dualquery draws no exponential mechanism; em_halved does not apply")
+            raise ConfigError("dualquery draws no exponential mechanism; em_halved does not apply")
         cum = np.cumsum(self.qweights)
         u = rng.random(self.cfg.samples)
         drawn = np.minimum(np.searchsorted(cum / cum[-1], u, side="right"), cum.size - 1)

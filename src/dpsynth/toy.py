@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import DataError, Dataset, Domain
+from .domain import ConfigError, Dataset, Domain
 
 
 def gen_toy(
@@ -21,13 +21,10 @@ def gen_toy(
     components: int = 3,
 ) -> tuple[Domain, Dataset]:
     if attrs < 1 or n < 1 or components < 1:
-        raise DataError("attrs, n, components must be >= 1")
-    if isinstance(sizes, int):
-        size_list = [sizes] * attrs
-    else:
-        size_list = list(sizes)
-        if len(size_list) != attrs:
-            raise DataError("need one size per attribute")
+        raise ConfigError("attrs, n, components must be >= 1")
+    size_list = [sizes] * attrs if isinstance(sizes, int) else list(sizes)
+    if len(size_list) != attrs or min(size_list) < 2:
+        raise ConfigError("need one size >= 2 per attribute")
     domain = Domain(tuple(f"a{i}" for i in range(attrs)), tuple(size_list))
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.full(components, 2.0))

@@ -160,10 +160,57 @@ def test_bad_data_exits_4(toy, tmp_path, capsys):
         ["synth", "--domain", str(dom), "--data", str(bad), "--method", "mwem", "--rho", "0.1"]
     )
     assert rc == 4
-    capsys.readouterr()
-    for flags in (("--mwem-eta", "0"), ("--mwem-cycles", "0")):
-        assert _synth(toy, tmp_path, *flags) == 4
-        assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# (subcommand or synth method, flag, out-of-range value)
+BAD_SETTINGS = [
+    ("mwem", "--mwem-eta", "0"),
+    ("mwem", "--mwem-cycles", "0"),
+    ("pep", "--pep-gamma", "-1"),
+    ("pep", "--pep-tmax", "0"),
+    ("gem", "--gem-hidden", "0"),
+    ("gem", "--gem-hidden", "4,0"),
+    ("gem", "--gem-hidden", "-3"),
+    ("gem", "--gem-zdim", "0"),
+    ("gem", "--gem-batch", "0"),
+    ("gem", "--gem-lr", "-1"),
+    ("gem", "--gem-ema-beta", "1.5"),
+    ("rap-softmax", "--rap-rows", "0"),
+    ("rap-softmax", "--rap-lr", "0"),
+    ("dualquery", "--dq-eta", "0"),
+    ("dualquery", "--dq-samples", "0"),
+    ("fem", "--fem-sigma", "0"),
+    ("fem", "--fem-samples", "0"),
+    ("mwem", "--marginal-k", "0"),
+    ("mwem", "--workloads", "0"),
+    ("mwem", "--workloads", "99"),
+    ("evaluate", "--gem-batch", "0"),
+    ("pretrain", "--gem-hidden", "0"),
+    ("pretrain", "--gem-hidden", "4,0"),
+    ("pretrain", "--gem-hidden", "-3"),
+    ("pretrain", "--lr", "0"),
+    ("gen-toy", "--attrs", "0"),
+    ("gen-toy", "--sizes", "1"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", BAD_SETTINGS, ids=[" ".join(c) for c in BAD_SETTINGS])
+def test_out_of_range_setting_exits_2(toy, tmp_path, capsys, command, flag, value):
+    # one "error:" line, never a traceback
+    dom, dat = toy
+    if command == "pretrain":
+        argv = ["pretrain", "--domain", str(dom), "--public", str(dat), "--out", str(tmp_path / "ck.json")]
+    elif command == "evaluate":
+        argv = ["evaluate", "--domain", str(dom), "--data", str(dat), "--synthetic", str(dat)]
+    elif command == "gen-toy":
+        argv = ["gen-toy", "--out", str(tmp_path / "t.csv")]
+    else:
+        argv = ["synth", "--domain", str(dom), "--data", str(dat), "--method", command, "--rho", "0.05",
+                "--marginal-k", "2", "--T", "3"]
+    assert main([*argv, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_no_noise_warns_and_marks_report(toy, tmp_path, capsys):
@@ -303,10 +350,11 @@ def test_dist_domain_mismatch_exits_4(toy, tmp_path, capsys):
     other_dat = tmp_path / "other.csv"
     _write_csv(other_dat, ["a0", "zz"], [[0, 0], [1, 2]])
     rc = main(
-        ["evaluate", "--domain", str(other_dom), "--data", str(other_dat), "--dist", str(dist)]
+        ["evaluate", "--domain", str(other_dom), "--data", str(other_dat), "--dist", str(dist),
+         "--marginal-k", "2"]
     )
     assert rc == 4
-    capsys.readouterr()
+    assert capsys.readouterr().err == f"error: {dist}: artifact domain does not match --domain\n"
 
 
 def test_checkpoint_domain_mismatch_exits_4(toy, tmp_path, capsys):
@@ -364,6 +412,11 @@ MALFORMED = {
     "npz-object-arrays": lambda p, dom: _npz(p, dom, cells=np.arange(2).astype(object), probs=np.ones(2)),
     "npz-without-domain": lambda p, dom: np.savez(p, cells=np.array([0, 1]), probs=np.ones(2) / 2),
     "npz-rows-of-another-width": lambda p, dom: _npz(p, dom, P=np.full((2, 5), 0.5)),
+    "npz-rows-outside-unit-interval": lambda p, dom: _npz(p, dom, P=np.full((2, 6), 1.5)),
+    "npz-no-rows": lambda p, dom: _npz(p, dom, P=np.empty((0, 6))),
+    "npz-cells-outside-domain": lambda p, dom: _npz(p, dom, cells=np.array([100, -3]), probs=np.ones(2) / 2),
+    "npz-negative-probs": lambda p, dom: _npz(p, dom, cells=np.array([0, 1]), probs=np.array([5.0, -4.0])),
+    "npz-repeated-cells": lambda p, dom: _npz(p, dom, cells=np.array([0, 0]), probs=np.ones(2) / 2),
 }
 
 
@@ -450,6 +503,16 @@ def test_pretrain_zero_steps_exits_2(toy, tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == "error: --steps must be >= 1, got 0\n"
     assert not ck.exists()
+
+
+def test_pretrain_has_no_training_flags(toy, tmp_path, capsys):
+    # pretraining takes its step size from --lr; the synth loop's --gem-lr is not its flag
+    dom, dat = toy
+    argv = ["pretrain", "--domain", str(dom), "--public", str(dat), "--out", str(tmp_path / "gen.json")]
+    with pytest.raises(SystemExit) as ei:
+        main([*argv, "--gem-lr", "5"])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --gem-lr 5" in capsys.readouterr().err
 
 
 def test_pretrain_then_gem_init(toy, tmp_path, capsys):

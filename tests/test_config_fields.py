@@ -3,7 +3,7 @@
 A field counts as set where a call to its class passes it by keyword, in
 `src/dpsynth`, `perfbench/` or `scripts/`, outside the class's own definition.
 A field that nothing sets has one value in use, and belongs in a module
-constant instead.
+constant instead. And every check in a `__post_init__` raises `ConfigError`.
 """
 import ast
 from collections import defaultdict
@@ -62,3 +62,16 @@ def test_every_config_field_is_set_by_keyword_outside_its_definition():
         for field in sorted(fields - given[node.name])
     ]
     assert not unset, "never set: " + ", ".join(unset)
+
+
+def test_config_checks_raise_config_error():
+    # a bad setting exits the CLI with code 2 only when its check raises ConfigError
+    # (BudgetError is one); DataError would exit 4
+    wrong = []
+    for path, node, _ in _configs():
+        for fn in node.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                for r in ast.walk(fn):
+                    if isinstance(r, ast.Raise) and _name(r.exc) not in ("ConfigError", "BudgetError"):
+                        wrong.append(f"{path.name}:{r.lineno} {node.name}")
+    assert not wrong, "raises other than ConfigError: " + ", ".join(wrong)

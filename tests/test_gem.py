@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dpsynth import DataError, Domain, GemConfig, GemSynthesizer, build_workloads
+from dpsynth import ConfigError, DataError, Domain, GemConfig, GemSynthesizer, build_workloads
 from dpsynth.gem import (
     Adam,
     block_softmax,
@@ -34,12 +34,18 @@ def _logit_params(domain, logits):
 
 
 def test_config_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         GemConfig(loss="huber")
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         GemConfig(batch=0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         GemConfig(ema_beta=1.0)
+    for hidden in ((0,), (4, 0), (-3,)):
+        with pytest.raises(ConfigError):
+            GemConfig(hidden=hidden)
+    for lr in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError):
+            GemConfig(lr=lr)
 
 
 def test_forward_zero_params_uniform():
@@ -307,7 +313,7 @@ def test_output_answers_normalized_and_sampling_valid():
     ds = out.sample_dataset(200, np.random.default_rng(0))
     assert ds.records.shape == (200, 2)
     assert ds.records[:, 0].max() < 3 and ds.records[:, 1].max() < 4
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         out.sample_dataset(0, np.random.default_rng(0))
 
 

@@ -4,6 +4,7 @@ import pytest
 from dpsynth import (
     Accountant,
     BudgetError,
+    ConfigError,
     DataError,
     Dataset,
     Domain,
@@ -34,7 +35,7 @@ def test_run_config_validation():
         RunConfig(T=0)
     with pytest.raises(BudgetError):
         RunConfig(k=0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         RunConfig(output="median")
 
 
@@ -142,7 +143,7 @@ def test_run_average_output_refuses_other_methods(method):
         synth = DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=5))
         acct = Accountant.selection_only(rho=0.5, T=2, k=1, n=data.n)
     cfg = RunConfig(T=2, k=1, alpha=acct.alpha, output="average")
-    with pytest.raises(DataError, match="averaged output"):
+    with pytest.raises(ConfigError, match="averaged output"):
         run(data, qs, synth, acct, cfg, rng)
 
 
@@ -156,7 +157,7 @@ def test_run_per_workload_refuses_self_selecting_methods(search):
         synth = FemSynthesizer(dom, qs, FemConfig(samples=5))
     acct = Accountant.selection_only(rho=0.5, T=2, k=1, n=data.n)
     cfg = RunConfig(T=2, k=1, alpha=acct.alpha, per_workload=True)
-    with pytest.raises(DataError, match="per_workload"):
+    with pytest.raises(ConfigError, match="per_workload"):
         run(data, qs, synth, acct, cfg, np.random.default_rng(0))
 
 

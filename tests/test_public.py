@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from dpsynth import (
+    ConfigError,
     DataError,
     Dataset,
     Domain,
@@ -153,8 +154,10 @@ def test_gem_pub_pretrain_restricts_queries():
     assert info["queries"] == 4  # only the a and b workloads survive
     with pytest.raises(DataError):
         gem_pub_pretrain(dom, _empty_dataset(pub_dom), qs, cfg, rng)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         gem_pub_pretrain(dom, pub, qs, cfg, rng, steps=0)
+    with pytest.raises(ConfigError):
+        gem_pub_pretrain(dom, pub, qs, cfg, rng, lr=0.0)
     with pytest.raises(DataError):
         gem_pub_pretrain(dom, Dataset(Domain(("z",), (2,)), np.array([[0]])), qs, cfg, rng)
 
@@ -184,7 +187,7 @@ def test_best_mixture_error_validation():
         best_mixture_error(np.array([], dtype=np.int64), qs, np.array([0.5, 0.5]))
     with pytest.raises(DataError):
         best_mixture_error(np.array([0]), qs, np.array([0.5]))
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         best_mixture_error(np.array([0]), qs, np.array([0.5, 0.5]), iterations=0)
 
 

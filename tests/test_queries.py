@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpsynth import DataError, Dataset, Domain, build_workloads
+from dpsynth import ConfigError, DataError, Dataset, Domain, build_workloads
 from dpsynth.queries import QuerySet, Workload, product_answers, product_answers_grad
 
 from oracles import (
@@ -77,8 +77,11 @@ def test_build_workloads_sampled():
     assert len(a.workloads) == 5
     assert len({w.features for w in a.workloads}) == 5  # without replacement
     assert a.workloads == sorted(a.workloads, key=lambda w: w.features)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         build_workloads(dom, 2, count=100, rng=np.random.default_rng(0))
+    for k, count, rng in ((0, None, None), (2, 0, np.random.default_rng(0)), (2, 3, None)):
+        with pytest.raises(ConfigError):
+            build_workloads(dom, k, count, rng)
 
 
 def test_answers_match_brute_force():

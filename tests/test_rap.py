@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpsynth import DataError, Domain, PepSynthesizer, RapConfig, RapSynthesizer, build_workloads
+from dpsynth import ConfigError, Domain, PepSynthesizer, RapConfig, RapSynthesizer, build_workloads
 from dpsynth.privacy import MeasurementLedger
 from dpsynth.queries import product_answers
 
@@ -15,11 +15,11 @@ def _probs(dom, M, original=False):
 
 
 def test_config_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         RapConfig(rows=0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         RapConfig(lr=0.0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         RapConfig(max_steps=-1)
 
 
@@ -175,7 +175,7 @@ def test_output_sampling_and_npz(tmp_path):
     ds = out.sample_dataset(100, np.random.default_rng(1))
     assert ds.records.shape == (100, 2)
     assert ds.records[:, 0].max() < 2 and ds.records[:, 1].max() < 3
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         out.sample_dataset(-1, np.random.default_rng(1))
     path = tmp_path / "relaxed.npz"
     out.save_npz(path)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpsynth.domain import DataError, Dataset, Domain
+from dpsynth.privacy import Accountant
 from dpsynth.queries import build_workloads
 from dpsynth.report import (
     build_report,
@@ -85,6 +86,9 @@ def test_per_workload_errors_structure():
     assert rows[1]["max"] == 0.0 and rows[1]["rmse"] == 0.0
 
 
+ACCT = Accountant(rho=0.5, T=10, k=1, alpha=0.67, n=4)
+
+
 def _report(wall=1.5, seed=0):
     dom, qs = _toy_queryset()
     data = Dataset(dom, np.array([[0, 0], [1, 2], [1, 1], [0, 0]]))
@@ -97,15 +101,10 @@ def _report(wall=1.5, seed=0):
         queries=qs,
         true_answers=true,
         synth_answers=synth,
-        rho=0.5,
+        acct=ACCT,
         epsilon=None,
         delta=1e-6,
-        eps0=0.1,
-        T=10,
-        k=1,
-        alpha=0.67,
         seed=seed,
-        n=4,
         private=True,
         wall_time_sec=wall,
         config={"cycles": 50},
@@ -116,7 +115,8 @@ def test_build_report_fields():
     rep = _report()
     assert rep["schema_version"] == 1
     assert rep["method"] == "mwem"
-    assert rep["budget"] == {"rho": 0.5, "epsilon": None, "delta": 1e-6, "eps0": 0.1}
+    assert rep["budget"] == {"rho": 0.5, "epsilon": None, "delta": 1e-6, "eps0": ACCT.eps0}
+    assert (rep["T"], rep["k"], rep["alpha"], rep["n"]) == (10, 1, 0.67, 4)
     assert rep["marginal_k"] == 1
     assert rep["workload_count"] == 2
     assert rep["query_count"] == 5

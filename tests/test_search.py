@@ -4,6 +4,7 @@ import pytest
 from dpsynth import (
     Accountant,
     CapacityError,
+    ConfigError,
     DataError,
     Dataset,
     Domain,
@@ -25,13 +26,13 @@ def _setup(sizes=(4,), k=1):
 
 
 def test_config_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         DualQueryConfig(eta=0.0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         DualQueryConfig(samples=0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         FemConfig(sigma=0.0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         FemConfig(samples=0)
 
 
@@ -222,5 +223,5 @@ def test_loop_passes_em_halved_to_fem_and_dualquery_refuses_it():
     assert picks[0] != picks[1]
     synth = DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=5))
     cfg = RunConfig(T=5, k=1, alpha=1.0, em_score_halved=True)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         run(data, qs, synth, acct, cfg, np.random.default_rng(1))

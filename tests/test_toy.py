@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from dpsynth.domain import DataError
+from dpsynth.domain import ConfigError
 from dpsynth.queries import build_workloads
 from dpsynth.toy import gen_toy
 
@@ -44,11 +44,15 @@ def test_marginals_far_from_uniform():
 
 
 def test_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         gen_toy(attrs=0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         gen_toy(n=0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         gen_toy(components=0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         gen_toy(attrs=3, sizes=[2, 2])
+    with pytest.raises(ConfigError):
+        gen_toy(sizes=1)
+    with pytest.raises(ConfigError):
+        gen_toy(attrs=2, sizes=[3, 1])
