@@ -151,6 +151,8 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     if args.pretrain_steps < 1:
         raise ConfigError(f"--pretrain-steps must be >= 1, got {args.pretrain_steps}")
+    if not 0 < args.pretrain_lr < np.inf:
+        raise ConfigError(f"--pretrain-lr must be > 0 and finite, got {args.pretrain_lr}")
 
     domain = Domain.load(args.domain)
     data = Dataset.from_csv(args.data, domain)
@@ -265,22 +267,13 @@ def _build_synth(args, domain, data, queries, rng):
                 rng,
                 steps=args.pretrain_steps,
                 lr=args.pretrain_lr,
-                tol=args.pretrain_tol,
             )
             print(
                 f"pretrained on public data: {info['queries']} queries, "
                 f"{info['steps']} steps, max_err={info['max_err']:.4g}",
                 file=sys.stderr,
             )
-        return GemSynthesizer(
-            domain,
-            queries,
-            cfg,
-            rng,
-            total_rounds=args.T,
-            init=init,
-            exact_targets=args.no_noise,
-        )
+        return GemSynthesizer(domain, queries, cfg, rng, total_rounds=args.T, init=init)
     if method == "rap-softmax":
         cfg = RapConfig(
             rows=args.rap_rows, lr=args.rap_lr, max_steps=args.rap_steps, original=args.rap_original
@@ -399,9 +392,7 @@ def cmd_pretrain(args) -> int:
     queries = _build_queries(args, domain)
     cfg = GemConfig(hidden=_gem_hidden(args), z_dim=args.gem_zdim, batch=args.gem_batch, loss=args.gem_loss)
     rng = np.random.default_rng(args.seed)
-    params, info = gem_pub_pretrain(
-        domain, public, queries, cfg, rng, steps=args.steps, lr=args.lr, tol=args.tol
-    )
+    params, info = gem_pub_pretrain(domain, public, queries, cfg, rng, steps=args.steps, lr=args.lr)
     save_checkpoint(params, domain, args.out)
     print(
         f"pretrained: {info['queries']} public queries, {info['steps']} steps, "
@@ -449,8 +440,15 @@ def cmd_gen_toy(args) -> int:
 # ------------------------------------------------------------------ main --
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own rejections print one `error:` line and exit 2, as every other error does."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="dpsynth", description=__doc__)
+    ap = _Parser(prog="dpsynth", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="fit a private synthetic distribution")
@@ -479,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gem-init", default=None, help="generator checkpoint to start from")
     p.add_argument("--pretrain-steps", type=int, default=3000)
     p.add_argument("--pretrain-lr", type=float, default=1e-3)
-    p.add_argument("--pretrain-tol", type=float, default=0.0)
     p.add_argument("--mwem-eta", type=float, default=2.0)
     p.add_argument("--mwem-cycles", type=int, default=10)
     p.add_argument("--pep-gamma", type=float, default=0.0)
@@ -527,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=3000)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=0.0)
     _gem_shape_args(p)
     p.set_defaults(func=cmd_pretrain)
 

@@ -24,6 +24,9 @@ DEFAULT_CELL_CAP = 1 << 22
 # Flat cell indices are int64, so they cover at most this many cells.
 MAX_FLAT_CELLS = 1 << 63
 
+# The largest x whose exp(x) is a finite float64.
+LOG_MAX_FLOAT = float(np.log(np.finfo(np.float64).max))
+
 
 class DomainError(ValueError):
     """Malformed domain description."""

@@ -45,8 +45,8 @@ class GemConfig:
             raise ConfigError("loss must be 'l1' or 'l2'")
         if self.z_dim < 1 or self.batch < 1 or self.t_max < 0 or any(h < 1 for h in self.hidden):
             raise ConfigError("z_dim, batch and hidden widths must be >= 1, t_max >= 0")
-        if not self.lr > 0:
-            raise ConfigError("lr must be > 0")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError("lr must be > 0 and finite")
         if not (0.0 < self.ema_beta < 1.0):
             raise ConfigError("ema_beta must lie in (0, 1)")
 
@@ -261,16 +261,12 @@ class GemSynthesizer(Synthesizer):
         rng: np.random.Generator,
         total_rounds: int,
         init: Params | None = None,
-        exact_targets: bool = False,
     ):
         self.domain = domain
         self.queries = queries
         self.cfg = cfg
         self.rng = rng
         self.total_rounds = int(total_rounds)
-        # the early-stop threshold guards against overfitting noisy targets;
-        # with exact measurements it would stall the fit, so drop it
-        self.exact_targets = bool(exact_targets)
         # a warm start's weights fix the architecture; cfg's shape is for fresh weights
         z_dim = cfg.z_dim if init is None else init[0][0].shape[0]
         self.z_batch = rng.standard_normal((cfg.batch, z_dim))
@@ -288,9 +284,9 @@ class GemSynthesizer(Synthesizer):
             return self.rng.standard_normal(self.z_batch.shape)
         return self.z_batch
 
-    def answers(self, queries: QuerySet) -> np.ndarray:
+    def answers(self) -> np.ndarray:
         P, _ = forward(self.params, self.z_batch, self.domain)
-        return queries.answers_probs(P)
+        return self.queries.answers_probs(P)
 
     def update(self, ledger: MeasurementLedger) -> None:
         if len(ledger) == 0:
@@ -303,7 +299,9 @@ class GemSynthesizer(Synthesizer):
         fresh = rounds == rounds.max()
         _, c = _residuals(self.params, self.z_batch, self.queries, qidx, targets)
         sampled_max = float(np.abs(c[fresh]).max())
-        if self.exact_targets:
+        # the early-stop threshold guards against overfitting noisy targets;
+        # with exact measurements it would stall the fit, so drop it
+        if ledger.exact:
             self.gamma = 0.0
         elif self.gamma is None:
             self.gamma = sampled_max

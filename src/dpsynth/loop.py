@@ -45,12 +45,13 @@ class Synthesizer(abc.ABC):
     """One synthesizer = a state plus an update rule against the ledger."""
 
     domain: Domain
+    queries: QuerySet  # the one collection it is fitted to; run must be given it
     # methods that run their own private round (no Gaussian measurements)
     self_selecting: bool = False
 
     @abc.abstractmethod
-    def answers(self, queries: QuerySet) -> np.ndarray:
-        """Current answers of the synthetic distribution to every query."""
+    def answers(self) -> np.ndarray:
+        """Current answers of the synthetic distribution to every query of `queries`."""
 
     @abc.abstractmethod
     def update(self, ledger: MeasurementLedger) -> None:
@@ -60,7 +61,8 @@ class Synthesizer(abc.ABC):
     def finalize(self):
         """Output distribution handle (answers / sample_dataset / save)."""
 
-    def private_round(self, rnd, queries, private_answers, acct, rng, no_noise, em_halved=False):
+    def private_round(self, current, private_answers, acct, rng, no_noise, em_halved=False):
+        """One self-selected round from the current answers; returns (selected, None)."""
         raise NotImplementedError
 
 
@@ -72,7 +74,7 @@ def run(
     cfg: RunConfig,
     rng: np.random.Generator,
 ):
-    """Run T rounds and return (output distribution, trace).
+    """Run T rounds of `synth`, which must be built on `queries`; return (output, trace).
 
     The trace is one dict per round: selected query indices, their measured
     answers, and the post-update max error over the measured set. Full
@@ -81,6 +83,8 @@ def run(
     the output is the mean of every round's distribution over the method's
     own support, summed in round order.
     """
+    if synth.queries is not queries:
+        raise ConfigError("the synthesizer was built on another query collection")
     if data.n < 1:
         raise DataError("empty private dataset")
     if acct.T != cfg.T or acct.k != cfg.k:
@@ -88,17 +92,19 @@ def run(
     if cfg.per_workload and synth.self_selecting:
         raise ConfigError("per_workload measurement does not apply to a self-selecting synthesizer")
     want_avg = cfg.output == "average"
+    audit = cfg.no_noise or cfg.audit_errors
     private = queries.answers_records(data)
-    ledger = MeasurementLedger()
+    ledger = MeasurementLedger(exact=cfg.no_noise)
     trace: list[dict] = []
     total = None  # running sum of each round's output probabilities
-    post = None  # answers after the last update: the state has not moved since
+    post = None  # answers after the last update, while the state has not moved since
     for t in range(1, cfg.T + 1):
+        current = synth.answers() if post is None else post
         if synth.self_selecting:
             selected, noisy = synth.private_round(
-                t, queries, private, acct, rng, cfg.no_noise, cfg.em_score_halved
+                current, private, acct, rng, cfg.no_noise, cfg.em_score_halved
             )
-            post = synth.answers(queries)
+            post = synth.answers() if audit else None
             rec: dict = {
                 "round": t,
                 "selected": [int(s) for s in selected],
@@ -106,7 +112,6 @@ def run(
                 "max_err_measured": None,
             }
         else:
-            current = synth.answers(queries) if post is None else post
             selected = select_and_measure_round(
                 ledger,
                 queries,
@@ -120,7 +125,7 @@ def run(
                 em_halved=cfg.em_score_halved,
             )
             synth.update(ledger)
-            post = synth.answers(queries)
+            post = synth.answers()
             new = [e for e in ledger.entries() if e.round == t]
             idx = ledger.indices()
             rec = {
@@ -130,7 +135,7 @@ def run(
                 "noisy_answers": [e.answer for e in new],
                 "max_err_measured": float(np.abs(ledger.answers() - post[idx]).max()),
             }
-        if cfg.no_noise or cfg.audit_errors:
+        if audit:
             rec["max_err_all"] = float(np.abs(private - post).max())
         trace.append(rec)
         if want_avg:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .domain import (
     DEFAULT_CELL_CAP,
+    LOG_MAX_FLOAT,
     CellWeights,
     ConfigError,
     Domain,
@@ -38,8 +39,9 @@ class MwemSynthesizer(Synthesizer):
         cell_cap: int = DEFAULT_CELL_CAP,
     ):
         domain.check_cap(cell_cap)
-        if not eta > 0:
-            raise ConfigError("eta must be positive")
+        # a step is exp(+-(a~ - q)/eta) with |a~ - q| <= 1, so exp(1/eta) must be finite
+        if not (0 < eta < np.inf and 1.0 / eta <= LOG_MAX_FLOAT):
+            raise ConfigError(f"eta must be finite and >= 1/{LOG_MAX_FLOAT:.6g}")
         if cycles < 1:
             raise ConfigError("cycles must be >= 1")
         self.domain = domain
@@ -49,8 +51,8 @@ class MwemSynthesizer(Synthesizer):
         self.mass = np.full(domain.total_cells, 1.0 / domain.total_cells)
         self._cell_lists: dict[int, np.ndarray] = {}  # matching cells per measured query
 
-    def answers(self, queries: QuerySet) -> np.ndarray:
-        return queries.answers_mass(self.mass)
+    def answers(self) -> np.ndarray:
+        return self.queries.answers_mass(self.mass)
 
     def _cells(self, qidx: int) -> np.ndarray:
         if qidx not in self._cell_lists:

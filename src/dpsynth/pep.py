@@ -54,8 +54,8 @@ class PepSynthesizer(Synthesizer):
         self.probs = normalize_mass(np.asarray(init_probs, dtype=np.float64))
         if self.probs.shape != self.cells.shape:
             raise DataError("support and init probabilities must align")
-        if not gamma >= 0 or t_max < 1:
-            raise ConfigError("gamma must be >= 0 and t_max >= 1")
+        if not 0 <= gamma < np.inf or t_max < 1:
+            raise ConfigError("gamma must be finite and >= 0, and t_max >= 1")
         self.gamma = float(gamma)
         self.t_max = int(t_max)
         # a public support keeps its query map (None on the full domain)
@@ -67,10 +67,8 @@ class PepSynthesizer(Synthesizer):
             return self.queries.answers_mass(self.probs)
         return self.queries.answers_support(self.cells, self.probs, self._qmap)
 
-    def answers(self, queries: QuerySet) -> np.ndarray:
-        if queries is self.queries:
-            return self._answers_all()
-        return queries.answers_support(self.cells, self.probs)
+    def answers(self) -> np.ndarray:
+        return self._answers_all()
 
     def _cells(self, qidx: int) -> np.ndarray:
         if qidx not in self._cell_lists:

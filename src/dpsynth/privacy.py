@@ -175,9 +175,11 @@ class MeasurementLedger:
 
     At most one live entry per query: re-measuring replaces the old value and
     moves the entry to the end, so rounds are nondecreasing in entry order.
+    `exact` says the answers were measured without noise.
     """
 
-    def __init__(self):
+    def __init__(self, exact: bool = False):
+        self.exact = bool(exact)
         self._entries: dict[int, tuple[float, int]] = {}
 
     def __len__(self) -> int:

@@ -83,31 +83,27 @@ def gem_pub_pretrain(
     rng: np.random.Generator,
     steps: int = 3000,
     lr: float = 1e-3,
-    tol: float = 0.0,
 ) -> tuple[Params, dict]:
     """Fit a fresh generator to exact public answers (no privacy involved).
 
     Only workloads that fit inside the public schema contribute. Returns the
-    trained parameters plus a small info dict (steps used, final max error).
+    trained parameters plus a small info dict (steps, max error at the last step).
     """
     if public.n == 0:
         raise DataError("empty public dataset")
     if steps < 1:
         raise ConfigError("steps must be >= 1")
-    if not lr > 0:
-        raise ConfigError("lr must be > 0")
+    if not 0 < lr < np.inf:
+        raise ConfigError("lr must be > 0 and finite")
     restricted = restrict_to_public(queries, public.domain)
     targets = public_answers(restricted, public)
     params = init_params(rng, cfg.z_dim, cfg.hidden, domain.onehot_width)
     Z = rng.standard_normal((cfg.batch, cfg.z_dim))
     opt = Adam(params, lr)
-    for used in range(1, steps + 1):
+    for _ in range(steps):
         _, grads, c = gem_gradient(params, Z, restricted, None, targets, 0.0, cfg.loss)
         params = opt.step(params, grads)
-        max_err = float(np.abs(c).max())
-        if max_err < tol:
-            break
-    return params, {"steps": used, "max_err": max_err, "queries": restricted.total_queries}
+    return params, {"steps": steps, "max_err": float(np.abs(c).max()), "queries": restricted.total_queries}
 
 
 def best_mixture_error(

@@ -29,8 +29,8 @@ class RapConfig:
     original: bool = False  # clip rows to [0,1] instead of softmax blocks
 
     def __post_init__(self):
-        if self.rows < 1 or not self.lr > 0 or self.max_steps < 0:
-            raise ConfigError("rows >= 1, lr > 0, max_steps >= 0 required")
+        if self.rows < 1 or not 0 < self.lr < np.inf or self.max_steps < 0:
+            raise ConfigError("rows >= 1, finite lr > 0, max_steps >= 0 required")
 
 
 # an update stops once PLATEAU_WINDOW accepted steps cut the loss by less than
@@ -60,8 +60,8 @@ class RapSynthesizer(Synthesizer):
             return np.clip(M, 0.0, 1.0)
         return block_softmax(M, self.domain)
 
-    def answers(self, queries: QuerySet) -> np.ndarray:
-        return queries.answers_probs(self._probs(self.M))
+    def answers(self) -> np.ndarray:
+        return self.queries.answers_probs(self._probs(self.M))
 
     def _loss(self, M: np.ndarray, qidx: np.ndarray, targets: np.ndarray):
         """(squared-error loss, P, residual answers - targets) at rows M."""

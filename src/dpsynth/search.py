@@ -4,7 +4,7 @@ record at a time by exhaustive scan over domain cells.
 Both methods spend their whole budget on query selection (no Gaussian
 measurements), so they plug into the loop as self-selecting synthesizers and
 the accountant runs with alpha = 1. Output is the empirical distribution of
-every record accumulated across rounds.
+every record accumulated across rounds, kept as one count per cell.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import numpy as np
 
 from .domain import (
     DEFAULT_CELL_CAP,
+    LOG_MAX_FLOAT,
     ConfigError,
     DataError,
     Domain,
@@ -30,8 +31,9 @@ class DualQueryConfig:
     samples: int = 100  # queries drawn per round
 
     def __post_init__(self):
-        if not self.eta > 0 or self.samples < 1:
-            raise ConfigError("eta must be > 0 and samples >= 1")
+        # payoffs lie in [0, 1], so exp(eta * payoff) stays finite up to this eta
+        if not 0 < self.eta <= LOG_MAX_FLOAT or self.samples < 1:
+            raise ConfigError(f"eta must lie in (0, {LOG_MAX_FLOAT:.6g}] and samples >= 1")
 
 
 @dataclass
@@ -40,8 +42,8 @@ class FemConfig:
     samples: int = 100  # records generated per round
 
     def __post_init__(self):
-        if not self.sigma > 0 or self.samples < 1:
-            raise ConfigError("sigma must be > 0 and samples >= 1")
+        if not 0 < self.sigma < np.inf or self.samples < 1:
+            raise ConfigError("sigma must be > 0 and finite, and samples >= 1")
 
 
 class _SearchBase(Synthesizer):
@@ -51,36 +53,32 @@ class _SearchBase(Synthesizer):
         domain.check_cap(cell_cap)
         self.domain = domain
         self.queries = queries
-        self.records: list[int] = []  # accumulated cell indices
-        self._uniform = np.full(domain.total_cells, 1.0 / domain.total_cells)
+        self.counts = np.zeros(domain.total_cells)  # records accumulated per cell
 
-    def _empirical(self) -> np.ndarray:
-        mass = np.zeros(self.domain.total_cells)
-        np.add.at(mass, np.array(self.records, dtype=np.int64), 1.0)
-        return mass / len(self.records)
-
-    def answers(self, queries: QuerySet) -> np.ndarray:
-        if not self.records:
-            return queries.answers_mass(self._uniform)
-        return queries.answers_mass(self._empirical())
+    def answers(self) -> np.ndarray:
+        total = self.counts.sum()
+        if not total:
+            return self.queries.answers_mass(np.full(self.counts.size, 1.0 / self.counts.size))
+        return self.queries.answers_mass(self.counts / total)
 
     def update(self, ledger: MeasurementLedger) -> None:
         pass  # no measured answers to fit against
 
     def finalize(self) -> SupportDistribution:
-        if not self.records:
+        cells = np.nonzero(self.counts)[0]
+        if not cells.size:
             raise DataError("no records accumulated")
-        cells, counts = np.unique(np.array(self.records, dtype=np.int64), return_counts=True)
-        return SupportDistribution(self.domain, cells, counts / counts.sum())
+        return SupportDistribution(self.domain, cells, self.counts[cells] / self.counts.sum())
 
 
 class DualQuerySynthesizer(_SearchBase):
     """Query player runs multiplicative weights; data player best-responds.
 
-    Per round: draw `samples` queries from the current query distribution,
-    add the one record minimizing their total indicator count (exhaustive
-    scan, lowest cell index on ties), then upweight every query by
-    exp(eta * its error against the running synthetic average).
+    Per round: once any record is held, upweight every query by
+    exp(eta * its error against the running synthetic average); then draw
+    `samples` queries from the query distribution and add the one record
+    minimizing their total indicator count (exhaustive scan, lowest cell
+    index on ties).
     """
 
     def __init__(self, domain, queries, cfg: DualQueryConfig, cell_cap: int = DEFAULT_CELL_CAP):
@@ -88,20 +86,19 @@ class DualQuerySynthesizer(_SearchBase):
         self.cfg = cfg
         self.qweights = np.full(queries.total_queries, 1.0 / queries.total_queries)
 
-    def private_round(self, rnd, queries, private_answers, acct, rng, no_noise, em_halved=False):
+    def private_round(self, current, private_answers, acct, rng, no_noise, em_halved=False):
         if em_halved:
             raise ConfigError("dualquery draws no exponential mechanism; em_halved does not apply")
+        if self.counts.any():  # the payoff of the records so far
+            w = self.qweights * np.exp(self.cfg.eta * np.abs(private_answers - current))
+            self.qweights = w / w.sum()
         cum = np.cumsum(self.qweights)
         u = rng.random(self.cfg.samples)
         drawn = np.minimum(np.searchsorted(cum / cum[-1], u, side="right"), cum.size - 1)
         objective = np.zeros(self.domain.total_cells)
         for q in drawn:
             objective[self.queries.cells_of(int(q))] += 1.0
-        x = int(np.argmin(objective))
-        self.records.append(x)
-        payoff = np.abs(private_answers - self.answers(queries))
-        w = self.qweights * np.exp(self.cfg.eta * payoff)
-        self.qweights = w / w.sum()
+        self.counts[int(np.argmin(objective))] += 1.0
         return [int(q) for q in drawn], None
 
 
@@ -119,8 +116,8 @@ class FemSynthesizer(_SearchBase):
         self.cfg = cfg
         self.base = np.zeros(domain.total_cells)  # sum of selected-query indicators
 
-    def private_round(self, rnd, queries, private_answers, acct: Accountant, rng, no_noise, em_halved=False):
-        scores = np.abs(private_answers - self.answers(queries))
+    def private_round(self, current, private_answers, acct: Accountant, rng, no_noise, em_halved=False):
+        scores = np.abs(private_answers - current)
         picked = select_k(scores, acct, rng, no_noise=no_noise, halved=em_halved)
         for q in picked:
             self.base[self.queries.cells_of(q)] += 1.0
@@ -130,5 +127,5 @@ class FemSynthesizer(_SearchBase):
             # <one-hot(x), noise> of every cell x: the attribute blocks summed over a row-major grid
             blocks = [noise[dom.offset(a) : dom.offset(a) + size] for a, size in enumerate(dom.sizes)]
             perturb = sum(np.ix_(*blocks)).ravel()
-            self.records.append(int(np.argmin(self.base + perturb)))
+            self.counts[int(np.argmin(self.base + perturb))] += 1.0
         return picked, None

@@ -164,7 +164,7 @@ def test_criterion_3_mwem_loss_minimizer(capsys):
         cached = {}
         for rnd, qidx in enumerate(chosen, start=1):
             led.record(int(qidx), float(rng.uniform(0.1, 0.9)), rnd)
-            cached[int(qidx)] = float(synth.answers(qs)[qidx])  # just before this round's update
+            cached[int(qidx)] = float(synth.answers()[qidx])  # just before this round's update
             synth.update(led)
         items = [(e.index, e.answer, cached[e.index]) for e in led.entries()]
         closed = mwem_closed_form_check(qs, items, sign=-1.0)
@@ -398,9 +398,7 @@ def test_criterion_9_public_data_floor(toy_bench, capsys):
     pep_ok = pep_min >= floor - 1e-3
 
     rng = np.random.default_rng(0)
-    gem = GemSynthesizer(
-        domain, queries, GemConfig(), rng, total_rounds=T, exact_targets=True
-    )
+    gem = GemSynthesizer(domain, queries, GemConfig(), rng, total_rounds=T)
     out, _ = run(data, queries, gem, acct, cfg, rng)
     gem_err = errors(true_ans, out.answers(queries))[0]
     gem_ok = gem_err < 0.05

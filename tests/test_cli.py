@@ -192,6 +192,17 @@ BAD_SETTINGS = [
     ("pretrain", "--lr", "0"),
     ("gen-toy", "--attrs", "0"),
     ("gen-toy", "--sizes", "1"),
+    # float settings must be finite, and exp of the largest step they allow must not overflow
+    ("gem", "--gem-lr", "inf"),
+    ("gem", "--pretrain-lr", "inf"),
+    ("pretrain", "--lr", "inf"),
+    ("rap-softmax", "--rap-lr", "inf"),
+    ("fem", "--fem-sigma", "inf"),
+    ("mwem", "--mwem-eta", "inf"),
+    ("mwem", "--mwem-eta", "1e-300"),
+    ("pep", "--pep-gamma", "inf"),
+    ("dualquery", "--dq-eta", "inf"),
+    ("dualquery", "--dq-eta", "1000"),
 ]
 
 
@@ -200,7 +211,8 @@ def test_out_of_range_setting_exits_2(toy, tmp_path, capsys, command, flag, valu
     # one "error:" line, never a traceback
     dom, dat = toy
     if command == "pretrain":
-        argv = ["pretrain", "--domain", str(dom), "--public", str(dat), "--out", str(tmp_path / "ck.json")]
+        argv = ["pretrain", "--domain", str(dom), "--public", str(dat), "--out", str(tmp_path / "ck.json"),
+                "--marginal-k", "2"]
     elif command == "evaluate":
         argv = ["evaluate", "--domain", str(dom), "--data", str(dat), "--synthetic", str(dat)]
     elif command == "gen-toy":
@@ -209,6 +221,27 @@ def test_out_of_range_setting_exits_2(toy, tmp_path, capsys, command, flag, valu
         argv = ["synth", "--domain", str(dom), "--data", str(dat), "--method", command, "--rho", "0.05",
                 "--marginal-k", "2", "--T", "3"]
     assert main([*argv, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# case -> flags after a valid synth command line (None: --domain and --data left out)
+ARGPARSE_REJECTIONS = {
+    "not-an-integer": ["--T", "x"],
+    "unknown-flag": ["--no-such-flag"],
+    "missing-required": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARGPARSE_REJECTIONS))
+def test_argparse_rejection_prints_one_error_line(toy, capsys, case):
+    dom, dat = toy
+    argv = ["synth", "--method", "mwem", "--rho", "0.05"]
+    if ARGPARSE_REJECTIONS[case] is not None:
+        argv += ["--domain", str(dom), "--data", str(dat), *ARGPARSE_REJECTIONS[case]]
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
 

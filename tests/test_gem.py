@@ -204,8 +204,8 @@ def test_update_reduces_loss_on_seeded_instance():
     dom = Domain(("a",), (3,))
     qs = build_workloads(dom, 1)
     cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, lr=1e-2, t_max=50)
-    synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(7), total_rounds=2, exact_targets=True)
-    led = MeasurementLedger()
+    synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(7), total_rounds=2)
+    led = MeasurementLedger(exact=True)
     led.record(0, 0.8, 1)
     qidx = led.indices()
     before, _ = gem_loss(synth.params, synth.z_batch, qs, qidx, led.answers())
@@ -218,11 +218,9 @@ def test_exact_targets_pins_gamma_to_zero():
     dom = Domain(("a",), (3,))
     qs = build_workloads(dom, 1)
     cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, t_max=1)
-    synth = GemSynthesizer(
-        dom, qs, cfg, np.random.default_rng(0), total_rounds=2, exact_targets=True
-    )
+    synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(0), total_rounds=2)
     synth.gamma = 10.0
-    led = MeasurementLedger()
+    led = MeasurementLedger(exact=True)
     led.record(0, 0.9, 1)
     synth.update(led)
     assert synth.gamma == 0.0
@@ -247,10 +245,8 @@ def test_ema_starts_after_half_the_rounds():
     dom = Domain(("a",), (3,))
     qs = build_workloads(dom, 1)
     cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, t_max=3)
-    synth = GemSynthesizer(
-        dom, qs, cfg, np.random.default_rng(1), total_rounds=4, exact_targets=True
-    )
-    led = MeasurementLedger()
+    synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(1), total_rounds=4)
+    led = MeasurementLedger(exact=True)
     led.record(0, 0.8, 1)
     synth.update(led)
     assert synth.ema is None  # round 1 of 4: not yet
@@ -323,10 +319,8 @@ def test_update_trajectory_deterministic():
     flats = []
     for _ in range(2):
         cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, t_max=20)
-        synth = GemSynthesizer(
-            dom, qs, cfg, np.random.default_rng(11), total_rounds=3, exact_targets=True
-        )
-        led = MeasurementLedger()
+        synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(11), total_rounds=3)
+        led = MeasurementLedger(exact=True)
         led.record(0, 0.7, 1)
         synth.update(led)
         led.record(4, 0.3, 2)
@@ -352,8 +346,8 @@ def test_update_runs_one_forward_pass_per_step(monkeypatch):
     dom = Domain(("a", "b"), (3, 3))
     qs = build_workloads(dom, 1)
     cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, t_max=7)
-    synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(5), total_rounds=2, exact_targets=True)
-    led = MeasurementLedger()
+    synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(5), total_rounds=2)
+    led = MeasurementLedger(exact=True)
     led.record(0, 0.9, 1)
     led.record(4, 0.05, 1)
     calls = []

@@ -19,6 +19,10 @@ ENTRY_POINTS = {
     "canonical_json",  # report: the byte-stable form of a report
     "load_report",  # report: read back a written report
 }
+# methods that a base class outside the library calls
+FRAMEWORK_HOOKS = {
+    "_Parser.error",  # cli: argparse calls it on a command line it rejects
+}
 
 
 def _parse(path):
@@ -90,7 +94,7 @@ def test_every_library_definition_has_a_non_test_caller():
     }
     unused = []
     for path, node, owner in definitions:
-        if node.name in ENTRY_POINTS:
+        if node.name in ENTRY_POINTS or (owner and f"{owner.name}.{node.name}" in FRAMEWORK_HOOKS):
             continue
         family = _family(owner.name, bases) if owner else None
         outside = [

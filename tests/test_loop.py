@@ -170,3 +170,22 @@ def test_run_empty_dataset_rejected():
     object.__setattr__(empty, "records", np.empty((0, 2), dtype=np.int64))
     with pytest.raises(DataError):
         run(empty, qs, synth, acct, RunConfig(T=2, k=1), np.random.default_rng(0))
+
+
+def test_run_rejects_a_synthesizer_built_on_another_collection():
+    # the loop selects ids in its collection and the update reads them in the synthesizer's
+    dom, data, qs = _instance()
+    other = build_workloads(dom, 2)  # the same workloads, another collection
+    acct = Accountant(rho=0.5, T=2, k=1, alpha=0.5, n=data.n)
+    with pytest.raises(ConfigError, match="another query collection"):
+        run(data, qs, MwemSynthesizer(dom, other), acct, RunConfig(T=2, k=1), np.random.default_rng(0))
+
+
+def test_no_noise_run_fits_gem_to_exact_targets():
+    # exactness is the run's setting: the ledger carries it, and GEM drops its fit threshold
+    dom, data, qs = _instance()
+    rng = np.random.default_rng(0)
+    synth = GemSynthesizer(dom, qs, GemConfig(hidden=(8,), z_dim=4, batch=8, t_max=2), rng, total_rounds=3)
+    acct = Accountant(rho=0.5, T=3, k=1, alpha=0.5, n=data.n)
+    run(data, qs, synth, acct, RunConfig(T=3, k=1, no_noise=True), rng)
+    assert synth.gamma == 0.0

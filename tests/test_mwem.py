@@ -113,7 +113,7 @@ def test_closed_form_single_item_matches_one_step():
     synth = MwemSynthesizer(dom, qs, cycles=1)
     led = MeasurementLedger()
     led.record(3, 0.7, 1)  # second workload, cell 1 of attribute b
-    cached = float(synth.answers(qs)[3])
+    cached = float(synth.answers()[3])
     synth.update(led)
     h = mwem_closed_form_check(qs, [(3, 0.7, cached)], sign=+1.0)
     assert np.allclose(h, synth.mass, atol=1e-12)
@@ -147,7 +147,7 @@ def _random_items(seed):
     cached = {}
     for rnd, qidx in enumerate(chosen, start=1):
         led.record(int(qidx), float(rng.uniform(0.1, 0.9)), rnd)
-        cached[int(qidx)] = float(synth.answers(qs)[qidx])
+        cached[int(qidx)] = float(synth.answers()[qidx])
         synth.update(led)
     items = [(e.index, e.answer, cached[e.index]) for e in led.entries()]
     return dom, qs, items
@@ -178,7 +178,7 @@ def test_update_replays_all_past_entries():
     synth.update(led)
     led.record(2, 0.2, 2)
     synth.update(led)
-    ans = synth.answers(qs)
+    ans = synth.answers()
     assert abs(ans[0] - 0.7) < 0.05
     assert abs(ans[2] - 0.2) < 0.05
 
@@ -219,16 +219,17 @@ def test_cell_local_update_matches_dense_replay(seed, rounds, cycles, eta):
 
 
 def test_extreme_step_takes_the_dense_path():
-    # eta=1e-3 makes the in/out factor ratio overflow; the step must still
+    # eta=1.42e-3 (near the smallest eta whose steps cannot overflow) puts the
+    # in/out factor ratio at exp(704) > 1/MASS_FLOOR; the step must still
     # match the whole-vector update (all mass on the matching cell)
     dom, qs = _two_cell()
-    synth = MwemSynthesizer(dom, qs, eta=1e-3, cycles=2)
+    synth = MwemSynthesizer(dom, qs, eta=1.42e-3, cycles=2)
     led = MeasurementLedger()
     led.record(1, 1.0, 1)
     with np.errstate(over="ignore"):
         synth.update(led)
     masks = [query_mask(dom, query_of(qs, 1), np.arange(2))]
     with np.errstate(over="ignore"):
-        dense = _dense_update(np.full(2, 0.5), masks, [1.0], 1e-3, 2)
+        dense = _dense_update(np.full(2, 0.5), masks, [1.0], 1.42e-3, 2)
     assert np.array_equal(synth.mass, dense)
     assert np.array_equal(synth.mass, [0.0, 1.0])

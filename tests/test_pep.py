@@ -98,7 +98,7 @@ def test_update_single_constraint_one_projection():
     led = MeasurementLedger()
     led.record(0, 0.6, 1)
     synth.update(led)
-    assert abs(synth.answers(qs)[0] - 0.6) <= 1e-12
+    assert abs(synth.answers()[0] - 0.6) <= 1e-12
 
 
 def test_update_disjoint_marginals_converge():
@@ -111,7 +111,7 @@ def test_update_disjoint_marginals_converge():
     led.record(0, 0.7, 1)  # P(a=0) = 0.7
     led.record(2, 0.4, 2)  # P(b=0) = 0.4
     synth.update(led)
-    ans = synth.answers(qs)
+    ans = synth.answers()
     assert abs(ans[0] - 0.7) < 1e-8
     assert abs(ans[2] - 0.4) < 1e-8
 
@@ -127,7 +127,7 @@ def test_update_inconsistent_pair_terminates_at_cap():
     led.record(1, 0.3, 2)
     synth.update(led)
     assert abs(synth.probs.sum() - 1.0) < 1e-9
-    res = np.abs(np.array([0.2, 0.3]) - synth.answers(qs))
+    res = np.abs(np.array([0.2, 0.3]) - synth.answers())
     assert 0.0 < res.max() <= 0.5 + 1e-9  # oscillates, never resolves
 
 
@@ -142,7 +142,7 @@ def test_update_inconsistent_pair_long_run_keeps_normalizer():
     led.record(1, 0.3, 2)
     synth.update(led)
     assert abs(synth.probs.sum() - 1.0) < 1e-9
-    res = np.abs(np.array([0.2, 0.3]) - synth.answers(qs))
+    res = np.abs(np.array([0.2, 0.3]) - synth.answers())
     assert 0.0 < res.max() <= 0.5 + 1e-9
 
 
@@ -294,10 +294,10 @@ def test_selected_constraint_residual_zeroed():
         led = MeasurementLedger()
         for r, qi in enumerate(picks, start=1):
             led.record(int(qi), float(np.clip(ans[qi], 1e-4, 1 - 1e-4)), r)
-        res0 = np.abs(led.answers() - synth.answers(qs)[led.indices()])
+        res0 = np.abs(led.answers() - synth.answers()[led.indices()])
         j = int(np.argmax(res0))
         synth.update(led)
-        res1 = np.abs(led.answers() - synth.answers(qs)[led.indices()])
+        res1 = np.abs(led.answers() - synth.answers()[led.indices()])
         assert res1[j] <= 1e-12
 
 
@@ -318,7 +318,7 @@ def test_consistent_sweeps_residual_trend():
         prev = np.inf
         for _ in range(40):
             synth.update(led)
-            cur = np.abs(led.answers() - synth.answers(qs)[led.indices()]).max()
+            cur = np.abs(led.answers() - synth.answers()[led.indices()]).max()
             assert cur <= prev + 1e-3
             prev = min(prev, cur)
         assert prev < 1e-6

@@ -52,7 +52,7 @@ def test_pep_pub_public_equals_private_zero_error():
     rec = np.column_stack([rng.integers(0, 4, 60), rng.integers(0, 4, 60)])
     data = Dataset(dom, rec)
     synth = pep_pub_init(data, dom, qs)
-    assert np.abs(synth.answers(qs) - qs.answers_records(data)).max() < 1e-12
+    assert np.abs(synth.answers() - qs.answers_records(data)).max() < 1e-12
 
 
 def test_pep_pub_validation():
@@ -77,7 +77,7 @@ def test_pep_pub_missing_support_floor():
     led = MeasurementLedger()
     led.record(1, target, 1)
     synth.update(led)
-    err = abs(target - synth.answers(qs)[1])
+    err = abs(target - synth.answers()[1])
     floor = best_mixture_error(synth.cells, qs, np.array([0.4, 0.6]))
     assert abs(floor - 0.6) < 1e-9
     assert err >= floor - 1e-3
@@ -138,8 +138,8 @@ def test_gem_pub_pretrain_fits_public():
     priv_ans = qs.answers_records(pub)
     warm = GemSynthesizer(dom, qs, cfg, np.random.default_rng(2), total_rounds=5, init=params)
     cold = GemSynthesizer(dom, qs, cfg, np.random.default_rng(2), total_rounds=5)
-    warm_err = np.abs(warm.answers(qs) - priv_ans).max()
-    cold_err = np.abs(cold.answers(qs) - priv_ans).max()
+    warm_err = np.abs(warm.answers() - priv_ans).max()
+    cold_err = np.abs(cold.answers() - priv_ans).max()
     assert warm_err < cold_err
 
 

@@ -70,7 +70,7 @@ def test_update_already_matched_no_movement():
     dom = Domain(("a",), (3,))
     qs = build_workloads(dom, 1)
     synth = RapSynthesizer(dom, qs, RapConfig(rows=4, max_steps=100), np.random.default_rng(0))
-    exact = synth.answers(qs)
+    exact = synth.answers()
     led = MeasurementLedger()
     led.record(0, float(exact[0]), 1)
     led.record(2, float(exact[2]), 2)
@@ -134,8 +134,8 @@ def test_capacity_matches_pep_fit_on_tiny_domain():
         rap.update(led)
         idx = led.indices()
         targets = led.answers()
-        pep_l2 = float(((pep.answers(qs)[idx] - targets) ** 2).sum())
-        rap_l2 = float(((rap.answers(qs)[idx] - targets) ** 2).sum())
+        pep_l2 = float(((pep.answers()[idx] - targets) ** 2).sum())
+        rap_l2 = float(((rap.answers()[idx] - targets) ** 2).sum())
         assert rap_l2 <= pep_l2 + 1e-3
 
 

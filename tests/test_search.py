@@ -52,8 +52,8 @@ def test_dualquery_zero_lower_bound():
     synth.qweights = np.array([1 / 3, 1 / 3, 1 / 3, 0.0])  # never draw a=3
     priv = np.array([0.25, 0.25, 0.25, 0.25])
     acct = Accountant(rho=0.1, T=1, k=1, alpha=1.0, n=100)
-    synth.private_round(1, qs, priv, acct, np.random.default_rng(0), False)
-    assert synth.records == [3]
+    synth.private_round(synth.answers(), priv, acct, np.random.default_rng(0), False)
+    assert np.nonzero(synth.counts)[0].tolist() == [3]
 
 
 def test_dualquery_tie_breaks_to_lowest_index():
@@ -62,10 +62,10 @@ def test_dualquery_tie_breaks_to_lowest_index():
     synth.qweights = np.array([0.0, 0.0, 1.0, 0.0])  # always draw a=2
     priv = np.full(4, 0.25)
     acct = Accountant(rho=0.1, T=1, k=1, alpha=1.0, n=100)
-    drawn, noisy = synth.private_round(1, qs, priv, acct, np.random.default_rng(3), False)
+    drawn, noisy = synth.private_round(synth.answers(), priv, acct, np.random.default_rng(3), False)
     assert drawn == [2]
     assert noisy is None
-    assert synth.records == [0]  # cells 0,1,3 all score 0; lowest wins
+    assert np.nonzero(synth.counts)[0].tolist() == [0]  # cells 0,1,3 all score 0; lowest wins
 
 
 def test_dualquery_argmin_matches_brute_force():
@@ -76,7 +76,8 @@ def test_dualquery_argmin_matches_brute_force():
     priv = np.array([0.5, 0.1, 0.1, 0.3])
     cells = np.arange(dom.total_cells, dtype=np.int64)
     for rnd in range(1, 6):
-        drawn, _ = synth.private_round(rnd, qs, priv, acct, rng, False)
+        before = synth.counts.copy()
+        drawn, _ = synth.private_round(synth.answers(), priv, acct, rng, False)
         # independent scan: count matches of each drawn query, cell by cell
         scores = np.zeros(dom.total_cells)
         for qidx in drawn:
@@ -84,7 +85,7 @@ def test_dualquery_argmin_matches_brute_force():
             for x in cells:
                 if query_mask(dom, q, np.array([x]))[0]:
                     scores[x] += 1
-        assert synth.records[-1] == int(np.argmin(scores))
+        assert np.nonzero(synth.counts - before)[0].tolist() == [int(np.argmin(scores))]
 
 
 def test_dualquery_weights_stay_distribution_and_favor_errors():
@@ -92,7 +93,9 @@ def test_dualquery_weights_stay_distribution_and_favor_errors():
     synth = DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=2, eta=3.0))
     priv = np.array([0.7, 0.1, 0.1, 0.1])  # query 0 has the worst error
     acct = Accountant(rho=0.1, T=1, k=1, alpha=1.0, n=100)
-    synth.private_round(1, qs, priv, acct, np.random.default_rng(5), False)
+    rng = np.random.default_rng(5)
+    for _ in range(2):  # the second round applies the payoff of the first round's record
+        synth.private_round(synth.answers(), priv, acct, rng, False)
     w = synth.qweights
     assert abs(w.sum() - 1.0) < 1e-12
     assert (w >= 0).all()
@@ -106,9 +109,9 @@ def test_fem_noise_free_limit_unperturbed_argmin():
     synth = FemSynthesizer(dom, qs, FemConfig(sigma=1e-12, samples=4))
     priv = np.array([0.1, 0.9])
     acct = Accountant(rho=0.1, T=1, k=1, alpha=1.0, n=100)
-    picked, _ = synth.private_round(1, qs, priv, acct, np.random.default_rng(2), True)
+    picked, _ = synth.private_round(synth.answers(), priv, acct, np.random.default_rng(2), True)
     assert picked == [0]  # tied errors, lowest index under exact selection
-    assert synth.records == [1, 1, 1, 1]  # the one cell missing query a=0
+    assert synth.counts.tolist() == [0, 4]  # four records on the one cell missing query a=0
 
 
 def test_fem_pure_noise_argmin():
@@ -119,9 +122,10 @@ def test_fem_pure_noise_argmin():
     priv = build_workloads(dom, 1).answers_mass(np.full(8, 0.125))
     acct = Accountant(rho=0.1, T=1, k=1, alpha=1.0, n=100)
     seed = 31
-    synth.private_round(1, qs, priv, acct, np.random.default_rng(seed), True)
+    synth.private_round(synth.answers(), priv, acct, np.random.default_rng(seed), True)
     twin = np.random.default_rng(seed)
-    for got in synth.records:
+    want = np.zeros(dom.total_cells)
+    for _ in range(3):
         noise = twin.exponential(1e6, size=dom.onehot_width)
         best, best_val = None, np.inf
         for x in range(dom.total_cells):
@@ -129,7 +133,8 @@ def test_fem_pure_noise_argmin():
             v = noise[0 + vals[0]] + noise[2 + vals[1]]
             if v < best_val:
                 best, best_val = x, v
-        assert got == best
+        want[best] += 1
+    assert np.array_equal(synth.counts, want)
 
 
 def test_fem_seeded_run_matches_independent_scan():
@@ -141,8 +146,8 @@ def test_fem_seeded_run_matches_independent_scan():
     acct = Accountant(rho=0.1, T=2, k=1, alpha=1.0, n=100)
     selected = []
     for rnd in (1, 2):
-        before = len(synth.records)
-        picked, _ = synth.private_round(rnd, qs, priv, acct, rng, True)
+        before = synth.counts.copy()
+        picked, _ = synth.private_round(synth.answers(), priv, acct, rng, True)
         selected += picked
         base = np.zeros(dom.total_cells)
         for qidx in selected:
@@ -150,13 +155,14 @@ def test_fem_seeded_run_matches_independent_scan():
             for x in range(dom.total_cells):
                 if query_mask(dom, q, np.array([x]))[0]:
                     base[x] += 1
-        for got in synth.records[before:]:
+        for _ in range(5):
             noise = twin.exponential(0.5, size=dom.onehot_width)
             obj = base.copy()
             for x in range(dom.total_cells):
                 vals = dom.decode(np.array([x]))[0]
                 obj[x] += noise[0 + vals[0]] + noise[2 + vals[1]]
-            assert got == int(np.argmin(obj))
+            before[int(np.argmin(obj))] += 1
+        assert np.array_equal(synth.counts, before)
 
 
 def test_finalize_empirical_distribution():
@@ -164,7 +170,7 @@ def test_finalize_empirical_distribution():
     synth = DualQuerySynthesizer(dom, qs, DualQueryConfig())
     with pytest.raises(DataError):
         synth.finalize()
-    synth.records = [1, 1, 3, 1]
+    synth.counts[[1, 3]] = [3, 1]
     out = synth.finalize()
     assert np.array_equal(out.cells, [1, 3])
     assert np.allclose(out.probs, [0.75, 0.25])
@@ -195,7 +201,8 @@ def test_fem_selection_honours_em_halved():
     priv = np.array([0.8, 0.2, 0.4, 0.3, 0.2, 0.1])
     acct = Accountant(rho=0.1, T=2, k=3, alpha=1.0, n=100)
     synth = FemSynthesizer(dom, qs, FemConfig(samples=2))
-    scores = np.abs(priv - synth.answers(qs))
+    current = synth.answers()
+    scores = np.abs(priv - current)
     differs = False
     for seed in range(20):
         want = {}
@@ -203,7 +210,7 @@ def test_fem_selection_honours_em_halved():
             twin = np.random.default_rng(seed)
             want[halved] = [exp_mechanism_select(scores, acct, twin, halved=halved) for _ in range(3)]
             picked, _ = FemSynthesizer(dom, qs, FemConfig(samples=2)).private_round(
-                1, qs, priv, acct, np.random.default_rng(seed), False, em_halved=halved
+                current, priv, acct, np.random.default_rng(seed), False, em_halved=halved
             )
             assert picked == want[halved]
         differs |= want[False] != want[True]
@@ -225,3 +232,23 @@ def test_loop_passes_em_halved_to_fem_and_dualquery_refuses_it():
     cfg = RunConfig(T=5, k=1, alpha=1.0, em_score_halved=True)
     with pytest.raises(ConfigError):
         run(data, qs, synth, acct, cfg, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("search", ["dualquery", "fem"])
+def test_one_answers_pass_per_round(monkeypatch, search):
+    # the loop's current answers serve the round; nothing evaluates them twice
+    from dpsynth.queries import QuerySet
+
+    dom, qs = _setup((2, 4))
+    data = Dataset(dom, np.array([[0, 1], [1, 3], [0, 0], [1, 1]] * 10))
+    if search == "dualquery":
+        synth = DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=5))
+    else:
+        synth = FemSynthesizer(dom, qs, FemConfig(samples=5))
+    T = 5
+    calls = []
+    real = QuerySet.answers_mass
+    monkeypatch.setattr(QuerySet, "answers_mass", lambda self, mass: calls.append(1) or real(self, mass))
+    acct = Accountant.selection_only(rho=0.2, T=T, k=1, n=data.n)
+    run(data, qs, synth, acct, RunConfig(T=T, k=1), np.random.default_rng(1))
+    assert len(calls) == T
