@@ -67,6 +67,15 @@ class Domain:
         object.__setattr__(self, "_strides", tuple(strides))
         offs = np.concatenate([[0], np.cumsum(self.sizes)])
         object.__setattr__(self, "_offsets", tuple(int(o) for o in offs))
+        # the one-hot block layout as read-only arrays, for one-call block
+        # reductions: `block_starts` feeds ufunc.reduceat, and `block_ids`
+        # (each column's attribute) gathers a per-block result back to columns
+        starts = offs[:-1].astype(np.intp)
+        ids = np.repeat(np.arange(len(self.sizes), dtype=np.intp), self.sizes)
+        for arr in (starts, ids):
+            arr.flags.writeable = False
+        object.__setattr__(self, "block_starts", starts)
+        object.__setattr__(self, "block_ids", ids)
 
     @property
     def num_attrs(self) -> int:

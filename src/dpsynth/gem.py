@@ -73,13 +73,16 @@ def init_params(rng: np.random.Generator, z_dim: int, hidden: tuple[int, ...], o
 
 
 def block_softmax(logits: np.ndarray, domain: Domain) -> np.ndarray:
-    P = np.empty_like(logits)
-    for a in range(domain.num_attrs):
-        off, sz = domain.offset(a), domain.sizes[a]
-        block = logits[:, off : off + sz]
-        block = block - block.max(axis=1, keepdims=True)
-        e = np.exp(block)
-        P[:, off : off + sz] = e / e.sum(axis=1, keepdims=True)
+    """Softmax of each attribute block of each row: one reduceat call per
+    reduction over all blocks, and no loop over the attributes.
+
+    Each block is shifted by its own max: a row-wide max could sit hundreds
+    above another block and underflow that block to 0/0.
+    """
+    starts, ids = domain.block_starts, domain.block_ids
+    P = logits - np.maximum.reduceat(logits, starts, axis=1)[:, ids]
+    np.exp(P, out=P)
+    P /= np.add.reduceat(P, starts, axis=1)[:, ids]
     return P
 
 
@@ -104,12 +107,10 @@ def block_softmax_grad(P: np.ndarray, dP: np.ndarray, domain: Domain) -> np.ndar
 
     Within each attribute block: dlogit = p * (g - <g, p>).
     """
-    gl = np.empty_like(P)
-    for a in range(domain.num_attrs):
-        off, sz = domain.offset(a), domain.sizes[a]
-        s = P[:, off : off + sz]
-        g = dP[:, off : off + sz]
-        gl[:, off : off + sz] = s * (g - (g * s).sum(axis=1, keepdims=True))
+    gl = dP * P
+    inner = np.add.reduceat(gl, domain.block_starts, axis=1)
+    np.subtract(dP, inner[:, domain.block_ids], out=gl)
+    gl *= P
     return gl
 
 

@@ -7,9 +7,13 @@ the histogram's answer toward the measured value:
     D(x) <- D(x) * exp(-(a~ - q(D))/eta)   elsewhere
 
 followed by renormalization, with a~ clipped into [0, 1] for the multiplier
-only (ledger values stay as measured). eta is the step divisor; eta=2 is the
-classical step. A step touches only the matching cells (see CellWeights), so
-its cost is the size of the query, not of the domain.
+only (ledger values stay as measured). eta is the step divisor. After
+renormalization only the ratio exp(2(a~ - q(D))/eta) between matching and
+other cells matters. The classical step of Hardt, Ligett & McSherry (2012),
+D(x) * exp(q(x) (a~ - q(D))/2) with answers in fractions of n, has ratio
+exp((a~ - q(D))/2), which is eta=4 here; the default eta=2 steps twice as far.
+A step touches only the matching cells (see CellWeights), so its cost is the
+size of the query, not of the domain.
 """
 from __future__ import annotations
 

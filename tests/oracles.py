@@ -93,6 +93,29 @@ def answer_batch(q, P, domain):
     return sum(product_query(q, row, domain) for row in P) / len(P)
 
 
+def block_softmax_loop(logits, domain):
+    """Softmax of each attribute block of each row, one block at a time."""
+    P = np.empty_like(logits)
+    for a in range(domain.num_attrs):
+        off, sz = domain.offset(a), domain.sizes[a]
+        block = logits[:, off : off + sz]
+        block = block - block.max(axis=1, keepdims=True)
+        e = np.exp(block)
+        P[:, off : off + sz] = e / e.sum(axis=1, keepdims=True)
+    return P
+
+
+def block_softmax_grad_loop(P, dP, domain):
+    """p * (g - <g, p>) within each attribute block, one block at a time."""
+    gl = np.empty_like(P)
+    for a in range(domain.num_attrs):
+        off, sz = domain.offset(a), domain.sizes[a]
+        s = P[:, off : off + sz]
+        g = dP[:, off : off + sz]
+        gl[:, off : off + sz] = s * (g - (g * s).sum(axis=1, keepdims=True))
+    return gl
+
+
 def mwem_closed_form_check(queries, items, sign=-1.0):
     """Exponential-family mass vector built directly from measurement items.
 

@@ -33,6 +33,18 @@ def test_domain_counts():
     assert dom.offset(0) == 0 and dom.offset(1) == 2 and dom.offset(2) == 5
 
 
+def test_block_layout_arrays():
+    dom = Domain(("a", "b", "c"), (2, 3, 4))
+    assert dom.block_starts.tolist() == [dom.offset(a) for a in range(dom.num_attrs)]
+    assert dom.block_ids.tolist() == [a for a, sz in enumerate(dom.sizes) for _ in range(sz)]
+    for arr in (dom.block_starts, dom.block_ids):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    # equality, hashing and JSON read names and sizes only
+    twin = Domain.from_json(dom.to_json())
+    assert twin == dom and hash(twin) == hash(dom) and twin.to_json() == dom.to_json()
+
+
 def test_encode_row_major_last_fastest():
     # cell index = a*(3*4) + b*4 + c
     dom = Domain(("a", "b", "c"), (2, 3, 4))

@@ -8,6 +8,7 @@ from dpsynth import ConfigError, DataError, Domain, GemConfig, GemSynthesizer, b
 from dpsynth.gem import (
     Adam,
     block_softmax,
+    block_softmax_grad,
     ema_update,
     forward,
     gem_gradient,
@@ -19,7 +20,13 @@ from dpsynth.gem import (
 from dpsynth.privacy import MeasurementLedger
 from dpsynth.queries import product_answers_grad
 
-from oracles import central_difference, flatten_params, unflatten_params
+from oracles import (
+    block_softmax_grad_loop,
+    block_softmax_loop,
+    central_difference,
+    flatten_params,
+    unflatten_params,
+)
 
 
 def _zero_params(z_dim, hidden, width):
@@ -75,6 +82,34 @@ def test_forward_block_sums():
         for a, (off, sz) in enumerate(zip([0, 2, 7], dom.sizes)):
             sums = P[:, off : off + sz].sum(axis=1)
             assert np.abs(sums - 1.0).max() < 1e-9
+
+
+UNEQUAL_SIZES = (2, 3, 4, 5, 6, 8, 10, 12, 16, 4, 6, 8)
+
+
+@pytest.mark.parametrize("rows", [1, 100])
+def test_block_kernels_match_per_block_loop(rows):
+    dom = Domain(tuple(f"a{i}" for i in range(len(UNEQUAL_SIZES))), UNEQUAL_SIZES)
+    rng = np.random.default_rng(rows)
+    logits = rng.standard_normal((rows, dom.onehot_width)) * 3
+    P = block_softmax(logits, dom)
+    assert np.abs(P - block_softmax_loop(logits, dom)).max() <= 1e-15
+    sums = np.add.reduceat(P, dom.block_starts, axis=1)
+    assert np.abs(sums - 1.0).max() <= 1e-15
+    dP = rng.uniform(-1.0, 1.0, P.shape)  # the 1e-15 bound is absolute: keep |dP| <= 1
+    gl = block_softmax_grad(P, dP, dom)
+    assert np.abs(gl - block_softmax_grad_loop(P, dP, dom)).max() <= 1e-15
+
+
+def test_block_softmax_shifts_each_block_by_its_own_max():
+    # two blocks ~800 apart: a row-wide shift would leave exp(-800) = 0 in
+    # every entry of the low block, and 0/0 there
+    dom = Domain(("a", "b"), (3, 2))
+    logits = np.array([[400.0, 399.0, 401.0, -400.0, -400.0 + math.log(3.0)]])
+    P = block_softmax(logits, dom)
+    assert np.isfinite(P).all()
+    assert np.abs(P - block_softmax_loop(logits, dom)).max() <= 1e-15
+    assert np.allclose(P[0, 3:], [0.25, 0.75], atol=1e-15)
 
 
 def _fixed_answer_setup():
