@@ -262,13 +262,22 @@ class CellWeights:
 
         Returns True when the caller must renormalize the weights.
         """
-        ratio = inside / outside
+        with np.errstate(over="ignore"):  # an infinite ratio takes the dense step
+            ratio = inside / outside
         if not MASS_FLOOR <= ratio <= 1.0 / MASS_FLOOR:
-            # a factor this extreme flushes whole regions: take the dense step
+            # a factor this extreme flushes whole regions: take the dense step.
+            # Both factors are divided by the larger one that lands on a
+            # nonzero weight, so the surviving region keeps its weights
+            # instead of being scaled below MASS_FLOOR with the rest; a
+            # region of zero weights stays zero.
             mask = np.zeros(self.w.shape[0], dtype=bool)
             mask[cells] = True
-            self.w = np.where(mask, self.w * (inside / self.z), self.w * (outside / self.z))
-            self.z = 1.0
+            live_in, live_out = bool(self.w[mask].any()), bool(self.w[~mask].any())
+            top = max(inside if live_in else 0.0, outside if live_out else 0.0)
+            inside = inside / top if live_in else 0.0
+            outside = outside / top if live_out else 0.0
+            self.w = np.where(mask, self.w * inside, self.w * outside)
+            self.z = float(self.w.sum())
             return True
         sub = self.w[cells]
         before = sub.sum()

@@ -211,16 +211,30 @@ class Adam:
         self.v = [[np.zeros_like(x) for x in layer] for layer in params]
 
     def direction(self, grads) -> list[tuple[np.ndarray, ...]]:
-        """Advance the moments by `grads` and return the steps to subtract."""
+        """Advance the moments by `grads` in place and return the steps to subtract.
+
+        A step is lr * (m / c1) / (sqrt(v / c2) + eps), computed in place in
+        that order of operations, so it is bit-identical to the expression.
+        """
         self.t += 1
         c1 = 1.0 - ADAM_B1**self.t
         c2 = 1.0 - ADAM_B2**self.t
         out = []
         for m, v, g in zip(self.m, self.v, grads):
-            for i, gi in enumerate(g):
-                m[i] = ADAM_B1 * m[i] + (1 - ADAM_B1) * gi
-                v[i] = ADAM_B2 * v[i] + (1 - ADAM_B2) * gi**2
-            out.append(tuple(self.lr * (mi / c1) / (np.sqrt(vi / c2) + ADAM_EPS) for mi, vi in zip(m, v)))
+            steps = []
+            for mi, vi, gi in zip(m, v, g):
+                mi *= ADAM_B1
+                mi += (1 - ADAM_B1) * gi
+                den = np.square(gi)
+                den *= 1 - ADAM_B2
+                vi *= ADAM_B2
+                vi += den
+                np.sqrt(np.divide(vi, c2, out=den), out=den)
+                den += ADAM_EPS
+                step = mi / c1
+                step *= self.lr
+                steps.append(np.divide(step, den, out=step))
+            out.append(tuple(steps))
         return out
 
     def step(self, params, grads):

@@ -396,6 +396,30 @@ def test_update_runs_one_forward_pass_per_step(monkeypatch):
     assert len(calls) == 1 + cfg.t_max
 
 
+def test_adam_in_place_moments_match_the_textbook_expressions():
+    # the moments are updated in place; every step must equal, bit for bit,
+    # the expressions written out with fresh arrays
+    from dpsynth.gem import ADAM_B1, ADAM_B2, ADAM_EPS
+
+    rng = np.random.default_rng(9)
+    params = init_params(rng, 3, (5,), 6)
+    opt = Adam(params, lr=0.01)
+    m = [[np.zeros_like(x) for x in layer] for layer in params]
+    v = [[np.zeros_like(x) for x in layer] for layer in params]
+    for t in range(1, 8):
+        # gradients across several orders of magnitude, as a fit sees them
+        grads = [tuple(rng.standard_normal(x.shape) * 10.0 ** rng.integers(-6, 2) for x in layer)
+                 for layer in params]
+        steps = opt.direction(grads)
+        for j, (g, got) in enumerate(zip(grads, steps)):
+            for i, gi in enumerate(g):
+                m[j][i] = ADAM_B1 * m[j][i] + (1 - ADAM_B1) * gi
+                v[j][i] = ADAM_B2 * v[j][i] + (1 - ADAM_B2) * gi**2
+                want = 0.01 * (m[j][i] / (1.0 - ADAM_B1**t)) / (np.sqrt(v[j][i] / (1.0 - ADAM_B2**t)) + ADAM_EPS)
+                assert np.array_equal(got[i], want)
+                assert np.array_equal(opt.m[j][i], m[j][i]) and np.array_equal(opt.v[j][i], v[j][i])
+
+
 def test_adam_direction_then_subtract_equals_step():
     rng = np.random.default_rng(4)
     params = init_params(rng, 3, (5,), 6)

@@ -233,3 +233,18 @@ def test_extreme_step_takes_the_dense_path():
         dense = _dense_update(np.full(2, 0.5), masks, [1.0], 1.42e-3, 2)
     assert np.array_equal(synth.mass, dense)
     assert np.array_equal(synth.mass, [0.0, 1.0])
+
+
+def test_step_onto_a_flushed_cell_keeps_the_surviving_mass():
+    # the first entry flushes cell 0 to exactly 0; the second then asks for
+    # mass only there, with a factor ratio of exp(1408) on cell 0. The dense
+    # step must keep cell 1's weight rather than scale it below MASS_FLOOR
+    # (which left nothing to normalize), and must not overflow in the ratio.
+    dom, qs = _two_cell()
+    synth = MwemSynthesizer(dom, qs, eta=1.42e-3, cycles=3)
+    led = MeasurementLedger()
+    led.record(1, 1.0, 1)
+    led.record(0, 1.0, 2)
+    with np.errstate(over="raise"):
+        synth.update(led)
+    assert np.array_equal(synth.mass, [0.0, 1.0])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpsynth import ConfigError, Domain, PepSynthesizer, RapConfig, RapSynthesizer, build_workloads
+from dpsynth import ConfigError, Domain, PepSynthesizer, RapConfig, RapSynthesizer, build_workloads, gen_toy
 from dpsynth.privacy import MeasurementLedger
 from dpsynth.queries import product_answers
 
@@ -225,6 +225,37 @@ def test_gradient_reuses_cached_forward_pass(monkeypatch):
     monkeypatch.setattr(RapSynthesizer, "_grad", grad)
     synth.update(led)
     assert len(in_grad) > 1 and not any(in_grad)
+
+
+def test_line_search_takes_at_most_two_loss_evaluations_per_step(monkeypatch):
+    # the warm-started search mostly accepts its first or second trial; one
+    # that starts every step at scale 1 pays about six loss evaluations here
+    import dpsynth.rap as rap
+
+    dom, data = gen_toy(4, [3, 4, 2, 5], 500, seed=0)
+    qs = build_workloads(dom, 2)
+    truth = qs.answers_records(data)
+    rng = np.random.default_rng(1)
+    synth = RapSynthesizer(dom, qs, RapConfig(rows=20, max_steps=100), rng)
+    calls = {"loss": 0, "grad": 0}
+    real_answers, real_grad = rap.product_answers, rap.product_answers_grad
+
+    def answers(*a):
+        calls["loss"] += 1
+        return real_answers(*a)
+
+    def grad(*a):
+        calls["grad"] += 1
+        return real_grad(*a)
+
+    monkeypatch.setattr(rap, "product_answers", answers)
+    monkeypatch.setattr(rap, "product_answers_grad", grad)
+    led = MeasurementLedger()
+    for rnd, qi in enumerate(rng.choice(qs.total_queries, 8, replace=False), start=1):
+        led.record(int(qi), float(truth[qi] + rng.normal(0.0, 0.02)), rnd)
+        synth.update(led)
+    assert calls["grad"] > 100
+    assert calls["loss"] <= 2 * calls["grad"]
 
 
 @pytest.mark.parametrize("original", [False, True])
