@@ -10,11 +10,15 @@ An explicit support (any cell set but the full domain) gets one query map: the
 global query each of its cells meets in each workload, so its answers are one
 `bincount`, and a query -> positions index, so listing cells scans nothing.
 
-Product queries over relaxed rows (gem, rap-softmax) take one of two paths.
-The whole collection is one contraction per workload: the row-wise outer
-product of its first k-1 attribute blocks times its last block, in row chunks
-of bounded size (the gradient contracts the other blocks with the coefficient
-tensor, per attribute). A subset of query ids gathers just their positions.
+The workloads that share their first k-1 attributes (a prefix) form one group
+of the collection's prefix plan, built once. Counting records computes each
+prefix's code once, then one `bincount` per workload. Product queries over
+relaxed rows (gem, rap-softmax) take one of two paths. The whole collection is
+one contraction per shared prefix: the row-wise outer product of the prefix's
+attribute blocks times all of its workloads' last blocks side by side, in row
+chunks of bounded size, scattered into query order by one permutation (the
+gradient contracts, per workload and attribute, the other blocks with the
+coefficient tensor). A subset of query ids gathers just their positions.
 """
 from __future__ import annotations
 
@@ -74,6 +78,15 @@ class SupportMap:
         return np.concatenate(([0], np.cumsum(counts))), np.argsort(flat, kind="stable") % self.ids.shape[1]
 
 
+@dataclass(frozen=True)
+class PrefixGroup:
+    """The workloads of a collection that share their first k-1 attributes."""
+
+    prefix: tuple[int, ...]  # the shared attributes, in workload order (empty at k=1)
+    workloads: tuple[int, ...]  # indices into the collection, ascending
+    lasts: np.ndarray  # one-hot columns of the workloads' last blocks, side by side
+
+
 class QuerySet:
     """Concatenation of marginal workloads of one order k with a global query index."""
 
@@ -114,21 +127,56 @@ class QuerySet:
     def slices(self) -> list[slice]:
         return [slice(w.offset, w.offset + w.n_queries) for w in self.workloads]
 
-    def workload_of(self, qidx: int) -> int:
-        if not 0 <= qidx < self.total_queries:
+    def workload_of(self, qidx):
+        """The workload of query `qidx`, or an array of them for an array of query ids."""
+        if not isinstance(qidx, np.ndarray):  # no array reductions: dualquery calls this per draw
+            if not 0 <= qidx < self.total_queries:
+                raise IndexError(qidx)
+            return int(np.searchsorted(self._starts, qidx, side="right")) - 1
+        if qidx.size and not (0 <= qidx.min() and qidx.max() < self.total_queries):
             raise IndexError(qidx)
-        return int(np.searchsorted(self._starts, qidx, side="right")) - 1
+        return np.searchsorted(self._starts, qidx, side="right") - 1
+
+    @cached_property
+    def _prefix_plan(self) -> tuple[list[PrefixGroup], np.ndarray]:
+        """(groups, perm): the workloads grouped by prefix, in order of first
+        appearance, and the permutation that takes the groups' results, each
+        a (prefix value, last-block column) array flattened in C order and
+        concatenated, to query order."""
+        members: dict[tuple[int, ...], list[int]] = {}
+        for wi, w in enumerate(self.workloads):
+            members.setdefault(w.features[:-1], []).append(wi)
+        dom = self.domain
+        groups, order = [], []
+        for prefix, wis in members.items():
+            ws = [self.workloads[wi] for wi in wis]
+            lasts = np.concatenate([dom.offset(w.features[-1]) + np.arange(w.sizes[-1]) for w in ws])
+            groups.append(PrefixGroup(prefix, tuple(wis), lasts))
+            rows = np.arange(math.prod(ws[0].sizes[:-1]))[:, None]
+            order.append(np.hstack([w.offset + rows * w.sizes[-1] + np.arange(w.sizes[-1]) for w in ws]).ravel())
+        return groups, np.argsort(np.concatenate(order))
 
     # -- evaluation -------------------------------------------------------
 
     def answers_records(self, data: Dataset) -> np.ndarray:
-        """Exact answers on a dataset (integer counting, then one division)."""
+        """Exact answers on a dataset (integer counting, then one division).
+
+        Each prefix's record code is computed once, from contiguous columns,
+        and each workload of the prefix then counts its codes in one `bincount`.
+        """
         if data.n == 0:
             raise DataError("empty dataset")
+        cols = np.ascontiguousarray(data.records.T)
+        sizes = self.domain.sizes
         out = np.empty(self.total_queries)
-        for w in self.workloads:
-            counts = np.bincount(w.locals_of_records(data.records), minlength=w.n_queries)
-            out[w.offset : w.offset + w.n_queries] = counts / data.n
+        for g in self._prefix_plan[0]:
+            code = 0
+            for f in g.prefix:
+                code = code * sizes[f] + cols[f]
+            for wi in g.workloads:
+                w = self.workloads[wi]
+                loc = code * w.sizes[-1] + cols[w.features[-1]]
+                out[w.offset : w.offset + w.n_queries] = np.bincount(loc, minlength=w.n_queries) / data.n
         return out
 
     def _is_full(self, cells: np.ndarray) -> bool:
@@ -256,9 +304,9 @@ def build_workloads(
 # -- product-query relaxation (differentiable path) -----------------------
 
 
-def _blocks(P: np.ndarray, domain: Domain, w: Workload) -> list[np.ndarray]:
-    """The (B, size) attribute blocks of P that workload w reads, in its order."""
-    return [P[:, domain.offset(f) : domain.offset(f) + sz] for f, sz in zip(w.features, w.sizes)]
+def _blocks(P: np.ndarray, domain: Domain, features) -> list[np.ndarray]:
+    """The (B, size) attribute blocks of P of the given attributes, in their order."""
+    return [P[:, domain.offset(f) : domain.offset(f) + domain.sizes[f]] for f in features]
 
 
 def _row_chunks(B: int, width: int) -> list[slice]:
@@ -286,8 +334,9 @@ def _gather(P: np.ndarray, queries: QuerySet, qidx: np.ndarray):
 def product_answers(P: np.ndarray, queries: QuerySet, qidx: np.ndarray | None = None) -> np.ndarray:
     """Batch-mean product answers: answer of q = mean_b prod_{i in q} P[b, i].
 
-    qidx=None answers the whole collection, one contraction per workload;
-    an array of query ids answers just those, through a gather.
+    qidx=None answers the whole collection, one contraction per shared prefix:
+    the outer product of the prefix's blocks times the last blocks of all its
+    workloads at once. An array of query ids answers just those, through a gather.
     """
     B = P.shape[0]
     if qidx is not None:
@@ -295,14 +344,17 @@ def product_answers(P: np.ndarray, queries: QuerySet, qidx: np.ndarray | None = 
         for s, _, vals in _gather(P, queries, qidx):
             out[s] = vals.prod(axis=2).mean(axis=0)
         return out
-    out = np.empty(queries.total_queries)
-    for w in queries.workloads:
-        *first, last = _blocks(P, queries.domain, w)
-        # 1-way: the block's column sums, added in row order as the gather adds them
-        chunks = _row_chunks(B, w.n_queries // w.sizes[-1])
-        acc = sum(_outer(first, r).T @ last[r] if first else last[r].sum(axis=0) for r in chunks)
-        out[w.offset : w.offset + w.n_queries] = acc.ravel() / B
-    return out
+    dom = queries.domain
+    groups, perm = queries._prefix_plan
+    parts = []
+    for g in groups:
+        first = _blocks(P, dom, g.prefix)
+        lasts = P[:, g.lasts]
+        # 1-way: the blocks' column sums, added in row order as the gather adds them
+        chunks = _row_chunks(B, math.prod(dom.sizes[f] for f in g.prefix))
+        acc = sum(_outer(first, r).T @ lasts[r] if first else lasts[r].sum(axis=0) for r in chunks)
+        parts.append(acc.ravel())
+    return np.concatenate(parts)[perm] / B
 
 
 def product_answers_grad(
@@ -328,7 +380,7 @@ def product_answers_grad(
     dom = queries.domain
     for w in queries.workloads:
         C = coeff[w.offset : w.offset + w.n_queries].reshape(w.sizes)
-        blocks = _blocks(P, dom, w)
+        blocks = _blocks(P, dom, w.features)
         for t, (f, sz) in enumerate(zip(w.features, w.sizes)):
             Ct = np.moveaxis(C, t, -1).reshape(-1, sz)  # axis t last
             for r in _row_chunks(B, Ct.shape[0]):

@@ -9,8 +9,10 @@ never increases across accepted steps. The search is warm-started: it tries
 first the scale the previous step accepted, doubled (up to 1) when that step
 was accepted on its first trial, and halves it at most MAX_HALVINGS (8) times,
 after which the step is dropped. A round, and a momentum restart after a
-failed search, start at scale 1/2. A clipping variant (rows clipped to [0,1]
-instead of softmax-normalized) is kept as a reference point.
+failed search, start at scale 1/2. A round fits only the columns of the
+attribute blocks that its measured queries read: the others get a zero
+gradient, so they would not move anyway. A clipping variant (rows clipped to
+[0,1] instead of softmax-normalized) is kept as a reference point.
 """
 from __future__ import annotations
 
@@ -65,51 +67,69 @@ class RapSynthesizer(Synthesizer):
         else:
             self.M = rng.standard_normal((cfg.rows, domain.onehot_width))
 
-    def _probs(self, M: np.ndarray) -> np.ndarray:
-        """The rows' attribute distributions: block softmax, or clipped to [0,1] (original)."""
+    def _probs(self, M: np.ndarray, domain: Domain) -> np.ndarray:
+        """The distributions of rows M, whose columns are `domain`'s blocks:
+        block softmax, or clipped to [0,1] (original)."""
         if self.cfg.original:
             return np.clip(M, 0.0, 1.0)
-        return block_softmax(M, self.domain)
+        return block_softmax(M, domain)
 
     def answers(self) -> np.ndarray:
-        return self.queries.answers_probs(self._probs(self.M))
+        return self.queries.answers_probs(self._probs(self.M, self.domain))
 
-    def _loss(self, M: np.ndarray, qidx: np.ndarray, targets: np.ndarray):
-        """(squared-error loss, P, residual answers - targets) at rows M."""
-        P = self._probs(M)
-        diff = product_answers(P, self.queries, qidx) - targets
+    def _loss(self, M: np.ndarray, queries: QuerySet, qidx: np.ndarray, targets: np.ndarray):
+        """(squared-error loss, P, residual answers - targets) at rows M, whose
+        columns are the blocks of the domain that `queries` (which qidx indexes) is over."""
+        P = self._probs(M, queries.domain)
+        diff = product_answers(P, queries, qidx) - targets
         return float((diff**2).sum()), P, diff
 
-    def _grad(self, M: np.ndarray, P: np.ndarray, qidx: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    def _grad(self, M: np.ndarray, queries: QuerySet, qidx: np.ndarray, P: np.ndarray, diff: np.ndarray):
         """d loss / d M from the P and residual that `_loss` returned for M."""
-        dP = product_answers_grad(P, self.queries, 2.0 * diff, qidx)
+        dP = product_answers_grad(P, queries, 2.0 * diff, qidx)
         if self.cfg.original:
             return dP * ((M > 0.0) & (M < 1.0))
-        return block_softmax_grad(P, dP, self.domain)
+        return block_softmax_grad(P, dP, queries.domain)
+
+    def _read_blocks(self, qidx: np.ndarray) -> tuple[np.ndarray, QuerySet, np.ndarray]:
+        """(columns, queries, ids): the one-hot columns of the attributes that
+        the queries `qidx` read, their workloads as a collection over just
+        those attributes, and the queries' ids in it."""
+        qs, dom = self.queries, self.domain
+        read, which = np.unique(qs.workload_of(qidx), return_inverse=True)
+        attrs = sorted({f for wi in read for f in qs.workloads[wi].features})
+        pos = {f: i for i, f in enumerate(attrs)}
+        sub = QuerySet.from_subsets(
+            Domain(tuple(dom.names[f] for f in attrs), tuple(dom.sizes[f] for f in attrs)),
+            [tuple(pos[f] for f in qs.workloads[wi].features) for wi in read],
+        )
+        # a query keeps its position within its workload
+        shift = np.array([sw.offset - qs.workloads[wi].offset for wi, sw in zip(read, sub.workloads)])
+        return np.flatnonzero(np.isin(dom.block_ids, attrs)), sub, qidx + shift[which]
 
     def update(self, ledger: MeasurementLedger) -> None:
         if len(ledger) == 0:
             return
-        qidx = ledger.indices()
+        cols, queries, qidx = self._read_blocks(ledger.indices())
         # answers live in [0,1]; an out-of-range noisy target keeps a
         # constant-size pull at the boundary and collapses rows to one-hots
         targets = np.clip(ledger.answers(), 0.0, 1.0)
-        M = self.M
-        loss, P, diff = self._loss(M, qidx, targets)
+        M = self.M[:, cols]
+        loss, P, diff = self._loss(M, queries, qidx, targets)
         history = [loss]
         # per-coordinate moment scaling; raw softmax gradients are ~1e-4 so a
         # bare lr*g step at lr=0.1 goes nowhere. Moments reset each round.
         opt = Adam([(M,)], self.cfg.lr)
         start = START_SCALE
         for _ in range(self.cfg.max_steps):
-            g = self._grad(M, P, qidx, diff)
+            g = self._grad(M, queries, qidx, P, diff)
             if np.abs(g).max() == 0.0:  # exact stationary point
                 break
             ((delta,),) = opt.direction([(g,)])
             scale = start
             for _ in range(MAX_HALVINGS + 1):
                 M_try = M - scale * delta
-                new_loss, new_P, new_diff = self._loss(M_try, qidx, targets)
+                new_loss, new_P, new_diff = self._loss(M_try, queries, qidx, targets)
                 if new_loss <= loss:
                     break
                 scale *= 0.5
@@ -129,7 +149,7 @@ class RapSynthesizer(Synthesizer):
                 ref = history[-PLATEAU_WINDOW - 1]
                 if ref - loss < PLATEAU_TOL * max(ref, 1e-12):
                     break
-        self.M = M
+        self.M[:, cols] = M
 
     def finalize(self) -> ProductMixture:
-        return ProductMixture(self.domain, self._probs(self.M))
+        return ProductMixture(self.domain, self._probs(self.M, self.domain))

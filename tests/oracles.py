@@ -142,12 +142,15 @@ def pep_project_once(probs, mask, a_target):
     """Reweight probs so the mass on `mask` equals a_target exactly.
 
     Matching cells are multiplied by a_target / q(D), the rest by
-    (1 - a_target) / (1 - q(D)), on the whole vector.
+    (1 - a_target) / (1 - q(D)), on the whole vector. 1 - q(D) is summed from
+    the other cells' own mass: subtracting a q(D) near 1 from 1 cancels its
+    leading digits and leaves the factor only a few correct ones.
     """
     a_cur = float(probs[mask].sum())
     if not (0.0 < a_cur < 1.0) or not (0.0 < a_target < 1.0):
         raise DataError("projection needs both answers strictly inside (0, 1)")
-    out = np.where(mask, probs * (a_target / a_cur), probs * ((1.0 - a_target) / (1.0 - a_cur)))
+    rest = float(probs[~mask].sum())
+    out = np.where(mask, probs * (a_target / a_cur), probs * ((1.0 - a_target) / rest))
     return normalize_mass(out)
 
 

@@ -217,6 +217,55 @@ def test_full_product_answers_chunk_rows(monkeypatch):
     assert np.abs(product_answers_grad(P, qs, coeff, ids) - want[1]).max() < 1e-12
 
 
+def test_prefix_plan_groups_workloads_that_are_not_adjacent():
+    dom = Domain(tuple("abcde"), (2, 3, 4, 2, 3))
+    qs = QuerySet.from_subsets(dom, [(2, 3, 4), (0, 1, 2), (1, 3, 4), (0, 1, 4)])
+    groups, perm = qs._prefix_plan
+    assert [(g.prefix, g.workloads) for g in groups] == [((2, 3), (0,)), ((0, 1), (1, 3)), ((1, 3), (2,))]
+    # (0, 1)'s last blocks are c then e, side by side
+    assert np.array_equal(groups[1].lasts, np.r_[5:9, 11:14])
+    assert np.array_equal(np.sort(perm), np.arange(qs.total_queries))
+
+
+# subsets given out of lexicographic order, with shared prefixes apart and
+# one workload's attributes unsorted; k=1 (empty prefix); k=4
+PLAN_CASES = [
+    ((2, 3, 4, 2, 3), [(2, 3, 4), (0, 1, 2), (1, 3, 4), (0, 1, 4), (1, 0, 3)]),
+    ((3, 2, 4, 2), [(3,), (0,), (2,)]),
+    ((2, 3, 2, 4, 3), [(1, 2, 3, 4), (0, 1, 2, 3), (0, 2, 3, 4), (0, 1, 2, 4)]),
+]
+
+
+@pytest.mark.parametrize("sizes,subsets", PLAN_CASES)
+def test_answers_records_by_prefix_match_per_record_count(sizes, subsets):
+    rng = np.random.default_rng(len(subsets))
+    dom = Domain(tuple(f"a{i}" for i in range(len(sizes))), sizes)
+    qs = QuerySet.from_subsets(dom, subsets)
+    # records as a strided view of a wider array, so no column is contiguous
+    wide = np.column_stack([rng.integers(0, s, size=2 * 41) for s in (5, *sizes)])
+    data = Dataset(dom, wide[::2, 1:])
+    assert not data.records.flags.c_contiguous and not data.records.flags.f_contiguous
+    counts = np.zeros(qs.total_queries, dtype=np.int64)
+    for row in data.records:
+        for w in qs.workloads:
+            counts[w.offset + np.ravel_multi_index(tuple(row[list(w.features)]), w.sizes)] += 1
+    assert np.array_equal(qs.answers_records(data), counts / data.n)
+
+
+@pytest.mark.parametrize("sizes,subsets", PLAN_CASES)
+def test_full_product_answers_by_prefix_match_gather(sizes, subsets, monkeypatch):
+    import dpsynth.queries as queries
+
+    rng = np.random.default_rng(7)
+    dom = Domain(tuple(f"a{i}" for i in range(len(sizes))), sizes)
+    qs = QuerySet.from_subsets(dom, subsets)
+    P = _normalized_rows(rng, dom, 6)
+    gather = P[:, qs.idx].prod(axis=2).mean(axis=0)
+    assert np.abs(product_answers(P, qs) - gather).max() < 1e-12
+    monkeypatch.setattr(queries, "_CHUNK_TARGET", 7)
+    assert np.abs(product_answers(P, qs) - gather).max() < 1e-12
+
+
 @pytest.mark.parametrize("sizes,k,B", [((2, 3, 2), 3, 4), ((3, 2, 4, 2), 2, 1), ((4, 3), 1, 3)])
 def test_full_product_gradient_matches_subset(sizes, k, B):
     rng = np.random.default_rng(9)
@@ -272,6 +321,11 @@ def test_workload_of_first_last_and_out_of_range():
         for bad in (-1, qs.total_queries, qs.total_queries + 5):
             with pytest.raises(IndexError):
                 qs.workload_of(bad)
+            with pytest.raises(IndexError):
+                qs.workload_of(np.array([0, bad]))
+        # an array of ids gives an array of workloads, in its order
+        lasts = np.array([w.offset + w.n_queries - 1 for w in qs.workloads])
+        assert np.array_equal(qs.workload_of(lasts[::-1]), np.arange(len(qs.workloads))[::-1])
 
 
 @settings(max_examples=30, deadline=None)

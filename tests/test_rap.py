@@ -269,9 +269,44 @@ def test_gradient_matches_finite_differences(original):
     qidx = np.array([0, 2, 5])
     targets = np.array([0.3, 0.1, 0.25])
     M = synth.M.copy()
-    _, P, diff = synth._loss(M, qidx, targets)
-    g = synth._grad(M, P, qidx, diff)
+    _, P, diff = synth._loss(M, qs, qidx, targets)
+    g = synth._grad(M, qs, qidx, P, diff)
     fd = central_difference(
-        lambda v: synth._loss(v.reshape(M.shape), qidx, targets)[0], M.ravel().copy(), h=1e-6
+        lambda v: synth._loss(v.reshape(M.shape), qs, qidx, targets)[0], M.ravel().copy(), h=1e-6
     ).reshape(M.shape)
     assert np.abs(g - fd).max() < 1e-7
+
+
+@pytest.mark.parametrize("original", [False, True])
+def test_update_fits_only_the_blocks_its_queries_read(original, monkeypatch):
+    # measured queries read attributes 0, 2 and 3 only: a round leaves the
+    # logits of blocks 1 and 4 as they were, bit for bit, never raises the
+    # loss, and ends where a fit over every column ends
+    dom, data = gen_toy(5, [3, 2, 4, 2, 3], 400, seed=2)
+    qs = build_workloads(dom, 2)
+    truth = qs.answers_records(data)
+    read = [qi for qi in range(qs.total_queries) if set(qs.workloads[qs.workload_of(qi)].features) <= {0, 2, 3}]
+    rng = np.random.default_rng(4)
+    picks = rng.choice(read, size=6, replace=False)
+    cfg = RapConfig(rows=8, max_steps=50, original=original)
+    synth = RapSynthesizer(dom, qs, cfg, np.random.default_rng(5))
+    full = RapSynthesizer(dom, qs, cfg, np.random.default_rng(5))
+    unread = np.r_[dom.offset(1) : dom.offset(2), dom.offset(4) : dom.onehot_width]
+    start = synth.M.copy()
+    led = MeasurementLedger()
+
+    def loss():
+        ans = product_answers(synth.finalize().P, qs, led.indices())
+        return float(((ans - np.clip(led.answers(), 0.0, 1.0)) ** 2).sum())
+
+    for rnd, qi in enumerate(picks, start=1):
+        led.record(int(qi), float(truth[qi] + rng.normal(0.0, 0.05)), rnd)
+        before, prev = synth.M.copy(), loss()
+        synth.update(led)
+        assert np.array_equal(synth.M[:, unread], before[:, unread])
+        assert loss() <= prev
+        with monkeypatch.context() as m:
+            m.setattr(RapSynthesizer, "_read_blocks", lambda self, q: (np.arange(dom.onehot_width), qs, q))
+            full.update(led)
+        assert np.array_equal(synth.M, full.M)
+    assert not np.array_equal(synth.M, start)
