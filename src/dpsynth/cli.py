@@ -143,8 +143,6 @@ def cmd_synth(args) -> int:
         raise ConfigError("give --public or --gem-init, not both")
     if args.output_average and args.method not in HISTOGRAM_METHODS:
         raise ConfigError("--output-average is only available for mwem and pep")
-    if args.em_halved and args.method == "dualquery":
-        raise ConfigError("--em-halved does not apply to dualquery, which draws no exponential mechanism")
     if args.marginal_trick and args.method in SEARCH_METHODS:
         raise ConfigError(f"--marginal-trick does not apply to {args.method}, which measures no answers")
     if args.samples is not None and args.samples < 1:
@@ -283,7 +281,7 @@ def _build_synth(args, domain, data, queries, rng):
         return DualQuerySynthesizer(
             domain,
             queries,
-            DualQueryConfig(eta=args.dq_eta, samples=args.dq_samples),
+            DualQueryConfig(samples=args.dq_samples),
             cell_cap=args.cell_cap,
         )
     # fem: the parser's choices admit no other method
@@ -490,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rap-lr", type=float, default=0.1)
     p.add_argument("--rap-steps", type=int, default=1000)
     p.add_argument("--rap-original", action="store_true")
-    p.add_argument("--dq-eta", type=float, default=2.0)
     p.add_argument("--dq-samples", type=int, default=100)
     p.add_argument("--fem-sigma", type=float, default=0.1)
     p.add_argument("--fem-samples", type=int, default=100)

@@ -312,7 +312,7 @@ class GemSynthesizer(Synthesizer):
         # sampled max error of this round's fresh measurements, before fitting
         rounds = ledger.rounds()
         fresh = rounds == rounds.max()
-        _, c = _residuals(self.params, self.z_batch, self.queries, qidx, targets)
+        cache, c = _residuals(self.params, self.z_batch, self.queries, qidx, targets)
         sampled_max = float(np.abs(c[fresh]).max())
         # the early-stop threshold guards against overfitting noisy targets;
         # with exact measurements it would stall the fit, so drop it
@@ -323,9 +323,10 @@ class GemSynthesizer(Synthesizer):
         else:
             self.gamma = GAMMA_BETA * self.gamma + (1 - GAMMA_BETA) * sampled_max
         ema_on = self.round > self.total_rounds // 2
-        for _ in range(self.cfg.t_max):
-            # the stop test and the gradient read the same forward pass
-            cache, c = _residuals(self.params, self._noise(), self.queries, qidx, targets)
+        for step in range(self.cfg.t_max):
+            # the stop test and the gradient read one pass; with fixed noise, step 1's is the one above
+            if step or self.cfg.resample_z:
+                cache, c = _residuals(self.params, self._noise(), self.queries, qidx, targets)
             if np.abs(c).max() < self.gamma:
                 break
             _, grads = _gradient(self.params, cache, self.queries, qidx, c, self.gamma, self.cfg.loss)

@@ -100,6 +100,20 @@ class Accountant:
         return zcdp_to_dp(self.rho, delta)
 
 
+def dualquery_eta(acct: Accountant, samples: int) -> float:
+    """The query-weight rate eta at which DualQuery spends exactly acct.rho.
+
+    In round t a query's log-weight is eta times its summed payoffs (absolute
+    errors of normalized counts) over the t-1 rounds before, so one record
+    moves it by at most eta*(t-1)/n. Each of the round's `samples` draws is
+    then an exponential mechanism that costs (eta*(t-1)/n)^2 / 2, as a draw of
+    :func:`exp_mechanism_select` does, and T rounds compose to
+    rho = samples * eta^2 * sum_{t=1..T} (t-1)^2 / (2 n^2). At T=1 eta is 0.
+    """
+    squares = (acct.T - 1) * acct.T * (2 * acct.T - 1) // 6  # sum of (t-1)^2
+    return acct.n * math.sqrt(2.0 * acct.rho / (samples * squares)) if squares else 0.0
+
+
 def exp_mechanism_probs(scores: np.ndarray, acct: Accountant, *, halved: bool = False) -> np.ndarray:
     """Selection distribution of :func:`exp_mechanism_select`."""
     scores = np.asarray(scores, dtype=np.float64)

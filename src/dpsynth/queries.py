@@ -6,13 +6,13 @@ concatenates workloads into one global query index space and evaluates the
 whole collection against datasets, dense mass vectors, cell-support
 distributions, and batches of relaxed one-hot probability rows.
 
-An explicit support (any cell set but the full domain) gets one query map: the
-global query each of its cells meets in each workload, so its answers are one
-`bincount`, and a query -> positions index, so listing cells scans nothing.
-
 The workloads that share their first k-1 attributes (a prefix) form one group
-of the collection's prefix plan, built once. Counting records computes each
-prefix's code once, then one `bincount` per workload. Product queries over
+of the collection's prefix plan, built once. One encoder maps records to their
+position in each workload, computing each prefix's code once. Counting records
+is one `bincount` per workload. An explicit support (any cell set but the full
+domain) is encoded once into a query map, the global query each of its cells
+meets in each workload: its answers are one `bincount`, and a query lists its
+cells by scanning one row of the map. Product queries over
 relaxed rows (gem, rap-softmax) take one of two paths. The whole collection is
 one contraction per shared prefix: the row-wise outer product of the prefix's
 attribute blocks times all of its workloads' last blocks side by side, in row
@@ -47,35 +47,16 @@ class Workload:
     def n_queries(self) -> int:
         return math.prod(self.sizes)
 
-    def local_strides(self) -> tuple[int, ...]:
-        st = [1] * len(self.sizes)
-        for i in range(len(self.sizes) - 2, -1, -1):
-            st[i] = st[i + 1] * self.sizes[i + 1]
-        return tuple(st)
-
-    def locals_of_records(self, records: np.ndarray) -> np.ndarray:
-        loc = np.zeros(records.shape[0], dtype=np.int64)
-        for f, st in zip(self.features, self.local_strides()):
-            loc += records[:, f] * st
-        return loc
-
 
 class SupportMap:
     """The query map of an explicit support (see the module docstring): `ids[i, s]` is
     the global id of the query of workload i that the cell at support position s meets."""
 
     def __init__(self, queries: "QuerySet", cells: np.ndarray):
-        values = queries.domain.decode(cells)
-        self.ids = np.stack([w.offset + w.locals_of_records(values) for w in queries.workloads])
-        self._total_queries = queries.total_queries
-
-    @cached_property
-    def index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, positions), built on first use: query q's positions are
-        positions[indptr[q] : indptr[q + 1]], ascending, as the stable sort keeps them."""
-        flat = self.ids.ravel()
-        counts = np.bincount(flat, minlength=self._total_queries)
-        return np.concatenate(([0], np.cumsum(counts))), np.argsort(flat, kind="stable") % self.ids.shape[1]
+        cols = np.ascontiguousarray(queries.domain.decode(cells).T)
+        self.ids = np.empty((len(queries.workloads), cols.shape[1]), dtype=np.int64)
+        for wi, loc in queries._record_locals(cols):
+            self.ids[wi] = queries.workloads[wi].offset + loc
 
 
 @dataclass(frozen=True)
@@ -116,7 +97,10 @@ class QuerySet:
         """One workload per feature subset, indexed in the given order."""
         workloads = []
         off = 0
+        d = domain.num_attrs
         for feats in subsets:
+            if len(set(feats)) != len(feats) or not all(0 <= f < d for f in feats):
+                raise DataError(f"workload {tuple(feats)} is not distinct attributes in [0, {d})")
             sizes = tuple(domain.sizes[f] for f in feats)
             workloads.append(Workload(tuple(feats), sizes, off))
             off += math.prod(sizes)
@@ -158,25 +142,27 @@ class QuerySet:
 
     # -- evaluation -------------------------------------------------------
 
-    def answers_records(self, data: Dataset) -> np.ndarray:
-        """Exact answers on a dataset (integer counting, then one division).
-
-        Each prefix's record code is computed once, from contiguous columns,
-        and each workload of the prefix then counts its codes in one `bincount`.
-        """
-        if data.n == 0:
-            raise DataError("empty dataset")
-        cols = np.ascontiguousarray(data.records.T)
+    def _record_locals(self, cols: np.ndarray):
+        """Yield (workload index, each record's position in that workload) from
+        `cols`, one contiguous row of values per attribute and one column per record."""
         sizes = self.domain.sizes
-        out = np.empty(self.total_queries)
         for g in self._prefix_plan[0]:
             code = 0
             for f in g.prefix:
                 code = code * sizes[f] + cols[f]
             for wi in g.workloads:
                 w = self.workloads[wi]
-                loc = code * w.sizes[-1] + cols[w.features[-1]]
-                out[w.offset : w.offset + w.n_queries] = np.bincount(loc, minlength=w.n_queries) / data.n
+                yield wi, code * w.sizes[-1] + cols[w.features[-1]]
+
+    def answers_records(self, data: Dataset) -> np.ndarray:
+        """Exact answers on a dataset (integer counting, then one division):
+        one `bincount` per workload of the encoded records."""
+        if data.n == 0:
+            raise DataError("empty dataset")
+        out = np.empty(self.total_queries)
+        for wi, loc in self._record_locals(np.ascontiguousarray(data.records.T)):
+            w = self.workloads[wi]
+            out[w.offset : w.offset + w.n_queries] = np.bincount(loc, minlength=w.n_queries) / data.n
         return out
 
     def _is_full(self, cells: np.ndarray) -> bool:
@@ -197,7 +183,8 @@ class QuerySet:
     def cells_of(self, qidx: int, qmap: SupportMap | None = None) -> np.ndarray:
         """Ascending positions, in a support, of the cells query `qidx` matches.
 
-        `qmap` is the support's query map, whose index lists them; without
+        `qmap` is the support's query map, whose row of the query's workload
+        is scanned for them (callers keep the lists they ask for); without
         one the support is the full domain, where positions are flat cell
         indices: the query's targets times their strides, plus every cell
         that is 0 on the workload's attributes (built from the strides once
@@ -205,8 +192,7 @@ class QuerySet:
         """
         wi = self.workload_of(qidx)
         if qmap is not None:
-            indptr, positions = qmap.index
-            return positions[indptr[qidx] : indptr[qidx + 1]]
+            return np.flatnonzero(qmap.ids[wi] == qidx)
         w = self.workloads[wi]
         dom = self.domain
         if wi not in self._zero_cells:
@@ -237,13 +223,16 @@ class QuerySet:
         Each workload's answers are its marginal: the mass viewed as a
         d-dimensional array, summed over the attributes outside the workload.
         Marginals are summed out of one another, so the work that workloads
-        share is done once.
+        share is done once. A marginal's axes are in ascending attribute
+        order; each workload reads them in its own order.
         """
         cube = np.asarray(mass, dtype=np.float64).reshape(self.domain.sizes)
         margs = {tuple(range(self.domain.num_attrs)): cube}
         out = np.empty(self.total_queries)
         for w in self.workloads:
-            out[w.offset : w.offset + w.n_queries] = self._marginal(margs, w.features).ravel()
+            keep = tuple(sorted(w.features))
+            marg = self._marginal(margs, keep).transpose([keep.index(f) for f in w.features])
+            out[w.offset : w.offset + w.n_queries] = marg.ravel()
         return out
 
     def answers_support(

@@ -14,26 +14,23 @@ import numpy as np
 
 from .domain import (
     DEFAULT_CELL_CAP,
-    LOG_MAX_FLOAT,
     ConfigError,
     DataError,
     Domain,
     SupportDistribution,
 )
 from .loop import Synthesizer
-from .privacy import Accountant, MeasurementLedger, select_k
+from .privacy import Accountant, MeasurementLedger, dualquery_eta, select_k
 from .queries import QuerySet
 
 
 @dataclass
 class DualQueryConfig:
-    eta: float = 2.0  # multiplicative-weights rate over queries
     samples: int = 100  # queries drawn per round
 
     def __post_init__(self):
-        # payoffs lie in [0, 1], so exp(eta * payoff) stays finite up to this eta
-        if not 0 < self.eta <= LOG_MAX_FLOAT or self.samples < 1:
-            raise ConfigError(f"eta must lie in (0, {LOG_MAX_FLOAT:.6g}] and samples >= 1")
+        if self.samples < 1:
+            raise ConfigError("samples must be >= 1")
 
 
 @dataclass
@@ -74,25 +71,25 @@ class _SearchBase(Synthesizer):
 class DualQuerySynthesizer(_SearchBase):
     """Query player runs multiplicative weights; data player best-responds.
 
-    Per round: once any record is held, upweight every query by
-    exp(eta * its error against the running synthetic average); then draw
+    Per round: once any record is held, add to every query's log-weight
+    eta * its error against the running synthetic average; then draw
     `samples` queries from the query distribution and add the one record
     minimizing their total indicator count (exhaustive scan, lowest cell
-    index on ties).
+    index on ties). Each draw is an exponential mechanism, and eta is the
+    rate at which the draws spend the accountant's budget
+    (:func:`~dpsynth.privacy.dualquery_eta`), halved under em_halved.
     """
 
     def __init__(self, domain, queries, cfg: DualQueryConfig, cell_cap: int = DEFAULT_CELL_CAP):
         super().__init__(domain, queries, cell_cap)
         self.cfg = cfg
-        self.qweights = np.full(queries.total_queries, 1.0 / queries.total_queries)
+        self.logw = np.zeros(queries.total_queries)  # query log-weights: eta times summed payoffs
 
     def private_round(self, current, private_answers, acct, rng, no_noise, em_halved=False):
-        if em_halved:
-            raise ConfigError("dualquery draws no exponential mechanism; em_halved does not apply")
         if self.counts.any():  # the payoff of the records so far
-            w = self.qweights * np.exp(self.cfg.eta * np.abs(private_answers - current))
-            self.qweights = w / w.sum()
-        cum = np.cumsum(self.qweights)
+            eta = dualquery_eta(acct, self.cfg.samples) * (0.5 if em_halved else 1.0)
+            self.logw += eta * np.abs(private_answers - current)
+        cum = np.cumsum(np.exp(self.logw - self.logw.max()))  # no overflow, whatever eta is
         u = rng.random(self.cfg.samples)
         drawn = np.minimum(np.searchsorted(cum / cum[-1], u, side="right"), cum.size - 1)
         objective = np.zeros(self.domain.total_cells)

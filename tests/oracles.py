@@ -162,7 +162,7 @@ def best_mixture_error_dense(cells, qs, targets, iterations=2000):
     the worst query's cells by e^{+-lr} and renormalizes the whole mixture.
     """
     values = qs.domain.decode(np.asarray(cells, dtype=np.int64))
-    locals_ = [w.locals_of_records(values) for w in qs.workloads]
+    locals_ = [np.ravel_multi_index(values[:, list(w.features)].T, w.sizes) for w in qs.workloads]
 
     def answers(mu):
         return np.concatenate(

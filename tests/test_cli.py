@@ -178,7 +178,6 @@ BAD_SETTINGS = [
     ("gem", "--gem-ema-beta", "1.5"),
     ("rap-softmax", "--rap-rows", "0"),
     ("rap-softmax", "--rap-lr", "0"),
-    ("dualquery", "--dq-eta", "0"),
     ("dualquery", "--dq-samples", "0"),
     ("fem", "--fem-sigma", "0"),
     ("fem", "--fem-samples", "0"),
@@ -201,8 +200,6 @@ BAD_SETTINGS = [
     ("mwem", "--mwem-eta", "inf"),
     ("mwem", "--mwem-eta", "1e-300"),
     ("pep", "--pep-gamma", "inf"),
-    ("dualquery", "--dq-eta", "inf"),
-    ("dualquery", "--dq-eta", "1000"),
 ]
 
 
@@ -495,21 +492,18 @@ def test_checkpoint_architecture_is_read_off_the_weights(toy, tmp_path, capsys):
     assert rc == 0, capsys.readouterr().err
 
 
-def test_em_halved_reaches_fem_and_dualquery_refuses_it(toy, tmp_path, capsys):
-    traces = []
-    for flags in ((), ("--em-halved",)):
-        trace = tmp_path / f"trace{len(flags)}.jsonl"
-        rc = _synth(
-            toy, tmp_path, *flags, "--T", "5", "--fem-samples", "30", "--trace", trace,
-            method="fem", budget=("--rho", "0.05"),
-        )
-        assert rc == 0
-        traces.append([json.loads(line)["selected"] for line in trace.read_text().splitlines()])
-    assert traces[0] != traces[1]
-    capsys.readouterr()
-    rc = _synth(toy, tmp_path, "--em-halved", method="dualquery", budget=("--rho", "0.2"))
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: --em-halved")
+def test_em_halved_reaches_fem_and_dualquery(toy, tmp_path, capsys):
+    for method, samples in (("fem", "--fem-samples"), ("dualquery", "--dq-samples")):
+        traces = []
+        for flags in ((), ("--em-halved",)):
+            trace = tmp_path / f"{method}{len(flags)}.jsonl"
+            rc = _synth(
+                toy, tmp_path, *flags, "--T", "5", samples, "30", "--trace", trace,
+                method=method, budget=("--rho", "0.05"),
+            )
+            assert rc == 0, capsys.readouterr().err
+            traces.append([json.loads(line)["selected"] for line in trace.read_text().splitlines()])
+        assert traces[0] != traces[1]
 
 
 def test_search_methods_run(toy, tmp_path, capsys):

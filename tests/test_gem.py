@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -374,14 +375,13 @@ def test_adam_moves_against_gradient():
 
 
 def test_update_runs_one_forward_pass_per_step(monkeypatch):
-    # the stop test and the gradient share a pass; the one extra pass is the
-    # round's sampled error before fitting
+    # the stop test and the gradient share a pass; with fixed noise the
+    # round's sampled error before fitting is the first step's pass, and
+    # with fresh noise every step draws its own (one pass more)
     import dpsynth.gem as gem
 
     dom = Domain(("a", "b"), (3, 3))
     qs = build_workloads(dom, 1)
-    cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, t_max=7)
-    synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(5), total_rounds=2)
     led = MeasurementLedger(exact=True)
     led.record(0, 0.9, 1)
     led.record(4, 0.05, 1)
@@ -391,9 +391,18 @@ def test_update_runs_one_forward_pass_per_step(monkeypatch):
     steps = []
     real_step = gem.Adam.step
     monkeypatch.setattr(gem.Adam, "step", lambda self, *a: steps.append(1) or real_step(self, *a))
-    synth.update(led)
-    assert len(steps) == cfg.t_max
-    assert len(calls) == 1 + cfg.t_max
+    for resample_z in (False, True):
+        cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, t_max=7, resample_z=resample_z)
+        synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(5), total_rounds=2)
+        draws = []
+        rng = synth.rng
+        synth.rng = SimpleNamespace(standard_normal=lambda *a: draws.append(1) or rng.standard_normal(*a))
+        calls.clear()
+        steps.clear()
+        synth.update(led)
+        assert len(steps) == cfg.t_max
+        assert len(calls) == cfg.t_max + resample_z
+        assert len(draws) == (cfg.t_max if resample_z else 0)
 
 
 def test_adam_in_place_moments_match_the_textbook_expressions():

@@ -228,11 +228,13 @@ def test_prefix_plan_groups_workloads_that_are_not_adjacent():
 
 
 # subsets given out of lexicographic order, with shared prefixes apart and
-# one workload's attributes unsorted; k=1 (empty prefix); k=4
+# one workload's attributes unsorted; k=1 (empty prefix); k=4; workloads
+# over every attribute, in unsorted orders
 PLAN_CASES = [
     ((2, 3, 4, 2, 3), [(2, 3, 4), (0, 1, 2), (1, 3, 4), (0, 1, 4), (1, 0, 3)]),
     ((3, 2, 4, 2), [(3,), (0,), (2,)]),
     ((2, 3, 2, 4, 3), [(1, 2, 3, 4), (0, 1, 2, 3), (0, 2, 3, 4), (0, 1, 2, 4)]),
+    ((2, 3, 4), [(2, 0, 1), (1, 2, 0)]),
 ]
 
 
@@ -250,6 +252,11 @@ def test_answers_records_by_prefix_match_per_record_count(sizes, subsets):
         for w in qs.workloads:
             counts[w.offset + np.ravel_multi_index(tuple(row[list(w.features)]), w.sizes)] += 1
     assert np.array_equal(qs.answers_records(data), counts / data.n)
+    # the histogram and support evaluators follow each workload's own order too
+    hist = np.bincount(data.cells(), minlength=dom.total_cells)
+    assert np.array_equal(qs.answers_mass(hist) / data.n, counts / data.n)
+    cells = np.flatnonzero(hist)
+    assert np.array_equal(qs.answers_support(cells, hist[cells].astype(float)) / data.n, counts / data.n)
 
 
 @pytest.mark.parametrize("sizes,subsets", PLAN_CASES)
@@ -311,6 +318,13 @@ def test_query_set_takes_k_from_its_workloads():
         QuerySet.from_subsets(dom, [(0,), (1, 2)])
 
 
+@pytest.mark.parametrize("subset", [(0, -1), (0, 0), (0, 5)])
+def test_from_subsets_rejects_repeated_or_out_of_range_attributes(subset):
+    dom = Domain(("a", "b", "c"), (2, 3, 4))
+    with pytest.raises(DataError, match="distinct attributes"):
+        QuerySet.from_subsets(dom, [(0, 1), subset])
+
+
 def test_workload_of_first_last_and_out_of_range():
     dom = Domain(("a", "b", "c", "d"), (2, 3, 4, 2))
     for k in (1, 2, 3):
@@ -370,9 +384,11 @@ def _bincount_answers(qs, mass, cells=None):
     """Answers through per-cell query maps, one bincount per workload (all cells by default)."""
     if cells is None:
         cells = np.arange(qs.domain.total_cells)
+    values = qs.domain.decode(cells)
     out = np.empty(qs.total_queries)
     for w, sl in zip(qs.workloads, qs.slices()):
-        out[sl] = np.bincount(w.locals_of_records(qs.domain.decode(cells)), weights=mass, minlength=w.n_queries)
+        loc = np.ravel_multi_index(values[:, list(w.features)].T, w.sizes)
+        out[sl] = np.bincount(loc, weights=mass, minlength=w.n_queries)
     return out
 
 

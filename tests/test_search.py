@@ -27,8 +27,6 @@ def _setup(sizes=(4,), k=1):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        DualQueryConfig(eta=0.0)
-    with pytest.raises(ConfigError):
         DualQueryConfig(samples=0)
     with pytest.raises(ConfigError):
         FemConfig(sigma=0.0)
@@ -49,7 +47,7 @@ def test_dualquery_zero_lower_bound():
     # every drawn query misses the a=3 cells, so one of them attains 0
     dom, qs = _setup((4,))
     synth = DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=8))
-    synth.qweights = np.array([1 / 3, 1 / 3, 1 / 3, 0.0])  # never draw a=3
+    synth.logw = np.array([0.0, 0.0, 0.0, -np.inf])  # never draw a=3
     priv = np.array([0.25, 0.25, 0.25, 0.25])
     acct = Accountant(rho=0.1, T=1, k=1, alpha=1.0, n=100)
     synth.private_round(synth.answers(), priv, acct, np.random.default_rng(0), False)
@@ -59,7 +57,7 @@ def test_dualquery_zero_lower_bound():
 def test_dualquery_tie_breaks_to_lowest_index():
     dom, qs = _setup((4,))
     synth = DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=1))
-    synth.qweights = np.array([0.0, 0.0, 1.0, 0.0])  # always draw a=2
+    synth.logw = np.array([-np.inf, -np.inf, 0.0, -np.inf])  # always draw a=2
     priv = np.full(4, 0.25)
     acct = Accountant(rho=0.1, T=1, k=1, alpha=1.0, n=100)
     drawn, noisy = synth.private_round(synth.answers(), priv, acct, np.random.default_rng(3), False)
@@ -90,16 +88,42 @@ def test_dualquery_argmin_matches_brute_force():
 
 def test_dualquery_weights_stay_distribution_and_favor_errors():
     dom, qs = _setup((4,))
-    synth = DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=2, eta=3.0))
+    synth = DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=2))
     priv = np.array([0.7, 0.1, 0.1, 0.1])  # query 0 has the worst error
-    acct = Accountant(rho=0.1, T=1, k=1, alpha=1.0, n=100)
+    # T >= 2: at T=1 no round reads a payoff, and the rate is 0
+    acct = Accountant(rho=0.1, T=2, k=1, alpha=1.0, n=100)
     rng = np.random.default_rng(5)
     for _ in range(2):  # the second round applies the payoff of the first round's record
         synth.private_round(synth.answers(), priv, acct, rng, False)
-    w = synth.qweights
-    assert abs(w.sum() - 1.0) < 1e-12
-    assert (w >= 0).all()
-    assert np.argmax(w) == 0
+    assert np.isfinite(synth.logw).all()
+    assert synth.logw[0] > synth.logw[1:].max()
+    # a rate far past exp's range (about 1.4e9 at n=1e9) still draws valid queries
+    acct = Accountant(rho=1.0, T=2, k=1, alpha=1.0, n=10**9)
+    for _ in range(2):
+        drawn, _ = synth.private_round(synth.answers(), priv, acct, rng, False)
+    assert np.isfinite(synth.logw).all() and all(0 <= q < qs.total_queries for q in drawn)
+
+
+@pytest.mark.parametrize("halved", [False, True])
+def test_dualquery_rate_recomposes_to_the_stated_rho(halved):
+    # after two rounds the gap of two queries' log-weights is the rate times
+    # the gap of their payoffs; T rounds of `samples` draws, each an exponential
+    # mechanism with log-weight sensitivity rate*(t-1)/n, spend
+    # samples * rate^2 * sum (t-1)^2 / (2 n^2): the stated rho, or a quarter
+    # of it with the exponent halved
+    dom, qs = _setup((4,))
+    samples, T, n, rho = 7, 5, 300, 0.05
+    acct = Accountant.selection_only(rho, T, 1, n)
+    synth = DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=samples))
+    priv = np.array([0.7, 0.1, 0.1, 0.1])
+    rng = np.random.default_rng(3)
+    synth.private_round(synth.answers(), priv, acct, rng, False, em_halved=halved)
+    current = synth.answers()
+    synth.private_round(current, priv, acct, rng, False, em_halved=halved)
+    payoff = np.abs(priv - current)
+    rate = (synth.logw[0] - synth.logw[1]) / (payoff[0] - payoff[1])
+    spent = samples * rate**2 * sum((t - 1) ** 2 for t in range(1, T + 1)) / (2 * n**2)
+    assert abs(spent - (rho / 4 if halved else rho)) <= 1e-12
 
 
 def test_fem_noise_free_limit_unperturbed_argmin():
@@ -217,21 +241,20 @@ def test_fem_selection_honours_em_halved():
     assert differs
 
 
-def test_loop_passes_em_halved_to_fem_and_dualquery_refuses_it():
+def test_loop_passes_em_halved_to_fem_and_dualquery():
     dom, qs = _setup((2, 4))
     data = Dataset(dom, np.array([[0, 1], [1, 3], [0, 0], [1, 1]] * 10))
     acct = Accountant(rho=0.2, T=5, k=1, alpha=1.0, n=data.n)
-    picks = []
-    for halved in (False, True):
-        synth = FemSynthesizer(dom, qs, FemConfig(samples=5))
-        cfg = RunConfig(T=5, k=1, alpha=1.0, em_score_halved=halved)
-        _, trace = run(data, qs, synth, acct, cfg, np.random.default_rng(1))
-        picks.append([r["selected"] for r in trace])
-    assert picks[0] != picks[1]
-    synth = DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=5))
-    cfg = RunConfig(T=5, k=1, alpha=1.0, em_score_halved=True)
-    with pytest.raises(ConfigError):
-        run(data, qs, synth, acct, cfg, np.random.default_rng(1))
+    for make in (
+        lambda: FemSynthesizer(dom, qs, FemConfig(samples=5)),
+        lambda: DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=5)),
+    ):
+        picks = []
+        for halved in (False, True):
+            cfg = RunConfig(T=5, k=1, alpha=1.0, em_score_halved=halved)
+            _, trace = run(data, qs, make(), acct, cfg, np.random.default_rng(1))
+            picks.append([r["selected"] for r in trace])
+        assert picks[0] != picks[1]
 
 
 @pytest.mark.parametrize("search", ["dualquery", "fem"])
