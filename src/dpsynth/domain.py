@@ -215,43 +215,54 @@ class Dataset:
 
 
 def normalize_mass(mass: np.ndarray) -> np.ndarray:
-    """Flush sub-floor values to zero and rescale to total mass 1."""
-    mass = np.asarray(mass, dtype=np.float64).copy()
+    """Flush sub-floor values to zero and rescale to total mass 1, in a new array."""
+    mass = np.array(mass, dtype=np.float64)
     if mass.size == 0:
         raise DataError("empty mass vector")
-    if not np.all(np.isfinite(mass)) or mass.min() < 0:
+    low, high = mass.min(), mass.max()
+    if not (low >= 0 and high < np.inf):  # false for a NaN too
         raise DataError("mass must be finite and nonnegative")
-    mass[mass < MASS_FLOOR] = 0.0
+    if low < MASS_FLOOR:
+        mass[mass < MASS_FLOOR] = 0.0
     total = mass.sum()
     if total <= 0:
         raise DataError("mass sums to zero")
-    return mass / total
-
-
-def _min_positive(x: np.ndarray) -> float:
-    return float(np.min(x, where=x > 0, initial=np.inf))
+    mass /= total
+    return mass
 
 
 class CellWeights:
     """A probability vector p = w / z kept as weights w and a tracked normalizer z.
 
-    The multiplicative rules (MWEM entry steps, PEP projections) scale the
-    cells one query matches by one factor and every other cell by another.
-    Here such a step touches only the matching cells, scaled by the ratio of
-    the two factors; z absorbs the rest. `scale` reports when w is due for a
+    MWEM and PEP keep one of these as their state from construction to
+    output, so a round pays only for the cells its steps touch. The
+    multiplicative rules (MWEM entry steps, PEP projections) scale the cells
+    one query matches by one factor and every other cell by another. Here
+    such a step touches only the matching cells, scaled by the ratio of the
+    two factors; z absorbs the rest. `scale` reports when w is due for a
     full `normalize_mass`: when z leaves [1/2, 2] or is not finite, so its
     rounding error cannot grow, or when a cell could have dropped below
-    MASS_FLOOR and must be flushed.
+    MASS_FLOOR and must be flushed. Otherwise w is normalized only for output.
     """
 
     def __init__(self, probs: np.ndarray):
         self.w = np.array(probs, dtype=np.float64)
         self.z = float(self.w.sum())
-        self._low = _min_positive(self.w)  # lower bound on the smallest nonzero weight
+        # a lower bound on the smallest nonzero weight
+        self._low = float(np.min(self.w, where=self.w > 0, initial=np.inf))
 
     def answer(self, cells: np.ndarray) -> float:
         """Probability of the given cells."""
         return float(self.w[cells].sum()) / self.z
+
+    def answer_outside(self, cells: np.ndarray) -> float:
+        """Probability of every other cell, summed over them (one pass over w).
+
+        1 - answer(cells) loses its leading digits when the answer is near 1.
+        """
+        rest = np.ones(self.w.shape[0], dtype=bool)
+        rest[cells] = False
+        return float(self.w[rest].sum()) / self.z
 
     def answers(self, cells: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
         """Probability of each of `count` cell groups; cells[i] is in group groups[i]."""
@@ -284,8 +295,14 @@ class CellWeights:
         sub *= ratio
         self.w[cells] = sub
         self.z += float(sub.sum() - before)
-        self._low = min(self._low, _min_positive(sub))
-        return not 0.5 <= self.z <= 2.0 or self._low < MASS_FLOOR * self.z
+        if ratio < 1.0:  # every nonzero weight scaled was >= _low
+            self._low *= ratio
+        if not 0.5 <= self.z <= 2.0:
+            # z - before + after cancels when the scaled cells held nearly
+            # all the mass, so a z that shrank this far is summed afresh
+            self.z = float(self.w.sum())
+            return True
+        return self._low < MASS_FLOOR * self.z
 
     def probs(self) -> np.ndarray:
         """p = w / z, not yet flushed or renormalized."""

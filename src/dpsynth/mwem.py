@@ -12,8 +12,10 @@ renormalization only the ratio exp(2(a~ - q(D))/eta) between matching and
 other cells matters. The classical step of Hardt, Ligett & McSherry (2012),
 D(x) * exp(q(x) (a~ - q(D))/2) with answers in fractions of n, has ratio
 exp((a~ - q(D))/2), which is eta=4 here; the default eta=2 steps twice as far.
-A step touches only the matching cells (see CellWeights), so its cost is the
-size of the query, not of the domain.
+The state is one CellWeights (weights w, normalizer z), kept across rounds:
+a step touches only the matching cells, so its cost is the size of the
+query, not of the domain. w is renormalized only when a step makes it due,
+and normalized once more for output (`mass`, `finalize`).
 """
 from __future__ import annotations
 
@@ -52,11 +54,16 @@ class MwemSynthesizer(Synthesizer):
         self.queries = queries
         self.eta = float(eta)
         self.cycles = int(cycles)
-        self.mass = np.full(domain.total_cells, 1.0 / domain.total_cells)
+        self.weights = CellWeights(np.full(domain.total_cells, 1.0 / domain.total_cells))
         self._cell_lists: dict[int, np.ndarray] = {}  # matching cells per measured query
 
+    @property
+    def mass(self) -> np.ndarray:
+        """The normalized histogram, computed from the weights."""
+        return normalize_mass(self.weights.probs())
+
     def answers(self) -> np.ndarray:
-        return self.queries.answers_mass(self.mass)
+        return self.queries.answers_mass(self.weights.w) / self.weights.z
 
     def _cells(self, qidx: int) -> np.ndarray:
         if qidx not in self._cell_lists:
@@ -67,19 +74,17 @@ class MwemSynthesizer(Synthesizer):
         entries = ledger.entries()
         if not entries:
             return
-        weights = CellWeights(self.mass)
         for _ in range(self.cycles):
             for e in entries:
                 cells = self._cells(e.index)
-                delta = min(max(e.answer, 0.0), 1.0) - weights.answer(cells)
+                delta = min(max(e.answer, 0.0), 1.0) - self.weights.answer(cells)
                 step = delta / self.eta
-                if weights.scale(cells, np.exp(step), np.exp(-step)):
-                    weights = CellWeights(normalize_mass(weights.probs()))
-        self.mass = normalize_mass(weights.probs())
+                if self.weights.scale(cells, np.exp(step), np.exp(-step)):
+                    self.weights = CellWeights(normalize_mass(self.weights.probs()))
 
     def finalize(self) -> SupportDistribution:
         return SupportDistribution(
             self.domain,
             np.arange(self.domain.total_cells, dtype=np.int64),
-            self.mass.copy(),
+            self.mass,
         )

@@ -8,9 +8,11 @@ reweights the distribution so that query's answer becomes exactly the
     -lambda = ln( a~ (1 - q(D)) / ((1 - a~) q(D)) )
 
 which multiplies matching cells by a~/q(D) and the rest by (1-a~)/(1-q(D)).
-The state persists across rounds, so each round's solve starts warm from the
-previous distribution. A projection touches only the matching cells (see
-CellWeights), and reads the measured answers from their cached cell lists.
+The state is one CellWeights (weights w, normalizer z), kept across rounds,
+so each round's solve starts warm from the previous distribution. A
+projection touches only the matching cells, and reads the measured answers
+from their cached cell lists. w is renormalized only when a projection makes
+it due, and normalized once more for output (`probs`, `finalize`).
 """
 from __future__ import annotations
 
@@ -51,8 +53,8 @@ class PepSynthesizer(Synthesizer):
         self.cells = np.asarray(support_cells, dtype=np.int64)
         if init_probs is None:
             init_probs = np.full(self.cells.shape[0], 1.0 / self.cells.shape[0])
-        self.probs = normalize_mass(np.asarray(init_probs, dtype=np.float64))
-        if self.probs.shape != self.cells.shape:
+        self.weights = CellWeights(normalize_mass(init_probs))
+        if self.weights.w.shape != self.cells.shape:
             raise DataError("support and init probabilities must align")
         if not 0 <= gamma < np.inf or t_max < 1:
             raise ConfigError("gamma must be finite and >= 0, and t_max >= 1")
@@ -62,10 +64,16 @@ class PepSynthesizer(Synthesizer):
         self._qmap = queries._cell_locals(self.cells)
         self._cell_lists: dict[int, np.ndarray] = {}  # support positions per measured query
 
+    @property
+    def probs(self) -> np.ndarray:
+        """The normalized distribution over the support, computed from the weights."""
+        return normalize_mass(self.weights.probs())
+
     def _answers_all(self) -> np.ndarray:
+        w, z = self.weights.w, self.weights.z
         if self._qmap is None:
-            return self.queries.answers_mass(self.probs)
-        return self.queries.answers_support(self.cells, self.probs, self._qmap)
+            return self.queries.answers_mass(w) / z
+        return self.queries.answers_support(self.cells, w, self._qmap) / z
 
     def answers(self) -> np.ndarray:
         return self._answers_all()
@@ -83,23 +91,23 @@ class PepSynthesizer(Synthesizer):
         lists = [self._cells(int(q)) for q in idx]
         flat = np.concatenate(lists)
         groups = np.repeat(np.arange(len(lists)), [c.size for c in lists])
-        weights = CellWeights(self.probs)
         dead = np.zeros(idx.shape[0], dtype=bool)  # entries no reweighting can move
         for _ in range(self.t_max):
-            current = weights.answers(flat, groups, len(lists))
+            current = self.weights.answers(flat, groups, len(lists))
             res = np.abs(targets - current)
             res[dead] = -np.inf
             j = int(np.argmax(res))
             if res[j] <= self.gamma:
                 break
             a_cur, a_target = float(current[j]), float(targets[j])
-            if not (0.0 < a_cur < 1.0):
+            # 1 - q(D) cancels as q(D) nears 1, so there the other cells are summed
+            rest = 1.0 - a_cur if a_cur <= 0.5 else self.weights.answer_outside(lists[j])
+            if not (0.0 < a_cur < 1.0 and rest > 0.0):
                 dead[j] = True
                 continue
-            inside, outside = a_target / a_cur, (1.0 - a_target) / (1.0 - a_cur)
-            if weights.scale(lists[j], inside, outside):
-                weights = CellWeights(normalize_mass(weights.probs()))
-        self.probs = normalize_mass(weights.probs())
+            inside, outside = a_target / a_cur, (1.0 - a_target) / rest
+            if self.weights.scale(lists[j], inside, outside):
+                self.weights = CellWeights(normalize_mass(self.weights.probs()))
 
     def finalize(self) -> SupportDistribution:
-        return SupportDistribution(self.domain, self.cells.copy(), self.probs.copy())
+        return SupportDistribution(self.domain, self.cells.copy(), self.probs)

@@ -77,7 +77,8 @@ class DualQuerySynthesizer(_SearchBase):
     minimizing their total indicator count (exhaustive scan, lowest cell
     index on ties). Each draw is an exponential mechanism, and eta is the
     rate at which the draws spend the accountant's budget
-    (:func:`~dpsynth.privacy.dualquery_eta`), halved under em_halved.
+    (:func:`~dpsynth.privacy.dualquery_eta`), halved under em_halved. Under
+    no_noise every draw is the query of largest log-weight instead.
     """
 
     def __init__(self, domain, queries, cfg: DualQueryConfig, cell_cap: int = DEFAULT_CELL_CAP):
@@ -89,9 +90,12 @@ class DualQuerySynthesizer(_SearchBase):
         if self.counts.any():  # the payoff of the records so far
             eta = dualquery_eta(acct, self.cfg.samples) * (0.5 if em_halved else 1.0)
             self.logw += eta * np.abs(private_answers - current)
-        cum = np.cumsum(np.exp(self.logw - self.logw.max()))  # no overflow, whatever eta is
-        u = rng.random(self.cfg.samples)
-        drawn = np.minimum(np.searchsorted(cum / cum[-1], u, side="right"), cum.size - 1)
+        if no_noise:  # every draw is the exact argmax, lowest index on ties (as in select_k)
+            drawn = np.full(self.cfg.samples, int(np.argmax(self.logw)))
+        else:
+            cum = np.cumsum(np.exp(self.logw - self.logw.max()))  # no overflow, whatever eta is
+            u = rng.random(self.cfg.samples)
+            drawn = np.minimum(np.searchsorted(cum / cum[-1], u, side="right"), cum.size - 1)
         objective = np.zeros(self.domain.total_cells)
         for q in drawn:
             objective[self.queries.cells_of(int(q))] += 1.0

@@ -11,7 +11,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpsynth.domain import DataError, normalize_mass
+from dpsynth.domain import MASS_FLOOR, DataError, normalize_mass
+
+
+def normalize_mass_reference(mass):
+    """Flush sub-floor values to zero and rescale to total mass 1, checking every entry.
+
+    The library's `normalize_mass` must equal this bit for bit.
+    """
+    mass = np.asarray(mass, dtype=np.float64).copy()
+    if mass.size == 0:
+        raise DataError("empty mass vector")
+    if not np.all(np.isfinite(mass)) or mass.min() < 0:
+        raise DataError("mass must be finite and nonnegative")
+    mass[mass < MASS_FLOOR] = 0.0
+    total = mass.sum()
+    if total <= 0:
+        raise DataError("mass sums to zero")
+    return mass / total
 
 
 @dataclass(frozen=True)

@@ -319,6 +319,7 @@ def trend_runs(toy_bench):
     return res
 
 
+@pytest.mark.slow
 def test_criterion_7_end_to_end_trend(toy_bench, trend_runs, capsys):
     t0 = time.perf_counter()
     domain, data, queries, true_ans, rho = toy_bench
@@ -346,6 +347,7 @@ def test_criterion_7_end_to_end_trend(toy_bench, trend_runs, capsys):
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_8_marginal_trick(toy_bench, trend_runs, capsys):
     t0 = time.perf_counter()
     per_query = float(np.mean(trend_runs["gem"]))
@@ -376,6 +378,7 @@ def test_criterion_8_marginal_trick(toy_bench, trend_runs, capsys):
 # ------------------------------------------------------------ criterion 9 --
 
 
+@pytest.mark.slow
 def test_criterion_9_public_data_floor(toy_bench, capsys):
     t0 = time.perf_counter()
     domain, data, queries, true_ans, _ = toy_bench

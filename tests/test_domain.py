@@ -13,7 +13,9 @@ from dpsynth import (
     DomainError,
     SupportDistribution,
 )
-from dpsynth.domain import CellWeights, load_npz, normalize_mass
+from dpsynth.domain import MASS_FLOOR, CellWeights, load_npz, normalize_mass
+
+from oracles import normalize_mass_reference
 
 
 def test_domain_validation():
@@ -162,6 +164,62 @@ def test_normalize_mass():
     # tiny positive values are flushed rather than kept as denormals
     m = normalize_mass(np.array([1.0, 1e-310]))
     assert m[1] == 0.0
+
+
+# entries of every magnitude, with exact zeros and values under MASS_FLOOR
+_masses = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.just(-0.0),
+        st.floats(0.0, MASS_FLOOR, exclude_max=True),
+        st.floats(MASS_FLOOR, 1e300),
+        st.floats(0.0, 1.0),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_masses)
+def test_normalize_mass_matches_the_reference_bit_for_bit(values):
+    mass = np.array(values)
+    try:
+        want = normalize_mass_reference(mass)
+    except DataError:
+        with pytest.raises(DataError):
+            normalize_mass(mass)
+        return
+    got = normalize_mass(mass)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(mass, values)  # the input is left as it was
+
+
+@pytest.mark.parametrize(
+    "bad", [[], [np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0], [-1e-300, 1.0], [0.0, 0.0], [1e-301]]
+)
+def test_normalize_mass_refuses(bad):
+    for check in (normalize_mass, normalize_mass_reference):
+        with pytest.raises(DataError):
+            check(np.array(bad, dtype=np.float64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 99_999), steps=st.integers(1, 60))
+def test_cell_weights_low_bounds_the_smallest_weight(seed, steps):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(2, 20))
+    start = rng.dirichlet(np.full(size, 0.5))
+    start[rng.random(size) < 0.2] = 0.0
+    if not start.any():
+        start[0] = 1.0
+    w = CellWeights(start)
+    for _ in range(steps):
+        cells = np.flatnonzero(rng.random(size) < 0.4)
+        inside, outside = np.exp(rng.normal(0.0, 20.0, size=2))
+        if w.scale(cells, inside, outside):
+            w = CellWeights(normalize_mass(w.probs()))
+        assert w._low <= w.w[w.w > 0].min()
 
 
 def test_cell_weights_ask_for_renormalization():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpsynth import CapacityError, Domain, MwemSynthesizer, build_workloads
-from dpsynth.domain import normalize_mass
+from dpsynth import CapacityError, Domain, MwemSynthesizer, build_workloads, mwem
+from dpsynth.domain import CellWeights, normalize_mass
 from dpsynth.privacy import MeasurementLedger
 
 from oracles import entropy_linear_minimizer, kl_divergence, mwem_closed_form_check, query_mask, query_of
@@ -88,7 +88,7 @@ def test_single_step_strictly_reduces_error(size, cell, target, seed):
     synth = MwemSynthesizer(dom, qs, cycles=1)
     rng = np.random.default_rng(seed)
     m = rng.dirichlet(np.ones(size))
-    synth.mass = m.copy()
+    synth.weights = CellWeights(m)
     before = abs(target - m[cell])
     led = MeasurementLedger()
     led.record(cell, target, 1)
@@ -206,8 +206,8 @@ def test_cell_local_update_matches_dense_replay(seed, rounds, cycles, eta):
     qs = build_workloads(dom, int(rng.integers(1, len(shape) + 1)))
     cells = np.arange(dom.total_cells)
     synth = MwemSynthesizer(dom, qs, eta=eta, cycles=cycles)
-    synth.mass = rng.dirichlet(np.ones(cells.size))
-    dense = synth.mass.copy()
+    synth.weights = CellWeights(rng.dirichlet(np.ones(cells.size)))
+    dense = synth.mass
     led = MeasurementLedger()
     picks = rng.choice(qs.total_queries, size=min(rounds, qs.total_queries), replace=False)
     for rnd, qi in enumerate(picks, start=1):
@@ -248,3 +248,52 @@ def test_step_onto_a_flushed_cell_keeps_the_surviving_mass():
     with np.errstate(over="raise"):
         synth.update(led)
     assert np.array_equal(synth.mass, [0.0, 1.0])
+
+
+def test_step_off_nearly_all_the_mass_keeps_the_rest():
+    # the first round puts all but 3.7e-44 of the mass on cell 1; the second
+    # asks for none there, a ratio of e^-200. Tracking z as z - before + after
+    # cancelled to exactly 0, and renormalizing w / 0 raised DataError.
+    dom, qs = _two_cell()
+    synth = MwemSynthesizer(dom, qs, eta=0.01, cycles=1)
+    led = MeasurementLedger()
+    led.record(1, 1.0, 1)
+    synth.update(led)
+    led.record(1, 0.0, 2)
+    synth.update(led)
+    assert synth.mass[0] == 1.0
+    assert 0.0 < synth.mass[1] < 1e-43
+
+
+def test_update_normalizes_only_when_due(monkeypatch):
+    # the weights are kept across rounds: an update whose steps keep z in
+    # [1/2, 2] and every cell over MASS_FLOOR never normalizes the histogram
+    dom = Domain(("a", "b", "c", "d"), (8, 8, 8, 8))  # 2^12 cells
+    qs = build_workloads(dom, 1)
+    synth = MwemSynthesizer(dom, qs, cycles=10)
+    calls = []
+    real = mwem.normalize_mass
+    monkeypatch.setattr(mwem, "normalize_mass", lambda m: calls.append(1) or real(m))
+    led = MeasurementLedger()
+    led.record(3, 0.15, 1)  # answer 1/8 now
+    synth.update(led)
+    led.record(9, 0.1, 2)
+    synth.update(led)
+    assert calls == []
+    assert abs(synth.answers()[3] - 0.15) < 0.01
+    led.record(20, 1.0, 3)  # pushes 1/8 of the mass toward 1: z passes 2
+    synth.update(led)
+    assert len(calls) >= 1
+
+
+def test_finalize_is_the_normalized_mass():
+    dom = Domain(("a", "b"), (4, 4))
+    qs = build_workloads(dom, 1)
+    synth = MwemSynthesizer(dom, qs, cycles=3)
+    led = MeasurementLedger()
+    for rnd, (qi, a) in enumerate([(0, 0.6), (5, 0.1), (2, 0.3)], start=1):
+        led.record(qi, a, rnd)
+        synth.update(led)
+        out = synth.finalize().probs
+        assert out.tobytes() == synth.mass.tobytes()
+        assert out.tobytes() == normalize_mass(synth.weights.w / synth.weights.z).tobytes()

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from dpsynth import DataError, Domain, PepSynthesizer, build_workloads
-from dpsynth.domain import CellWeights
+from dpsynth import DataError, Domain, PepSynthesizer, build_workloads, pep
+from dpsynth.domain import CellWeights, normalize_mass
 from dpsynth.pep import TARGET_CLIP
 from dpsynth.privacy import MeasurementLedger
 
@@ -51,6 +51,22 @@ def test_projection_exactness(size, cell, target, seed):
     mass = rng.dirichlet(np.ones(size) * 0.7) + 1e-9
     out = pep_project_once(mass / mass.sum(), _mask(dom, qs, cell), target)
     assert abs(out[cell] - target) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 99_999))
+@example(seed=76130)  # q(D) = 1 - 1.1e-7: 1 - q(D) cancelled to 1.85e-10 off
+def test_update_projection_exactness_near_one(seed):
+    # the library's projection, from a start whose answer may lie near 1
+    dom = Domain(("a",), (2,))
+    qs = build_workloads(dom, 1)
+    rng = np.random.default_rng(seed)
+    mass = rng.dirichlet(np.ones(2) * 0.7) + 1e-9
+    synth = PepSynthesizer(dom, qs, init_probs=mass / mass.sum(), t_max=1)
+    led = MeasurementLedger()
+    led.record(0, 0.5, 1)
+    synth.update(led)
+    assert abs(synth.probs[0] - 0.5) <= 1e-12
 
 
 def test_dual_loss_values():
@@ -368,3 +384,41 @@ def test_projection_is_i_projection():
     for x in np.linspace(1e-6, 1 - target - 1e-6, 2001):
         cand = np.array([target, x, 1.0 - target - x])
         assert kl(cand, D) >= best - 1e-10
+
+
+@pytest.mark.parametrize("public", [False, True])
+def test_update_normalizes_only_when_due(monkeypatch, public):
+    # the weights are kept across rounds: projections that keep z in
+    # [1/2, 2] and every cell over MASS_FLOOR never normalize the distribution
+    dom = Domain(("a", "b", "c", "d"), (8, 8, 8, 8))  # 2^12 cells
+    qs = build_workloads(dom, 1)
+    support = np.arange(0, dom.total_cells, 3) if public else None
+    synth = PepSynthesizer(dom, qs, support_cells=support, t_max=4)
+    calls = []
+    real = pep.normalize_mass
+    monkeypatch.setattr(pep, "normalize_mass", lambda m: calls.append(1) or real(m))
+    led = MeasurementLedger()
+    led.record(3, 0.15, 1)
+    synth.update(led)
+    led.record(9, 0.1, 2)
+    synth.update(led)
+    assert calls == []
+    ans = synth.answers()
+    assert abs(ans[3] - 0.15) < 1e-6 and abs(ans[9] - 0.1) < 1e-6  # the update did move it
+    led.record(20, 0.9, 3)  # 1/8 of the mass to 0.9: z passes 2
+    synth.update(led)
+    assert len(calls) >= 1
+
+
+def test_finalize_is_the_normalized_probs():
+    rng = np.random.default_rng(4)
+    dom = Domain(("a", "b"), (4, 4))
+    qs = build_workloads(dom, 1)
+    synth = PepSynthesizer(dom, qs, init_probs=rng.dirichlet(np.ones(16)), t_max=5)
+    led = MeasurementLedger()
+    for rnd, (qi, a) in enumerate([(0, 0.6), (5, 0.1), (2, 0.3)], start=1):
+        led.record(qi, a, rnd)
+        synth.update(led)
+        out = synth.finalize().probs
+        assert out.tobytes() == synth.probs.tobytes()
+        assert out.tobytes() == normalize_mass(synth.weights.w / synth.weights.z).tobytes()

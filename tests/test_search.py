@@ -14,8 +14,10 @@ from dpsynth import (
     FemSynthesizer,
     RunConfig,
     build_workloads,
+    gen_toy,
     run,
 )
+from dpsynth.privacy import dp_to_zcdp
 
 from oracles import query_mask, query_of
 
@@ -275,3 +277,21 @@ def test_one_answers_pass_per_round(monkeypatch, search):
     acct = Accountant.selection_only(rho=0.2, T=T, k=1, n=data.n)
     run(data, qs, synth, acct, RunConfig(T=T, k=1), np.random.default_rng(1))
     assert len(calls) == T
+
+
+def test_dualquery_no_noise_draws_the_argmax():
+    # no_noise disables the query draws too: the fit no longer depends on its seed
+    dom, data = gen_toy(seed=100)
+    qs = build_workloads(dom, 3)
+    T = 20
+    acct = Accountant.selection_only(rho=dp_to_zcdp(1.0, 1.0 / data.n**2), T=T, k=1, n=data.n)
+    answers, traces = [], []
+    for seed in (0, 1):
+        synth = DualQuerySynthesizer(dom, qs, DualQueryConfig())
+        out, trace = run(data, qs, synth, acct, RunConfig(T=T, k=1, no_noise=True), np.random.default_rng(seed))
+        answers.append(out.answers(qs))
+        traces.append([r["selected"] for r in trace])
+    assert np.array_equal(answers[0], answers[1])
+    assert traces[0] == traces[1]
+    # every draw of a round is the one query of largest log-weight
+    assert all(len(set(sel)) == 1 for sel in traces[0])
