@@ -552,6 +552,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        for flag in ("seed", "workload_seed"):  # numpy seeds must be non-negative
+            if (getattr(args, flag, None) or 0) < 0:
+                raise ConfigError(f"--{flag.replace('_', '-')} must be >= 0, got {getattr(args, flag)}")
         return args.func(args)
     except ConfigError as e:  # BudgetError included
         print(f"error: {e}", file=sys.stderr)

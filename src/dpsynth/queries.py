@@ -16,9 +16,10 @@ cells by scanning one row of the map. Product queries over
 relaxed rows (gem, rap-softmax) take one of two paths. The whole collection is
 one contraction per shared prefix: the row-wise outer product of the prefix's
 attribute blocks times all of its workloads' last blocks side by side, in row
-chunks of bounded size, scattered into query order by one permutation (the
-gradient contracts, per workload and attribute, the other blocks with the
-coefficient tensor). A subset of query ids gathers just their positions.
+chunks of bounded size, scattered into query order by one permutation; the
+gradient walks the same plan. A subset of query ids gathers just their
+positions. The transpose of the dense evaluator maps weights on queries to
+the weight each cell of the domain meets, for the search baselines.
 """
 from __future__ import annotations
 
@@ -89,7 +90,7 @@ class QuerySet:
                 idx[w.offset : w.offset + w.n_queries, j] = domain.offset(f) + combos[:, j]
         self.idx = idx
         self._starts = np.array([w.offset for w in workloads])
-        # per workload: the cells that are 0 on its attributes (see cells_of)
+        # per workload: the cells that are 0 on its attributes (see _domain_cells)
         self._zero_cells: dict[int, np.ndarray] = {}
 
     @classmethod
@@ -113,7 +114,7 @@ class QuerySet:
 
     def workload_of(self, qidx):
         """The workload of query `qidx`, or an array of them for an array of query ids."""
-        if not isinstance(qidx, np.ndarray):  # no array reductions: dualquery calls this per draw
+        if not isinstance(qidx, np.ndarray):  # no array reductions: `cells_of` calls this per query
             if not 0 <= qidx < self.total_queries:
                 raise IndexError(qidx)
             return int(np.searchsorted(self._starts, qidx, side="right")) - 1
@@ -186,24 +187,53 @@ class QuerySet:
         `qmap` is the support's query map, whose row of the query's workload
         is scanned for them (callers keep the lists they ask for); without
         one the support is the full domain, where positions are flat cell
-        indices: the query's targets times their strides, plus every cell
-        that is 0 on the workload's attributes (built from the strides once
-        per workload, with no scan over the domain).
+        indices (see `_domain_cells`).
         """
         wi = self.workload_of(qidx)
         if qmap is not None:
             return np.flatnonzero(qmap.ids[wi] == qidx)
-        w = self.workloads[wi]
+        return self._domain_cells(wi, qidx)
+
+    @cached_property
+    def _target_strides(self) -> np.ndarray:
+        """Per one-hot column (attribute a, value t): t times a's stride."""
         dom = self.domain
+        return np.concatenate([np.arange(s, dtype=np.int64) * dom.stride(a) for a, s in enumerate(dom.sizes)])
+
+    def _domain_cells(self, wi: int, qidx) -> np.ndarray:
+        """Flat indices of the cells that the queries `qidx`, all of workload
+        `wi`, match: one ascending row per query (or one row for one id).
+
+        A query's cells are the cells that are 0 on the workload's attributes
+        (built from the strides once per workload, with no scan over the
+        domain) plus its targets times their strides.
+        """
         if wi not in self._zero_cells:
+            w, dom = self.workloads[wi], self.domain
             axes = [
                 np.arange(1 if a in w.features else size, dtype=np.int64) * dom.stride(a)
                 for a, size in enumerate(dom.sizes)
             ]
             self._zero_cells[wi] = sum(np.ix_(*axes)).ravel()
-        targets = np.unravel_index(qidx - w.offset, w.sizes)
-        fixed = sum(int(t) * dom.stride(f) for f, t in zip(w.features, targets))
-        return self._zero_cells[wi] + fixed
+        fixed = self._target_strides[self.idx[qidx]].sum(axis=-1)
+        return fixed[..., None] + self._zero_cells[wi]
+
+    def transpose_mass(self, weights: np.ndarray) -> np.ndarray:
+        """The transpose of `answers_mass`: per cell of the full domain, the
+        summed weights of the queries it matches, so that
+        <answers_mass(m), weights> = <m, transpose_mass(weights)>.
+
+        One fancy-index add per workload that holds a nonzero weight, over
+        the cells of its weighted queries (disjoint within a workload), so
+        the work follows those queries' cells rather than the domain.
+        """
+        out = np.zeros(self.domain.total_cells)
+        q = np.flatnonzero(weights)
+        wis = self.workload_of(q)
+        for wi in np.unique(wis):
+            ids = q[wis == wi]
+            out[self._domain_cells(int(wi), ids)] += weights[ids, None]
+        return out
 
     def _marginal(self, margs: dict, keep: tuple[int, ...]) -> np.ndarray:
         """Marginal on the attributes `keep`, cached in `margs` (keyed by kept attributes).
@@ -352,7 +382,12 @@ def product_answers_grad(
     """Gradient w.r.t. P of sum_j coeff[j] * product_answers(P, queries, qidx)[j].
 
     Leave-one-out products are formed explicitly (no division) so zero
-    entries stay differentiable.
+    entries stay differentiable. qidx=None walks the prefix plan as
+    `product_answers` does: per shared prefix, the coefficients laid out as a
+    (prefix value, last column) matrix C give the last blocks' gradient as
+    the prefix's outer product times C, and the outer product's as the last
+    blocks times C transposed, which is contracted into each prefix block
+    with the other prefix blocks.
     """
     B, W = P.shape
     if qidx is not None:
@@ -365,13 +400,33 @@ def product_answers_grad(
             cols = base + idx.T[:, None, :]  # (k, B, chunk)
             flat += np.bincount(cols.ravel(), weights=(loo * (coeff[s] / B)).ravel(), minlength=B * W)
         return flat.reshape(B, W)
-    dP = np.zeros_like(P)
     dom = queries.domain
-    for w in queries.workloads:
-        C = coeff[w.offset : w.offset + w.n_queries].reshape(w.sizes)
-        blocks = _blocks(P, dom, w.features)
-        for t, (f, sz) in enumerate(zip(w.features, w.sizes)):
-            Ct = np.moveaxis(C, t, -1).reshape(-1, sz)  # axis t last
-            for r in _row_chunks(B, Ct.shape[0]):
-                dP[r, dom.offset(f) : dom.offset(f) + sz] += _outer(blocks[:t] + blocks[t + 1 :], r) @ Ct
-    return dP / B
+    groups, perm = queries._prefix_plan
+    grouped = np.empty_like(coeff)
+    grouped[perm] = coeff / B  # the coefficients in the groups' (prefix value, last column) layout
+    dP = np.zeros_like(P)
+    start = 0
+    for g in groups:
+        first = _blocks(P, dom, g.prefix)
+        sizes = [dom.sizes[f] for f in g.prefix]
+        C = grouped[start : start + math.prod(sizes) * g.lasts.size].reshape(-1, g.lasts.size)
+        start += C.size
+        lasts = P[:, g.lasts]
+        for r in _row_chunks(B, C.shape[0]):
+            # the last blocks: the outer product of the prefix's blocks times C
+            d_lasts = _outer(first, r) @ C
+            col = 0
+            for wi in g.workloads:  # one slice per workload: two workloads may share a last block
+                f, sz = queries.workloads[wi].features[-1], queries.workloads[wi].sizes[-1]
+                dP[r, dom.offset(f) : dom.offset(f) + sz] += d_lasts[:, col : col + sz]
+                col += sz
+            if not first:
+                continue
+            # d/d(outer product), axis 0 the row and axis j+1 prefix block j,
+            # contracted into each prefix block with the other blocks
+            d_outer = (lasts[r] @ C.T).reshape(-1, *sizes)
+            axes = range(1, len(sizes) + 1)
+            for t, (f, sz) in enumerate(zip(g.prefix, sizes)):
+                others = [x for j, blk in enumerate(first) if j != t for x in (blk[r], [0, j + 1])]
+                dP[r, dom.offset(f) : dom.offset(f) + sz] += np.einsum(d_outer, [0, *axes], *others, [0, t + 1])
+    return dP

@@ -5,6 +5,15 @@ Both methods spend their whole budget on query selection (no Gaussian
 measurements), so they plug into the loop as self-selecting synthesizers and
 the accountant runs with alpha = 1. Output is the empirical distribution of
 every record accumulated across rounds, kept as one count per cell.
+
+A round does no Python work per query drawn or per record scored. Per-cell
+query counts are `QuerySet.transpose_mass` of the histogram of the round's
+queries (one indexed add per workload drawn from). FEM draws the noise of
+all its records in one call, in the same stream order as one call per
+record, and scores them in blocks of at most `_SCORE_BLOCK` (record, cell)
+scores, each an argmin over one broadcast sum. Counts are integers held in
+floats and every argmin keeps the lowest cell index on ties, so both
+methods return what a per-query, per-record scan returns, bit for bit.
 """
 from __future__ import annotations
 
@@ -22,6 +31,9 @@ from .domain import (
 from .loop import Synthesizer
 from .privacy import Accountant, MeasurementLedger, dualquery_eta, select_k
 from .queries import QuerySet
+
+# element budget of FEM's (records, cells) score block
+_SCORE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -96,9 +108,7 @@ class DualQuerySynthesizer(_SearchBase):
             cum = np.cumsum(np.exp(self.logw - self.logw.max()))  # no overflow, whatever eta is
             u = rng.random(self.cfg.samples)
             drawn = np.minimum(np.searchsorted(cum / cum[-1], u, side="right"), cum.size - 1)
-        objective = np.zeros(self.domain.total_cells)
-        for q in drawn:
-            objective[self.queries.cells_of(int(q))] += 1.0
+        objective = self.queries.transpose_mass(np.bincount(drawn, minlength=self.queries.total_queries))
         self.counts[int(np.argmin(objective))] += 1.0
         return [int(q) for q in drawn], None
 
@@ -120,13 +130,23 @@ class FemSynthesizer(_SearchBase):
     def private_round(self, current, private_answers, acct: Accountant, rng, no_noise, em_halved=False):
         scores = np.abs(private_answers - current)
         picked = select_k(scores, acct, rng, no_noise=no_noise, halved=em_halved)
-        for q in picked:
-            self.base[self.queries.cells_of(q)] += 1.0
+        self.base += self.queries.transpose_mass(np.bincount(picked, minlength=self.queries.total_queries))
         dom = self.domain
-        for _ in range(self.cfg.samples):
-            noise = rng.exponential(self.cfg.sigma, size=dom.onehot_width)
-            # <one-hot(x), noise> of every cell x: the attribute blocks summed over a row-major grid
-            blocks = [noise[dom.offset(a) : dom.offset(a) + size] for a, size in enumerate(dom.sizes)]
-            perturb = sum(np.ix_(*blocks)).ravel()
-            self.counts[int(np.argmin(self.base + perturb))] += 1.0
+        noise = rng.exponential(self.cfg.sigma, size=(self.cfg.samples, dom.onehot_width))
+        d, rows = dom.num_attrs, max(1, _SCORE_BLOCK // dom.total_cells)
+        buf = np.empty((min(rows, self.cfg.samples), *dom.sizes))  # reused by every block
+        best = []
+        for r in range(0, self.cfg.samples, rows):
+            # per record, <one-hot(x), noise> of every cell x: the attribute
+            # blocks summed over a row-major grid; then the base is added
+            block = noise[r : r + rows]
+            grid = [
+                block[:, dom.offset(a) : dom.offset(a) + size].reshape(-1, *(1,) * a, size, *(1,) * (d - 1 - a))
+                for a, size in enumerate(dom.sizes)
+            ]
+            out = buf[: len(block)]
+            np.add(sum(grid[:-1]), grid[-1], out=out)
+            flat = out.reshape(len(out), -1)
+            best.append(np.add(flat, self.base, out=flat).argmin(axis=1))
+        self.counts += np.bincount(np.concatenate(best), minlength=dom.total_cells)
         return picked, None

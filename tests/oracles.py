@@ -133,6 +133,36 @@ def block_softmax_grad_loop(P, dP, domain):
     return gl
 
 
+def cell_sums_loop(queries, qids, weights=None):
+    """Per cell, the summed weights of the queries `qids` it matches (each
+    weight 1 by default, repeats counted): one comparison of every cell's
+    values with the query's targets per id, in any workload's attribute
+    order. With unit weights this is DualQuery's per-round objective over its
+    draws, and FEM's base over the rounds' selections."""
+    dom = queries.domain
+    values = dom.decode(np.arange(dom.total_cells))
+    sums = np.zeros(dom.total_cells)
+    for qidx, weight in zip(qids, np.ones(len(qids)) if weights is None else weights):
+        w = queries.workloads[queries.workload_of(int(qidx))]
+        targets = np.unravel_index(int(qidx) - w.offset, w.sizes)
+        sums[(values[:, list(w.features)] == targets).all(axis=1)] += weight
+    return sums
+
+
+def fem_records_loop(domain, base, rng, sigma, samples):
+    """Per cell, how many of `samples` perturbed best responses land on it,
+    one record at a time: each record draws its own Exp(sigma) noise vector
+    over the one-hot layout and takes the lowest cell minimizing base(x) +
+    <one-hot(x), noise>, the noise summed attribute by attribute over the
+    row-major grid of cells."""
+    counts = np.zeros(domain.total_cells)
+    for _ in range(samples):
+        noise = rng.exponential(sigma, size=domain.onehot_width)
+        blocks = [noise[domain.offset(a) : domain.offset(a) + size] for a, size in enumerate(domain.sizes)]
+        counts[int(np.argmin(base + sum(np.ix_(*blocks)).ravel()))] += 1.0
+    return counts
+
+
 def mwem_closed_form_check(queries, items, sign=-1.0):
     """Exponential-family mass vector built directly from measurement items.
 

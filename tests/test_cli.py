@@ -200,6 +200,16 @@ BAD_SETTINGS = [
     ("mwem", "--mwem-eta", "inf"),
     ("mwem", "--mwem-eta", "1e-300"),
     ("pep", "--pep-gamma", "inf"),
+    # numpy takes only non-negative seeds: every subcommand with a seed rejects a negative one
+    ("mwem", "--seed", "-1"),
+    ("mwem", "--workload-seed", "-1"),
+    ("evaluate", "--seed", "-1"),
+    ("evaluate", "--workload-seed", "-1"),
+    ("pretrain", "--seed", "-1"),
+    ("pretrain", "--workload-seed", "-1"),
+    ("best-mixture-error", "--seed", "-1"),
+    ("best-mixture-error", "--workload-seed", "-1"),
+    ("gen-toy", "--seed", "-1"),
 ]
 
 
@@ -212,6 +222,9 @@ def test_out_of_range_setting_exits_2(toy, tmp_path, capsys, command, flag, valu
                 "--marginal-k", "2"]
     elif command == "evaluate":
         argv = ["evaluate", "--domain", str(dom), "--data", str(dat), "--synthetic", str(dat)]
+    elif command == "best-mixture-error":
+        argv = ["best-mixture-error", "--domain", str(dom), "--data", str(dat), "--public", str(dat),
+                "--marginal-k", "2"]
     elif command == "gen-toy":
         argv = ["gen-toy", "--out", str(tmp_path / "t.csv")]
     else:

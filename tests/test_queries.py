@@ -11,6 +11,7 @@ from oracles import (
     answer_batch,
     answer_histogram,
     answer_records,
+    cell_sums_loop,
     product_query,
     query_mask,
     query_of,
@@ -197,24 +198,28 @@ def test_full_product_answers_match_gather(sizes, k, B, clipped):
 
 def test_full_product_answers_chunk_rows(monkeypatch):
     # B * prod(sizes[:-1]) = 6 * 20 is far over a 7-element budget, so every
-    # workload is contracted in several row chunks, answers and gradient alike
+    # prefix is contracted in several row chunks, answers and gradient alike,
+    # at every marginal order
     import dpsynth.queries as queries
 
     rng = np.random.default_rng(2)
     dom = Domain(("a", "b", "c", "d"), (4, 5, 3, 2))
-    qs = build_workloads(dom, 3)
     P = _normalized_rows(rng, dom, 6)
-    coeff = rng.standard_normal(qs.total_queries)
-    want = product_answers(P, qs), product_answers_grad(P, qs, coeff)
+    cases = []
+    for k in (1, 2, 3, 4):
+        qs = build_workloads(dom, k)
+        coeff = rng.standard_normal(qs.total_queries)
+        cases.append((qs, coeff, product_answers(P, qs), product_answers_grad(P, qs, coeff)))
     monkeypatch.setattr(queries, "_CHUNK_TARGET", 7)
     assert len(queries._row_chunks(6, 20)) == 6
-    assert np.abs(product_answers(P, qs) - want[0]).max() < 1e-12
-    assert np.abs(product_answers(P, qs) - P[:, qs.idx].prod(axis=2).mean(axis=0)).max() < 1e-12
-    assert np.abs(product_answers_grad(P, qs, coeff) - want[1]).max() < 1e-12
-    # the gather chunks its queries under the same budget
-    ids = np.arange(qs.total_queries)
-    assert np.abs(product_answers(P, qs, ids) - want[0]).max() < 1e-12
-    assert np.abs(product_answers_grad(P, qs, coeff, ids) - want[1]).max() < 1e-12
+    for qs, coeff, *want in cases:
+        assert np.abs(product_answers(P, qs) - want[0]).max() < 1e-12
+        assert np.abs(product_answers(P, qs) - P[:, qs.idx].prod(axis=2).mean(axis=0)).max() < 1e-12
+        assert np.abs(product_answers_grad(P, qs, coeff) - want[1]).max() < 1e-12
+        # the gather chunks its queries under the same budget
+        ids = np.arange(qs.total_queries)
+        assert np.abs(product_answers(P, qs, ids) - want[0]).max() < 1e-12
+        assert np.abs(product_answers_grad(P, qs, coeff, ids) - want[1]).max() < 1e-12
 
 
 def test_prefix_plan_groups_workloads_that_are_not_adjacent():
@@ -268,13 +273,21 @@ def test_full_product_answers_by_prefix_match_gather(sizes, subsets, monkeypatch
     qs = QuerySet.from_subsets(dom, subsets)
     P = _normalized_rows(rng, dom, 6)
     gather = P[:, qs.idx].prod(axis=2).mean(axis=0)
+    coeff = rng.standard_normal(qs.total_queries)
+    gather_grad = product_answers_grad(P, qs, coeff, np.arange(qs.total_queries))
     assert np.abs(product_answers(P, qs) - gather).max() < 1e-12
+    assert np.abs(product_answers_grad(P, qs, coeff) - gather_grad).max() < 1e-12
     monkeypatch.setattr(queries, "_CHUNK_TARGET", 7)
     assert np.abs(product_answers(P, qs) - gather).max() < 1e-12
+    assert np.abs(product_answers_grad(P, qs, coeff) - gather_grad).max() < 1e-12
 
 
-@pytest.mark.parametrize("sizes,k,B", [((2, 3, 2), 3, 4), ((3, 2, 4, 2), 2, 1), ((4, 3), 1, 3)])
-def test_full_product_gradient_matches_subset(sizes, k, B):
+@pytest.mark.parametrize(
+    "sizes,k,B", [((2, 3, 2), 3, 4), ((3, 2, 4, 2), 2, 1), ((4, 3), 1, 3), ((2, 3, 2, 4, 3), 4, 5)]
+)
+def test_full_product_gradient_matches_subset(sizes, k, B, monkeypatch):
+    import dpsynth.queries as queries
+
     rng = np.random.default_rng(9)
     dom = Domain(tuple(f"a{i}" for i in range(len(sizes))), sizes)
     qs = build_workloads(dom, k)
@@ -283,6 +296,9 @@ def test_full_product_gradient_matches_subset(sizes, k, B):
     full = product_answers_grad(P, qs, coeff)
     subset = product_answers_grad(P, qs, coeff, np.arange(qs.total_queries))
     assert np.abs(full - subset).max() < 1e-12
+    # one row per chunk
+    monkeypatch.setattr(queries, "_CHUNK_TARGET", 1)
+    assert np.abs(product_answers_grad(P, qs, coeff) - subset).max() < 1e-12
 
 
 def test_product_answers_grad_finite_differences():
@@ -415,6 +431,32 @@ def test_cells_of_matches_scan(seed):
         want = np.flatnonzero(query_mask(dom, query_of(qs, qi), support))
         assert np.array_equal(qs.cells_of(qi, qmap), want)
     assert sum(qs.cells_of(qi, qmap).size for qi in range(qs.total_queries)) == len(qs.workloads) * support.size
+
+
+@pytest.mark.parametrize(
+    "sizes,workloads",
+    [
+        ((2, 3, 4), [(2, 0, 1)]),
+        ((2, 3, 4, 2, 3), [(2, 3, 4), (0, 1, 2), (1, 3, 4), (1, 0, 3)]),
+        ((3, 2, 4, 2, 3), (2, 4)),  # 4 of the 10 two-way workloads, sampled
+        ((3, 2, 4), (1, None)),
+    ],
+)
+def test_transpose_mass_matches_scan(sizes, workloads):
+    rng = np.random.default_rng(len(sizes))
+    dom = Domain(tuple(f"a{i}" for i in range(len(sizes))), sizes)
+    if isinstance(workloads, tuple):
+        qs = build_workloads(dom, workloads[0], count=workloads[1], rng=rng)
+    else:
+        qs = QuerySet.from_subsets(dom, workloads)
+    ids = np.arange(qs.total_queries)
+    sparse = np.where(rng.random(ids.size) < 0.2, rng.integers(1, 4, ids.size), 0)
+    for weights in (rng.standard_normal(ids.size), sparse, np.zeros(ids.size)):
+        got = qs.transpose_mass(weights)
+        assert np.abs(got - cell_sums_loop(qs, ids, weights)).max() < 1e-12
+        # the adjoint of the dense evaluator
+        mass = rng.dirichlet(np.ones(dom.total_cells))
+        assert abs(qs.answers_mass(mass) @ weights - mass @ got) < 1e-12
 
 
 @settings(max_examples=50, deadline=None)

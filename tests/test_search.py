@@ -12,14 +12,16 @@ from dpsynth import (
     DualQuerySynthesizer,
     FemConfig,
     FemSynthesizer,
+    QuerySet,
     RunConfig,
     build_workloads,
     gen_toy,
     run,
 )
-from dpsynth.privacy import dp_to_zcdp
+from dpsynth import search
+from dpsynth.privacy import dp_to_zcdp, select_k
 
-from oracles import query_mask, query_of
+from oracles import cell_sums_loop, fem_records_loop, query_mask, query_of
 
 
 def _setup(sizes=(4,), k=1):
@@ -295,3 +297,74 @@ def test_dualquery_no_noise_draws_the_argmax():
     assert traces[0] == traces[1]
     # every draw of a round is the one query of largest log-weight
     assert all(len(set(sel)) == 1 for sel in traces[0])
+
+
+def _replay_setup(sizes, workloads, seed):
+    """Domain, queries (all k-way workloads, or the given subsets) and the
+    exact answers of a random 200-record table."""
+    dom = Domain(tuple(f"a{i}" for i in range(len(sizes))), sizes)
+    if isinstance(workloads, int):
+        qs = build_workloads(dom, workloads)
+    else:
+        qs = QuerySet.from_subsets(dom, workloads)
+    rng = np.random.default_rng(1000 + seed)
+    data = Dataset(dom, np.column_stack([rng.integers(0, s, 200) for s in sizes]))
+    return dom, qs, qs.answers_records(data)
+
+
+# (sizes, k or workload subsets in their own attribute order, queries selected per round)
+REPLAY_CASES = [
+    ((8, 8, 8, 8), 3, 1),
+    ((3, 4, 2, 5), [(2, 0, 1), (3, 1, 0), (0, 1, 2)], 2),
+]
+MODES = {"plain": {}, "em_halved": {"em_halved": True}, "no_noise": {"no_noise": True}}
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("sizes,workloads,k", REPLAY_CASES)
+def test_dualquery_counts_match_per_draw_reference(sizes, workloads, k, mode):
+    # each round's record is the lowest argmin of the per-draw objective
+    # scan over the round's own draws, so the counts are bit-equal to it
+    opts = {"no_noise": False, **MODES[mode]}
+    T = 4
+    for seed in range(3):
+        dom, qs, priv = _replay_setup(sizes, workloads, seed)
+        acct = Accountant.selection_only(rho=0.05, T=T, k=k, n=200)
+        synth = DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=60))
+        rng = np.random.default_rng(seed)
+        want = np.zeros(dom.total_cells)
+        for _ in range(T):
+            drawn, _ = synth.private_round(synth.answers(), priv, acct, rng, **opts)
+            want[int(np.argmin(cell_sums_loop(qs, drawn)))] += 1.0
+            assert np.array_equal(synth.counts, want)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize(
+    "sizes,workloads,k,sigma,samples",
+    [
+        ((8, 8, 8, 8), 3, 1, 0.1, 100),  # blocks of several records, the last one short
+        ((3, 4, 2, 5), [(2, 0, 1), (3, 1, 0), (0, 1, 2)], 2, 1e-12, 9),
+        ((8, 8, 8, 8, 8, 4), 2, 1, 0.1, 3),  # over the block budget: one record per block
+    ],
+)
+def test_fem_counts_match_per_record_reference(sizes, workloads, k, sigma, samples, mode):
+    # a twin generator replays the selection, then draws one noise vector per
+    # record: the round's single draw must be that same stream
+    opts = {"no_noise": False, "em_halved": False, **MODES[mode]}
+    T = 3
+    for seed in range(3):
+        dom, qs, priv = _replay_setup(sizes, workloads, seed)
+        acct = Accountant.selection_only(rho=0.05, T=T, k=k, n=200)
+        synth = FemSynthesizer(dom, qs, FemConfig(sigma=sigma, samples=samples))
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        picks, want = [], np.zeros(dom.total_cells)
+        for _ in range(T):
+            current = synth.answers()
+            picked, _ = synth.private_round(current, priv, acct, rng, opts["no_noise"], opts["em_halved"])
+            assert picked == select_k(np.abs(priv - current), acct, twin, no_noise=opts["no_noise"],
+                                      halved=opts["em_halved"])
+            picks += picked
+            want += fem_records_loop(dom, cell_sums_loop(qs, picks), twin, sigma, samples)
+            assert np.array_equal(synth.counts, want)
+    assert (dom.total_cells > search._SCORE_BLOCK) == (len(sizes) == 6)
