@@ -13,10 +13,10 @@ import time
 
 import numpy as np
 
-from dpsynth.loop import RunConfig, run
-from dpsynth.privacy import Accountant, dp_to_zcdp
+from dpsynth.methods import fit
+from dpsynth.privacy import dp_to_zcdp
 from dpsynth.queries import build_workloads
-from dpsynth.rap import RapConfig, RapSynthesizer
+from dpsynth.rap import RapConfig
 from dpsynth.report import errors
 from dpsynth.toy import gen_toy
 
@@ -30,8 +30,7 @@ def max_err(seed: int) -> float:
     queries = build_workloads(domain, 3)
     rho = dp_to_zcdp(1.0, 1.0 / data.n**2)
     rng = np.random.default_rng(seed)
-    synth = RapSynthesizer(domain, queries, RapConfig(max_steps=300), rng)
-    out, _ = run(data, queries, synth, Accountant(rho, T, 1, 0.67, data.n), RunConfig(T=T, k=1), rng)
+    out, *_ = fit("rap-softmax", data, queries, rho, rng, T=T, cfg=RapConfig(max_steps=300))
     return errors(queries.answers_records(data), out.answers(queries))[0]
 
 

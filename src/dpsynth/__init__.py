@@ -12,6 +12,7 @@ from .domain import (
 )
 from .gem import GemConfig, GemSynthesizer, ema_update, gem_gradient, gem_loss
 from .loop import RunConfig, Synthesizer, run
+from .methods import fit
 from .mwem import MwemSynthesizer
 from .pep import PepSynthesizer
 from .privacy import (

@@ -8,7 +8,6 @@ gen-toy. Exit codes: 0 success, 2 a bad setting or flag conflict
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -26,31 +25,25 @@ from .domain import (
     SupportDistribution,
     load_npz,
 )
-from .gem import GemConfig, GemOutput, GemSynthesizer, forward, load_checkpoint, save_checkpoint
-from .loop import RunConfig, run
-from .mwem import MwemSynthesizer
-from .pep import PepSynthesizer
+from .gem import GemConfig, GemOutput, forward, load_checkpoint, save_checkpoint
+from .methods import HISTOGRAM_METHODS, METHODS, SEARCH_METHODS, fit
 from .privacy import Accountant, dp_to_zcdp
-from .public import best_mixture_error, gem_pub_pretrain, pep_pub_init
+from .public import best_mixture_error, gem_pub_pretrain
 from .queries import QuerySet, build_workloads
-from .rap import RapConfig, RapSynthesizer
+from .rap import RapConfig
 from .report import (
     build_report,
     write_errors_csv,
     write_report,
     write_trace,
 )
-from .search import DualQueryConfig, DualQuerySynthesizer, FemConfig, FemSynthesizer
+from .search import DualQueryConfig, FemConfig
 from .toy import gen_toy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_FILE = 4
-
-METHODS = ("mwem", "pep", "gem", "rap-softmax", "dualquery", "fem")
-HISTOGRAM_METHODS = ("mwem", "pep")
-SEARCH_METHODS = ("dualquery", "fem")  # self-selecting: no Gaussian measurements
 
 
 def _budget_args(p: argparse.ArgumentParser) -> None:
@@ -100,8 +93,9 @@ def _int_arg(flag: str, text: str) -> int:
         raise ConfigError(f"{flag} must be an integer, got {text!r}") from None
 
 
-def _load_public(path, domain: Domain) -> Dataset:
-    """Public CSV over a subset of the private attributes (matched by name)."""
+def _load_public(path, domain: Domain, whole: bool = False) -> Dataset:
+    """Public CSV over a subset of the private attributes (matched by name),
+    or over all of them when `whole`."""
     import csv as _csv
 
     with open(path, newline="") as f:
@@ -112,6 +106,9 @@ def _load_public(path, domain: Domain) -> Dataset:
     unknown = [h for h in header if h not in domain.names]
     if unknown:
         raise DataError(f"{path}: attributes {unknown} not in the private domain")
+    missing = [n for n in domain.names if n not in header]
+    if whole and missing:
+        raise DataError(f"{path}: private attributes {missing} missing from the public data")
     names = tuple(n for n in domain.names if n in header)
     sizes = tuple(domain.sizes[domain.names.index(n)] for n in names)
     return Dataset.from_csv(path, Domain(names, sizes))
@@ -158,23 +155,11 @@ def cmd_synth(args) -> int:
         raise DataError(f"{args.data}: no records")
     queries = _build_queries(args, domain)
     rng = np.random.default_rng(args.seed)
-
-    if args.method in SEARCH_METHODS:
-        acct = Accountant.selection_only(rho, args.T, args.k, data.n)
-    else:
-        acct = Accountant(rho, args.T, args.k, args.alpha, data.n)
-
-    synth = _build_synth(args, domain, data, queries, rng)
-
-    cfg = RunConfig(
-        T=args.T,
-        k=args.k,
-        per_workload=args.marginal_trick,
-        no_noise=args.no_noise,
-        audit_errors=args.audit_errors,
-        output="average" if args.output_average else "last",
-        em_score_halved=args.em_halved,
-    )
+    # pep reweights the public records, so they need every private attribute
+    public = _load_public(args.public, domain, whole=args.method == "pep") if args.public else None
+    # the checkpoint's weights fix the architecture; flags keep the training
+    # knobs (batch, lr, t_max, loss, ...)
+    init = _load_checkpoint(args.gem_init, domain) if args.gem_init else None
     if args.no_noise:
         print("warning: --no-noise disables privacy; output is NOT private", file=sys.stderr)
     elif args.audit_errors:
@@ -185,8 +170,33 @@ def cmd_synth(args) -> int:
         )
 
     t0 = time.perf_counter()
-    out, trace = run(data, queries, synth, acct, cfg, rng)
+    out, trace, acct, info = fit(
+        args.method,
+        data,
+        queries,
+        rho,
+        rng,
+        T=args.T,
+        k=args.k,
+        alpha=args.alpha,
+        public=public,
+        init=init,
+        pretrain_steps=args.pretrain_steps,
+        pretrain_lr=args.pretrain_lr,
+        per_workload=args.marginal_trick,
+        no_noise=args.no_noise,
+        audit_errors=args.audit_errors,
+        output="average" if args.output_average else "last",
+        em_score_halved=args.em_halved,
+        **_method_settings(args),
+    )
     wall = time.perf_counter() - t0
+    if info is not None:
+        print(
+            f"pretrained on public data: {info['queries']} queries, "
+            f"{info['steps']} steps, max_err={info['max_err']:.4g}",
+            file=sys.stderr,
+        )
 
     true_ans = queries.answers_records(data)
     synth_ans = out.answers(queries)
@@ -224,21 +234,13 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _build_synth(args, domain, data, queries, rng):
+def _method_settings(args) -> dict:
+    """The chosen method's own constructor keywords, from its flags."""
     method = args.method
     if method == "mwem":
-        return MwemSynthesizer(
-            domain, queries, eta=args.mwem_eta, cycles=args.mwem_cycles, cell_cap=args.cell_cap
-        )
+        return {"eta": args.mwem_eta, "cycles": args.mwem_cycles, "cell_cap": args.cell_cap}
     if method == "pep":
-        if args.public:
-            public = _load_public(args.public, domain)
-            return pep_pub_init(
-                public, domain, queries, gamma=args.pep_gamma, t_max=args.pep_tmax
-            )
-        return PepSynthesizer(
-            domain, queries, gamma=args.pep_gamma, t_max=args.pep_tmax, cell_cap=args.cell_cap
-        )
+        return {"gamma": args.pep_gamma, "t_max": args.pep_tmax, "cell_cap": args.cell_cap}
     if method == "gem":
         cfg = GemConfig(
             hidden=_gem_hidden(args),
@@ -250,47 +252,16 @@ def _build_synth(args, domain, data, queries, rng):
             resample_z=args.gem_resample_z,
             ema_beta=args.gem_ema_beta,
         )
-        init = None
-        if args.gem_init:
-            # the checkpoint's weights fix the architecture; flags keep the
-            # training knobs (batch, lr, t_max, loss, ...)
-            init = _load_checkpoint(args.gem_init, domain)
-        elif args.public:
-            public = _load_public(args.public, domain)
-            init, info = gem_pub_pretrain(
-                domain,
-                public,
-                queries,
-                cfg,
-                rng,
-                steps=args.pretrain_steps,
-                lr=args.pretrain_lr,
-            )
-            print(
-                f"pretrained on public data: {info['queries']} queries, "
-                f"{info['steps']} steps, max_err={info['max_err']:.4g}",
-                file=sys.stderr,
-            )
-        return GemSynthesizer(domain, queries, cfg, rng, total_rounds=args.T, init=init)
+        return {"cfg": cfg}
     if method == "rap-softmax":
         cfg = RapConfig(
             rows=args.rap_rows, lr=args.rap_lr, max_steps=args.rap_steps, original=args.rap_original
         )
-        return RapSynthesizer(domain, queries, cfg, rng)
+        return {"cfg": cfg}
     if method == "dualquery":
-        return DualQuerySynthesizer(
-            domain,
-            queries,
-            DualQueryConfig(samples=args.dq_samples),
-            cell_cap=args.cell_cap,
-        )
+        return {"cfg": DualQueryConfig(samples=args.dq_samples), "cell_cap": args.cell_cap}
     # fem: the parser's choices admit no other method
-    return FemSynthesizer(
-        domain,
-        queries,
-        FemConfig(sigma=args.fem_sigma, samples=args.fem_samples),
-        cell_cap=args.cell_cap,
-    )
+    return {"cfg": FemConfig(sigma=args.fem_sigma, samples=args.fem_samples), "cell_cap": args.cell_cap}
 
 
 def _save_artifact(out: SupportDistribution | ProductMixture, path) -> None:
@@ -407,7 +378,7 @@ def cmd_best_mixture_error(args) -> int:
         raise ConfigError(f"--iterations must be >= 1, got {args.iterations}")
     domain = Domain.load(args.domain)
     data = Dataset.from_csv(args.data, domain)
-    public = Dataset.from_csv(args.public, domain)
+    public = _load_public(args.public, domain, whole=True)
     queries = _build_queries(args, domain)
     targets = queries.answers_records(data)
     support = np.unique(public.cells())

@@ -24,6 +24,8 @@ class RunConfig:
 
     T: int = 10
     k: int = 1
+    # run never reads alpha and seed; they stay only until the benchmark
+    # harness, which still sets them, builds its fits with `methods.fit`
     alpha: float = 0.67
     seed: int = 0
     per_workload: bool = False  # measure whole marginals instead of single queries

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from dpsynth.domain import Dataset, Domain
-from dpsynth.gem import GemConfig, GemSynthesizer, gem_gradient, gem_loss, init_params
-from dpsynth.loop import RunConfig, run
+from dpsynth.gem import GemConfig, gem_gradient, gem_loss, init_params
+from dpsynth.methods import fit
 from dpsynth.mwem import MwemSynthesizer
 from dpsynth.pep import PepSynthesizer
 from dpsynth.privacy import (
@@ -27,9 +27,9 @@ from dpsynth.privacy import (
     gaussian_measure,
     zcdp_to_dp,
 )
-from dpsynth.public import best_mixture_error, pep_pub_init
+from dpsynth.public import best_mixture_error
 from dpsynth.queries import build_workloads
-from dpsynth.rap import RapConfig, RapSynthesizer
+from dpsynth.rap import RapConfig
 from dpsynth.report import canonical_json, errors, load_report
 from dpsynth.toy import gen_toy
 
@@ -289,30 +289,23 @@ def _fit_max_err(
     toy, method, seed, *, T=20, alpha=0.67, per_workload=False, gem_cfg=None
 ):
     domain, data, queries, true_ans, rho = toy
-    rng = np.random.default_rng(seed)
-    if method == "mwem":
-        synth = MwemSynthesizer(domain, queries)
-    elif method == "pep":
-        synth = PepSynthesizer(domain, queries)
-    elif method == "gem":
-        synth = GemSynthesizer(
-            domain, queries, gem_cfg or GemConfig(), rng, total_rounds=T
-        )
-    elif method == "rap":
+    settings = {}
+    if method == "gem":
+        settings["cfg"] = gem_cfg or GemConfig()
+    elif method == "rap-softmax":
         # fewer inner steps than the module default: at desk scale the long
         # tail of inner iterations only overfits the noisy targets
-        synth = RapSynthesizer(domain, queries, RapConfig(max_steps=300), rng)
-    else:
-        raise ValueError(method)
-    acct = Accountant(rho, T, 1, alpha, data.n)
-    cfg = RunConfig(T=T, k=1, alpha=alpha, seed=seed, per_workload=per_workload)
-    out, _ = run(data, queries, synth, acct, cfg, rng)
+        settings["cfg"] = RapConfig(max_steps=300)
+    rng = np.random.default_rng(seed)
+    out, *_ = fit(
+        method, data, queries, rho, rng, T=T, alpha=alpha, per_workload=per_workload, **settings
+    )
     return errors(true_ans, out.answers(queries))[0]
 
 
 @pytest.fixture(scope="module")
 def trend_runs(toy_bench):
-    res = {m: [] for m in ("mwem", "pep", "gem", "rap")}
+    res = {m: [] for m in ("mwem", "pep", "gem", "rap-softmax")}
     for method in res:
         for seed in range(5):
             res[method].append(_fit_max_err(toy_bench, method, seed))
@@ -392,17 +385,12 @@ def test_criterion_9_public_data_floor(toy_bench, capsys):
     floor_ok = floor >= 0.1
 
     T = 200
-    acct = Accountant(1.0, T, 1, 0.67, data.n)
-    cfg = RunConfig(T=T, k=1, alpha=0.67, seed=0, no_noise=True)
-    synth = pep_pub_init(public, domain, queries, gamma=0.0, t_max=25)
     rng = np.random.default_rng(0)
-    _, trace = run(data, queries, synth, acct, cfg, rng)
+    _, trace, _, _ = fit("pep", data, queries, 1.0, rng, T=T, public=public, no_noise=True)
     pep_min = min(row["max_err_all"] for row in trace)
     pep_ok = pep_min >= floor - 1e-3
 
-    rng = np.random.default_rng(0)
-    gem = GemSynthesizer(domain, queries, GemConfig(), rng, total_rounds=T)
-    out, _ = run(data, queries, gem, acct, cfg, rng)
+    out, *_ = fit("gem", data, queries, 1.0, np.random.default_rng(0), T=T, no_noise=True)
     gem_err = errors(true_ans, out.answers(queries))[0]
     gem_ok = gem_err < 0.05
     dt = time.perf_counter() - t0

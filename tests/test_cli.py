@@ -648,3 +648,117 @@ def test_module_entry_point_subprocess():
         [sys.executable, "-m", "dpsynth", "synth"], capture_output=True, text=True
     )
     assert proc.returncode == 2
+
+
+@pytest.fixture
+def toy3(tmp_path):
+    """A 3x3x3 gen-toy table: (domain_path, data_path)."""
+    dom, dat = tmp_path / "domain3.json", tmp_path / "data3.csv"
+    rc = main(["gen-toy", "--attrs", "3", "--sizes", "3", "--n", "120", "--seed", "0",
+               "--out", str(dat), "--domain-out", str(dom)])
+    assert rc == 0
+    return dom, dat
+
+
+def _synth3(toy3, method, *extra):
+    dom, dat = toy3
+    argv = ["synth", "--domain", str(dom), "--data", str(dat), "--method", method, "--rho", "0.5", "--T", "2"]
+    try:
+        return main([*argv, *map(str, extra)])
+    except SystemExit as e:  # argparse's rejection of a value its type cannot parse
+        return e.code
+
+
+@pytest.mark.parametrize("method", ["gem", "mwem", "pep"])
+def test_alpha_one_rejected_for_a_measuring_method_before_pretraining(toy3, capsys, method):
+    # alpha = 1 leaves no budget to measure with; gem must not pretrain first
+    extra = ("--public", toy3[1]) if method == "gem" else ()
+    rc = _synth3(toy3, method, "--alpha", "1", *extra)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "pretrained" not in err
+
+
+def _partial_public(tmp_path, toy3):
+    """The private table without its last attribute, as a public CSV."""
+    with open(toy3[1], newline="") as f:
+        rows = list(csv.reader(f))
+    path = tmp_path / "partial.csv"
+    _write_csv(path, rows[0][:-1], [r[:-1] for r in rows[1:]])
+    return path
+
+
+def test_pep_public_without_every_private_attribute_exits_4(toy3, tmp_path, capsys):
+    rc = _synth3(toy3, "pep", "--public", _partial_public(tmp_path, toy3))
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "['a2']" in err, err
+
+
+def test_best_mixture_error_public_without_every_private_attribute_exits_4(toy3, tmp_path, capsys):
+    dom, dat = toy3
+    rc = main(["best-mixture-error", "--domain", str(dom), "--data", str(dat),
+               "--public", str(_partial_public(tmp_path, toy3)), "--iterations", "5"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "['a2']" in err, err
+
+
+# flag -> the methods that read it; --pretrain-steps is checked for every method
+METHOD_FLAGS = {
+    "--mwem-eta": ("mwem",),
+    "--mwem-cycles": ("mwem",),
+    "--pep-gamma": ("pep",),
+    "--pep-tmax": ("pep",),
+    "--gem-zdim": ("gem",),
+    "--gem-batch": ("gem",),
+    "--gem-lr": ("gem",),
+    "--gem-tmax": ("gem",),
+    "--gem-ema-beta": ("gem",),
+    "--rap-rows": ("rap-softmax",),
+    "--rap-lr": ("rap-softmax",),
+    "--rap-steps": ("rap-softmax",),
+    "--dq-samples": ("dualquery",),
+    "--fem-sigma": ("fem",),
+    "--fem-samples": ("fem",),
+    "--cell-cap": ("mwem", "pep", "dualquery", "fem"),
+    "--pretrain-steps": ("mwem", "pep", "gem", "rap-softmax", "dualquery", "fem"),
+}
+# (flag, value) pairs that are in range: a zero PEP tolerance, or no inner steps
+VALID_AT_ZERO = {("--pep-gamma", "0"), ("--gem-tmax", "0"), ("--rap-steps", "0")}
+FLAG_CASES = [(flag, owners[0], v) for flag, owners in METHOD_FLAGS.items() for v in ("0", "-1", "nan")]
+
+
+@pytest.mark.parametrize("flag,method,value", FLAG_CASES, ids=[" ".join(c) for c in FLAG_CASES])
+def test_method_flag_out_of_range(toy3, capsys, flag, method, value):
+    # exit 0 or the documented code, never a traceback, one error line on failure
+    extra = ("--public", toy3[1]) if flag == "--pretrain-steps" else ()
+    rc = _synth3(toy3, method, flag, value, *extra)
+    if (flag, value) in VALID_AT_ZERO:
+        want = 0
+    elif flag == "--cell-cap" and value != "nan":
+        want = 3  # a cap below the 27 cells
+    else:
+        want = 2
+    err = capsys.readouterr().err
+    assert rc == want, err
+    if rc:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+OTHER_METHOD = {
+    "mwem": "gem", "pep": "mwem", "gem": "mwem", "rap-softmax": "pep", "dualquery": "fem", "fem": "dualquery"
+}
+CROSS_CASES = [
+    (flag, method, v)
+    for flag, owners in METHOD_FLAGS.items()
+    for method in {OTHER_METHOD[owners[0]]} - set(owners)
+    for v in ("0", "-1")
+]
+
+
+@pytest.mark.parametrize("flag,method,value", CROSS_CASES, ids=[" ".join(c) for c in CROSS_CASES])
+def test_method_flag_of_another_method_is_not_checked(toy3, capsys, flag, method, value):
+    rc = _synth3(toy3, method, flag, value)
+    assert rc == 0, capsys.readouterr().err
