@@ -131,8 +131,11 @@ def backward(params: Params, cache, dP: np.ndarray, domain: Domain) -> Params:
 def _fit_terms(c: np.ndarray, gamma: float, kind: str):
     """(loss, active set, d loss / d answers) of residuals c = targets - answers.
 
-    The active set is {j : |c_j| >= gamma}, the derivative 0 outside it; raises if it is empty.
+    The active set is {j : |c_j| >= gamma}, the derivative 0 outside it;
+    raises if it is empty, or if a residual is not finite (the weights diverged).
     """
+    if not np.isfinite(c).all():
+        raise ConfigError("the generator diverged (non-finite answers); lower its learning rate")
     active = np.abs(c) >= gamma
     if not active.any():
         raise DataError("no residual at or above gamma; nothing to fit")
@@ -149,16 +152,20 @@ def _fit_terms(c: np.ndarray, gamma: float, kind: str):
 
 
 def _residuals(params: Params, Z: np.ndarray, queries: QuerySet, qidx, targets: np.ndarray):
-    """One forward pass: (cache, residuals c = targets - answers) at query ids qidx."""
-    P, cache = forward(params, Z, queries.domain)
-    return cache, np.asarray(targets, dtype=np.float64) - product_answers(P, queries, qidx)
+    """One forward pass: (cache, residuals c = targets - answers) at query ids qidx.
+
+    Diverged weights overflow without a warning: `_fit_terms` reports them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        P, cache = forward(params, Z, queries.domain)
+        return cache, np.asarray(targets, dtype=np.float64) - product_answers(P, queries, qidx)
 
 
 def _gradient(params: Params, cache, queries: QuerySet, qidx, c: np.ndarray, gamma: float, kind: str):
     """(loss, parameter gradients) from the cache (which ends with P) and
     residuals of one forward pass."""
     loss, active, coeff = _fit_terms(c, gamma, kind)
-    if qidx is not None:  # gather only the active queries
+    if qidx is not None:  # gather only the active queries: often a few of thousands
         qidx, coeff = qidx[active], coeff[active]
     dP = product_answers_grad(cache[2], queries, coeff, qidx)
     return loss, backward(params, cache, dP, queries.domain)
@@ -308,11 +315,13 @@ class GemSynthesizer(Synthesizer):
             return
         self.round += 1
         qidx = ledger.indices()
+        # every step answers all of the ledger's queries: prepared once
+        gather = self.queries.gather(qidx, self.z_batch.shape[0])
         targets = ledger.answers()
         # sampled max error of this round's fresh measurements, before fitting
         rounds = ledger.rounds()
         fresh = rounds == rounds.max()
-        cache, c = _residuals(self.params, self.z_batch, self.queries, qidx, targets)
+        cache, c = _residuals(self.params, self.z_batch, self.queries, gather, targets)
         sampled_max = float(np.abs(c[fresh]).max())
         # the early-stop threshold guards against overfitting noisy targets;
         # with exact measurements it would stall the fit, so drop it
@@ -326,7 +335,7 @@ class GemSynthesizer(Synthesizer):
         for step in range(self.cfg.t_max):
             # the stop test and the gradient read one pass; with fixed noise, step 1's is the one above
             if step or self.cfg.resample_z:
-                cache, c = _residuals(self.params, self._noise(), self.queries, qidx, targets)
+                cache, c = _residuals(self.params, self._noise(), self.queries, gather, targets)
             if np.abs(c).max() < self.gamma:
                 break
             _, grads = _gradient(self.params, cache, self.queries, qidx, c, self.gamma, self.cfg.loss)

@@ -18,8 +18,12 @@ one contraction per shared prefix: the row-wise outer product of the prefix's
 attribute blocks times all of its workloads' last blocks side by side, in row
 chunks of bounded size, scattered into query order by one permutation; the
 gradient walks the same plan. A subset of query ids gathers just their
-positions. The transpose of the dense evaluator maps weights on queries to
-the weight each cell of the domain meets, for the search baselines.
+one-hot columns, read as rows of P transposed, through a `Gather` that a
+caller which evaluates the same ids many times (one gem or rap-softmax
+update) prepares once: per chunk of ids, their columns and a slot-to-column
+one-hot matrix that scatters the gradient back with one matmul. The
+transpose of the dense evaluator maps weights on queries to the weight each
+cell of the domain meets, for the search baselines.
 """
 from __future__ import annotations
 
@@ -67,6 +71,30 @@ class PrefixGroup:
     prefix: tuple[int, ...]  # the shared attributes, in workload order (empty at k=1)
     workloads: tuple[int, ...]  # indices into the collection, ascending
     lasts: np.ndarray  # one-hot columns of the workloads' last blocks, side by side
+
+
+class Gather:
+    """Query ids prepared for product evaluation over batches of `rows` relaxed
+    rows, for callers that evaluate one set of ids many times.
+
+    The ids are cut into chunks whose (chunk, k, rows) gathered values and
+    (onehot_width, chunk * k) slot-to-column matrix stay within _CHUNK_TARGET
+    elements. Per chunk it holds the ids' positions in the given order, their
+    one-hot columns (chunk, k), and that one-hot matrix, which scatters
+    per-slot gradients back onto the columns with one matmul.
+    """
+
+    def __init__(self, queries: "QuerySet", qidx: np.ndarray, rows: int):
+        idx = queries.idx[np.asarray(qidx, dtype=np.int64)]
+        W, k = queries.domain.onehot_width, queries.k
+        step = max(1, _CHUNK_TARGET // (k * max(rows, W)))
+        self.size = idx.shape[0]
+        self.chunks = []
+        for s in range(0, self.size, step):
+            cols = idx[s : s + step]
+            onehot = np.zeros((W, cols.size))
+            onehot[cols.ravel(), np.arange(cols.size)] = 1.0
+            self.chunks.append((slice(s, s + step), cols, onehot))
 
 
 class QuerySet:
@@ -140,6 +168,10 @@ class QuerySet:
             rows = np.arange(math.prod(ws[0].sizes[:-1]))[:, None]
             order.append(np.hstack([w.offset + rows * w.sizes[-1] + np.arange(w.sizes[-1]) for w in ws]).ravel())
         return groups, np.argsort(np.concatenate(order))
+
+    def gather(self, qidx: np.ndarray, rows: int) -> Gather:
+        """The query ids `qidx` prepared for product evaluation over batches of `rows` rows."""
+        return Gather(self, qidx, rows)
 
     # -- evaluation -------------------------------------------------------
 
@@ -342,26 +374,39 @@ def _outer(blocks: list[np.ndarray], rows: slice) -> np.ndarray:
     return out
 
 
-def _gather(P: np.ndarray, queries: QuerySet, qidx: np.ndarray):
-    """Chunks (positions in qidx, one-hot positions, (B, chunk, k) values of P there)."""
-    idx = queries.idx[qidx]
-    step = max(1, _CHUNK_TARGET // (P.shape[0] * queries.k))
-    for s in range(0, idx.shape[0], step):
-        yield slice(s, s + step), idx[s : s + step], P[:, idx[s : s + step]]
+def _loo(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(chunk * k, B) per-slot rows from a chunk's (chunk, k, B) gathered values:
+    each query's weight times the product of its other k-1 values.
+
+    Leave-one-out products are formed explicitly (no division) so zero
+    entries stay differentiable.
+    """
+    k = vals.shape[1]
+    loo = np.empty_like(vals)
+    for t in range(k):
+        row = loo[:, t]
+        row[...] = weights[:, None]
+        for u in range(k):
+            if u != t:
+                row *= vals[:, u]
+    return loo.reshape(-1, vals.shape[2])
 
 
-def product_answers(P: np.ndarray, queries: QuerySet, qidx: np.ndarray | None = None) -> np.ndarray:
+def product_answers(P: np.ndarray, queries: QuerySet, qidx: np.ndarray | Gather | None = None) -> np.ndarray:
     """Batch-mean product answers: answer of q = mean_b prod_{i in q} P[b, i].
 
     qidx=None answers the whole collection, one contraction per shared prefix:
     the outer product of the prefix's blocks times the last blocks of all its
-    workloads at once. An array of query ids answers just those, through a gather.
+    workloads at once. An array of query ids, or a `Gather` of them prepared
+    once for many calls, answers just those: per chunk, the (chunk, k, B)
+    rows of P.T at their one-hot columns, multiplied over k and averaged over B.
     """
     B = P.shape[0]
     if qidx is not None:
-        out = np.empty(len(qidx))
-        for s, _, vals in _gather(P, queries, qidx):
-            out[s] = vals.prod(axis=2).mean(axis=0)
+        gather = qidx if isinstance(qidx, Gather) else queries.gather(qidx, B)
+        out = np.empty(gather.size)
+        for s, cols, _ in gather.chunks:
+            out[s] = P.T[cols].prod(axis=1).sum(axis=1) / B  # the mean, without np.mean's overhead
         return out
     dom = queries.domain
     groups, perm = queries._prefix_plan
@@ -369,7 +414,7 @@ def product_answers(P: np.ndarray, queries: QuerySet, qidx: np.ndarray | None = 
     for g in groups:
         first = _blocks(P, dom, g.prefix)
         lasts = P[:, g.lasts]
-        # 1-way: the blocks' column sums, added in row order as the gather adds them
+        # 1-way: the blocks' column sums
         chunks = _row_chunks(B, math.prod(dom.sizes[f] for f in g.prefix))
         acc = sum(_outer(first, r).T @ lasts[r] if first else lasts[r].sum(axis=0) for r in chunks)
         parts.append(acc.ravel())
@@ -377,29 +422,27 @@ def product_answers(P: np.ndarray, queries: QuerySet, qidx: np.ndarray | None = 
 
 
 def product_answers_grad(
-    P: np.ndarray, queries: QuerySet, coeff: np.ndarray, qidx: np.ndarray | None = None
+    P: np.ndarray, queries: QuerySet, coeff: np.ndarray, qidx: np.ndarray | Gather | None = None
 ) -> np.ndarray:
     """Gradient w.r.t. P of sum_j coeff[j] * product_answers(P, queries, qidx)[j].
 
-    Leave-one-out products are formed explicitly (no division) so zero
-    entries stay differentiable. qidx=None walks the prefix plan as
+    An array of query ids, or a `Gather` of them, takes the gather path: per
+    chunk, the coefficient-weighted leave-one-out products of each query
+    slot (see `_loo`) are scattered onto the columns by one matmul with the
+    chunk's slot-to-column matrix. The result has P's memory order, so a
+    column-major P gets a column-major gradient. qidx=None walks the prefix plan as
     `product_answers` does: per shared prefix, the coefficients laid out as a
     (prefix value, last column) matrix C give the last blocks' gradient as
     the prefix's outer product times C, and the outer product's as the last
     blocks times C transposed, which is contracted into each prefix block
     with the other prefix blocks.
     """
-    B, W = P.shape
+    B = P.shape[0]
     if qidx is not None:
-        k = queries.k
-        flat = np.zeros(B * W)
-        base = np.arange(B)[:, None] * W
-        for s, idx, vals in _gather(P, queries, qidx):
-            # one bincount over all k slots: each entry sums its terms in (slot, row, query) order
-            loo = np.stack([vals[:, :, [u for u in range(k) if u != t]].prod(axis=2) for t in range(k)])
-            cols = base + idx.T[:, None, :]  # (k, B, chunk)
-            flat += np.bincount(cols.ravel(), weights=(loo * (coeff[s] / B)).ravel(), minlength=B * W)
-        return flat.reshape(B, W)
+        gather = qidx if isinstance(qidx, Gather) else queries.gather(qidx, B)
+        dP = np.empty_like(P)  # P's memory order
+        dP.T[...] = sum(onehot @ _loo(P.T[cols], coeff[s] / B) for s, cols, onehot in gather.chunks)
+        return dP
     dom = queries.domain
     groups, perm = queries._prefix_plan
     grouped = np.empty_like(coeff)

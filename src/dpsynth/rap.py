@@ -11,7 +11,11 @@ was accepted on its first trial, and halves it at most MAX_HALVINGS (8) times,
 after which the step is dropped. A round, and a momentum restart after a
 failed search, start at scale 1/2. A round fits only the columns of the
 attribute blocks that its measured queries read: the others get a zero
-gradient, so they would not move anyway. A clipping variant (rows clipped to
+gradient, so they would not move anyway. It prepares its measured query ids
+once (`QuerySet.gather`) and holds those columns of the logits column-major,
+so the block softmax's per-block reductions, the gather of each query's
+columns (rows of the transpose) and the gradient read contiguous memory; the
+gradient comes back column-major too. A clipping variant (rows clipped to
 [0,1] instead of softmax-normalized) is kept as a reference point.
 """
 from __future__ import annotations
@@ -79,7 +83,8 @@ class RapSynthesizer(Synthesizer):
 
     def _loss(self, M: np.ndarray, queries: QuerySet, qidx: np.ndarray, targets: np.ndarray):
         """(squared-error loss, P, residual answers - targets) at rows M, whose
-        columns are the blocks of the domain that `queries` (which qidx indexes) is over."""
+        columns are the blocks of the domain that `queries` (which qidx
+        indexes: ids, or their `Gather`) is over."""
         P = self._probs(M, queries.domain)
         diff = product_answers(P, queries, qidx) - targets
         return float((diff**2).sum()), P, diff
@@ -111,10 +116,11 @@ class RapSynthesizer(Synthesizer):
         if len(ledger) == 0:
             return
         cols, queries, qidx = self._read_blocks(ledger.indices())
+        qidx = queries.gather(qidx, self.cfg.rows)
         # answers live in [0,1]; an out-of-range noisy target keeps a
         # constant-size pull at the boundary and collapses rows to one-hots
         targets = np.clip(ledger.answers(), 0.0, 1.0)
-        M = self.M[:, cols]
+        M = np.asfortranarray(self.M[:, cols])
         loss, P, diff = self._loss(M, queries, qidx, targets)
         history = [loss]
         # per-coordinate moment scaling; raw softmax gradients are ~1e-4 so a
@@ -123,7 +129,7 @@ class RapSynthesizer(Synthesizer):
         start = START_SCALE
         for _ in range(self.cfg.max_steps):
             g = self._grad(M, queries, qidx, P, diff)
-            if np.abs(g).max() == 0.0:  # exact stationary point
+            if not g.any():  # exact stationary point
                 break
             ((delta,),) = opt.direction([(g,)])
             scale = start

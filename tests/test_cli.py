@@ -680,6 +680,21 @@ def test_alpha_one_rejected_for_a_measuring_method_before_pretraining(toy3, caps
     assert "pretrained" not in err
 
 
+@pytest.mark.parametrize("subcommand", ["synth", "pretrain"])
+def test_diverged_generator_exits_2(toy3, tmp_path, capsys, subcommand):
+    # a learning rate this large sends the weights to inf and the answers to
+    # NaN; that is a bad setting, not bad data
+    dom, dat = toy3
+    if subcommand == "synth":
+        rc = _synth3(toy3, "gem", "--T", "3", "--gem-lr", "1e300")
+    else:
+        rc = main(["pretrain", "--domain", str(dom), "--public", str(dat), "--out", str(tmp_path / "g.json"),
+                   "--lr", "1e300"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "learning rate" in err, err
+
+
 def _partial_public(tmp_path, toy3):
     """The private table without its last attribute, as a public CSV."""
     with open(toy3[1], newline="") as f:

@@ -187,6 +187,27 @@ def test_full_collection_gradient_matches_subset():
         assert np.abs(flatten_params(grads) - flatten_params(grads_s)).max() < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["l1", "l2"])
+def test_gradient_over_active_set_matches_fit_of_active_ids(kind):
+    # only the active residuals count: the same loss and gradient as a fit
+    # of just the active ids at gamma 0
+    dom = Domain(("a", "b", "c"), (3, 2, 4))
+    qs = build_workloads(dom, 2)
+    r = np.random.default_rng(5)
+    params = init_params(r, 4, (8,), dom.onehot_width)
+    Z = r.standard_normal((6, 4))
+    qidx = r.choice(qs.total_queries, size=15, replace=False)
+    targets = r.uniform(0.0, 0.5, size=qidx.size)
+    _, c = gem_loss(params, Z, qs, qidx, targets)
+    gamma = float(np.median(np.abs(c)))
+    active = np.abs(c) >= gamma
+    assert 0 < active.sum() < active.size
+    loss, grads, _ = gem_gradient(params, Z, qs, qidx, targets, gamma, kind)
+    loss_a, grads_a, _ = gem_gradient(params, Z, qs, qidx[active], targets[active], 0.0, kind)
+    assert abs(loss - loss_a) < 1e-12
+    assert np.abs(flatten_params(grads) - flatten_params(grads_a)).max() < 1e-12
+
+
 def test_gradient_zero_on_flat_region():
     # at residuals exactly zero the l1 subgradient is defined as 0
     dom, qs, params, Z = _fixed_answer_setup()

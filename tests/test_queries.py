@@ -301,6 +301,54 @@ def test_full_product_gradient_matches_subset(sizes, k, B, monkeypatch):
     assert np.abs(product_answers_grad(P, qs, coeff) - subset).max() < 1e-12
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("forced_chunks", [False, True])
+def test_prepared_gather_matches_oracle(k, order, forced_chunks, monkeypatch):
+    # every query of the collection, which share one-hot columns (across
+    # workloads, and within one), plus repeated and unordered ids
+    import dpsynth.queries as queries
+
+    rng = np.random.default_rng(30 + k)
+    dom = Domain(("a", "b", "c", "d"), (3, 2, 4, 2))
+    qs = build_workloads(dom, k)
+    B = 5
+    P = np.asarray(_normalized_rows(rng, dom, B), order=order)
+    ids = np.r_[np.arange(qs.total_queries), rng.choice(qs.total_queries, size=7)]
+    coeff = rng.standard_normal(ids.size)
+    if forced_chunks:  # three ids per chunk
+        monkeypatch.setattr(queries, "_CHUNK_TARGET", 3 * k * dom.onehot_width)
+    gather = qs.gather(ids, B)
+    assert len(gather.chunks) == (-(-ids.size // 3) if forced_chunks else 1)
+
+    ans = product_answers(P, qs, gather)
+    want = [answer_batch(query_of(qs, int(q)), P, dom) for q in ids]
+    assert np.abs(ans - want).max() < 1e-12
+    dP = product_answers_grad(P, qs, coeff, gather)
+    assert dP.flags.c_contiguous == (order == "C") and dP.flags.f_contiguous == (order == "F")
+    # the same ids passed raw are prepared on the spot, with the same result
+    assert np.array_equal(product_answers(P, qs, ids), ans)
+    assert np.array_equal(product_answers_grad(P, qs, coeff, ids), dP)
+
+    h = 1e-6
+    for j in rng.choice(P.size, size=12, replace=False):
+        r, c = divmod(int(j), P.shape[1])
+        up, dn = P.copy(order="K"), P.copy(order="K")
+        up[r, c] += h
+        dn[r, c] -= h
+        fd = (coeff @ product_answers(up, qs, gather) - coeff @ product_answers(dn, qs, gather)) / (2 * h)
+        assert abs(fd - dP[r, c]) < 1e-6
+
+
+def test_prepared_gather_of_no_ids():
+    dom = Domain(("a", "b"), (3, 2))
+    qs = build_workloads(dom, 2)
+    P = _normalized_rows(np.random.default_rng(0), dom, 4)
+    gather = qs.gather(np.array([], dtype=np.int64), 4)
+    assert product_answers(P, qs, gather).shape == (0,)
+    assert np.array_equal(product_answers_grad(P, qs, np.array([]), gather), np.zeros_like(P))
+
+
 def test_product_answers_grad_finite_differences():
     rng = np.random.default_rng(9)
     dom = Domain(("a", "b", "c"), (2, 3, 2))
