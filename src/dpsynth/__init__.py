@@ -20,7 +20,6 @@ from .privacy import (
     BudgetError,
     MeasurementLedger,
     dp_to_zcdp,
-    exp_mechanism_select,
     gaussian_measure,
     select_and_measure_round,
     zcdp_to_dp,

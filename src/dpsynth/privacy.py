@@ -1,4 +1,4 @@
-"""Budget accounting and the two private primitives.
+"""Budget accounting and every private draw of every method.
 
 The engine spends a total zero-concentrated budget rho across T rounds of
 k selections (exponential mechanism) plus k measurements (Gaussian), with a
@@ -9,11 +9,16 @@ per-query parameter is
 
 so that T rounds of k exponential draws at parameter 2*alpha*eps0 and k
 Gaussian draws at noise 1/(n*(1-alpha)*eps0) compose to exactly rho.
+
+The draws are one call per round each: the loop's and FEM's selections
+(:func:`select_k`) and DualQuery's query draws (:func:`dualquery_select`)
+call :func:`exp_mechanism`, and the loop's measurements are one
+:func:`gaussian_measure` (:func:`select_and_measure_round`).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +93,13 @@ class Accountant:
             raise BudgetError("selection-only budget has no measurement share")
         return sensitivity_scale / (self.n * (1.0 - self.alpha) * self.eps0)
 
+    def em_exponent(self, halved: bool = False) -> float:
+        """Selection exponent per unit of score, alpha*eps0*n: scores are
+        errors of normalized counts, which one record moves by 1/n. `halved`
+        divides it by 2 (the more conservative convention)."""
+        coef = self.alpha * self.eps0 * self.n
+        return coef * 0.5 if halved else coef
+
     def spent_rho(self) -> float:
         """Recompose the budget actually consumed by T rounds (sanity check)."""
         e = self.eps0
@@ -100,82 +112,69 @@ class Accountant:
         return zcdp_to_dp(self.rho, delta)
 
 
-def dualquery_eta(acct: Accountant, samples: int) -> float:
+def dualquery_eta(acct: Accountant, samples: int, *, halved: bool = False) -> float:
     """The query-weight rate eta at which DualQuery spends exactly acct.rho.
 
     In round t a query's log-weight is eta times its summed payoffs (absolute
     errors of normalized counts) over the t-1 rounds before, so one record
     moves it by at most eta*(t-1)/n. Each of the round's `samples` draws is
     then an exponential mechanism that costs (eta*(t-1)/n)^2 / 2, as a draw of
-    :func:`exp_mechanism_select` does, and T rounds compose to
+    :func:`exp_mechanism` does, and T rounds compose to
     rho = samples * eta^2 * sum_{t=1..T} (t-1)^2 / (2 n^2). At T=1 eta is 0.
+    `halved` halves eta, which spends rho/4.
     """
     squares = (acct.T - 1) * acct.T * (2 * acct.T - 1) // 6  # sum of (t-1)^2
-    return acct.n * math.sqrt(2.0 * acct.rho / (samples * squares)) if squares else 0.0
+    eta = acct.n * math.sqrt(2.0 * acct.rho / (samples * squares)) if squares else 0.0
+    return eta * 0.5 if halved else eta
 
 
-def exp_mechanism_probs(scores: np.ndarray, acct: Accountant, *, halved: bool = False) -> np.ndarray:
-    """Selection distribution of :func:`exp_mechanism_select`."""
-    scores = np.asarray(scores, dtype=np.float64)
-    coef = acct.alpha * acct.eps0 * acct.n
-    if halved:
-        coef *= 0.5
-    logits = coef * scores
-    logits = logits - logits.max()
-    p = np.exp(logits)
+def exp_mechanism_probs(scores: np.ndarray, exponent: float) -> np.ndarray:
+    """Distribution of :func:`exp_mechanism`: the max-shifted softmax of exponent * scores."""
+    logits = exponent * np.asarray(scores, dtype=np.float64)
+    p = np.exp(logits - logits.max())
     return p / p.sum()
 
 
-def exp_mechanism_select(
-    scores: np.ndarray,
-    acct: Accountant,
-    rng: np.random.Generator,
-    *,
-    halved: bool = False,
-) -> int:
-    """Draw one index with probability proportional to exp(alpha*eps0*n*score).
-
-    Scores are absolute errors of normalized counts, so one record changes
-    each score by at most 1/n. `halved` divides the exponent by 2 (the more
-    conservative convention); the default matches selection probabilities
-    proportional to exp(alpha * eps0 * n * score).
+def exp_mechanism(scores: np.ndarray, exponent: float, count: int, rng, *, no_noise=False) -> np.ndarray:
+    """`count` exponential-mechanism draws, each index i with probability
+    proportional to exp(exponent * scores[i]), by inverse CDF on one
+    `rng.random(count)`. One draw costs (exponent * sensitivity of the
+    scores)^2 / 2 in zCDP. Under no_noise every draw is the lowest-index
+    argmax of `scores` and nothing is drawn.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or scores.size == 0:
         raise BudgetError("need a nonempty score vector")
-    cum = np.cumsum(exp_mechanism_probs(scores, acct, halved=halved))
-    return int(min(np.searchsorted(cum, rng.random(), side="right"), scores.size - 1))
-
-
-def select_k(
-    scores: np.ndarray,
-    acct: Accountant,
-    rng: np.random.Generator,
-    *,
-    no_noise: bool = False,
-    halved: bool = False,
-) -> list[int]:
-    """acct.k selections over `scores`: exponential-mechanism draws, or the
-    exact argmax (lowest index on ties) k times under no_noise."""
     if no_noise:
-        return [int(np.argmax(scores))] * acct.k
-    return [exp_mechanism_select(scores, acct, rng, halved=halved) for _ in range(acct.k)]
+        return np.full(count, int(np.argmax(scores)))
+    cum = np.cumsum(exp_mechanism_probs(scores, exponent))
+    return np.minimum(np.searchsorted(cum, rng.random(count), side="right"), scores.size - 1)
 
 
-def gaussian_measure(
-    true_answer: float,
-    acct: Accountant,
-    rng: np.random.Generator,
-    *,
-    sensitivity_scale: float = 1.0,
-) -> float:
-    """Measure one answer with Gaussian noise at the accountant's sigma.
+def select_k(scores: np.ndarray, acct: Accountant, rng, *, no_noise=False, halved=False) -> list[int]:
+    """acct.k selections over `scores`, absolute errors of normalized counts:
+    draws at the accountant's exponent, or the exact argmax k times under no_noise."""
+    return exp_mechanism(scores, acct.em_exponent(halved), acct.k, rng, no_noise=no_noise).tolist()
 
-    The noisy value is stored as-is (no clipping); consumers clip when their
+
+def dualquery_select(logw, payoff, acct: Accountant, samples: int, rng, *, no_noise=False, halved=False):
+    """DualQuery's draws of one round: add :func:`dualquery_eta` times `payoff`
+    (None before the first record) to the log-weights `logw` in place, then
+    draw `samples` queries with probabilities proportional to exp(logw)."""
+    if payoff is not None:
+        logw += dualquery_eta(acct, samples, halved=halved) * payoff
+    return exp_mechanism(logw, 1.0, samples, rng, no_noise=no_noise)
+
+
+def gaussian_measure(true_answer, acct: Accountant, rng, *, sensitivity_scale: float = 1.0):
+    """Measure an answer, or an array of answers with independent draws in
+    order, with Gaussian noise at the accountant's sigma.
+
+    The noisy values are stored as-is (no clipping); consumers clip when their
     update rule requires a value in [0, 1].
     """
-    sigma = acct.gaussian_sigma(sensitivity_scale)
-    return float(true_answer + sigma * rng.standard_normal())
+    true = np.asarray(true_answer, dtype=np.float64)
+    return true + acct.gaussian_sigma(sensitivity_scale) * rng.standard_normal(true.shape)
 
 
 class LedgerEntry(NamedTuple):
@@ -231,10 +230,11 @@ def select_and_measure_round(
 ) -> list[int]:
     """One Sample-then-Measure round; mutates the ledger, returns selections.
 
-    Per-query mode: k exponential draws over per-query errors, then one
-    Gaussian measurement per draw (sensitivity scale 1). Per-workload mode:
-    k draws over per-workload max errors, then every query of each chosen
-    workload is measured at sensitivity scale sqrt(2).
+    Per-query mode: k exponential draws over per-query errors, then the k
+    drawn queries are measured (sensitivity scale 1). Per-workload mode: k
+    draws over per-workload max errors, then every query of each drawn
+    workload is measured at sensitivity scale sqrt(2). The measurement is one
+    Gaussian call over the round's measured ids, in draw order.
 
     All selection draws happen before any measurement draw, so a fixed seed
     fixes the whole round. With no_noise=True selection degenerates to the
@@ -243,15 +243,15 @@ def select_and_measure_round(
     scores = np.abs(private_answers - current_answers)
     slices = queries.slices()
     if per_workload:
-        scores = np.array([scores[sl].max() for sl in slices])
+        scores = np.maximum.reduceat(scores, [sl.start for sl in slices])
     selected = select_k(scores, acct, rng, no_noise=no_noise, halved=em_halved)
-    scale = math.sqrt(2.0) if per_workload else 1.0
-    for s in selected:
-        measured = range(slices[s].start, slices[s].stop) if per_workload else [s]
-        for q in measured:
-            if no_noise:
-                a = float(private_answers[q])
-            else:
-                a = gaussian_measure(private_answers[q], acct, rng, sensitivity_scale=scale)
-            ledger.record(q, a, rnd)
+    if per_workload:
+        ids = np.concatenate([np.arange(slices[s].start, slices[s].stop) for s in selected])
+    else:
+        ids = np.array(selected)
+    answers = private_answers[ids]
+    if not no_noise:
+        answers = gaussian_measure(answers, acct, rng, sensitivity_scale=math.sqrt(2.0) if per_workload else 1.0)
+    for q, a in zip(ids.tolist(), answers.tolist()):
+        ledger.record(q, a, rnd)
     return selected

@@ -3,8 +3,9 @@ record at a time by exhaustive scan over domain cells.
 
 Both methods spend their whole budget on query selection (no Gaussian
 measurements), so they plug into the loop as self-selecting synthesizers and
-the accountant runs with alpha = 1. Output is the empirical distribution of
-every record accumulated across rounds, kept as one count per cell.
+the accountant runs with alpha = 1; their query draws are made in
+`privacy.py`, and FEM's perturbation reads no data. Output is the empirical
+distribution of every record accumulated across rounds, one count per cell.
 
 A round does no Python work per query drawn or per record scored. Per-cell
 query counts are `QuerySet.transpose_mass` of the histogram of the round's
@@ -29,7 +30,7 @@ from .domain import (
     SupportDistribution,
 )
 from .loop import Synthesizer
-from .privacy import Accountant, MeasurementLedger, dualquery_eta, select_k
+from .privacy import Accountant, MeasurementLedger, dualquery_select, select_k
 from .queries import QuerySet
 
 # element budget of FEM's (records, cells) score block
@@ -87,10 +88,10 @@ class DualQuerySynthesizer(_SearchBase):
     eta * its error against the running synthetic average; then draw
     `samples` queries from the query distribution and add the one record
     minimizing their total indicator count (exhaustive scan, lowest cell
-    index on ties). Each draw is an exponential mechanism, and eta is the
-    rate at which the draws spend the accountant's budget
-    (:func:`~dpsynth.privacy.dualquery_eta`), halved under em_halved. Under
-    no_noise every draw is the query of largest log-weight instead.
+    index on ties). The update and the draws are one call of
+    :func:`~dpsynth.privacy.dualquery_select`: exponential mechanisms at the
+    rate eta that spends the accountant's budget, halved under em_halved, or
+    under no_noise the query of largest log-weight every time.
     """
 
     def __init__(self, domain, queries, cfg: DualQueryConfig, cell_cap: int = DEFAULT_CELL_CAP):
@@ -99,15 +100,9 @@ class DualQuerySynthesizer(_SearchBase):
         self.logw = np.zeros(queries.total_queries)  # query log-weights: eta times summed payoffs
 
     def private_round(self, current, private_answers, acct, rng, no_noise, em_halved=False):
-        if self.counts.any():  # the payoff of the records so far
-            eta = dualquery_eta(acct, self.cfg.samples) * (0.5 if em_halved else 1.0)
-            self.logw += eta * np.abs(private_answers - current)
-        if no_noise:  # every draw is the exact argmax, lowest index on ties (as in select_k)
-            drawn = np.full(self.cfg.samples, int(np.argmax(self.logw)))
-        else:
-            cum = np.cumsum(np.exp(self.logw - self.logw.max()))  # no overflow, whatever eta is
-            u = rng.random(self.cfg.samples)
-            drawn = np.minimum(np.searchsorted(cum / cum[-1], u, side="right"), cum.size - 1)
+        payoff = np.abs(private_answers - current) if self.counts.any() else None  # of the records so far
+        drawn = dualquery_select(self.logw, payoff, acct, self.cfg.samples, rng,
+                                 no_noise=no_noise, halved=em_halved)
         objective = self.queries.transpose_mass(np.bincount(drawn, minlength=self.queries.total_queries))
         self.counts[int(np.argmin(objective))] += 1.0
         return [int(q) for q in drawn], None
@@ -123,6 +118,9 @@ class FemSynthesizer(_SearchBase):
     """
 
     def __init__(self, domain, queries, cfg: FemConfig, cell_cap: int = DEFAULT_CELL_CAP):
+        # an Exp(sigma) draw is below 746 sigma (-ln of the smallest double is 744.4)
+        if not np.isfinite(cfg.sigma * 746 * domain.num_attrs):
+            raise ConfigError(f"fem sigma {cfg.sigma!r} can overflow a record's summed perturbation")
         super().__init__(domain, queries, cell_cap)
         self.cfg = cfg
         self.base = np.zeros(domain.total_cells)  # sum of selected-query indicators

@@ -378,3 +378,77 @@ def central_difference(fun, x, h=1e-6):
         flat[i] = orig
         gf[i] = (fp - fm) / (2 * h)
     return g
+
+
+class DrawLog:
+    """Every private draw of a fit, observed at the calls `dpsynth.privacy` makes.
+
+    `install(monkeypatch)` wraps the exponential mechanism, the Gaussian
+    measurement and DualQuery's round of draws. Each exponential-mechanism
+    call logs its count, its exponent and its draws; each Gaussian call logs
+    the number of answers and the sigma it draws at. A DualQuery round adds
+    to its draw's entry the rate eta, read off the log-weights it changed:
+    the increment over the payoff, at the query of largest payoff.
+    """
+
+    def __init__(self):
+        self.calls = []
+
+    def install(self, monkeypatch):
+        from dpsynth import privacy, search
+
+        em, gauss, dq = privacy.exp_mechanism, privacy.gaussian_measure, search.dualquery_select
+
+        def em_spy(scores, exponent, count, rng, **kw):
+            drawn = em(scores, exponent, count, rng, **kw)
+            self.calls.append({"kind": "em", "count": count, "exponent": exponent, "drawn": drawn.tolist()})
+            return drawn
+
+        def gauss_spy(true_answer, acct, rng, *, sensitivity_scale=1.0):
+            sigma = acct.gaussian_sigma(sensitivity_scale)
+            self.calls.append({"kind": "gauss", "size": np.size(true_answer), "sigma": sigma})
+            return gauss(true_answer, acct, rng, sensitivity_scale=sensitivity_scale)
+
+        def dq_spy(logw, payoff, acct, samples, rng, **kw):
+            before = logw.copy()
+            drawn = dq(logw, payoff, acct, samples, rng, **kw)
+            j = 0 if payoff is None else int(np.argmax(payoff))
+            self.calls[-1]["eta"] = 0.0 if payoff is None else (logw[j] - before[j]) / payoff[j]
+            return drawn
+
+        monkeypatch.setattr(privacy, "exp_mechanism", em_spy)
+        monkeypatch.setattr(privacy, "gaussian_measure", gauss_spy)
+        monkeypatch.setattr(search, "dualquery_select", dq_spy)
+        return self
+
+    def recomposed_rho(self, n, queries=None, per_workload=False):
+        """zCDP of the logged draws, composed by addition.
+
+        An exponential mechanism at exponent c over scores of sensitivity s
+        costs (c*s)^2/2 per draw; a Gaussian at sigma over answers of L2
+        sensitivity s costs s^2/(2 sigma^2). Scores are absolute errors of
+        normalized counts, 1/n per query or per workload maximum; DualQuery's
+        log-weights in round t are the sum of the rates so far times payoffs
+        of sensitivity 1/n each. Measured answers move by 1/n per query, and
+        sqrt(2)/n per measured marginal (one record moves two of its cells):
+        per workload, the round's Gaussian call measures the queries of every
+        workload the round's draw picked.
+        """
+        rho, rate_sum, drawn = 0.0, 0.0, []
+        for call in self.calls:
+            if call["kind"] == "em":
+                if "eta" in call:  # a DualQuery round: over its log-weights
+                    rate_sum += call["eta"]
+                    sens = rate_sum / n
+                else:
+                    sens = 1.0 / n
+                rho += call["count"] * (call["exponent"] * sens) ** 2 / 2
+                drawn = call["drawn"]
+            elif call["kind"] == "gauss":
+                if per_workload:
+                    assert call["size"] == sum(queries.workloads[w].n_queries for w in drawn)
+                    rho += len(drawn) * 2.0 / n**2 / (2 * call["sigma"] ** 2)
+                else:
+                    assert call["size"] == len(drawn)
+                    rho += call["size"] / n**2 / (2 * call["sigma"] ** 2)
+        return rho

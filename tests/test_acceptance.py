@@ -22,8 +22,8 @@ from dpsynth.privacy import (
     Accountant,
     MeasurementLedger,
     dp_to_zcdp,
+    exp_mechanism,
     exp_mechanism_probs,
-    exp_mechanism_select,
     gaussian_measure,
     zcdp_to_dp,
 )
@@ -245,18 +245,17 @@ def test_criterion_6_mechanism_statistics(capsys):
     t0 = time.perf_counter()
     acct = Accountant(0.5, 10, 1, 0.5, 100)
     scores = np.array([0.0, 0.02, 0.035, 0.05])
-    probs = exp_mechanism_probs(scores, acct)
+    exponent = acct.alpha * acct.eps0 * acct.n
+    probs = exp_mechanism_probs(scores, exponent)
     rng = np.random.default_rng(606)
     draws = 100_000
-    counts = np.zeros(4)
-    for _ in range(draws):
-        counts[exp_mechanism_select(scores, acct, rng)] += 1
+    counts = np.bincount(exp_mechanism(scores, exponent, draws, rng), minlength=4)
     freqs = counts / draws
     se = np.sqrt(probs * (1 - probs) / draws)
     em_dev = np.abs(freqs - probs) / se
     em_ok = bool((em_dev <= 3.0).all())
 
-    noise = np.array([gaussian_measure(0.5, acct, rng) for _ in range(draws)]) - 0.5
+    noise = gaussian_measure(np.full(draws, 0.5), acct, rng) - 0.5
     sigma_hat = float(noise.std(ddof=1))
     sigma = acct.gaussian_sigma(1.0)
     g_ok = abs(sigma_hat - sigma) / sigma <= 0.02

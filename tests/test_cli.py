@@ -197,6 +197,7 @@ BAD_SETTINGS = [
     ("pretrain", "--lr", "inf"),
     ("rap-softmax", "--rap-lr", "inf"),
     ("fem", "--fem-sigma", "inf"),
+    ("fem", "--fem-sigma", "1e308"),  # finite, but Exp(sigma) sums over the attributes overflow
     ("mwem", "--mwem-eta", "inf"),
     ("mwem", "--mwem-eta", "1e-300"),
     ("pep", "--pep-gamma", "inf"),

@@ -13,12 +13,17 @@ from dpsynth import (
     MeasurementLedger,
     build_workloads,
     dp_to_zcdp,
-    exp_mechanism_select,
+    fit,
     gaussian_measure,
+    gen_toy,
     select_and_measure_round,
     zcdp_to_dp,
 )
-from dpsynth.privacy import exp_mechanism_probs, select_k
+from dpsynth.gem import GemConfig
+from dpsynth.privacy import exp_mechanism, exp_mechanism_probs, select_k
+from dpsynth.rap import RapConfig
+
+from oracles import DrawLog
 
 
 def test_zcdp_to_dp_frozen():
@@ -103,11 +108,12 @@ def test_gaussian_sigma_frozen():
 def test_em_probs_frozen():
     # alpha*eps0*n*score = ln 3 gap -> probabilities (0.25, 0.75)
     acct = Accountant(rho=0.5, T=10, k=1, alpha=0.5, n=100)
-    gap = math.log(3) / (acct.alpha * acct.eps0 * acct.n)
-    p = exp_mechanism_probs(np.array([0.0, gap]), acct)
+    exponent = acct.alpha * acct.eps0 * acct.n
+    gap = math.log(3) / exponent
+    p = exp_mechanism_probs(np.array([0.0, gap]), exponent)
     assert np.allclose(p, [0.25, 0.75], atol=1e-12)
     # halved exponent: exp(ln3/2) ratio
-    ph = exp_mechanism_probs(np.array([0.0, gap]), acct, halved=True)
+    ph = exp_mechanism_probs(np.array([0.0, gap]), acct.em_exponent(halved=True))
     r = math.exp(math.log(3) / 2)
     assert np.allclose(ph, [1 / (1 + r), r / (1 + r)], atol=1e-12)
 
@@ -115,23 +121,25 @@ def test_em_probs_frozen():
 def test_em_select_frequencies():
     acct = Accountant(rho=0.5, T=10, k=1, alpha=0.5, n=100)
     scores = np.array([0.0, 0.01, 0.03, 0.05])
-    want = exp_mechanism_probs(scores, acct)
+    exponent = acct.alpha * acct.eps0 * acct.n
+    want = exp_mechanism_probs(scores, exponent)
     rng = np.random.default_rng(123)
-    draws = np.array([exp_mechanism_select(scores, acct, rng) for _ in range(20000)])
+    draws = exp_mechanism(scores, exponent, 20000, rng)
     freq = np.bincount(draws, minlength=4) / draws.size
     se = np.sqrt(want * (1 - want) / draws.size)
     assert np.all(np.abs(freq - want) < 4 * se + 1e-12)
 
 
 def test_em_select_frozen_draws():
-    # draws through exp_mechanism_probs; the sequence is pinned to the seed
+    # draws through the selection distribution; the sequence is pinned to the seed
     acct = Accountant(rho=0.5, T=10, k=1, alpha=0.5, n=100)
     scores = np.array([0.0, 0.01, 0.03, 0.05, 0.02])
+    exponent = acct.alpha * acct.eps0 * acct.n
     rng = np.random.default_rng(2024)
-    assert [exp_mechanism_select(scores, acct, rng) for _ in range(12)] == [
+    assert exp_mechanism(scores, exponent, 12, rng).tolist() == [
         3, 1, 2, 3, 4, 1, 0, 1, 2, 1, 3, 3
     ]
-    assert [exp_mechanism_select(scores, acct, rng, halved=True) for _ in range(12)] == [
+    assert exp_mechanism(scores, exponent * 0.5, 12, rng).tolist() == [
         0, 3, 0, 2, 4, 3, 3, 2, 1, 2, 1, 4
     ]
 
@@ -145,14 +153,15 @@ def test_select_k_argmax_or_k_draws():
     assert rng.random() == np.random.default_rng(8).random()
     for halved in (False, True):
         rng, twin = np.random.default_rng(8), np.random.default_rng(8)
-        want = [exp_mechanism_select(scores, acct, twin, halved=halved) for _ in range(3)]
+        exponent = acct.alpha * acct.eps0 * acct.n * (0.5 if halved else 1.0)
+        want = exp_mechanism(scores, exponent, 3, twin).tolist()
         assert select_k(scores, acct, rng, halved=halved) == want
 
 
 def test_gaussian_measure_stats():
     acct = Accountant(rho=0.5, T=10, k=1, alpha=0.5, n=1000)
     rng = np.random.default_rng(77)
-    xs = np.array([gaussian_measure(0.3, acct, rng) for _ in range(30000)])
+    xs = gaussian_measure(np.full(30000, 0.3), acct, rng)
     assert abs(xs.mean() - 0.3) < 4 * acct.gaussian_sigma() / math.sqrt(xs.size)
     assert abs(xs.std() / acct.gaussian_sigma() - 1.0) < 0.02
     # answers are stored unclipped: a huge true answer stays put
@@ -224,3 +233,55 @@ def test_select_and_measure_per_workload():
 def test_dp_zcdp_roundtrip_property(eps, log_delta):
     delta = 10.0**log_delta
     assert abs(zcdp_to_dp(dp_to_zcdp(eps, delta), delta) - eps) < 1e-9
+
+
+LOOP_METHODS = ("mwem", "pep", "gem", "rap-softmax")
+# (method, k, per_workload): every method per query at k = 1 and 3, the loop
+# methods with whole workloads measured too, and dualquery
+STATED_RHO_CASES = [
+    *[(m, k, pw) for m in LOOP_METHODS for k in (1, 3) for pw in (False, True)],
+    ("fem", 1, False),
+    ("fem", 3, False),
+    ("dualquery", 1, False),
+]
+
+
+def _recomposed_fit(monkeypatch, method, k, **loop):
+    """(rho recomposed from the draws of a small fit, the stated rho)."""
+    dom, data = gen_toy(attrs=3, sizes=3, n=120, seed=0)
+    qs = build_workloads(dom, 2)
+    cfg = {"gem": GemConfig(hidden=(8,), batch=20, t_max=5), "rap-softmax": RapConfig(rows=20, max_steps=5)}
+    settings = {"cfg": cfg[method]} if method in cfg else {}
+    log = DrawLog().install(monkeypatch)
+    _, _, acct, _ = fit(method, data, qs, 0.05, np.random.default_rng(0), T=3, k=k, **loop, **settings)
+    return log.recomposed_rho(data.n, qs, loop.get("per_workload", False)), acct.rho
+
+
+@pytest.mark.parametrize("method,k,per_workload", STATED_RHO_CASES)
+def test_recomposed_rho_equals_the_stated_rho(monkeypatch, method, k, per_workload):
+    spent, rho = _recomposed_fit(monkeypatch, method, k, per_workload=per_workload)
+    assert abs(spent - rho) <= 1e-12 * rho, (spent, rho)
+
+
+@pytest.mark.parametrize("method", [*LOOP_METHODS, "fem", "dualquery"])
+def test_recomposed_rho_with_halved_exponent_is_below_the_stated_rho(monkeypatch, method):
+    # halving the selection exponent quarters the selection spend; dualquery
+    # and fem spend their whole budget on selection
+    spent, rho = _recomposed_fit(monkeypatch, method, 1, em_score_halved=True)
+    if method in ("fem", "dualquery"):
+        assert abs(spent - rho / 4) <= 1e-12 * rho, (spent, rho)
+    else:
+        assert 0 < spent < rho
+
+
+def test_one_call_draws_as_one_call_per_draw():
+    # a round's single call consumes the generator as a call per draw would
+    acct = Accountant(rho=0.5, T=10, k=1, alpha=0.5, n=1000)
+    scores = np.random.default_rng(4).random(9)
+    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    assert exp_mechanism(scores, 300.0, 50, rng).tolist() == [
+        int(exp_mechanism(scores, 300.0, 1, twin)[0]) for _ in range(50)
+    ]
+    answers = np.linspace(0.0, 1.0, 50)
+    noisy = gaussian_measure(answers, acct, rng, sensitivity_scale=math.sqrt(2.0))
+    assert noisy.tolist() == [gaussian_measure(a, acct, twin, sensitivity_scale=math.sqrt(2.0)) for a in answers]

@@ -223,7 +223,7 @@ def test_search_methods_through_the_loop():
 
 def test_fem_selection_honours_em_halved():
     # the halved exponent draws from the halved selection distribution
-    from dpsynth.privacy import exp_mechanism_select
+    from dpsynth.privacy import exp_mechanism
 
     dom, qs = _setup((2, 4))
     priv = np.array([0.8, 0.2, 0.4, 0.3, 0.2, 0.1])
@@ -236,7 +236,8 @@ def test_fem_selection_honours_em_halved():
         want = {}
         for halved in (False, True):
             twin = np.random.default_rng(seed)
-            want[halved] = [exp_mechanism_select(scores, acct, twin, halved=halved) for _ in range(3)]
+            exponent = acct.alpha * acct.eps0 * acct.n * (0.5 if halved else 1.0)
+            want[halved] = exp_mechanism(scores, exponent, 3, twin).tolist()
             picked, _ = FemSynthesizer(dom, qs, FemConfig(samples=2)).private_round(
                 current, priv, acct, np.random.default_rng(seed), False, em_halved=halved
             )
@@ -318,6 +319,31 @@ REPLAY_CASES = [
     ((3, 4, 2, 5), [(2, 0, 1), (3, 1, 0), (0, 1, 2)], 2),
 ]
 MODES = {"plain": {}, "em_halved": {"em_halved": True}, "no_noise": {"no_noise": True}}
+
+# mode -> seed -> the queries DualQuery draws in each of three rounds, pinned
+# so that no change in how the draws are made moves them
+DUALQUERY_DRAWS = {
+    "plain": {0: [[3, 1, 0, 0, 4, 5], [2, 2, 2, 3, 2, 0], [3, 0, 3, 0, 3, 1]],
+              1: [[3, 5, 0, 5, 1, 2], [4, 4, 4, 3, 4, 4], [4, 4, 4, 4, 4, 4]]},
+    "em_halved": {0: [[3, 1, 0, 0, 4, 5], [2, 2, 2, 3, 3, 0], [3, 0, 3, 0, 3, 2]],
+                  1: [[3, 5, 0, 5, 1, 2], [4, 4, 4, 0, 4, 4], [4, 4, 4, 4, 3, 4]]},
+    "no_noise": {0: [[0] * 6, [2] * 6, [2] * 6], 1: [[0] * 6, [2] * 6, [2] * 6]},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(DUALQUERY_DRAWS))
+def test_dualquery_draws_are_pinned(mode):
+    dom = Domain(("a", "b"), (2, 4))
+    qs = build_workloads(dom, 1)
+    data = Dataset(dom, np.array([[0, 1], [1, 3], [0, 0], [1, 1], [0, 1]] * 8))
+    priv = qs.answers_records(data)
+    acct = Accountant.selection_only(rho=0.5, T=3, k=1, n=data.n)
+    opts = {"no_noise": False, **MODES[mode]}
+    for seed, want in DUALQUERY_DRAWS[mode].items():
+        synth = DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=6))
+        rng = np.random.default_rng(seed)
+        got = [synth.private_round(synth.answers(), priv, acct, rng, **opts)[0] for _ in range(3)]
+        assert got == want
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
