@@ -128,9 +128,12 @@ class Domain:
         return cells
 
     def decode(self, cells: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`encode`; returns an n x d int array."""
+        """Inverse of :meth:`encode`; returns an n x d int array. Like encode,
+        it refuses what lies outside the domain: a cell outside [0, total_cells)."""
         self._check_flat()
         cells = np.asarray(cells, dtype=np.int64)
+        if cells.min(initial=0) < 0 or cells.max(initial=0) >= self.total_cells:
+            raise DataError(f"cells must lie in [0, {self.total_cells})")
         out = np.empty((cells.shape[0], self.num_attrs), dtype=np.int64)
         for i, (sz, st) in enumerate(zip(self.sizes, self._strides)):
             out[:, i] = (cells // st) % sz

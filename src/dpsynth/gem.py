@@ -300,6 +300,7 @@ class GemSynthesizer(Synthesizer):
         self.ema: Params | None = None
         self.gamma: float | None = None
         self.round = 0
+        self._answered: tuple[Params, np.ndarray] | None = None  # (params, their answers)
 
     def _noise(self) -> np.ndarray:
         if self.cfg.resample_z:
@@ -307,8 +308,11 @@ class GemSynthesizer(Synthesizer):
         return self.z_batch
 
     def answers(self) -> np.ndarray:
-        P, _ = forward(self.params, self.z_batch, self.domain)
-        return self.queries.answers_probs(P)
+        # an update that took no Adam step leaves the same params object
+        if self._answered is None or self._answered[0] is not self.params:
+            P, _ = forward(self.params, self.z_batch, self.domain)
+            self._answered = self.params, self.queries.answers_probs(P)
+        return self._answered[1].copy()
 
     def update(self, ledger: MeasurementLedger) -> None:
         if len(ledger) == 0:

@@ -124,6 +124,12 @@ def best_mixture_error(
     cell, the answer of the query it meets in each workload. Every 50
     iterations and at the last, w is rescaled to sum 1, z and A are recomputed
     in full so rounding cannot drift, and the running average is evaluated.
+
+    The game stops early, and `iterations` is only a cap, once an iterate's
+    worst query meets no support cell. Every mixture on the support answers
+    that query 0, so its |target| bounds every later iterate and running
+    average from below; the current iterate attains it, and its step would
+    scale no cell. The result is then min(best so far, |target|).
     """
     cells = np.asarray(support_cells, dtype=np.int64)
     if cells.size == 0:
@@ -131,6 +137,8 @@ def best_mixture_error(
     targets = np.asarray(target_answers, dtype=np.float64)
     if targets.shape[0] != queries.total_queries:
         raise DataError("target vector does not match the query collection")
+    if not np.isfinite(targets).all():
+        raise DataError("target answers must be finite")
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
     qmap = SupportMap(queries, cells)  # the full domain too: steps scatter through it
@@ -149,6 +157,8 @@ def best_mixture_error(
             sel = queries.cells_of(worst, qmap)
             steps[worst] = sel, qmap.ids[:, sel].T.ravel()
         sel, ids = steps[worst]
+        if sel.size == 0:
+            return min(best, abs(float(targets[worst])))
         # mixture player response: downweight cells that worsen the residual
         delta = w[sel] * math.expm1(lr if gap[worst] >= 0 else -lr)
         w[sel] += delta

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import dpsynth.gem as gem_module
 from dpsynth import ConfigError, DataError, Domain, GemConfig, GemSynthesizer, build_workloads
 from dpsynth.gem import (
     Adam,
@@ -255,6 +256,37 @@ def test_update_tmax_zero_is_noop():
     led.record(0, 0.9, 1)
     synth.update(led)
     assert np.array_equal(before, flatten_params(synth.params))
+
+
+def test_answers_reused_until_a_step_moves_the_params(monkeypatch):
+    dom = Domain(("a", "b"), (3, 4))
+    qs = build_workloads(dom, 2)
+    cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, lr=1e-2, t_max=5)
+    synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(0), total_rounds=4)
+    passes = []
+
+    def counted(*args):
+        passes.append(1)
+        return forward(*args)
+
+    monkeypatch.setattr(gem_module, "forward", counted)
+    first = synth.answers()
+    first[:] = -1.0  # the caller's copy; the stored answers stay intact
+    synth.gamma = 10.0  # far above any residual: the update takes no step
+    led = MeasurementLedger()
+    led.record(0, 0.9, 1)
+    synth.update(led)
+    passes.clear()
+    again = synth.answers()
+    assert passes == []
+    assert np.array_equal(again, qs.answers_probs(forward(synth.params, synth.z_batch, dom)[0]))
+    synth.gamma = None
+    synth.update(led)  # takes Adam steps: a new params list
+    passes.clear()
+    moved = synth.answers()
+    assert passes == [1]
+    assert np.array_equal(moved, qs.answers_probs(forward(synth.params, synth.z_batch, dom)[0]))
+    assert not np.array_equal(moved, again)
 
 
 def test_update_reduces_loss_on_seeded_instance():

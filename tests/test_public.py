@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from dpsynth import (
     DomainError,
     GemConfig,
     GemSynthesizer,
+    PepSynthesizer,
     build_workloads,
 )
 from dpsynth.privacy import MeasurementLedger
@@ -162,7 +165,26 @@ def test_gem_pub_pretrain_restricts_queries():
         gem_pub_pretrain(dom, Dataset(Domain(("z",), (2,)), np.array([[0]])), qs, cfg, rng)
 
 
-def test_best_mixture_error_full_support_reaches_zero():
+def _unreached(cells, qs):
+    """Mask of the queries that no support cell meets."""
+    return qs.answers_mass(np.bincount(cells, minlength=qs.domain.total_cells)) == 0
+
+
+@pytest.fixture
+def support_answer_calls(monkeypatch):
+    """Counts `QuerySet.answers_support` calls."""
+    calls = []
+    inner = QuerySet.answers_support
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuerySet, "answers_support", counted)
+    return calls
+
+
+def test_best_mixture_error_full_support_reaches_zero(support_answer_calls):
     rng = np.random.default_rng(4)
     dom = Domain(("a", "b"), (3, 3))
     qs = build_workloads(dom, 1)
@@ -170,6 +192,9 @@ def test_best_mixture_error_full_support_reaches_zero():
     targets = qs.answers_mass(truth)
     err = best_mixture_error(np.arange(9), qs, targets)
     assert err < 5e-3
+    # every query meets a cell, so the game never stops early: the initial
+    # answers, then two calls at each of the 40 checkpoints
+    assert len(support_answer_calls) == 81
 
 
 def test_best_mixture_error_point_support():
@@ -189,6 +214,9 @@ def test_best_mixture_error_validation():
         best_mixture_error(np.array([0]), qs, np.array([0.5]))
     with pytest.raises(ConfigError):
         best_mixture_error(np.array([0]), qs, np.array([0.5, 0.5]), iterations=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError):
+            best_mixture_error(np.array([0]), qs, np.array([0.5, bad]))
 
 
 def test_best_mixture_error_two_point_grid_oracle():
@@ -306,3 +334,55 @@ def test_best_mixture_error_matches_dense_oracle_small(seed, kind, iterations):
     targets = qs.answers_mass(rng.dirichlet(np.full(dom.total_cells, 0.5)))
     got = best_mixture_error(cells, qs, targets, iterations)
     assert abs(got - best_mixture_error_dense(cells, qs, targets, iterations)) <= 1e-12
+
+
+def test_best_mixture_error_stops_when_worst_query_meets_no_cell(support_answer_calls):
+    dom = Domain(("a", "b"), (2, 3))
+    qs = build_workloads(dom, 1)
+    cells = np.array([0, 1])  # (0, 0) and (0, 1): a=1 and b=2 meet no cell
+    targets = np.array([0.5, 0.5, 0.1, 0.1, 0.8])
+    # uniform answers (1, 0, .5, .5, 0): the first worst query is b=2
+    got = best_mixture_error(cells, qs, targets)
+    assert got == np.abs(targets[_unreached(cells, qs)]).max() == 0.8
+    assert len(support_answer_calls) == 1  # the initial answers only
+
+
+def test_best_mixture_error_stops_mid_run(support_answer_calls):
+    rng = np.random.default_rng(1)
+    dom = Domain(("a", "b"), (3, 4))
+    qs = build_workloads(dom, 1)
+    cells = np.sort(rng.choice(12, size=int(rng.integers(2, 6)), replace=False))
+    targets = qs.answers_mass(rng.dirichlet(np.full(12, 0.5)))
+    got = best_mixture_error(cells, qs, targets)
+    assert 1 < len(support_answer_calls) < 81
+    assert got >= np.abs(targets[_unreached(cells, qs)]).max() - 1e-15
+    assert abs(got - best_mixture_error_dense(cells, qs, targets)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), iterations=st.integers(1, 400))
+def test_best_mixture_error_sparse_support_is_bounded_by_unreached_queries(seed, iterations):
+    rng = np.random.default_rng(seed)
+    sizes = [int(s) for s in rng.integers(2, 5, size=int(rng.integers(1, 4)))]
+    while math.prod(sizes) > 12:
+        sizes.pop()
+    dom = Domain(tuple(f"a{i}" for i in range(len(sizes))), tuple(sizes))
+    qs = build_workloads(dom, int(rng.integers(1, len(sizes) + 1)))
+    cells = np.sort(rng.choice(dom.total_cells, size=int(rng.integers(1, dom.total_cells)), replace=False))
+    targets = qs.answers_mass(rng.dirichlet(np.full(dom.total_cells, 0.5)))
+    got = best_mixture_error(cells, qs, targets, iterations)
+    unreached = _unreached(cells, qs)
+    if unreached.any():
+        assert got >= np.abs(targets[unreached]).max() - 1e-15
+    assert abs(got - best_mixture_error_dense(cells, qs, targets, iterations)) <= 1e-12
+
+
+@pytest.mark.parametrize("cells", [[0, 6], [-1, 0]])
+def test_support_cells_outside_the_domain_are_rejected(cells):
+    # a 2x3 domain has cells 0..5: decoding by stride and size alone would
+    # wrap 6 to (0, 0) and -1 to (1, 2)
+    qs = build_workloads(Domain(("a", "b"), (2, 3)), 1)
+    with pytest.raises(DataError):
+        best_mixture_error(np.array(cells), qs, np.array([0.5, 0.5, 0.2, 0.3, 0.5]))
+    with pytest.raises(DataError):
+        PepSynthesizer(qs.domain, qs, support_cells=np.array(cells))
