@@ -13,8 +13,8 @@ from .domain import (
 from .gem import GemConfig, GemSynthesizer, ema_update, gem_gradient, gem_loss
 from .loop import RunConfig, Synthesizer, run
 from .methods import fit
-from .mwem import MwemSynthesizer
-from .pep import PepSynthesizer
+from .mwem import MwemConfig, MwemSynthesizer
+from .pep import PepConfig, PepSynthesizer
 from .privacy import (
     Accountant,
     BudgetError,

@@ -8,6 +8,7 @@ gen-toy. Exit codes: 0 success, 2 a bad setting or flag conflict
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 import time
 
@@ -25,25 +26,41 @@ from .domain import (
     SupportDistribution,
     load_npz,
 )
-from .gem import GemConfig, GemOutput, forward, load_checkpoint, save_checkpoint
-from .methods import HISTOGRAM_METHODS, METHODS, SEARCH_METHODS, fit
-from .privacy import Accountant, dp_to_zcdp
-from .public import best_mixture_error, gem_pub_pretrain
+from .gem import LOSSES, GemOutput, forward, load_checkpoint, save_checkpoint
+from .methods import CONFIGS, HISTOGRAM_METHODS, METHODS, SEARCH_METHODS, fit
+from .privacy import Accountant, dp_to_zcdp, zcdp_to_dp
+from .public import PRETRAIN_LR, PRETRAIN_STEPS, best_mixture_error, gem_pub_pretrain
 from .queries import QuerySet, build_workloads
-from .rap import RapConfig
-from .report import (
-    build_report,
-    write_errors_csv,
-    write_report,
-    write_trace,
-)
-from .search import DualQueryConfig, FemConfig
+from .report import build_report, errors, write_errors_csv, write_report, write_trace
 from .toy import gen_toy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_FILE = 4
+
+# per-method flag -> (method, field of its config in CONFIGS), whose default is the flag's
+METHOD_FLAGS = {
+    "--mwem-eta": ("mwem", "eta"),
+    "--mwem-cycles": ("mwem", "cycles"),
+    "--pep-gamma": ("pep", "gamma"),
+    "--pep-tmax": ("pep", "t_max"),
+    "--gem-hidden": ("gem", "hidden"),
+    "--gem-zdim": ("gem", "z_dim"),
+    "--gem-batch": ("gem", "batch"),
+    "--gem-loss": ("gem", "loss"),
+    "--gem-lr": ("gem", "lr"),
+    "--gem-tmax": ("gem", "t_max"),
+    "--gem-resample-z": ("gem", "resample_z"),
+    "--gem-ema-beta": ("gem", "ema_beta"),
+    "--rap-rows": ("rap-softmax", "rows"),
+    "--rap-lr": ("rap-softmax", "lr"),
+    "--rap-steps": ("rap-softmax", "max_steps"),
+    "--rap-original": ("rap-softmax", "original"),
+    "--dq-samples": ("dualquery", "samples"),
+    "--fem-sigma": ("fem", "sigma"),
+    "--fem-samples": ("fem", "samples"),
+}
 
 
 def _budget_args(p: argparse.ArgumentParser) -> None:
@@ -59,8 +76,6 @@ def _resolve_budget(args) -> tuple[float, float | None, float | None]:
     if args.rho is not None:
         eps = None
         if args.delta is not None:
-            from .privacy import zcdp_to_dp
-
             eps = zcdp_to_dp(args.rho, args.delta)
         return args.rho, eps, args.delta
     if args.epsilon is not None:
@@ -72,11 +87,7 @@ def _resolve_budget(args) -> tuple[float, float | None, float | None]:
 
 def _workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--marginal-k", type=int, default=3, help="marginal order")
-    p.add_argument(
-        "--workloads",
-        default="all",
-        help="number of feature subsets to use, or 'all'",
-    )
+    p.add_argument("--workloads", default="all", help="number of feature subsets to use, or 'all'")
     p.add_argument("--workload-seed", type=int, default=None, help="seed for workload sampling")
 
 
@@ -96,11 +107,9 @@ def _int_arg(flag: str, text: str) -> int:
 def _load_public(path, domain: Domain, whole: bool = False) -> Dataset:
     """Public CSV over a subset of the private attributes (matched by name),
     or over all of them when `whole`."""
-    import csv as _csv
-
     with open(path, newline="") as f:
         try:
-            header = [h.strip() for h in next(_csv.reader(f))]
+            header = [h.strip() for h in next(csv.reader(f))]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
     unknown = [h for h in header if h not in domain.names]
@@ -114,16 +123,29 @@ def _load_public(path, domain: Domain, whole: bool = False) -> Dataset:
     return Dataset.from_csv(path, Domain(names, sizes))
 
 
-def _gem_hidden(args) -> tuple[int, ...]:
-    return tuple(_int_arg("--gem-hidden", x) for x in args.gem_hidden.split(",") if x.strip())
+def _method_flags(p: argparse.ArgumentParser, flags=METHOD_FLAGS) -> None:
+    """Adds `flags`, rows of METHOD_FLAGS, each with its field's default and that default's type."""
+    for flag in flags:
+        method, field = METHOD_FLAGS[flag]
+        default = getattr(CONFIGS[method], field)
+        if isinstance(default, bool):
+            p.add_argument(flag, action="store_true")
+        elif isinstance(default, tuple):  # gem's hidden widths, as a comma list
+            p.add_argument(flag, default=",".join(map(str, default)))
+        else:
+            p.add_argument(flag, type=type(default), default=default, choices=LOSSES if field == "loss" else None)
 
 
-def _gem_shape_args(p: argparse.ArgumentParser) -> None:
-    """The generator-shape flags, which pretraining reads too."""
-    p.add_argument("--gem-hidden", default="64,128")
-    p.add_argument("--gem-zdim", type=int, default=16)
-    p.add_argument("--gem-batch", type=int, default=100)
-    p.add_argument("--gem-loss", choices=("l1", "l2"), default="l1")
+def _method_config(args, method: str):
+    """`method`'s config, with the fields of those of its flags that `args` holds."""
+    settings = {}
+    for flag, (owner, field) in METHOD_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if owner == method and value is not None:
+            if field == "hidden":
+                value = tuple(_int_arg(flag, x) for x in value.split(",") if x.strip())
+            settings[field] = value
+    return CONFIGS[method](**settings)
 
 
 # ---------------------------------------------------------------- synth ---
@@ -188,7 +210,8 @@ def cmd_synth(args) -> int:
         audit_errors=args.audit_errors,
         output="average" if args.output_average else "last",
         em_score_halved=args.em_halved,
-        **_method_settings(args),
+        cfg=_method_config(args, args.method),
+        cell_cap=args.cell_cap,
     )
     wall = time.perf_counter() - t0
     if info is not None:
@@ -234,36 +257,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _method_settings(args) -> dict:
-    """The chosen method's own constructor keywords, from its flags."""
-    method = args.method
-    if method == "mwem":
-        return {"eta": args.mwem_eta, "cycles": args.mwem_cycles, "cell_cap": args.cell_cap}
-    if method == "pep":
-        return {"gamma": args.pep_gamma, "t_max": args.pep_tmax, "cell_cap": args.cell_cap}
-    if method == "gem":
-        cfg = GemConfig(
-            hidden=_gem_hidden(args),
-            z_dim=args.gem_zdim,
-            batch=args.gem_batch,
-            lr=args.gem_lr,
-            t_max=args.gem_tmax,
-            loss=args.gem_loss,
-            resample_z=args.gem_resample_z,
-            ema_beta=args.gem_ema_beta,
-        )
-        return {"cfg": cfg}
-    if method == "rap-softmax":
-        cfg = RapConfig(
-            rows=args.rap_rows, lr=args.rap_lr, max_steps=args.rap_steps, original=args.rap_original
-        )
-        return {"cfg": cfg}
-    if method == "dualquery":
-        return {"cfg": DualQueryConfig(samples=args.dq_samples), "cell_cap": args.cell_cap}
-    # fem: the parser's choices admit no other method
-    return {"cfg": FemConfig(sigma=args.fem_sigma, samples=args.fem_samples), "cell_cap": args.cell_cap}
-
-
 def _save_artifact(out: SupportDistribution | ProductMixture, path) -> None:
     if isinstance(out, GemOutput):
         out.save_checkpoint(path)
@@ -273,9 +266,7 @@ def _save_artifact(out: SupportDistribution | ProductMixture, path) -> None:
 
 def _config_echo(args) -> dict:
     skip = {"func", "domain", "data", "out", "report", "trace", "dump_errors", "save_dist"}
-    return {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip and not callable(v)
-    }
+    return {k: v for k, v in sorted(vars(args).items()) if k not in skip and not callable(v)}
 
 
 # ------------------------------------------------------------- evaluate ---
@@ -294,9 +285,7 @@ def cmd_evaluate(args) -> int:
         synth_ans = queries.answers_records(Dataset.from_csv(args.synthetic, domain))
     else:
         synth_ans = _load_artifact(args.dist, domain, args).answers(queries)
-    from .report import errors as _errors
-
-    mx, mn, rmse = _errors(true_ans, synth_ans)
+    mx, mn, rmse = errors(true_ans, synth_ans)
     print(f"max={mx:.6g} mean={mn:.6g} rmse={rmse:.6g}")
     if args.dump_errors:
         write_errors_csv(queries, true_ans, synth_ans, args.dump_errors)
@@ -359,7 +348,7 @@ def cmd_pretrain(args) -> int:
     domain = Domain.load(args.domain)
     public = _load_public(args.public, domain)
     queries = _build_queries(args, domain)
-    cfg = GemConfig(hidden=_gem_hidden(args), z_dim=args.gem_zdim, batch=args.gem_batch, loss=args.gem_loss)
+    cfg = _method_config(args, "gem")  # the shape flags; the rest keep their defaults
     rng = np.random.default_rng(args.seed)
     params, info = gem_pub_pretrain(domain, public, queries, cfg, rng, steps=args.steps, lr=args.lr)
     save_checkpoint(params, domain, args.out)
@@ -444,24 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-errors", default=None)
     p.add_argument("--public", default=None, help="public CSV (methods pep, gem)")
     p.add_argument("--gem-init", default=None, help="generator checkpoint to start from")
-    p.add_argument("--pretrain-steps", type=int, default=3000)
-    p.add_argument("--pretrain-lr", type=float, default=1e-3)
-    p.add_argument("--mwem-eta", type=float, default=2.0)
-    p.add_argument("--mwem-cycles", type=int, default=10)
-    p.add_argument("--pep-gamma", type=float, default=0.0)
-    p.add_argument("--pep-tmax", type=int, default=25)
-    _gem_shape_args(p)
-    p.add_argument("--gem-lr", type=float, default=1e-4)
-    p.add_argument("--gem-tmax", type=int, default=100)
-    p.add_argument("--gem-resample-z", action="store_true")
-    p.add_argument("--gem-ema-beta", type=float, default=0.9)
-    p.add_argument("--rap-rows", type=int, default=1000)
-    p.add_argument("--rap-lr", type=float, default=0.1)
-    p.add_argument("--rap-steps", type=int, default=1000)
-    p.add_argument("--rap-original", action="store_true")
-    p.add_argument("--dq-samples", type=int, default=100)
-    p.add_argument("--fem-sigma", type=float, default=0.1)
-    p.add_argument("--fem-samples", type=int, default=100)
+    p.add_argument("--pretrain-steps", type=int, default=PRETRAIN_STEPS)
+    p.add_argument("--pretrain-lr", type=float, default=PRETRAIN_LR)
+    _method_flags(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("evaluate", help="score synthetic data against a dataset")
@@ -471,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", default=None, help="distribution artifact")
     _workload_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gem-batch", type=int, default=100)
+    _method_flags(p, ("--gem-batch",))
     p.add_argument("--report", default=None)
     p.add_argument("--dump-errors", default=None)
     p.set_defaults(func=cmd_evaluate)
@@ -490,9 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _workload_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=3000)
-    p.add_argument("--lr", type=float, default=1e-3)
-    _gem_shape_args(p)
+    p.add_argument("--steps", type=int, default=PRETRAIN_STEPS)
+    p.add_argument("--lr", type=float, default=PRETRAIN_LR)
+    _method_flags(p, ("--gem-hidden", "--gem-zdim", "--gem-batch", "--gem-loss"))  # the generator's shape
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser(

@@ -28,6 +28,8 @@ from .loop import Synthesizer
 from .privacy import MeasurementLedger
 from .queries import QuerySet, product_answers, product_answers_grad
 
+LOSSES = ("l1", "l2")  # the choices of GemConfig.loss
+
 
 @dataclass
 class GemConfig:
@@ -36,12 +38,12 @@ class GemConfig:
     batch: int = 100
     lr: float = 1e-4
     t_max: int = 100
-    loss: str = "l1"  # "l1" or "l2"
+    loss: str = "l1"  # one of LOSSES
     resample_z: bool = False  # draw fresh noise every training step
     ema_beta: float = 0.9
 
     def __post_init__(self):
-        if self.loss not in ("l1", "l2"):
+        if self.loss not in LOSSES:
             raise ConfigError("loss must be 'l1' or 'l2'")
         if self.z_dim < 1 or self.batch < 1 or self.t_max < 0 or any(h < 1 for h in self.hidden):
             raise ConfigError("z_dim, batch and hidden widths must be >= 1, t_max >= 0")

@@ -20,7 +20,7 @@ from .queries import QuerySet
 
 @dataclass
 class RunConfig:
-    """Loop-level knobs (method-specific knobs live on the synthesizers)."""
+    """Loop-level knobs (each method's own knobs live in its config, `methods.CONFIGS`)."""
 
     T: int = 10
     k: int = 1

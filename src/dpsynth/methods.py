@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import ConfigError, Dataset
+from .domain import DEFAULT_CELL_CAP, ConfigError, Dataset
 from .gem import GemConfig, GemSynthesizer, Params
 from .loop import RunConfig, run
-from .mwem import MwemSynthesizer
-from .pep import PepSynthesizer
+from .mwem import MwemConfig, MwemSynthesizer
+from .pep import PepConfig, PepSynthesizer
 from .privacy import Accountant, BudgetError
-from .public import gem_pub_pretrain, pep_pub_init
+from .public import PRETRAIN_LR, PRETRAIN_STEPS, gem_pub_pretrain, pep_pub_init
 from .queries import QuerySet
 from .rap import RapConfig, RapSynthesizer
 from .search import DualQueryConfig, DualQuerySynthesizer, FemConfig, FemSynthesizer
@@ -31,8 +31,15 @@ METHODS = {
 }
 HISTOGRAM_METHODS = ("mwem", "pep")  # their output can be averaged over rounds
 SEARCH_METHODS = tuple(m for m, cls in METHODS.items() if cls.self_selecting)
-# the default `cfg` of the methods whose constructor takes one
-_CONFIGS = {"gem": GemConfig, "rap-softmax": RapConfig, "dualquery": DualQueryConfig, "fem": FemConfig}
+# each method's settings; the CLI's per-method flags set their fields
+CONFIGS = {
+    "mwem": MwemConfig,
+    "pep": PepConfig,
+    "gem": GemConfig,
+    "rap-softmax": RapConfig,
+    "dualquery": DualQueryConfig,
+    "fem": FemConfig,
+}
 
 
 def fit(
@@ -47,28 +54,28 @@ def fit(
     alpha: float = 0.67,
     public: Dataset | None = None,
     init: Params | None = None,
-    pretrain_steps: int = 3000,
-    pretrain_lr: float = 1e-3,
+    pretrain_steps: int = PRETRAIN_STEPS,
+    pretrain_lr: float = PRETRAIN_LR,
     per_workload: bool = False,
     no_noise: bool = False,
     audit_errors: bool = False,
     output: str = "last",
     em_score_halved: bool = False,
-    **settings,
+    cfg=None,
+    cell_cap: int = DEFAULT_CELL_CAP,
 ):
     """Fit `method` to `data` on `queries` at zCDP budget `rho`, T rounds of k selections.
 
-    Returns (output, trace, accountant, pretrain info or None). `settings`
-    are the method's own constructor keywords: eta, cycles and cell_cap for
-    mwem; gamma, t_max and cell_cap for pep; cfg for gem and rap-softmax;
-    cfg and cell_cap for dualquery and fem. `public` starts pep on the public
-    support or gem from a generator pretrained on public answers
-    (`pretrain_steps`, `pretrain_lr`); `init` starts gem from given
-    generator weights. The accountant and the loop settings are checked
-    before any other work: the self-selecting methods spend every round's
-    budget on selection, and a method that measures answers needs alpha < 1.
-    `rng` drives pretraining, the synthesizer's initial state and the loop,
-    in that order.
+    Returns (output, trace, accountant, pretrain info or None). `cfg` is the
+    method's settings, an instance of `CONFIGS[method]` (its defaults when
+    None); `cell_cap` bounds the histogram of mwem, pep (without public
+    data), dualquery and fem. `public` starts pep on the public support or
+    gem from a generator pretrained on public answers (`pretrain_steps`,
+    `pretrain_lr`); `init` starts gem from given generator weights. The
+    accountant and the loop settings are checked before any other work: the
+    self-selecting methods spend every round's budget on selection, and a
+    method that measures answers needs alpha < 1. `rng` drives pretraining,
+    the synthesizer's initial state and the loop, in that order.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
@@ -82,7 +89,7 @@ def fit(
         acct = Accountant(rho, T, k, alpha, data.n)
         if acct.alpha == 1.0:
             raise BudgetError(f"{method} measures answers: alpha = 1 leaves no measurement share")
-    cfg = RunConfig(
+    run_cfg = RunConfig(
         T=T,
         k=k,
         per_workload=per_workload,
@@ -91,21 +98,20 @@ def fit(
         output=output,
         em_score_halved=em_score_halved,
     )
+    cfg = CONFIGS[method]() if cfg is None else cfg
+    if not isinstance(cfg, CONFIGS[method]):
+        raise ConfigError(f"{method} takes a {CONFIGS[method].__name__}, got {type(cfg).__name__}")
     domain = queries.domain
-    if method in _CONFIGS:
-        settings.setdefault("cfg", _CONFIGS[method]())
     info = None
     if method == "gem":
         if public is not None:
-            init, info = gem_pub_pretrain(
-                domain, public, queries, settings["cfg"], rng, steps=pretrain_steps, lr=pretrain_lr
-            )
-        synth = GemSynthesizer(domain, queries, rng=rng, total_rounds=T, init=init, **settings)
+            init, info = gem_pub_pretrain(domain, public, queries, cfg, rng, steps=pretrain_steps, lr=pretrain_lr)
+        synth = GemSynthesizer(domain, queries, cfg, rng, total_rounds=T, init=init)
     elif method == "rap-softmax":
-        synth = RapSynthesizer(domain, queries, rng=rng, **settings)
+        synth = RapSynthesizer(domain, queries, cfg, rng)
     elif public is not None:
-        synth = pep_pub_init(public, domain, queries, **settings)
+        synth = pep_pub_init(public, domain, queries, cfg)
     else:
-        synth = METHODS[method](domain, queries, **settings)
-    out, trace = run(data, queries, synth, acct, cfg, rng)
+        synth = METHODS[method](domain, queries, cfg=cfg, cell_cap=cell_cap)
+    out, trace = run(data, queries, synth, acct, run_cfg, rng)
     return out, trace, acct, info

@@ -19,6 +19,8 @@ and normalized once more for output (`mass`, `finalize`).
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .domain import (
@@ -35,25 +37,31 @@ from .privacy import MeasurementLedger
 from .queries import QuerySet
 
 
+@dataclass
+class MwemConfig:
+    eta: float = 2.0  # step divisor
+    cycles: int = 10  # replays of the ledger per update
+
+    def __post_init__(self):
+        # a step is exp(+-(a~ - q)/eta) with |a~ - q| <= 1, so exp(1/eta) must be finite
+        if not (0 < self.eta < np.inf and 1.0 / self.eta <= LOG_MAX_FLOAT):
+            raise ConfigError(f"eta must be finite and >= 1/{LOG_MAX_FLOAT:.6g}")
+        if self.cycles < 1:
+            raise ConfigError("cycles must be >= 1")
+
+
 class MwemSynthesizer(Synthesizer):
     def __init__(
         self,
         domain: Domain,
         queries: QuerySet,
-        eta: float = 2.0,
-        cycles: int = 10,
+        cfg: MwemConfig | None = None,
         cell_cap: int = DEFAULT_CELL_CAP,
     ):
         domain.check_cap(cell_cap)
-        # a step is exp(+-(a~ - q)/eta) with |a~ - q| <= 1, so exp(1/eta) must be finite
-        if not (0 < eta < np.inf and 1.0 / eta <= LOG_MAX_FLOAT):
-            raise ConfigError(f"eta must be finite and >= 1/{LOG_MAX_FLOAT:.6g}")
-        if cycles < 1:
-            raise ConfigError("cycles must be >= 1")
         self.domain = domain
         self.queries = queries
-        self.eta = float(eta)
-        self.cycles = int(cycles)
+        self.cfg = MwemConfig() if cfg is None else cfg
         self.weights = CellWeights(np.full(domain.total_cells, 1.0 / domain.total_cells))
         self._cell_lists: dict[int, np.ndarray] = {}  # matching cells per measured query
 
@@ -74,11 +82,11 @@ class MwemSynthesizer(Synthesizer):
         entries = ledger.entries()
         if not entries:
             return
-        for _ in range(self.cycles):
+        for _ in range(self.cfg.cycles):
             for e in entries:
                 cells = self._cells(e.index)
                 delta = min(max(e.answer, 0.0), 1.0) - self.weights.answer(cells)
-                step = delta / self.eta
+                step = delta / self.cfg.eta
                 if self.weights.scale(cells, np.exp(step), np.exp(-step)):
                     self.weights = CellWeights(normalize_mass(self.weights.probs()))
 

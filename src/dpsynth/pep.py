@@ -16,6 +16,8 @@ it due, and normalized once more for output (`probs`, `finalize`).
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .domain import (
@@ -34,6 +36,16 @@ from .queries import QuerySet
 TARGET_CLIP = 1e-4
 
 
+@dataclass
+class PepConfig:
+    gamma: float = 0.0  # an update stops once every residual is at most gamma
+    t_max: int = 25  # projections per update
+
+    def __post_init__(self):
+        if not 0 <= self.gamma < np.inf or self.t_max < 1:
+            raise ConfigError("gamma must be finite and >= 0, and t_max >= 1")
+
+
 class PepSynthesizer(Synthesizer):
     def __init__(
         self,
@@ -41,8 +53,7 @@ class PepSynthesizer(Synthesizer):
         queries: QuerySet,
         support_cells: np.ndarray | None = None,
         init_probs: np.ndarray | None = None,
-        gamma: float = 0.0,
-        t_max: int = 25,
+        cfg: PepConfig | None = None,
         cell_cap: int = DEFAULT_CELL_CAP,
     ):
         self.domain = domain
@@ -56,10 +67,7 @@ class PepSynthesizer(Synthesizer):
         self.weights = CellWeights(normalize_mass(init_probs))
         if self.weights.w.shape != self.cells.shape:
             raise DataError("support and init probabilities must align")
-        if not 0 <= gamma < np.inf or t_max < 1:
-            raise ConfigError("gamma must be finite and >= 0, and t_max >= 1")
-        self.gamma = float(gamma)
-        self.t_max = int(t_max)
+        self.cfg = PepConfig() if cfg is None else cfg
         # a public support keeps its query map (None on the full domain)
         self._qmap = queries._cell_locals(self.cells)
         self._cell_lists: dict[int, np.ndarray] = {}  # support positions per measured query
@@ -92,12 +100,12 @@ class PepSynthesizer(Synthesizer):
         flat = np.concatenate(lists)
         groups = np.repeat(np.arange(len(lists)), [c.size for c in lists])
         dead = np.zeros(idx.shape[0], dtype=bool)  # entries no reweighting can move
-        for _ in range(self.t_max):
+        for _ in range(self.cfg.t_max):
             current = self.weights.answers(flat, groups, len(lists))
             res = np.abs(targets - current)
             res[dead] = -np.inf
             j = int(np.argmax(res))
-            if res[j] <= self.gamma:
+            if res[j] <= self.cfg.gamma:
                 break
             a_cur, a_target = float(current[j]), float(targets[j])
             # 1 - q(D) cancels as q(D) nears 1, so there the other cells are summed

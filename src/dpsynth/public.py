@@ -13,15 +13,17 @@ import numpy as np
 
 from .domain import ConfigError, DataError, Dataset, Domain, DomainError, SupportDistribution
 from .gem import Adam, GemConfig, Params, gem_gradient, init_params
-from .pep import PepSynthesizer
+from .pep import PepConfig, PepSynthesizer
 from .queries import QuerySet, SupportMap
+
+PRETRAIN_STEPS, PRETRAIN_LR = 3000, 1e-3  # gem_pub_pretrain's default Adam steps and rate
 
 
 def pep_pub_init(
     public: Dataset,
     domain: Domain,
     queries: QuerySet,
-    **pep_kwargs,
+    cfg: PepConfig | None = None,
 ) -> PepSynthesizer:
     """Projection synthesizer restricted to the public record support.
 
@@ -34,9 +36,7 @@ def pep_pub_init(
     if public.n == 0:
         raise DataError("empty public dataset")
     emp = SupportDistribution.from_dataset(public)
-    return PepSynthesizer(
-        domain, queries, support_cells=emp.cells, init_probs=emp.probs, **pep_kwargs
-    )
+    return PepSynthesizer(domain, queries, support_cells=emp.cells, init_probs=emp.probs, cfg=cfg)
 
 
 def restrict_to_public(queries: QuerySet, public_domain: Domain) -> QuerySet:
@@ -81,8 +81,8 @@ def gem_pub_pretrain(
     queries: QuerySet,
     cfg: GemConfig,
     rng: np.random.Generator,
-    steps: int = 3000,
-    lr: float = 1e-3,
+    steps: int = PRETRAIN_STEPS,
+    lr: float = PRETRAIN_LR,
 ) -> tuple[Params, dict]:
     """Fit a fresh generator to exact public answers (no privacy involved).
 
@@ -129,7 +129,8 @@ def best_mixture_error(
     worst query meets no support cell. Every mixture on the support answers
     that query 0, so its |target| bounds every later iterate and running
     average from below; the current iterate attains it, and its step would
-    scale no cell. The result is then min(best so far, |target|).
+    scale no cell. The result is then exactly |target|: an iterate's
+    residual on that query, |target * z| / z, can round below it.
     """
     cells = np.asarray(support_cells, dtype=np.int64)
     if cells.size == 0:
@@ -158,7 +159,7 @@ def best_mixture_error(
             steps[worst] = sel, qmap.ids[:, sel].T.ravel()
         sel, ids = steps[worst]
         if sel.size == 0:
-            return min(best, abs(float(targets[worst])))
+            return abs(float(targets[worst]))
         # mixture player response: downweight cells that worsen the residual
         delta = w[sel] * math.expm1(lr if gap[worst] >= 0 else -lr)
         w[sel] += delta

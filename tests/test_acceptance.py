@@ -16,8 +16,8 @@ import pytest
 from dpsynth.domain import Dataset, Domain
 from dpsynth.gem import GemConfig, gem_gradient, gem_loss, init_params
 from dpsynth.methods import fit
-from dpsynth.mwem import MwemSynthesizer
-from dpsynth.pep import PepSynthesizer
+from dpsynth.mwem import MwemConfig, MwemSynthesizer
+from dpsynth.pep import PepConfig, PepSynthesizer
 from dpsynth.privacy import (
     Accountant,
     MeasurementLedger,
@@ -102,7 +102,7 @@ def test_criterion_2_pep_projection(capsys):
         cell = int(rng.integers(size))
         target = float(rng.uniform(0.001, 0.999))
         # one projection of one measured entry, through CellWeights.scale
-        synth = PepSynthesizer(dom, qs, init_probs=mass / mass.sum(), t_max=1)
+        synth = PepSynthesizer(dom, qs, init_probs=mass / mass.sum(), cfg=PepConfig(t_max=1))
         led = MeasurementLedger()
         led.record(cell, target, 1)
         synth.update(led)
@@ -119,7 +119,7 @@ def test_criterion_2_pep_projection(capsys):
         ans = qs.answers_mass(truth)
         m = int(rng.integers(3, 7))
         picks = rng.choice(qs.total_queries, size=min(m, qs.total_queries), replace=False)
-        synth = PepSynthesizer(dom, qs, t_max=4000)
+        synth = PepSynthesizer(dom, qs, cfg=PepConfig(t_max=4000))
         led = MeasurementLedger()
         targets = []
         for r, qi in enumerate(picks, start=1):
@@ -158,7 +158,7 @@ def test_criterion_3_mwem_loss_minimizer(capsys):
         shape = shapes[seed % len(shapes)]
         dom = Domain(tuple("abcd"[: len(shape)]), shape)
         qs = build_workloads(dom, 1)
-        synth = MwemSynthesizer(dom, qs, cycles=1)
+        synth = MwemSynthesizer(dom, qs, cfg=MwemConfig(cycles=1))
         led = MeasurementLedger()
         chosen = rng.choice(qs.total_queries, size=min(3, qs.total_queries), replace=False)
         cached = {}

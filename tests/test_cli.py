@@ -8,9 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+from dpsynth import cli
 from dpsynth.cli import main
 from dpsynth.domain import Dataset, Domain
 from dpsynth.gem import init_params, save_checkpoint
+from dpsynth.methods import CONFIGS
 from dpsynth.report import canonical_json, load_report
 
 
@@ -727,11 +729,13 @@ METHOD_FLAGS = {
     "--mwem-cycles": ("mwem",),
     "--pep-gamma": ("pep",),
     "--pep-tmax": ("pep",),
+    "--gem-hidden": ("gem",),
     "--gem-zdim": ("gem",),
     "--gem-batch": ("gem",),
     "--gem-lr": ("gem",),
     "--gem-tmax": ("gem",),
     "--gem-ema-beta": ("gem",),
+    "--gem-loss": ("gem",),
     "--rap-rows": ("rap-softmax",),
     "--rap-lr": ("rap-softmax",),
     "--rap-steps": ("rap-softmax",),
@@ -769,6 +773,7 @@ OTHER_METHOD = {
 CROSS_CASES = [
     (flag, method, v)
     for flag, owners in METHOD_FLAGS.items()
+    if flag != "--gem-loss"  # argparse checks its choices whatever the method
     for method in {OTHER_METHOD[owners[0]]} - set(owners)
     for v in ("0", "-1")
 ]
@@ -778,3 +783,20 @@ CROSS_CASES = [
 def test_method_flag_of_another_method_is_not_checked(toy3, capsys, flag, method, value):
     rc = _synth3(toy3, method, flag, value)
     assert rc == 0, capsys.readouterr().err
+
+
+def test_every_method_flag_with_a_value_has_out_of_range_rows():
+    # the switches (--gem-resample-z, --rap-original) take no value
+    valued = {f for f, (m, field) in cli.METHOD_FLAGS.items() if not isinstance(getattr(CONFIGS[m], field), bool)}
+    assert valued <= set(METHOD_FLAGS)
+
+
+@pytest.mark.parametrize("method", list(CONFIGS))
+def test_default_flags_build_the_default_config(method):
+    args = cli.build_parser().parse_args(["synth", "--domain", "d", "--data", "x", "--method", method])
+    assert cli._method_config(args, method) == CONFIGS[method]()
+
+
+def test_default_pretrain_flags_build_the_default_generator_config():
+    args = cli.build_parser().parse_args(["pretrain", "--domain", "d", "--public", "p", "--out", "o"])
+    assert cli._method_config(args, "gem") == CONFIGS["gem"]()

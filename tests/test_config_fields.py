@@ -1,13 +1,18 @@
 """Every field of each `*Config` dataclass in the library is set somewhere.
 
 A field counts as set where a call to its class passes it by keyword, in
-`src/dpsynth`, `perfbench/` or `scripts/`, outside the class's own definition.
+`src/dpsynth`, `perfbench/` or `scripts/`, outside the class's own definition,
+or where a row of the CLI's `METHOD_FLAGS` table names it: the CLI passes
+those fields to the method's config as keywords from that table.
 A field that nothing sets has one value in use, and belongs in a module
 constant instead. And every check in a `__post_init__` raises `ConfigError`.
 """
 import ast
 from collections import defaultdict
 from pathlib import Path
+
+from dpsynth.cli import METHOD_FLAGS
+from dpsynth.methods import CONFIGS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dpsynth"
@@ -47,12 +52,14 @@ def _keywords(configs):
             lo, hi = inside.get((path, cls), (0, -1))
             if not lo <= node.lineno <= hi:
                 given[cls] |= {kw.arg for kw in node.keywords if kw.arg}
+    for method, field in METHOD_FLAGS.values():
+        given[CONFIGS[method].__name__].add(field)
     return given
 
 
 def test_every_config_field_is_set_by_keyword_outside_its_definition():
     configs = list(_configs())
-    assert {"GemConfig", "RapConfig", "RunConfig", "DualQueryConfig", "FemConfig"} <= {
+    assert {"MwemConfig", "PepConfig", "GemConfig", "RapConfig", "RunConfig", "DualQueryConfig", "FemConfig"} <= {
         node.name for _, node, _ in configs
     }
     given = _keywords(configs)

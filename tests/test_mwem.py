@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpsynth import CapacityError, Domain, MwemSynthesizer, build_workloads, mwem
+from dpsynth import CapacityError, Domain, MwemConfig, MwemSynthesizer, build_workloads, mwem
 from dpsynth.domain import CellWeights, normalize_mass
 from dpsynth.privacy import MeasurementLedger
 
@@ -18,9 +18,9 @@ def _two_cell():
 def test_constructor_validation():
     dom, qs = _two_cell()
     with pytest.raises(ValueError):
-        MwemSynthesizer(dom, qs, eta=0.0)
+        MwemSynthesizer(dom, qs, cfg=MwemConfig(eta=0.0))
     with pytest.raises(ValueError):
-        MwemSynthesizer(dom, qs, cycles=0)
+        MwemSynthesizer(dom, qs, cfg=MwemConfig(cycles=0))
     big = Domain(("a", "b"), (100, 100))
     with pytest.raises(CapacityError):
         MwemSynthesizer(big, build_workloads(big, 1), cell_cap=5000)
@@ -30,7 +30,7 @@ def test_single_step_frozen_value():
     # uniform 2-cell, measure indicator(cell 1) at 0.8: one eta=2 step gives
     # e^{0.15} / (e^{0.15} + e^{-0.15}) on the matching cell
     dom, qs = _two_cell()
-    synth = MwemSynthesizer(dom, qs, cycles=1)
+    synth = MwemSynthesizer(dom, qs, cfg=MwemConfig(cycles=1))
     led = MeasurementLedger()
     led.record(1, 0.8, 1)
     synth.update(led)
@@ -42,7 +42,7 @@ def test_single_step_frozen_value():
 
 def test_matching_answer_is_identity():
     dom, qs = _two_cell()
-    synth = MwemSynthesizer(dom, qs, cycles=3)
+    synth = MwemSynthesizer(dom, qs, cfg=MwemConfig(cycles=3))
     led = MeasurementLedger()
     led.record(1, 0.5, 1)
     synth.update(led)
@@ -51,7 +51,7 @@ def test_matching_answer_is_identity():
 
 def test_target_one_monotone_to_one():
     dom, qs = _two_cell()
-    synth = MwemSynthesizer(dom, qs, cycles=1)
+    synth = MwemSynthesizer(dom, qs, cfg=MwemConfig(cycles=1))
     led = MeasurementLedger()
     led.record(1, 1.0, 1)
     prev = synth.mass[1]
@@ -64,8 +64,8 @@ def test_target_one_monotone_to_one():
 
 def test_out_of_range_answer_clipped_for_multiplier():
     dom, qs = _two_cell()
-    a = MwemSynthesizer(dom, qs, cycles=1)
-    b = MwemSynthesizer(dom, qs, cycles=1)
+    a = MwemSynthesizer(dom, qs, cfg=MwemConfig(cycles=1))
+    b = MwemSynthesizer(dom, qs, cfg=MwemConfig(cycles=1))
     la, lb = MeasurementLedger(), MeasurementLedger()
     la.record(1, 1.7, 1)  # noisy measurement outside [0, 1]
     lb.record(1, 1.0, 1)
@@ -85,7 +85,7 @@ def test_single_step_strictly_reduces_error(size, cell, target, seed):
     cell = cell % size
     dom = Domain(("a",), (size,))
     qs = build_workloads(dom, 1)
-    synth = MwemSynthesizer(dom, qs, cycles=1)
+    synth = MwemSynthesizer(dom, qs, cfg=MwemConfig(cycles=1))
     rng = np.random.default_rng(seed)
     m = rng.dirichlet(np.ones(size))
     synth.weights = CellWeights(m)
@@ -110,7 +110,7 @@ def test_closed_form_single_item_matches_one_step():
     # sign=+1 with the uniform cached answer reproduces one eta=2 update
     dom = Domain(("a", "b"), (2, 3))
     qs = build_workloads(dom, 1)
-    synth = MwemSynthesizer(dom, qs, cycles=1)
+    synth = MwemSynthesizer(dom, qs, cfg=MwemConfig(cycles=1))
     led = MeasurementLedger()
     led.record(3, 0.7, 1)  # second workload, cell 1 of attribute b
     cached = float(synth.answers()[3])
@@ -141,7 +141,7 @@ def _random_items(seed):
     shape = [(4, 4), (2, 8), (16,), (2, 2, 4)][seed % 4]
     dom = Domain(tuple("abcd"[: len(shape)]), shape)
     qs = build_workloads(dom, 1)
-    synth = MwemSynthesizer(dom, qs, cycles=1)
+    synth = MwemSynthesizer(dom, qs, cfg=MwemConfig(cycles=1))
     led = MeasurementLedger()
     chosen = rng.choice(qs.total_queries, size=min(3, qs.total_queries), replace=False)
     cached = {}
@@ -172,7 +172,7 @@ def test_update_replays_all_past_entries():
     # an old entry keeps getting enforced even when later rounds measure others
     dom = Domain(("a",), (4,))
     qs = build_workloads(dom, 1)
-    synth = MwemSynthesizer(dom, qs, cycles=10)
+    synth = MwemSynthesizer(dom, qs, cfg=MwemConfig(cycles=10))
     led = MeasurementLedger()
     led.record(0, 0.7, 1)
     synth.update(led)
@@ -205,7 +205,7 @@ def test_cell_local_update_matches_dense_replay(seed, rounds, cycles, eta):
     dom = Domain(tuple("abc"[: len(shape)]), shape)
     qs = build_workloads(dom, int(rng.integers(1, len(shape) + 1)))
     cells = np.arange(dom.total_cells)
-    synth = MwemSynthesizer(dom, qs, eta=eta, cycles=cycles)
+    synth = MwemSynthesizer(dom, qs, cfg=MwemConfig(eta=eta, cycles=cycles))
     synth.weights = CellWeights(rng.dirichlet(np.ones(cells.size)))
     dense = synth.mass
     led = MeasurementLedger()
@@ -223,7 +223,7 @@ def test_extreme_step_takes_the_dense_path():
     # in/out factor ratio at exp(704) > 1/MASS_FLOOR; the step must still
     # match the whole-vector update (all mass on the matching cell)
     dom, qs = _two_cell()
-    synth = MwemSynthesizer(dom, qs, eta=1.42e-3, cycles=2)
+    synth = MwemSynthesizer(dom, qs, cfg=MwemConfig(eta=1.42e-3, cycles=2))
     led = MeasurementLedger()
     led.record(1, 1.0, 1)
     with np.errstate(over="ignore"):
@@ -241,7 +241,7 @@ def test_step_onto_a_flushed_cell_keeps_the_surviving_mass():
     # step must keep cell 1's weight rather than scale it below MASS_FLOOR
     # (which left nothing to normalize), and must not overflow in the ratio.
     dom, qs = _two_cell()
-    synth = MwemSynthesizer(dom, qs, eta=1.42e-3, cycles=3)
+    synth = MwemSynthesizer(dom, qs, cfg=MwemConfig(eta=1.42e-3, cycles=3))
     led = MeasurementLedger()
     led.record(1, 1.0, 1)
     led.record(0, 1.0, 2)
@@ -255,7 +255,7 @@ def test_step_off_nearly_all_the_mass_keeps_the_rest():
     # asks for none there, a ratio of e^-200. Tracking z as z - before + after
     # cancelled to exactly 0, and renormalizing w / 0 raised DataError.
     dom, qs = _two_cell()
-    synth = MwemSynthesizer(dom, qs, eta=0.01, cycles=1)
+    synth = MwemSynthesizer(dom, qs, cfg=MwemConfig(eta=0.01, cycles=1))
     led = MeasurementLedger()
     led.record(1, 1.0, 1)
     synth.update(led)
@@ -270,7 +270,7 @@ def test_update_normalizes_only_when_due(monkeypatch):
     # [1/2, 2] and every cell over MASS_FLOOR never normalizes the histogram
     dom = Domain(("a", "b", "c", "d"), (8, 8, 8, 8))  # 2^12 cells
     qs = build_workloads(dom, 1)
-    synth = MwemSynthesizer(dom, qs, cycles=10)
+    synth = MwemSynthesizer(dom, qs, cfg=MwemConfig(cycles=10))
     calls = []
     real = mwem.normalize_mass
     monkeypatch.setattr(mwem, "normalize_mass", lambda m: calls.append(1) or real(m))
@@ -289,7 +289,7 @@ def test_update_normalizes_only_when_due(monkeypatch):
 def test_finalize_is_the_normalized_mass():
     dom = Domain(("a", "b"), (4, 4))
     qs = build_workloads(dom, 1)
-    synth = MwemSynthesizer(dom, qs, cycles=3)
+    synth = MwemSynthesizer(dom, qs, cfg=MwemConfig(cycles=3))
     led = MeasurementLedger()
     for rnd, (qi, a) in enumerate([(0, 0.6), (5, 0.1), (2, 0.3)], start=1):
         led.record(qi, a, rnd)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from dpsynth import DataError, Domain, PepSynthesizer, build_workloads, pep
+from dpsynth import DataError, Domain, PepConfig, PepSynthesizer, build_workloads, pep
 from dpsynth.domain import CellWeights, normalize_mass
 from dpsynth.pep import TARGET_CLIP
 from dpsynth.privacy import MeasurementLedger
@@ -62,7 +62,7 @@ def test_update_projection_exactness_near_one(seed):
     qs = build_workloads(dom, 1)
     rng = np.random.default_rng(seed)
     mass = rng.dirichlet(np.ones(2) * 0.7) + 1e-9
-    synth = PepSynthesizer(dom, qs, init_probs=mass / mass.sum(), t_max=1)
+    synth = PepSynthesizer(dom, qs, init_probs=mass / mass.sum(), cfg=PepConfig(t_max=1))
     led = MeasurementLedger()
     led.record(0, 0.5, 1)
     synth.update(led)
@@ -123,7 +123,7 @@ def test_update_disjoint_marginals_converge():
     # consistent; alternating projections settle both
     dom = Domain(("a", "b"), (2, 2))
     qs = build_workloads(dom, 1)
-    synth = PepSynthesizer(dom, qs, t_max=50)
+    synth = PepSynthesizer(dom, qs, cfg=PepConfig(t_max=50))
     led = MeasurementLedger()
     led.record(0, 0.7, 1)  # P(a=0) = 0.7
     led.record(2, 0.4, 2)  # P(b=0) = 0.4
@@ -138,7 +138,7 @@ def test_update_inconsistent_pair_terminates_at_cap():
     # termination guarantee and the state stays a valid distribution
     dom = Domain(("a",), (2,))
     qs = build_workloads(dom, 1)
-    synth = PepSynthesizer(dom, qs, t_max=25)
+    synth = PepSynthesizer(dom, qs, cfg=PepConfig(t_max=25))
     led = MeasurementLedger()
     led.record(0, 0.2, 1)
     led.record(1, 0.3, 2)
@@ -153,7 +153,7 @@ def test_update_inconsistent_pair_long_run_keeps_normalizer():
     # shrinking, so only renormalizing keeps the state inside the bound
     dom = Domain(("a",), (2,))
     qs = build_workloads(dom, 1)
-    synth = PepSynthesizer(dom, qs, t_max=200)
+    synth = PepSynthesizer(dom, qs, cfg=PepConfig(t_max=200))
     led = MeasurementLedger()
     led.record(0, 0.2, 1)
     led.record(1, 0.3, 2)
@@ -243,7 +243,7 @@ def test_cell_local_update_matches_dense_replay(seed, public, rounds):
         cells = support
     synth = PepSynthesizer(
         dom, qs, support_cells=support, init_probs=rng.dirichlet(np.ones(cells.size)),
-        t_max=int(rng.integers(1, 40)),
+        cfg=PepConfig(t_max=int(rng.integers(1, 40))),
     )
     dense = synth.probs.copy()
     led = MeasurementLedger()
@@ -260,14 +260,14 @@ def test_cell_local_update_matches_dense_replay(seed, public, rounds):
         projected = [next(i for i, c in enumerate(lists) if c is s) for s, _, _ in scaled]
         targets = np.clip(led.answers(), TARGET_CLIP, 1.0 - TARGET_CLIP)
         amplified += sum(_amplification(i, o, targets[j]) for (_, i, o), j in zip(scaled, projected))
-        dense = _dense_update(dense, masks, targets, synth.t_max, synth.gamma, projected)
+        dense = _dense_update(dense, masks, targets, synth.cfg.t_max, synth.cfg.gamma, projected)
         assert np.abs(synth.probs - dense).max() <= max(1e-12, _ROUNDING * amplified)
 
 
 def test_gamma_tolerance_skips_small_residuals():
     dom = Domain(("a",), (2,))
     qs = build_workloads(dom, 1)
-    synth = PepSynthesizer(dom, qs, gamma=0.5)
+    synth = PepSynthesizer(dom, qs, cfg=PepConfig(gamma=0.5))
     led = MeasurementLedger()
     led.record(0, 0.7, 1)  # residual 0.2 < gamma
     synth.update(led)
@@ -307,7 +307,7 @@ def test_selected_constraint_residual_zeroed():
         truth = rng.dirichlet(np.ones(16) * 0.4)
         ans = qs.answers_mass(truth)
         picks = rng.choice(8, size=4, replace=False)
-        synth = PepSynthesizer(dom, qs, t_max=1)
+        synth = PepSynthesizer(dom, qs, cfg=PepConfig(t_max=1))
         led = MeasurementLedger()
         for r, qi in enumerate(picks, start=1):
             led.record(int(qi), float(np.clip(ans[qi], 1e-4, 1 - 1e-4)), r)
@@ -328,7 +328,7 @@ def test_consistent_sweeps_residual_trend():
         truth = rng.dirichlet(np.ones(16) * 0.4)
         ans = qs.answers_mass(truth)
         picks = rng.choice(8, size=4, replace=False)
-        synth = PepSynthesizer(dom, qs, t_max=len(picks))
+        synth = PepSynthesizer(dom, qs, cfg=PepConfig(t_max=len(picks)))
         led = MeasurementLedger()
         for r, qi in enumerate(picks, start=1):
             led.record(int(qi), float(np.clip(ans[qi], 1e-4, 1 - 1e-4)), r)
@@ -350,7 +350,7 @@ def test_converged_matches_dual_descent_maxent():
         truth = rng.dirichlet(np.ones(16) * 0.6)
         ans = qs.answers_mass(truth)
         picks = rng.choice(qs.total_queries, size=5, replace=False)
-        synth = PepSynthesizer(dom, qs, t_max=4000)
+        synth = PepSynthesizer(dom, qs, cfg=PepConfig(t_max=4000))
         led = MeasurementLedger()
         targets = []
         for r, qi in enumerate(picks, start=1):
@@ -393,7 +393,7 @@ def test_update_normalizes_only_when_due(monkeypatch, public):
     dom = Domain(("a", "b", "c", "d"), (8, 8, 8, 8))  # 2^12 cells
     qs = build_workloads(dom, 1)
     support = np.arange(0, dom.total_cells, 3) if public else None
-    synth = PepSynthesizer(dom, qs, support_cells=support, t_max=4)
+    synth = PepSynthesizer(dom, qs, support_cells=support, cfg=PepConfig(t_max=4))
     calls = []
     real = pep.normalize_mass
     monkeypatch.setattr(pep, "normalize_mass", lambda m: calls.append(1) or real(m))
@@ -414,7 +414,7 @@ def test_finalize_is_the_normalized_probs():
     rng = np.random.default_rng(4)
     dom = Domain(("a", "b"), (4, 4))
     qs = build_workloads(dom, 1)
-    synth = PepSynthesizer(dom, qs, init_probs=rng.dirichlet(np.ones(16)), t_max=5)
+    synth = PepSynthesizer(dom, qs, init_probs=rng.dirichlet(np.ones(16)), cfg=PepConfig(t_max=5))
     led = MeasurementLedger()
     for rnd, (qi, a) in enumerate([(0, 0.6), (5, 0.1), (2, 0.3)], start=1):
         led.record(qi, a, rnd)

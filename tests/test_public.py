@@ -14,6 +14,7 @@ from dpsynth import (
     DomainError,
     GemConfig,
     GemSynthesizer,
+    PepConfig,
     PepSynthesizer,
     build_workloads,
 )
@@ -75,7 +76,7 @@ def test_pep_pub_missing_support_floor():
     dom = Domain(("a",), (2,))
     qs = build_workloads(dom, 1)
     pub = Dataset(dom, np.array([[0], [0], [0]]))
-    synth = pep_pub_init(pub, dom, qs, t_max=50)
+    synth = pep_pub_init(pub, dom, qs, cfg=PepConfig(t_max=50))
     target = 0.6
     led = MeasurementLedger()
     led.record(1, target, 1)
@@ -345,6 +346,17 @@ def test_best_mixture_error_stops_when_worst_query_meets_no_cell(support_answer_
     got = best_mixture_error(cells, qs, targets)
     assert got == np.abs(targets[_unreached(cells, qs)]).max() == 0.8
     assert len(support_answer_calls) == 1  # the initial answers only
+
+
+def test_best_mixture_error_stop_returns_the_unreached_target_exactly():
+    # every iterate answers b=3 with 0, so the floor is exactly its |target|;
+    # the iterate's residual |target * z| / z reads 0.35313447777952456 here
+    dom = Domain(("a", "b"), (3, 4))
+    qs = build_workloads(dom, 1)
+    cells = np.array([0, 1, 2, 8])  # a=1 and b=3 meet no cell
+    targets = qs.answers_mass(np.random.default_rng(25).dirichlet(np.full(12, 0.5)))
+    got = best_mixture_error(cells, qs, targets)
+    assert got == np.abs(targets[_unreached(cells, qs)]).max() == 0.3531344777795246
 
 
 def test_best_mixture_error_stops_mid_run(support_answer_calls):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpsynth import ConfigError, Domain, PepSynthesizer, RapConfig, RapSynthesizer, build_workloads, gen_toy
+from dpsynth import ConfigError, Domain, PepConfig, PepSynthesizer, RapConfig, RapSynthesizer, build_workloads, gen_toy
 from dpsynth.privacy import MeasurementLedger
 from dpsynth.queries import product_answers
 
@@ -128,7 +128,7 @@ def test_capacity_matches_pep_fit_on_tiny_domain():
         led = MeasurementLedger()
         for r, qi in enumerate([0, 2, 3, 5], start=1):
             led.record(qi, float(np.clip(ans[qi], 1e-4, 1 - 1e-4)), r)
-        pep = PepSynthesizer(dom, qs, t_max=500)
+        pep = PepSynthesizer(dom, qs, cfg=PepConfig(t_max=500))
         pep.update(led)
         rap = RapSynthesizer(dom, qs, RapConfig(rows=16, max_steps=3000), rng)
         rap.update(led)
