@@ -27,9 +27,10 @@ from .domain import (
     load_npz,
 )
 from .gem import LOSSES, GemOutput, forward, load_checkpoint, save_checkpoint
+from .loop import DEFAULT_ALPHA, DEFAULT_K, DEFAULT_T
 from .methods import CONFIGS, HISTOGRAM_METHODS, METHODS, SEARCH_METHODS, fit
 from .privacy import Accountant, dp_to_zcdp, zcdp_to_dp
-from .public import PRETRAIN_LR, PRETRAIN_STEPS, best_mixture_error, gem_pub_pretrain
+from .public import MIXTURE_ITERATIONS, PRETRAIN_LR, PRETRAIN_STEPS, best_mixture_error, gem_pub_pretrain
 from .queries import QuerySet, build_workloads
 from .report import build_report, errors, write_errors_csv, write_report, write_trace
 from .toy import gen_toy
@@ -415,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, required=True)
     _budget_args(p)
     _workload_args(p)
-    p.add_argument("--T", type=int, default=10, help="rounds")
-    p.add_argument("--k", type=int, default=1, help="queries selected per round")
-    p.add_argument("--alpha", type=float, default=0.67, help="selection budget share")
+    p.add_argument("--T", type=int, default=DEFAULT_T, help="rounds")
+    p.add_argument("--k", type=int, default=DEFAULT_K, help="queries selected per round")
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="selection budget share")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--marginal-trick", action="store_true", help="measure whole workloads")
     p.add_argument("--no-noise", action="store_true")
@@ -453,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("accountant", help="print budget quantities")
     _budget_args(p)
     p.add_argument("--T", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=0.67)
+    p.add_argument("--k", type=int, default=DEFAULT_K)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_accountant)
 
@@ -477,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--public", required=True)
     _workload_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=2000)
+    p.add_argument("--iterations", type=int, default=MIXTURE_ITERATIONS)
     p.set_defaults(func=cmd_best_mixture_error)
 
     p = sub.add_parser("gen-toy", help="sample a small correlated benchmark")

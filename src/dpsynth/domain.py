@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import weakref
 import zipfile
 from dataclasses import dataclass
 
@@ -219,7 +220,11 @@ class Dataset:
 
 def normalize_mass(mass: np.ndarray) -> np.ndarray:
     """Flush sub-floor values to zero and rescale to total mass 1, in a new array."""
-    mass = np.array(mass, dtype=np.float64)
+    return _rescale(np.array(mass, dtype=np.float64))
+
+
+def _rescale(mass: np.ndarray) -> np.ndarray:
+    """`normalize_mass` in place: flush and rescale `mass`, a float64 array, and return it."""
     if mass.size == 0:
         raise DataError("empty mass vector")
     low, high = mass.min(), mass.max()
@@ -246,10 +251,16 @@ class CellWeights:
     full `normalize_mass`: when z leaves [1/2, 2] or is not finite, so its
     rounding error cannot grow, or when a cell could have dropped below
     MASS_FLOOR and must be flushed. Otherwise w is normalized only for output.
+    The state keeps the array it is given (every caller passes a fresh one),
+    and a renormalization makes one new state (see `divide`). The per-round
+    answers follow the scaled cells (`TrackedAnswers`), with a dense pass
+    only at the first read, after a renormalization, and when the measured
+    queries' cells are too many; an output is normalized from w and answered
+    by one dense pass, so it does not depend on them.
     """
 
     def __init__(self, probs: np.ndarray):
-        self.w = np.array(probs, dtype=np.float64)
+        self.w = np.asarray(probs, dtype=np.float64)
         self.z = float(self.w.sum())
         # a lower bound on the smallest nonzero weight
         self._low = float(np.min(self.w, where=self.w > 0, initial=np.inf))
@@ -310,6 +321,83 @@ class CellWeights:
     def probs(self) -> np.ndarray:
         """p = w / z, not yet flushed or renormalized."""
         return self.w / self.z
+
+    def normalized(self) -> np.ndarray:
+        """p flushed and rescaled, `normalize_mass(probs())` in one new array."""
+        return _rescale(self.probs())
+
+    def divide(self) -> np.ndarray:
+        """Divide w by z in place (z becomes 1) and return w, which is then p.
+
+        For a renormalization that replaces this state: `normalize_mass(divide())`
+        equals `normalize_mass(probs())`, and its copy is the one new array.
+        """
+        self.w /= self.z
+        self._low /= self.z
+        self.z = 1.0
+        return self.w
+
+
+class TrackedAnswers:
+    """The answers of a CellWeights state to a query collection, read once a round.
+
+    MWEM's and PEP's steps scale only the cells that a measured query
+    matches, so their per-round answers can follow those cells instead of
+    the whole support. This keeps the unnormalized answers A of the weights,
+    and the answers are A / z. `read` makes a dense pass only when the state
+    object is new to it: at the first read, and after a renormalization,
+    which replaces the object. Otherwise it adds, for each tracked cell (a
+    cell of a measured query), how far its weight has moved since the
+    update saved it to the answer of every query the cell meets: one
+    bincount. An update saves the tracked cells' weights once, before its
+    first scale, so a step does no extra work and w is never copied whole.
+    The dense pass is taken instead where the tracked cells times the
+    workloads are not fewer than the support's cells, and after two updates
+    with no read. These answers differ from a dense pass's by rounding, a
+    few 1e-15; a fit's output is normalized from the weights and answered
+    by one dense pass, so it does not depend on them.
+    """
+
+    def __init__(self, workloads: int):
+        self._workloads = workloads
+        self._cells = np.empty(0, dtype=np.int64)  # distinct support positions
+        self._ids = np.empty((workloads, 0), dtype=np.int64)  # the query each meets, one row per workload
+        # the same positions ascending, then one past any position
+        self._sorted = np.array([np.iinfo(np.int64).max])
+        self._seen = None  # a weak reference to the state that A belongs to
+        self._sums = None  # A
+        self._old = None  # the tracked cells' weights when an update saved them
+
+    def track(self, cells: np.ndarray, ids: np.ndarray) -> None:
+        """Track the cells of a newly measured query, before the update's `save`;
+        `ids` holds the query ids they meet, one row per workload."""
+        fresh = self._sorted[np.searchsorted(self._sorted, cells)] != cells
+        if fresh.any():
+            self._cells = np.concatenate([self._cells, cells[fresh]])
+            self._ids = np.concatenate([self._ids, ids[:, fresh]], axis=1)
+            self._sorted = np.sort(np.concatenate([self._sorted, cells[fresh]]))
+
+    def save(self, weights: CellWeights) -> None:
+        """Keep the tracked cells' weights, before an update scales any of them."""
+        small = self._cells.size * self._workloads < weights.w.size
+        if self._belongs(weights) and self._old is None and small:
+            self._old = weights.w[self._cells]
+        else:
+            self._seen = None  # the next read makes the dense pass
+
+    def read(self, weights: CellWeights, dense) -> np.ndarray:
+        """The answers of `weights`; `dense(w)` gives the unnormalized answers of weights w."""
+        if not self._belongs(weights):
+            self._sums, self._seen = dense(weights.w), weakref.ref(weights)
+        elif self._old is not None:
+            moved = np.tile(weights.w[self._cells] - self._old, self._workloads)
+            self._sums += np.bincount(self._ids.ravel(), weights=moved, minlength=self._sums.size)
+        self._old = None
+        return self._sums / weights.z
+
+    def _belongs(self, weights: CellWeights) -> bool:
+        """Whether A belongs to `weights`, the very object."""
+        return self._seen is not None and self._seen() is weights
 
 
 @dataclass

@@ -17,16 +17,20 @@ from .domain import ConfigError, DataError, Dataset, Domain, SupportDistribution
 from .privacy import Accountant, BudgetError, MeasurementLedger, select_and_measure_round
 from .queries import QuerySet
 
+# the loop's defaults, which the CLI's flags and `methods.fit` read too:
+# rounds, queries selected per round, and the selection share of each round's budget
+DEFAULT_T, DEFAULT_K, DEFAULT_ALPHA = 10, 1, 0.67
+
 
 @dataclass
 class RunConfig:
     """Loop-level knobs (each method's own knobs live in its config, `methods.CONFIGS`)."""
 
-    T: int = 10
-    k: int = 1
+    T: int = DEFAULT_T
+    k: int = DEFAULT_K
     # run never reads alpha and seed; they stay only until the benchmark
     # harness, which still sets them, builds its fits with `methods.fit`
-    alpha: float = 0.67
+    alpha: float = DEFAULT_ALPHA
     seed: int = 0
     per_workload: bool = False  # measure whole marginals instead of single queries
     no_noise: bool = False  # debugging hook: exact selection + exact measurement

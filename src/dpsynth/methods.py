@@ -12,7 +12,7 @@ import numpy as np
 
 from .domain import DEFAULT_CELL_CAP, ConfigError, Dataset
 from .gem import GemConfig, GemSynthesizer, Params
-from .loop import RunConfig, run
+from .loop import DEFAULT_ALPHA, DEFAULT_K, RunConfig, run
 from .mwem import MwemConfig, MwemSynthesizer
 from .pep import PepConfig, PepSynthesizer
 from .privacy import Accountant, BudgetError
@@ -50,8 +50,8 @@ def fit(
     rng: np.random.Generator,
     *,
     T: int,
-    k: int = 1,
-    alpha: float = 0.67,
+    k: int = DEFAULT_K,
+    alpha: float = DEFAULT_ALPHA,
     public: Dataset | None = None,
     init: Params | None = None,
     pretrain_steps: int = PRETRAIN_STEPS,

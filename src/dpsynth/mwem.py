@@ -15,7 +15,12 @@ exp((a~ - q(D))/2), which is eta=4 here; the default eta=2 steps twice as far.
 The state is one CellWeights (weights w, normalizer z), kept across rounds:
 a step touches only the matching cells, so its cost is the size of the
 query, not of the domain. w is renormalized only when a step makes it due,
-and normalized once more for output (`mass`, `finalize`).
+and normalized once more for output (`mass`, `finalize`). The per-round
+answers follow the cells that the update scaled (`TrackedAnswers`): a dense
+pass over the histogram is made only for the first round's answers, after
+a renormalization, and when the ledger's cells times the workloads reach
+the domain's cells. The output's answers are a dense pass over the
+normalized histogram, as they always were, so they do not depend on it.
 """
 from __future__ import annotations
 
@@ -30,6 +35,7 @@ from .domain import (
     ConfigError,
     Domain,
     SupportDistribution,
+    TrackedAnswers,
     normalize_mass,
 )
 from .loop import Synthesizer
@@ -63,32 +69,35 @@ class MwemSynthesizer(Synthesizer):
         self.queries = queries
         self.cfg = MwemConfig() if cfg is None else cfg
         self.weights = CellWeights(np.full(domain.total_cells, 1.0 / domain.total_cells))
+        self._answers = TrackedAnswers(len(queries.workloads))
         self._cell_lists: dict[int, np.ndarray] = {}  # matching cells per measured query
 
     @property
     def mass(self) -> np.ndarray:
         """The normalized histogram, computed from the weights."""
-        return normalize_mass(self.weights.probs())
+        return self.weights.normalized()
 
     def answers(self) -> np.ndarray:
-        return self.queries.answers_mass(self.weights.w) / self.weights.z
+        return self._answers.read(self.weights, self.queries.answers_mass)
 
     def _cells(self, qidx: int) -> np.ndarray:
         if qidx not in self._cell_lists:
-            self._cell_lists[qidx] = self.queries.cells_of(qidx)
+            cells = self._cell_lists[qidx] = self.queries.cells_of(qidx)
+            self._answers.track(cells, self.queries.cell_ids(cells))
         return self._cell_lists[qidx]
 
     def update(self, ledger: MeasurementLedger) -> None:
         entries = ledger.entries()
         if not entries:
             return
+        lists = [self._cells(e.index) for e in entries]
+        self._answers.save(self.weights)
         for _ in range(self.cfg.cycles):
-            for e in entries:
-                cells = self._cells(e.index)
+            for e, cells in zip(entries, lists):
                 delta = min(max(e.answer, 0.0), 1.0) - self.weights.answer(cells)
                 step = delta / self.cfg.eta
                 if self.weights.scale(cells, np.exp(step), np.exp(-step)):
-                    self.weights = CellWeights(normalize_mass(self.weights.probs()))
+                    self.weights = CellWeights(normalize_mass(self.weights.divide()))
 
     def finalize(self) -> SupportDistribution:
         return SupportDistribution(

@@ -12,7 +12,13 @@ The state is one CellWeights (weights w, normalizer z), kept across rounds,
 so each round's solve starts warm from the previous distribution. A
 projection touches only the matching cells, and reads the measured answers
 from their cached cell lists. w is renormalized only when a projection makes
-it due, and normalized once more for output (`probs`, `finalize`).
+it due, and normalized once more for output (`probs`, `finalize`). The
+per-round answers follow the cells that the update may scale
+(`TrackedAnswers`): a dense pass over the support (`_answers_all`) is made
+only for the first round's answers, after a renormalization, and when the
+ledger's cells times the workloads reach the support's cells. The output's
+answers are a dense pass over the normalized distribution, as they always
+were, so they do not depend on it.
 """
 from __future__ import annotations
 
@@ -27,6 +33,7 @@ from .domain import (
     DataError,
     Domain,
     SupportDistribution,
+    TrackedAnswers,
     normalize_mass,
 )
 from .loop import Synthesizer
@@ -60,8 +67,9 @@ class PepSynthesizer(Synthesizer):
         self.queries = queries
         if support_cells is None:
             domain.check_cap(cell_cap)
-            support_cells = np.arange(domain.total_cells, dtype=np.int64)
-        self.cells = np.asarray(support_cells, dtype=np.int64)
+            self.cells = np.arange(domain.total_cells, dtype=np.int64)
+        else:
+            self.cells = np.asarray(support_cells, dtype=np.int64)
         if init_probs is None:
             init_probs = np.full(self.cells.shape[0], 1.0 / self.cells.shape[0])
         self.weights = CellWeights(normalize_mass(init_probs))
@@ -69,26 +77,29 @@ class PepSynthesizer(Synthesizer):
             raise DataError("support and init probabilities must align")
         self.cfg = PepConfig() if cfg is None else cfg
         # a public support keeps its query map (None on the full domain)
-        self._qmap = queries._cell_locals(self.cells)
+        self._qmap = None if support_cells is None else queries._cell_locals(self.cells)
+        self._answers = TrackedAnswers(len(queries.workloads))
         self._cell_lists: dict[int, np.ndarray] = {}  # support positions per measured query
 
     @property
     def probs(self) -> np.ndarray:
         """The normalized distribution over the support, computed from the weights."""
-        return normalize_mass(self.weights.probs())
+        return self.weights.normalized()
 
-    def _answers_all(self) -> np.ndarray:
-        w, z = self.weights.w, self.weights.z
+    def _answers_all(self, w: np.ndarray) -> np.ndarray:
+        """The unnormalized answers of weights w over the support: the dense pass."""
         if self._qmap is None:
-            return self.queries.answers_mass(w) / z
-        return self.queries.answers_support(self.cells, w, self._qmap) / z
+            return self.queries.answers_mass(w)
+        return self.queries.answers_support(self.cells, w, self._qmap)
 
     def answers(self) -> np.ndarray:
-        return self._answers_all()
+        return self._answers.read(self.weights, self._answers_all)
 
     def _cells(self, qidx: int) -> np.ndarray:
         if qidx not in self._cell_lists:
-            self._cell_lists[qidx] = self.queries.cells_of(qidx, self._qmap)
+            cells = self._cell_lists[qidx] = self.queries.cells_of(qidx, self._qmap)
+            ids = self.queries.cell_ids(cells) if self._qmap is None else self._qmap.ids[:, cells]
+            self._answers.track(cells, ids)
         return self._cell_lists[qidx]
 
     def update(self, ledger: MeasurementLedger) -> None:
@@ -99,6 +110,7 @@ class PepSynthesizer(Synthesizer):
         lists = [self._cells(int(q)) for q in idx]
         flat = np.concatenate(lists)
         groups = np.repeat(np.arange(len(lists)), [c.size for c in lists])
+        self._answers.save(self.weights)
         dead = np.zeros(idx.shape[0], dtype=bool)  # entries no reweighting can move
         for _ in range(self.cfg.t_max):
             current = self.weights.answers(flat, groups, len(lists))
@@ -115,7 +127,7 @@ class PepSynthesizer(Synthesizer):
                 continue
             inside, outside = a_target / a_cur, (1.0 - a_target) / rest
             if self.weights.scale(lists[j], inside, outside):
-                self.weights = CellWeights(normalize_mass(self.weights.probs()))
+                self.weights = CellWeights(normalize_mass(self.weights.divide()))
 
     def finalize(self) -> SupportDistribution:
         return SupportDistribution(self.domain, self.cells.copy(), self.probs)

@@ -17,6 +17,7 @@ from .pep import PepConfig, PepSynthesizer
 from .queries import QuerySet, SupportMap
 
 PRETRAIN_STEPS, PRETRAIN_LR = 3000, 1e-3  # gem_pub_pretrain's default Adam steps and rate
+MIXTURE_ITERATIONS = 2000  # best_mixture_error's default cap on the game's iterations
 
 
 def pep_pub_init(
@@ -110,7 +111,7 @@ def best_mixture_error(
     support_cells: np.ndarray,
     queries: QuerySet,
     target_answers: np.ndarray,
-    iterations: int = 2000,
+    iterations: int = MIXTURE_ITERATIONS,
 ) -> float:
     """min over support reweightings of the max query residual.
 

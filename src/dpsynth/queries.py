@@ -12,8 +12,9 @@ position in each workload, computing each prefix's code once. Counting records
 is one `bincount` per workload. An explicit support (any cell set but the full
 domain) is encoded once into a query map, the global query each of its cells
 meets in each workload: its answers are one `bincount`, and a query lists its
-cells by scanning one row of the map. Product queries over
-relaxed rows (gem, rap-softmax) take one of two paths. The whole collection is
+cells by scanning one row of the map. On the full domain those ids are the
+cells' values times each workload's place values (`cell_ids`), with no map.
+Product queries over relaxed rows (gem, rap-softmax) take one of two paths. The whole collection is
 one contraction per shared prefix: the row-wise outer product of the prefix's
 attribute blocks times all of its workloads' last blocks side by side, in row
 chunks of bounded size, scattered into query order by one permutation; the
@@ -199,8 +200,12 @@ class QuerySet:
         return out
 
     def _is_full(self, cells: np.ndarray) -> bool:
+        """Whether the cells are 0..total_cells-1 in order: as many, from 0 to
+        the last cell and strictly increasing (without building the range)."""
         total = self.domain.total_cells
-        return cells.shape[0] == total and np.array_equal(cells, np.arange(total))
+        if cells.shape[0] != total or cells[0] != 0 or cells[-1] != total - 1:
+            return False
+        return bool((cells[1:] > cells[:-1]).all())
 
     def _cell_locals(self, cells: np.ndarray) -> SupportMap | None:
         """The query map of a support, for callers that evaluate it many times.
@@ -249,6 +254,25 @@ class QuerySet:
             self._zero_cells[wi] = sum(np.ix_(*axes)).ravel()
         fixed = self._target_strides[self.idx[qidx]].sum(axis=-1)
         return fixed[..., None] + self._zero_cells[wi]
+
+    def cell_ids(self, cells: np.ndarray) -> np.ndarray:
+        """(workloads, cells): the id of the query that each cell of the full
+        domain meets in each workload, as a `SupportMap` of the cells holds.
+
+        A cell's position in a workload's query order is its values weighted
+        by their place values there (`_places`), so all the ids are one
+        product, with no map to build.
+        """
+        return self._starts[:, None] + self._places @ np.array(np.unravel_index(cells, self.domain.sizes))
+
+    @cached_property
+    def _places(self) -> np.ndarray:
+        """(workloads, attributes): each attribute's place value in each
+        workload's query order, 0 where the workload does not read it."""
+        out = np.zeros((len(self.workloads), self.domain.num_attrs), dtype=np.int64)
+        for wi, w in enumerate(self.workloads):
+            out[wi, list(w.features)] = np.cumprod((1,) + w.sizes[:0:-1])[::-1]
+        return out
 
     def transpose_mass(self, weights: np.ndarray) -> np.ndarray:
         """The transpose of `answers_mass`: per cell of the full domain, the

@@ -127,10 +127,12 @@ class RapSynthesizer(Synthesizer):
         # bare lr*g step at lr=0.1 goes nowhere. Moments reset each round.
         opt = Adam([(M,)], self.cfg.lr)
         start = START_SCALE
+        g = None  # the gradient at M, kept across a momentum restart
         for _ in range(self.cfg.max_steps):
-            g = self._grad(M, queries, qidx, P, diff)
-            if not g.any():  # exact stationary point
-                break
+            if g is None:
+                g = self._grad(M, queries, qidx, P, diff)
+                if not g.any():  # exact stationary point
+                    break
             ((delta,),) = opt.direction([(g,)])
             scale = start
             for _ in range(MAX_HALVINGS + 1):
@@ -143,13 +145,14 @@ class RapSynthesizer(Synthesizer):
                 if opt.t == 1:
                     break  # even the plain scaled gradient fails: done
                 # stale momentum points uphill near the optimum; restart
+                # from the same M, whose gradient g is still current
                 opt = Adam([(M,)], self.cfg.lr)
                 start = START_SCALE
                 continue
             # warm start: the next search begins at this scale, or at twice
             # it when the first trial was accepted
             start = min(2.0 * scale, 1.0) if scale == start else scale
-            M, loss, P, diff = M_try, new_loss, new_P, new_diff
+            M, loss, P, diff, g = M_try, new_loss, new_P, new_diff, None
             history.append(loss)
             if len(history) > PLATEAU_WINDOW:
                 ref = history[-PLATEAU_WINDOW - 1]

@@ -6,8 +6,6 @@ criteria share one set of fitted runs through module-scoped fixtures.
 """
 import json
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -33,6 +31,7 @@ from dpsynth.rap import RapConfig
 from dpsynth.report import canonical_json, errors, load_report
 from dpsynth.toy import gen_toy
 
+from cli_process import run_dpsynth
 from oracles import (
     brute_force_answer,
     central_difference,
@@ -412,11 +411,9 @@ def test_criterion_10_determinism(tmp_path, capsys):
     t0 = time.perf_counter()
     dom = tmp_path / "domain.json"
     dat = tmp_path / "data.csv"
-    base = [sys.executable, "-m", "dpsynth"]
-    subprocess.run(
-        base
-        + ["gen-toy", "--attrs", "4", "--sizes", "8", "--n", "2000", "--seed", "0",
-           "--out", str(dat), "--domain-out", str(dom)],
+    run_dpsynth(
+        ["gen-toy", "--attrs", "4", "--sizes", "8", "--n", "2000", "--seed", "0",
+         "--out", str(dat), "--domain-out", str(dom)],
         check=True,
         capture_output=True,
     )
@@ -425,11 +422,10 @@ def test_criterion_10_determinism(tmp_path, capsys):
         rep = tmp_path / f"report_{tag}.json"
         csv_out = tmp_path / f"synth_{tag}.csv"
         trace = tmp_path / f"trace_{tag}.jsonl"
-        proc = subprocess.run(
-            base
-            + ["synth", "--domain", str(dom), "--data", str(dat), "--method", "mwem",
-               "--rho", "0.02", "--marginal-k", "3", "--T", "10", "--seed", "7",
-               "--out", str(csv_out), "--report", str(rep), "--trace", str(trace)],
+        proc = run_dpsynth(
+            ["synth", "--domain", str(dom), "--data", str(dat), "--method", "mwem",
+             "--rho", "0.02", "--marginal-k", "3", "--T", "10", "--seed", "7",
+             "--out", str(csv_out), "--report", str(rep), "--trace", str(trace)],
             capture_output=True,
             text=True,
         )

@@ -2,8 +2,6 @@
 import csv
 import json
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -14,6 +12,8 @@ from dpsynth.domain import Dataset, Domain
 from dpsynth.gem import init_params, save_checkpoint
 from dpsynth.methods import CONFIGS
 from dpsynth.report import canonical_json, load_report
+
+from cli_process import run_dpsynth
 
 
 def _write_domain(path, names_sizes):
@@ -638,18 +638,15 @@ def test_best_mixture_error_past_int64_cells_exits_3(tmp_path, capsys):
 
 
 def test_module_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "dpsynth", "accountant", "--rho", "0.5", "--T", "10",
-         "--alpha", "0.5", "--n", "1000"],
+    proc = run_dpsynth(
+        ["accountant", "--rho", "0.5", "--T", "10", "--alpha", "0.5", "--n", "1000"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
     assert "eps0=0.4472135954999579" in proc.stdout
     # argparse usage failures come back as exit 2
-    proc = subprocess.run(
-        [sys.executable, "-m", "dpsynth", "synth"], capture_output=True, text=True
-    )
+    proc = run_dpsynth(["synth"], capture_output=True, text=True)
     assert proc.returncode == 2
 
 

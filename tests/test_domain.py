@@ -11,9 +11,14 @@ from dpsynth import (
     Dataset,
     Domain,
     DomainError,
+    MwemConfig,
+    MwemSynthesizer,
+    PepSynthesizer,
     SupportDistribution,
+    build_workloads,
 )
 from dpsynth.domain import MASS_FLOOR, CellWeights, load_npz, normalize_mass
+from dpsynth.privacy import MeasurementLedger
 
 from oracles import normalize_mass_reference
 
@@ -240,6 +245,56 @@ def test_cell_weights_ask_for_renormalization():
     w = CellWeights(np.array([0.5, 0.5]))
     assert w.scale(np.array([1]), 4.0, 1.0)
     assert np.allclose(normalize_mass(w.probs()), [0.2, 0.8], atol=1e-15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sizes=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+    k=st.integers(1, 3),
+    kind=st.sampled_from(["mwem", "pep", "pep-support"]),
+    seed=st.integers(0, 99_999),
+    rounds=st.integers(1, 8),
+)
+def test_tracked_answers_equal_a_dense_pass_after_every_round(sizes, k, kind, seed, rounds):
+    # MWEM and PEP answer each round from the cells their update scaled; after
+    # every round the answers must equal a fresh dense pass over the weights,
+    # also across renormalizations (forced by extreme targets and, for MWEM, a
+    # small step divisor), weights swapped in by the caller, and two updates
+    # with no read between them
+    rng = np.random.default_rng(seed)
+    dom = Domain(tuple("abcd"[: len(sizes)]), tuple(sizes))
+    qs = build_workloads(dom, min(k, len(sizes)))
+    if kind == "mwem":
+        synth = MwemSynthesizer(dom, qs, cfg=MwemConfig(eta=float(rng.choice([0.05, 2.0, 2.0])), cycles=2))
+    elif kind == "pep":
+        synth = PepSynthesizer(dom, qs)
+    else:
+        size = int(rng.integers(1, dom.total_cells + 1))
+        support = np.sort(rng.choice(dom.total_cells, size=size, replace=False))
+        synth = PepSynthesizer(dom, qs, support_cells=support, init_probs=rng.dirichlet(np.ones(size)))
+    cells = np.arange(dom.total_cells) if kind == "mwem" else synth.cells
+
+    def dense():
+        return qs.answers_support(cells, synth.weights.w) / synth.weights.z
+
+    assert np.abs(synth.answers() - dense()).max() <= 1e-12
+    led = MeasurementLedger()
+    for t in range(1, rounds + 1):
+        q = int(rng.integers(qs.total_queries))
+        if rng.random() < 0.15:  # extreme: steps that renormalize
+            target = float(rng.choice([0.0, 1.0]))
+        else:  # near the current answer: steps that touch only q's cells
+            target = min(float(dense()[q] * rng.uniform(0.5, 1.5)), 1.0)
+        led.record(q, target, t)
+        swap = rng.random()
+        if swap < 0.1:  # the caller's weights, before the update
+            synth.weights = CellWeights(rng.dirichlet(np.ones(cells.size)))
+        synth.update(led)
+        if swap > 0.9:  # and after it
+            synth.weights = CellWeights(rng.dirichlet(np.ones(cells.size)))
+        if rng.random() < 0.2:
+            synth.update(led)
+        assert np.abs(synth.answers() - dense()).max() <= 1e-12
 
 
 def test_histogram_validation():

@@ -3,7 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpsynth import CapacityError, Domain, MwemConfig, MwemSynthesizer, build_workloads, mwem
+from dpsynth import (
+    Accountant,
+    CapacityError,
+    Domain,
+    MwemConfig,
+    MwemSynthesizer,
+    QuerySet,
+    RunConfig,
+    build_workloads,
+    gen_toy,
+    mwem,
+    run,
+)
 from dpsynth.domain import CellWeights, normalize_mass
 from dpsynth.privacy import MeasurementLedger
 
@@ -284,6 +296,25 @@ def test_update_normalizes_only_when_due(monkeypatch):
     led.record(20, 1.0, 3)  # pushes 1/8 of the mass toward 1: z passes 2
     synth.update(led)
     assert len(calls) >= 1
+
+
+def test_a_fit_with_no_renormalization_makes_one_dense_pass(monkeypatch):
+    # the answers of every later round follow the cells that the updates
+    # scaled; a dense pass over the histogram is made only for the first
+    # round, as no update here renormalizes (the weights object stays)
+    dom, data = gen_toy(4, 8, 2000, seed=3)
+    qs = build_workloads(dom, 3)
+    calls = []
+    real = QuerySet.answers_mass
+    monkeypatch.setattr(QuerySet, "answers_mass", lambda self, mass: calls.append(1) or real(self, mass))
+    synth = MwemSynthesizer(dom, qs)
+    weights = synth.weights
+    T = 8
+    acct = Accountant(rho=0.1, T=T, k=1, alpha=0.67, n=data.n)
+    run(data, qs, synth, acct, RunConfig(T=T), np.random.default_rng(0))
+    assert synth.weights is weights
+    assert len(calls) == 1
+    assert np.abs(synth.answers() - real(qs, synth.weights.w) / synth.weights.z).max() <= 1e-12
 
 
 def test_finalize_is_the_normalized_mass():

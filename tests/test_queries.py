@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpsynth import ConfigError, DataError, Dataset, Domain, build_workloads
-from dpsynth.queries import QuerySet, Workload, product_answers, product_answers_grad
+from dpsynth.queries import QuerySet, SupportMap, Workload, product_answers, product_answers_grad
 
 from oracles import (
     MarginalQuery,
@@ -479,6 +479,23 @@ def test_cells_of_matches_scan(seed):
         want = np.flatnonzero(query_mask(dom, query_of(qs, qi), support))
         assert np.array_equal(qs.cells_of(qi, qmap), want)
     assert sum(qs.cells_of(qi, qmap).size for qi in range(qs.total_queries)) == len(qs.workloads) * support.size
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_cell_ids_name_the_query_each_cell_meets(seed):
+    # workloads in any attribute order, any cells of the full domain in any order
+    rng = np.random.default_rng(seed)
+    dom, _ = _random_queries(rng)
+    d = dom.num_attrs
+    k = int(rng.integers(1, d + 1))
+    subsets = [tuple(int(f) for f in rng.permutation(d)[:k]) for _ in range(int(rng.integers(1, 4)))]
+    qs = QuerySet.from_subsets(dom, subsets)
+    cells = rng.permutation(dom.total_cells)[: int(rng.integers(0, dom.total_cells + 1))]
+    values = dom.decode(cells)
+    want = [w.offset + np.ravel_multi_index(values[:, list(w.features)].T, w.sizes) for w in qs.workloads]
+    assert np.array_equal(qs.cell_ids(cells), np.array(want).reshape(len(qs.workloads), cells.size))
+    assert np.array_equal(qs.cell_ids(cells), SupportMap(qs, cells).ids)
 
 
 @pytest.mark.parametrize(
