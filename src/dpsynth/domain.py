@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import csv
 import json
-import weakref
 import zipfile
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # queries imports this module
+    from .queries import QuerySet, SupportMap
 
 # Mass below this is treated as exactly zero before renormalization, so
 # distributions never carry denormal dust around.
@@ -240,30 +243,81 @@ def _rescale(mass: np.ndarray) -> np.ndarray:
 
 
 class CellWeights:
-    """A probability vector p = w / z kept as weights w and a tracked normalizer z.
+    """MWEM's and PEP's state: p = w / z over a fixed support, and its answers.
 
-    MWEM and PEP keep one of these as their state from construction to
-    output, so a round pays only for the cells its steps touch. The
-    multiplicative rules (MWEM entry steps, PEP projections) scale the cells
-    one query matches by one factor and every other cell by another. Here
-    such a step touches only the matching cells, scaled by the ratio of the
-    two factors; z absorbs the rest. `scale` reports when w is due for a
-    full `normalize_mass`: when z leaves [1/2, 2] or is not finite, so its
-    rounding error cannot grow, or when a cell could have dropped below
-    MASS_FLOOR and must be flushed. Otherwise w is normalized only for output.
-    The state keeps the array it is given (every caller passes a fresh one),
-    and a renormalization makes one new state (see `divide`). The per-round
-    answers follow the scaled cells (`TrackedAnswers`), with a dense pass
-    only at the first read, after a renormalization, and when the measured
-    queries' cells are too many; an output is normalized from w and answered
-    by one dense pass, so it does not depend on them.
+    The state lives from construction to output. The multiplicative rules
+    (MWEM entry steps, PEP projections) scale the cells one query matches
+    by one factor and every other cell by another; `scale` touches only the
+    matching cells, by the ratio of the two, and the normalizer z absorbs
+    the rest, so a step costs the size of the query. It reports when w is
+    due for a full `normalize_mass`: when z leaves [1/2, 2] or is not
+    finite, so its rounding error cannot grow, or when a cell could have
+    dropped below MASS_FLOOR and must be flushed. The caller then
+    renormalizes in place, `reset(normalize_mass(divide()))`. The state
+    keeps the array it is given (every caller passes a fresh one).
+
+    `cells` lists a measured query's support positions once (from `qmap`,
+    the support's query map, or by stride on the full domain) and tracks
+    them. The answers are A / z, A the unnormalized answers of w. `read`
+    makes a dense pass for A at the first read, after a `reset`, after two
+    updates with no read, and where the tracked cells times the workloads
+    are not fewer than the support's cells. Otherwise it adds how far each
+    tracked cell's weight moved since `save` (once per update, before its
+    first scale) to the answer of every query the cell meets: one bincount.
+    These answers differ from a dense pass's by rounding, a few 1e-15; an
+    output is normalized from w and answered by one dense pass, so it does
+    not depend on them.
     """
 
-    def __init__(self, probs: np.ndarray):
+    def __init__(self, probs: np.ndarray, queries: QuerySet, qmap: SupportMap | None = None):
+        self.queries = queries
+        self._qmap = qmap
+        self._lists: dict[int, np.ndarray] = {}  # support positions per measured query
+        self._tracked = np.empty(0, dtype=np.int64)  # distinct positions of measured queries
+        # the query each tracked cell meets, one row per workload
+        self._ids = np.empty((len(queries.workloads), 0), dtype=np.int64)
+        # the same positions ascending, then one past any position
+        self._sorted = np.array([np.iinfo(np.int64).max])
+        self.reset(probs)
+
+    def reset(self, probs: np.ndarray) -> None:
+        """Make `probs` the weights (z is their sum); the next read makes a dense pass."""
         self.w = np.asarray(probs, dtype=np.float64)
         self.z = float(self.w.sum())
         # a lower bound on the smallest nonzero weight
         self._low = float(np.min(self.w, where=self.w > 0, initial=np.inf))
+        self._sums = None  # A, unknown until a dense pass
+        self._old = None  # the tracked cells' weights when an update saved them
+
+    def cells(self, qidx: int) -> np.ndarray:
+        """Ascending support positions of the cells query `qidx` matches,
+        listed once and tracked from then on."""
+        if qidx not in self._lists:
+            cells = self._lists[qidx] = self.queries.cells_of(qidx, self._qmap)
+            fresh = cells[self._sorted[np.searchsorted(self._sorted, cells)] != cells]
+            ids = self.queries.cell_ids(fresh) if self._qmap is None else self._qmap.ids[:, fresh]
+            self._tracked = np.concatenate([self._tracked, fresh])
+            self._ids = np.concatenate([self._ids, ids], axis=1)
+            self._sorted = np.sort(np.concatenate([self._sorted, fresh]))
+        return self._lists[qidx]
+
+    def save(self) -> None:
+        """Keep the tracked cells' weights, before an update scales any of them."""
+        # _ids.size is the tracked cells times the workloads
+        if self._sums is not None and self._old is None and self._ids.size < self.w.size:
+            self._old = self.w[self._tracked]
+        else:
+            self._sums = None  # the next read makes the dense pass
+
+    def read(self, dense) -> np.ndarray:
+        """The answers of p; `dense(w)` gives the unnormalized answers of weights w."""
+        if self._sums is None:
+            self._sums = dense(self.w)
+        elif self._old is not None:
+            moved = np.tile(self.w[self._tracked] - self._old, self._ids.shape[0])
+            self._sums += np.bincount(self._ids.ravel(), weights=moved, minlength=self._sums.size)
+        self._old = None
+        return self._sums / self.z
 
     def answer(self, cells: np.ndarray) -> float:
         """Probability of the given cells."""
@@ -329,75 +383,13 @@ class CellWeights:
     def divide(self) -> np.ndarray:
         """Divide w by z in place (z becomes 1) and return w, which is then p.
 
-        For a renormalization that replaces this state: `normalize_mass(divide())`
-        equals `normalize_mass(probs())`, and its copy is the one new array.
+        For a renormalization, `reset(normalize_mass(divide()))`: it equals
+        `normalize_mass(probs())`, and its copy is the one new array.
         """
         self.w /= self.z
         self._low /= self.z
         self.z = 1.0
         return self.w
-
-
-class TrackedAnswers:
-    """The answers of a CellWeights state to a query collection, read once a round.
-
-    MWEM's and PEP's steps scale only the cells that a measured query
-    matches, so their per-round answers can follow those cells instead of
-    the whole support. This keeps the unnormalized answers A of the weights,
-    and the answers are A / z. `read` makes a dense pass only when the state
-    object is new to it: at the first read, and after a renormalization,
-    which replaces the object. Otherwise it adds, for each tracked cell (a
-    cell of a measured query), how far its weight has moved since the
-    update saved it to the answer of every query the cell meets: one
-    bincount. An update saves the tracked cells' weights once, before its
-    first scale, so a step does no extra work and w is never copied whole.
-    The dense pass is taken instead where the tracked cells times the
-    workloads are not fewer than the support's cells, and after two updates
-    with no read. These answers differ from a dense pass's by rounding, a
-    few 1e-15; a fit's output is normalized from the weights and answered
-    by one dense pass, so it does not depend on them.
-    """
-
-    def __init__(self, workloads: int):
-        self._workloads = workloads
-        self._cells = np.empty(0, dtype=np.int64)  # distinct support positions
-        self._ids = np.empty((workloads, 0), dtype=np.int64)  # the query each meets, one row per workload
-        # the same positions ascending, then one past any position
-        self._sorted = np.array([np.iinfo(np.int64).max])
-        self._seen = None  # a weak reference to the state that A belongs to
-        self._sums = None  # A
-        self._old = None  # the tracked cells' weights when an update saved them
-
-    def track(self, cells: np.ndarray, ids: np.ndarray) -> None:
-        """Track the cells of a newly measured query, before the update's `save`;
-        `ids` holds the query ids they meet, one row per workload."""
-        fresh = self._sorted[np.searchsorted(self._sorted, cells)] != cells
-        if fresh.any():
-            self._cells = np.concatenate([self._cells, cells[fresh]])
-            self._ids = np.concatenate([self._ids, ids[:, fresh]], axis=1)
-            self._sorted = np.sort(np.concatenate([self._sorted, cells[fresh]]))
-
-    def save(self, weights: CellWeights) -> None:
-        """Keep the tracked cells' weights, before an update scales any of them."""
-        small = self._cells.size * self._workloads < weights.w.size
-        if self._belongs(weights) and self._old is None and small:
-            self._old = weights.w[self._cells]
-        else:
-            self._seen = None  # the next read makes the dense pass
-
-    def read(self, weights: CellWeights, dense) -> np.ndarray:
-        """The answers of `weights`; `dense(w)` gives the unnormalized answers of weights w."""
-        if not self._belongs(weights):
-            self._sums, self._seen = dense(weights.w), weakref.ref(weights)
-        elif self._old is not None:
-            moved = np.tile(weights.w[self._cells] - self._old, self._workloads)
-            self._sums += np.bincount(self._ids.ravel(), weights=moved, minlength=self._sums.size)
-        self._old = None
-        return self._sums / weights.z
-
-    def _belongs(self, weights: CellWeights) -> bool:
-        """Whether A belongs to `weights`, the very object."""
-        return self._seen is not None and self._seen() is weights
 
 
 @dataclass

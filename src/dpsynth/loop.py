@@ -54,6 +54,8 @@ class Synthesizer(abc.ABC):
     queries: QuerySet  # the one collection it is fitted to; run must be given it
     # methods that run their own private round (no Gaussian measurements)
     self_selecting: bool = False
+    # methods whose output run can average over rounds: state `weights` spans the output's cells
+    averageable: bool = False
 
     @abc.abstractmethod
     def answers(self) -> np.ndarray:
@@ -98,11 +100,13 @@ def run(
     if cfg.per_workload and synth.self_selecting:
         raise ConfigError("per_workload measurement does not apply to a self-selecting synthesizer")
     want_avg = cfg.output == "average"
+    if want_avg and not synth.averageable:
+        raise ConfigError("averaged output is only available for histogram methods")
     audit = cfg.no_noise or cfg.audit_errors
     private = queries.answers_records(data)
     ledger = MeasurementLedger(exact=cfg.no_noise)
     trace: list[dict] = []
-    total = None  # running sum of each round's output probabilities
+    total = 0.0  # running sum of each round's output probabilities
     post = None  # answers after the last update, while the state has not moved since
     for t in range(1, cfg.T + 1):
         current = synth.answers() if post is None else post
@@ -145,10 +149,8 @@ def run(
             rec["max_err_all"] = float(np.abs(private - post).max())
         trace.append(rec)
         if want_avg:
-            out = synth.finalize()
-            if synth.self_selecting or not isinstance(out, SupportDistribution):
-                raise ConfigError("averaged output is only available for histogram methods")
-            total = out.probs if total is None else total + out.probs
+            total += synth.weights.normalized()  # in place from the second round
+    out = synth.finalize()
     if want_avg:
         return SupportDistribution(out.domain, out.cells, normalize_mass(total / cfg.T)), trace
-    return synth.finalize(), trace
+    return out, trace

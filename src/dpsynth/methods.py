@@ -29,7 +29,7 @@ METHODS = {
     "dualquery": DualQuerySynthesizer,
     "fem": FemSynthesizer,
 }
-HISTOGRAM_METHODS = ("mwem", "pep")  # their output can be averaged over rounds
+HISTOGRAM_METHODS = tuple(m for m, cls in METHODS.items() if cls.averageable)
 SEARCH_METHODS = tuple(m for m, cls in METHODS.items() if cls.self_selecting)
 # each method's settings; the CLI's per-method flags set their fields
 CONFIGS = {
@@ -83,6 +83,8 @@ def fit(
         raise ConfigError("public data applies only to methods pep and gem")
     if init is not None and (method != "gem" or public is not None):
         raise ConfigError("a generator init applies only to method gem, without public data")
+    if output == "average" and not METHODS[method].averageable:
+        raise ConfigError("averaged output is only available for histogram methods")
     if METHODS[method].self_selecting:
         acct = Accountant.selection_only(rho, T, k, data.n)
     else:

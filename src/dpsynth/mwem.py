@@ -12,15 +12,12 @@ renormalization only the ratio exp(2(a~ - q(D))/eta) between matching and
 other cells matters. The classical step of Hardt, Ligett & McSherry (2012),
 D(x) * exp(q(x) (a~ - q(D))/2) with answers in fractions of n, has ratio
 exp((a~ - q(D))/2), which is eta=4 here; the default eta=2 steps twice as far.
-The state is one CellWeights (weights w, normalizer z), kept across rounds:
-a step touches only the matching cells, so its cost is the size of the
-query, not of the domain. w is renormalized only when a step makes it due,
-and normalized once more for output (`mass`, `finalize`). The per-round
-answers follow the cells that the update scaled (`TrackedAnswers`): a dense
-pass over the histogram is made only for the first round's answers, after
-a renormalization, and when the ledger's cells times the workloads reach
-the domain's cells. The output's answers are a dense pass over the
-normalized histogram, as they always were, so they do not depend on it.
+The state is one CellWeights, kept across rounds: a step touches only the
+matching cells, so its cost is the size of the query, not of the domain,
+and the per-round answers follow the cells that the update scaled (a dense
+pass over the histogram only when CellWeights needs one). w is renormalized
+in place only when a step makes it due, and normalized once more for output
+(`mass`, `finalize`), whose answers are one dense pass.
 """
 from __future__ import annotations
 
@@ -35,7 +32,6 @@ from .domain import (
     ConfigError,
     Domain,
     SupportDistribution,
-    TrackedAnswers,
     normalize_mass,
 )
 from .loop import Synthesizer
@@ -57,6 +53,8 @@ class MwemConfig:
 
 
 class MwemSynthesizer(Synthesizer):
+    averageable = True
+
     def __init__(
         self,
         domain: Domain,
@@ -68,9 +66,7 @@ class MwemSynthesizer(Synthesizer):
         self.domain = domain
         self.queries = queries
         self.cfg = MwemConfig() if cfg is None else cfg
-        self.weights = CellWeights(np.full(domain.total_cells, 1.0 / domain.total_cells))
-        self._answers = TrackedAnswers(len(queries.workloads))
-        self._cell_lists: dict[int, np.ndarray] = {}  # matching cells per measured query
+        self.weights = CellWeights(np.full(domain.total_cells, 1.0 / domain.total_cells), queries)
 
     @property
     def mass(self) -> np.ndarray:
@@ -78,26 +74,20 @@ class MwemSynthesizer(Synthesizer):
         return self.weights.normalized()
 
     def answers(self) -> np.ndarray:
-        return self._answers.read(self.weights, self.queries.answers_mass)
-
-    def _cells(self, qidx: int) -> np.ndarray:
-        if qidx not in self._cell_lists:
-            cells = self._cell_lists[qidx] = self.queries.cells_of(qidx)
-            self._answers.track(cells, self.queries.cell_ids(cells))
-        return self._cell_lists[qidx]
+        return self.weights.read(self.queries.answers_mass)
 
     def update(self, ledger: MeasurementLedger) -> None:
         entries = ledger.entries()
         if not entries:
             return
-        lists = [self._cells(e.index) for e in entries]
-        self._answers.save(self.weights)
+        lists = [self.weights.cells(e.index) for e in entries]
+        self.weights.save()
         for _ in range(self.cfg.cycles):
             for e, cells in zip(entries, lists):
                 delta = min(max(e.answer, 0.0), 1.0) - self.weights.answer(cells)
                 step = delta / self.cfg.eta
                 if self.weights.scale(cells, np.exp(step), np.exp(-step)):
-                    self.weights = CellWeights(normalize_mass(self.weights.divide()))
+                    self.weights.reset(normalize_mass(self.weights.divide()))
 
     def finalize(self) -> SupportDistribution:
         return SupportDistribution(

@@ -8,17 +8,13 @@ reweights the distribution so that query's answer becomes exactly the
     -lambda = ln( a~ (1 - q(D)) / ((1 - a~) q(D)) )
 
 which multiplies matching cells by a~/q(D) and the rest by (1-a~)/(1-q(D)).
-The state is one CellWeights (weights w, normalizer z), kept across rounds,
-so each round's solve starts warm from the previous distribution. A
-projection touches only the matching cells, and reads the measured answers
-from their cached cell lists. w is renormalized only when a projection makes
-it due, and normalized once more for output (`probs`, `finalize`). The
-per-round answers follow the cells that the update may scale
-(`TrackedAnswers`): a dense pass over the support (`_answers_all`) is made
-only for the first round's answers, after a renormalization, and when the
-ledger's cells times the workloads reach the support's cells. The output's
-answers are a dense pass over the normalized distribution, as they always
-were, so they do not depend on it.
+The state is one CellWeights, kept across rounds, so each round's solve
+starts warm from the previous distribution; on a public support it is
+PEP^Pub. A projection touches only the matching cells, and the per-round
+answers follow the cells that the update may scale (a dense pass over the
+support, `_answers_all`, only when CellWeights needs one). w is
+renormalized in place only when a projection makes it due, and normalized
+once more for output (`probs`, `finalize`), whose answers are one dense pass.
 """
 from __future__ import annotations
 
@@ -33,7 +29,6 @@ from .domain import (
     DataError,
     Domain,
     SupportDistribution,
-    TrackedAnswers,
     normalize_mass,
 )
 from .loop import Synthesizer
@@ -54,6 +49,8 @@ class PepConfig:
 
 
 class PepSynthesizer(Synthesizer):
+    averageable = True
+
     def __init__(
         self,
         domain: Domain,
@@ -72,14 +69,12 @@ class PepSynthesizer(Synthesizer):
             self.cells = np.asarray(support_cells, dtype=np.int64)
         if init_probs is None:
             init_probs = np.full(self.cells.shape[0], 1.0 / self.cells.shape[0])
-        self.weights = CellWeights(normalize_mass(init_probs))
-        if self.weights.w.shape != self.cells.shape:
-            raise DataError("support and init probabilities must align")
         self.cfg = PepConfig() if cfg is None else cfg
         # a public support keeps its query map (None on the full domain)
         self._qmap = None if support_cells is None else queries._cell_locals(self.cells)
-        self._answers = TrackedAnswers(len(queries.workloads))
-        self._cell_lists: dict[int, np.ndarray] = {}  # support positions per measured query
+        self.weights = CellWeights(normalize_mass(init_probs), queries, self._qmap)
+        if self.weights.w.shape != self.cells.shape:
+            raise DataError("support and init probabilities must align")
 
     @property
     def probs(self) -> np.ndarray:
@@ -93,24 +88,17 @@ class PepSynthesizer(Synthesizer):
         return self.queries.answers_support(self.cells, w, self._qmap)
 
     def answers(self) -> np.ndarray:
-        return self._answers.read(self.weights, self._answers_all)
-
-    def _cells(self, qidx: int) -> np.ndarray:
-        if qidx not in self._cell_lists:
-            cells = self._cell_lists[qidx] = self.queries.cells_of(qidx, self._qmap)
-            ids = self.queries.cell_ids(cells) if self._qmap is None else self._qmap.ids[:, cells]
-            self._answers.track(cells, ids)
-        return self._cell_lists[qidx]
+        return self.weights.read(self._answers_all)
 
     def update(self, ledger: MeasurementLedger) -> None:
         if len(ledger) == 0:
             return
         idx = ledger.indices()
         targets = np.clip(ledger.answers(), TARGET_CLIP, 1.0 - TARGET_CLIP)
-        lists = [self._cells(int(q)) for q in idx]
+        lists = [self.weights.cells(int(q)) for q in idx]
         flat = np.concatenate(lists)
         groups = np.repeat(np.arange(len(lists)), [c.size for c in lists])
-        self._answers.save(self.weights)
+        self.weights.save()
         dead = np.zeros(idx.shape[0], dtype=bool)  # entries no reweighting can move
         for _ in range(self.cfg.t_max):
             current = self.weights.answers(flat, groups, len(lists))
@@ -127,7 +115,7 @@ class PepSynthesizer(Synthesizer):
                 continue
             inside, outside = a_target / a_cur, (1.0 - a_target) / rest
             if self.weights.scale(lists[j], inside, outside):
-                self.weights = CellWeights(normalize_mass(self.weights.divide()))
+                self.weights.reset(normalize_mass(self.weights.divide()))
 
     def finalize(self) -> SupportDistribution:
         return SupportDistribution(self.domain, self.cells.copy(), self.probs)

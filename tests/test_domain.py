@@ -209,6 +209,12 @@ def test_normalize_mass_refuses(bad):
             check(np.array(bad, dtype=np.float64))
 
 
+def _weights(probs):
+    """CellWeights over a one-attribute domain with one cell per entry of `probs`."""
+    probs = np.asarray(probs, dtype=np.float64)
+    return CellWeights(probs, build_workloads(Domain(("a",), (probs.size,)), 1))
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 99_999), steps=st.integers(1, 60))
 def test_cell_weights_low_bounds_the_smallest_weight(seed, steps):
@@ -218,17 +224,17 @@ def test_cell_weights_low_bounds_the_smallest_weight(seed, steps):
     start[rng.random(size) < 0.2] = 0.0
     if not start.any():
         start[0] = 1.0
-    w = CellWeights(start)
+    w = _weights(start)
     for _ in range(steps):
         cells = np.flatnonzero(rng.random(size) < 0.4)
         inside, outside = np.exp(rng.normal(0.0, 20.0, size=2))
         if w.scale(cells, inside, outside):
-            w = CellWeights(normalize_mass(w.probs()))
+            w.reset(normalize_mass(w.probs()))
         assert w._low <= w.w[w.w > 0].min()
 
 
 def test_cell_weights_ask_for_renormalization():
-    w = CellWeights(np.array([0.25, 0.25, 0.5]))
+    w = _weights([0.25, 0.25, 0.5])
     cells = np.array([0, 1])
     assert abs(w.answer(cells) - 0.5) < 1e-15
     # p = (0.25, 0.25, 0.5) -> (0.125, 0.125, 0.75): z stays inside [1/2, 2]
@@ -237,12 +243,12 @@ def test_cell_weights_ask_for_renormalization():
     assert np.allclose(w.answers(np.array([0, 1, 2]), np.array([0, 0, 1]), 2), [0.25, 0.75], atol=1e-15)
     # a cell pushed toward zero: once it could be under MASS_FLOOR the
     # caller must renormalize, which flushes it
-    w = CellWeights(np.array([0.5, 0.5]))
+    w = _weights([0.5, 0.5])
     assert not w.scale(np.array([0]), 1e-150, 1.0)
     assert w.scale(np.array([0]), 1e-152, 1.0)
     assert np.array_equal(normalize_mass(w.probs()), [0.0, 1.0])
     # the normalizer leaving [1/2, 2] also asks for it
-    w = CellWeights(np.array([0.5, 0.5]))
+    w = _weights([0.5, 0.5])
     assert w.scale(np.array([1]), 4.0, 1.0)
     assert np.allclose(normalize_mass(w.probs()), [0.2, 0.8], atol=1e-15)
 
@@ -259,8 +265,8 @@ def test_tracked_answers_equal_a_dense_pass_after_every_round(sizes, k, kind, se
     # MWEM and PEP answer each round from the cells their update scaled; after
     # every round the answers must equal a fresh dense pass over the weights,
     # also across renormalizations (forced by extreme targets and, for MWEM, a
-    # small step divisor), weights swapped in by the caller, and two updates
-    # with no read between them
+    # small step divisor), weights the caller resets, and two updates with no
+    # read between them
     rng = np.random.default_rng(seed)
     dom = Domain(tuple("abcd"[: len(sizes)]), tuple(sizes))
     qs = build_workloads(dom, min(k, len(sizes)))
@@ -288,10 +294,10 @@ def test_tracked_answers_equal_a_dense_pass_after_every_round(sizes, k, kind, se
         led.record(q, target, t)
         swap = rng.random()
         if swap < 0.1:  # the caller's weights, before the update
-            synth.weights = CellWeights(rng.dirichlet(np.ones(cells.size)))
+            synth.weights.reset(rng.dirichlet(np.ones(cells.size)))
         synth.update(led)
         if swap > 0.9:  # and after it
-            synth.weights = CellWeights(rng.dirichlet(np.ones(cells.size)))
+            synth.weights.reset(rng.dirichlet(np.ones(cells.size)))
         if rng.random() < 0.2:
             synth.update(led)
         assert np.abs(synth.answers() - dense()).max() <= 1e-12

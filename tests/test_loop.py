@@ -15,8 +15,11 @@ from dpsynth import (
     GemConfig,
     GemSynthesizer,
     MwemSynthesizer,
+    RapSynthesizer,
     RunConfig,
     build_workloads,
+    fit,
+    methods,
     pep_pub_init,
     run,
 )
@@ -145,6 +148,21 @@ def test_run_average_output_refuses_other_methods(method):
     cfg = RunConfig(T=2, k=1, alpha=acct.alpha, output="average")
     with pytest.raises(ConfigError, match="averaged output"):
         run(data, qs, synth, acct, cfg, rng)
+
+
+@pytest.mark.parametrize("method", ["gem", "rap-softmax"])
+def test_fit_refuses_averaged_output_before_any_work(monkeypatch, method):
+    # the loop settings are checked first: gem must not pretrain on the public
+    # data, and no round may run, before the averaged output is refused
+    dom, data, qs = _instance()
+    calls = []
+    monkeypatch.setattr(methods, "gem_pub_pretrain", lambda *a, **kw: calls.append("pretrain") or (None, None))
+    for cls in (GemSynthesizer, RapSynthesizer):
+        monkeypatch.setattr(cls, "update", lambda self, ledger: calls.append("update"))
+    public = data if method == "gem" else None
+    with pytest.raises(ConfigError, match="averaged output"):
+        fit(method, data, qs, 0.5, np.random.default_rng(0), T=2, public=public, output="average")
+    assert calls == []
 
 
 @pytest.mark.parametrize("search", ["dualquery", "fem"])

@@ -16,7 +16,7 @@ from dpsynth import (
     mwem,
     run,
 )
-from dpsynth.domain import CellWeights, normalize_mass
+from dpsynth.domain import normalize_mass
 from dpsynth.privacy import MeasurementLedger
 
 from oracles import entropy_linear_minimizer, kl_divergence, mwem_closed_form_check, query_mask, query_of
@@ -100,7 +100,7 @@ def test_single_step_strictly_reduces_error(size, cell, target, seed):
     synth = MwemSynthesizer(dom, qs, cfg=MwemConfig(cycles=1))
     rng = np.random.default_rng(seed)
     m = rng.dirichlet(np.ones(size))
-    synth.weights = CellWeights(m)
+    synth.weights.reset(m)
     before = abs(target - m[cell])
     led = MeasurementLedger()
     led.record(cell, target, 1)
@@ -218,7 +218,7 @@ def test_cell_local_update_matches_dense_replay(seed, rounds, cycles, eta):
     qs = build_workloads(dom, int(rng.integers(1, len(shape) + 1)))
     cells = np.arange(dom.total_cells)
     synth = MwemSynthesizer(dom, qs, cfg=MwemConfig(eta=eta, cycles=cycles))
-    synth.weights = CellWeights(rng.dirichlet(np.ones(cells.size)))
+    synth.weights.reset(rng.dirichlet(np.ones(cells.size)))
     dense = synth.mass
     led = MeasurementLedger()
     picks = rng.choice(qs.total_queries, size=min(rounds, qs.total_queries), replace=False)
@@ -315,6 +315,28 @@ def test_a_fit_with_no_renormalization_makes_one_dense_pass(monkeypatch):
     assert synth.weights is weights
     assert len(calls) == 1
     assert np.abs(synth.answers() - real(qs, synth.weights.w) / synth.weights.z).max() <= 1e-12
+
+
+def test_a_renormalizing_update_keeps_the_state_and_makes_one_dense_pass(monkeypatch):
+    # a renormalization rescales the weights in place: the state object
+    # stays, its tracked answers are dropped, and the next read is exactly
+    # one dense pass over the histogram
+    dom = Domain(("a", "b"), (4, 4))
+    qs = build_workloads(dom, 1)
+    synth = MwemSynthesizer(dom, qs, cfg=MwemConfig(eta=0.05, cycles=2))
+    weights = synth.weights
+    synth.answers()
+    renorms, calls = [], []
+    real_norm, real_answers = mwem.normalize_mass, QuerySet.answers_mass
+    monkeypatch.setattr(mwem, "normalize_mass", lambda m: renorms.append(1) or real_norm(m))
+    monkeypatch.setattr(QuerySet, "answers_mass", lambda self, mass: calls.append(1) or real_answers(self, mass))
+    led = MeasurementLedger()
+    led.record(1, 1.0, 1)  # a step of 0.75/0.05 on 1/4 of the mass: z passes 2
+    synth.update(led)
+    assert renorms and synth.weights is weights
+    ans = synth.answers()
+    assert len(calls) == 1
+    assert np.abs(ans - real_answers(qs, weights.w) / weights.z).max() <= 1e-12
 
 
 def test_finalize_is_the_normalized_mass():

@@ -256,7 +256,7 @@ def test_cell_local_update_matches_dense_replay(seed, public, rounds):
         scaled = []
         with mock.patch.object(CellWeights, "scale", _scale_logger(scaled)):
             synth.update(led)
-        lists = [synth._cells(int(q)) for q in led.indices()]
+        lists = [synth.weights.cells(int(q)) for q in led.indices()]
         projected = [next(i for i, c in enumerate(lists) if c is s) for s, _, _ in scaled]
         targets = np.clip(led.answers(), TARGET_CLIP, 1.0 - TARGET_CLIP)
         amplified += sum(_amplification(i, o, targets[j]) for (_, i, o), j in zip(scaled, projected))
