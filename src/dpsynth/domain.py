@@ -394,23 +394,24 @@ class CellWeights:
 
 @dataclass
 class SupportDistribution:
-    """Probability vector over an explicit subset of domain cells.
+    """Probability vector over domain cells.
 
     The one distribution over cells: the histogram and search synthesizers
-    return it both for full domains (cells = 0..total_cells-1) and for
-    distributions restricted to the support of an auxiliary dataset.
+    return it for the full domain (cells None, probs indexed by flat cell)
+    and for explicit supports, such as the records of an auxiliary dataset.
     """
 
     domain: Domain
-    cells: np.ndarray  # int64, distinct
+    cells: np.ndarray | None  # int64, distinct; None for the full domain
     probs: np.ndarray  # float64, sums to 1
 
     def __post_init__(self):
-        self.cells = np.asarray(self.cells, dtype=np.int64)
+        self.cells = None if self.cells is None else np.asarray(self.cells, dtype=np.int64)
         self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.cells.ndim != 1 or self.cells.shape != self.probs.shape:
-            raise DataError("cells/probs shape mismatch")
-        if self.cells.size == 0:
+        shape = (self.domain.total_cells,) if self.cells is None else self.cells.shape
+        if self.probs.ndim != 1 or self.probs.shape != shape:
+            raise DataError("probs must hold one value per listed cell, or per domain cell if none are listed")
+        if self.probs.size == 0:
             raise DataError("empty support")
 
     def answers(self, queries) -> np.ndarray:
@@ -421,8 +422,8 @@ class SupportDistribution:
             raise ConfigError("count must be positive")
         cum = np.cumsum(self.probs)
         pos = np.searchsorted(cum / cum[-1], rng.random(count), side="right")
-        cells = self.cells[np.minimum(pos, cum.shape[0] - 1)]
-        return Dataset(self.domain, self.domain.decode(cells))
+        pos = np.minimum(pos, cum.shape[0] - 1)
+        return Dataset(self.domain, self.domain.decode(pos if self.cells is None else self.cells[pos]))
 
     @classmethod
     def from_dataset(cls, data: Dataset) -> "SupportDistribution":
@@ -433,7 +434,8 @@ class SupportDistribution:
         return cls(data.domain, cells, counts / data.n)
 
     def save_npz(self, path) -> None:
-        np.savez(path, cells=self.cells, probs=self.probs, domain=self.domain.to_json())
+        cells = {} if self.cells is None else {"cells": self.cells}
+        np.savez(path, **cells, probs=self.probs, domain=self.domain.to_json())
 
 
 class ProductMixture:
@@ -476,10 +478,11 @@ class ProductMixture:
 def load_npz(path) -> SupportDistribution | ProductMixture:
     """The distribution that a `save_npz` wrote, read from one opening of the archive.
 
-    Raises DataError for a file that is not such an archive, or whose arrays
-    are not a distribution: support cells must be distinct integers of the
-    domain with finite nonnegative probabilities summing to 1 (within 1e-9),
-    and mixture rows must hold finite values in [0, 1].
+    A full-domain distribution is `probs` alone (older archives list every
+    cell too, and still load). Raises DataError for a file that is not such
+    an archive, or whose arrays are not a distribution: finite nonnegative
+    probabilities summing to 1 (within 1e-9), on distinct cells of the
+    domain when cells are listed, or mixture rows of values in [0, 1].
     """
     try:
         with np.load(path, allow_pickle=False) as z:
@@ -490,13 +493,15 @@ def load_npz(path) -> SupportDistribution | ProductMixture:
     if "domain" not in arrays:
         raise DataError(f"{path}: the archive names no domain")
     domain = Domain.from_json(str(arrays["domain"]))
-    if {"cells", "probs"} <= arrays.keys():
-        cells, probs = arrays["cells"], arrays["probs"]
-        if cells.dtype.kind not in "iu" or probs.dtype.kind not in "iuf":
+    if "probs" in arrays:
+        cells, probs = arrays.get("cells"), arrays["probs"]
+        if (cells is not None and cells.dtype.kind not in "iu") or probs.dtype.kind not in "iuf":
             raise DataError(f"{path}: cells must be integers and probs numbers")
         dist = SupportDistribution(domain, cells, probs)
         cells, probs = dist.cells, dist.probs
-        if cells.min() < 0 or int(cells.max()) >= domain.total_cells or np.unique(cells).size < cells.size:
+        if cells is not None and (
+            cells.min() < 0 or int(cells.max()) >= domain.total_cells or np.unique(cells).size < cells.size
+        ):
             raise DataError(f"{path}: cells must be distinct cells of the domain, in [0, {domain.total_cells})")
         if not np.all(np.isfinite(probs)) or probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-9:
             raise DataError(f"{path}: probs must be finite, nonnegative and sum to 1")

@@ -90,8 +90,4 @@ class MwemSynthesizer(Synthesizer):
                     self.weights.reset(normalize_mass(self.weights.divide()))
 
     def finalize(self) -> SupportDistribution:
-        return SupportDistribution(
-            self.domain,
-            np.arange(self.domain.total_cells, dtype=np.int64),
-            self.mass,
-        )
+        return SupportDistribution(self.domain, None, self.mass)

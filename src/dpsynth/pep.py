@@ -64,16 +64,16 @@ class PepSynthesizer(Synthesizer):
         self.queries = queries
         if support_cells is None:
             domain.check_cap(cell_cap)
-            self.cells = np.arange(domain.total_cells, dtype=np.int64)
-        else:
-            self.cells = np.asarray(support_cells, dtype=np.int64)
+        # the support's cells, or None for the full domain, whose weights are indexed by flat cell
+        self.cells = None if support_cells is None else np.asarray(support_cells, dtype=np.int64)
+        size = domain.total_cells if self.cells is None else self.cells.shape[0]
         if init_probs is None:
-            init_probs = np.full(self.cells.shape[0], 1.0 / self.cells.shape[0])
+            init_probs = np.full(size, 1.0 / size)
         self.cfg = PepConfig() if cfg is None else cfg
         # a public support keeps its query map (None on the full domain)
-        self._qmap = None if support_cells is None else queries._cell_locals(self.cells)
+        self._qmap = queries._cell_locals(self.cells)
         self.weights = CellWeights(normalize_mass(init_probs), queries, self._qmap)
-        if self.weights.w.shape != self.cells.shape:
+        if self.weights.w.shape != (size,):
             raise DataError("support and init probabilities must align")
 
     @property
@@ -83,8 +83,6 @@ class PepSynthesizer(Synthesizer):
 
     def _answers_all(self, w: np.ndarray) -> np.ndarray:
         """The unnormalized answers of weights w over the support: the dense pass."""
-        if self._qmap is None:
-            return self.queries.answers_mass(w)
         return self.queries.answers_support(self.cells, w, self._qmap)
 
     def answers(self) -> np.ndarray:
@@ -118,4 +116,4 @@ class PepSynthesizer(Synthesizer):
                 self.weights.reset(normalize_mass(self.weights.divide()))
 
     def finalize(self) -> SupportDistribution:
-        return SupportDistribution(self.domain, self.cells.copy(), self.probs)
+        return SupportDistribution(self.domain, self.cells, self.probs)

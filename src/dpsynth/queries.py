@@ -200,23 +200,23 @@ class QuerySet:
         return out
 
     def _is_full(self, cells: np.ndarray) -> bool:
-        """Whether the cells are 0..total_cells-1 in order: as many, from 0 to
-        the last cell and strictly increasing (without building the range)."""
+        """Whether the cells are 0..total_cells-1 in order, as a search output, a
+        covering public table or an older artifact lists them (without building the range)."""
         total = self.domain.total_cells
         if cells.shape[0] != total or cells[0] != 0 or cells[-1] != total - 1:
             return False
         return bool((cells[1:] > cells[:-1]).all())
 
-    def _cell_locals(self, cells: np.ndarray) -> SupportMap | None:
+    def _cell_locals(self, cells: np.ndarray | None) -> SupportMap | None:
         """The query map of a support, for callers that evaluate it many times.
 
-        None for the full domain (cells 0..total_cells-1 in order), whose
-        answers are dense marginals and whose cells are reached by stride.
+        None for the full domain (cells None, or every cell listed in order),
+        whose answers are dense marginals and whose cells are reached by stride.
         """
-        cells = np.asarray(cells, dtype=np.int64)
-        if self._is_full(cells):
+        if cells is None:
             return None
-        return SupportMap(self, cells)
+        cells = np.asarray(cells, dtype=np.int64)
+        return None if self._is_full(cells) else SupportMap(self, cells)
 
     def cells_of(self, qidx: int, qmap: SupportMap | None = None) -> np.ndarray:
         """Ascending positions, in a support, of the cells query `qidx` matches.
@@ -322,20 +322,19 @@ class QuerySet:
         return out
 
     def answers_support(
-        self, cells: np.ndarray, probs: np.ndarray, qmap: SupportMap | None = None
+        self, cells: np.ndarray | None, probs: np.ndarray, qmap: SupportMap | None = None
     ) -> np.ndarray:
         """Answers of a distribution given as (cells, probabilities).
 
         `qmap` is the support's query map, for callers that evaluate one
-        support many times. Without it, the full domain takes the dense
-        `answers_mass` path and any other support builds its map. Each query
-        sums its cells in position order.
+        support many times. Without it, the full domain (see `_cell_locals`)
+        takes the dense `answers_mass` path and any other support builds its
+        map. Each query sums its cells in position order.
         """
         if qmap is None:
-            cells = np.asarray(cells, dtype=np.int64)
-            if self._is_full(cells):
-                return self.answers_mass(probs)
             qmap = self._cell_locals(cells)
+            if qmap is None:
+                return self.answers_mass(probs)
         weights = np.tile(probs, qmap.ids.shape[0])
         return np.bincount(qmap.ids.ravel(), weights=weights, minlength=self.total_queries)
 

@@ -387,6 +387,25 @@ def test_pep_public_output_average_past_the_cell_cap(tmp_path, capsys):
         assert np.array_equal(z["cells"], np.unique(public.cells()))
 
 
+@pytest.mark.parametrize("method", ["mwem", "pep"])
+def test_full_domain_artifact_with_a_cell_list_evaluates_the_same(toy, tmp_path, capsys, method):
+    # a full-domain artifact holds probs and domain alone; one that also
+    # lists every cell (the older layout) still loads and scores the same
+    dom, dat = toy
+    new, old = tmp_path / "new.npz", tmp_path / "old.npz"
+    assert _synth(toy, tmp_path, "--save-dist", new, method=method) == 0
+    with np.load(new) as z:
+        assert sorted(z.files) == ["domain", "probs"]
+        np.savez(old, cells=np.arange(z["probs"].size), probs=z["probs"], domain=z["domain"])
+    lines = []
+    for dist in (new, old):
+        capsys.readouterr()
+        assert main(["evaluate", "--domain", str(dom), "--data", str(dat), "--dist", str(dist),
+                     "--marginal-k", "2"]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1] and lines[0].startswith("max=")
+
+
 def test_dist_domain_mismatch_exits_4(toy, tmp_path, capsys):
     dom, dat = toy
     dist = tmp_path / "dist.npz"
@@ -463,6 +482,7 @@ MALFORMED = {
     "npz-cells-outside-domain": lambda p, dom: _npz(p, dom, cells=np.array([100, -3]), probs=np.ones(2) / 2),
     "npz-negative-probs": lambda p, dom: _npz(p, dom, cells=np.array([0, 1]), probs=np.array([5.0, -4.0])),
     "npz-repeated-cells": lambda p, dom: _npz(p, dom, cells=np.array([0, 0]), probs=np.ones(2) / 2),
+    "npz-probs-only-of-another-length": lambda p, dom: _npz(p, dom, probs=np.ones(8) / 8),
 }
 
 

@@ -278,7 +278,9 @@ def test_tracked_answers_equal_a_dense_pass_after_every_round(sizes, k, kind, se
         size = int(rng.integers(1, dom.total_cells + 1))
         support = np.sort(rng.choice(dom.total_cells, size=size, replace=False))
         synth = PepSynthesizer(dom, qs, support_cells=support, init_probs=rng.dirichlet(np.ones(size)))
-    cells = np.arange(dom.total_cells) if kind == "mwem" else synth.cells
+    if kind == "pep":  # the full domain lists no cells: the weights are indexed by flat cell
+        assert synth.cells is None and synth.probs.size == dom.total_cells
+    cells = synth.cells if kind == "pep-support" else np.arange(dom.total_cells)
 
     def dense():
         return qs.answers_support(cells, synth.weights.w) / synth.weights.z
@@ -335,6 +337,71 @@ def test_support_distribution_roundtrip(tmp_path):
     assert back.domain == dom
     assert np.array_equal(back.cells, sd.cells)
     assert np.allclose(back.probs, sd.probs)
+
+
+def _fitted_mwem(dom, qs):
+    synth = MwemSynthesizer(dom, qs)
+    led = MeasurementLedger()
+    for t, q in enumerate((1, 7, 20), start=1):
+        led.record(q, 0.3, t)
+    synth.update(led)
+    return synth.finalize()
+
+
+def test_full_domain_artifact_holds_probs_alone(tmp_path):
+    # a full-domain distribution lists no cells, and neither does its archive;
+    # one that lists every cell (the older layout) loads to the same answers
+    # and the same fixed-seed samples
+    dom = Domain(("a", "b", "c"), (3, 4, 2))
+    qs = build_workloads(dom, 2)
+    out = _fitted_mwem(dom, qs)
+    assert out.cells is None and out.probs.size == dom.total_cells
+    new, old = tmp_path / "new.npz", tmp_path / "old.npz"
+    out.save_npz(new)
+    with np.load(new) as z:
+        assert sorted(z.files) == ["domain", "probs"]
+    np.savez(old, cells=np.arange(dom.total_cells), probs=out.probs, domain=dom.to_json())
+    a, b = load_npz(new), load_npz(old)
+    assert a.cells is None and np.array_equal(b.cells, np.arange(dom.total_cells))
+    assert np.array_equal(a.probs, out.probs) and np.array_equal(b.probs, out.probs)
+    assert np.array_equal(a.answers(qs), out.answers(qs))
+    assert np.array_equal(b.answers(qs), out.answers(qs))
+    draws = [d.sample_dataset(500, np.random.default_rng(4)).records for d in (a, b)]
+    assert np.array_equal(draws[0], draws[1])
+
+
+@pytest.mark.parametrize("size", [23, 25])
+def test_probs_only_archive_needs_one_probability_per_cell(tmp_path, size):
+    dom = Domain(("a", "b", "c"), (3, 4, 2))
+    p = tmp_path / "dist.npz"
+    np.savez(p, probs=np.full(size, 1.0 / size), domain=dom.to_json())
+    with pytest.raises(DataError):
+        load_npz(p)
+
+
+def test_explicit_full_range_answers_as_the_dense_path():
+    # every cell listed in order (a search output that reached every cell, a
+    # public table covering the domain, an older artifact) takes the dense
+    # `answers_mass` path bit for bit, in a distribution and in PEP
+    rng = np.random.default_rng(3)
+    # 360 cells: big enough that a per-support bincount rounds otherwise
+    dom = Domain(("a", "b", "c", "d"), (4, 5, 6, 3))
+    qs = build_workloads(dom, 2)
+    full = np.arange(dom.total_cells)
+    p = rng.dirichlet(np.ones(dom.total_cells))
+    assert np.array_equal(SupportDistribution(dom, full, p).answers(qs), qs.answers_mass(p))
+    led = MeasurementLedger()
+    for t, q in enumerate(rng.choice(qs.total_queries, size=4, replace=False), start=1):
+        led.record(int(q), float(rng.uniform(0.1, 0.9)), t)
+    listed = PepSynthesizer(dom, qs, support_cells=full, init_probs=p)
+    bare = PepSynthesizer(dom, qs, init_probs=p)
+    for synth in (listed, bare):
+        synth.update(led)
+    assert np.array_equal(listed.answers(), bare.answers())
+    out, bare_out = listed.finalize(), bare.finalize()
+    assert np.array_equal(out.cells, full) and bare_out.cells is None
+    assert np.array_equal(out.probs, bare_out.probs)
+    assert np.array_equal(out.answers(qs), qs.answers_mass(out.probs))
 
 
 def test_support_from_dataset_merges_duplicates():

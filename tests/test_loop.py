@@ -104,7 +104,7 @@ def test_run_average_output():
     cfg = RunConfig(T=T, k=1, output="average")
     out, _ = run(data, qs, synth, acct, cfg, np.random.default_rng(1))
     assert abs(out.probs.sum() - 1.0) < 1e-9
-    assert out.cells.size == dom.total_cells  # dense average over the domain
+    assert out.cells is None and out.probs.size == dom.total_cells  # dense average over the domain
 
 
 def test_run_average_output_is_mean_of_iterates():
