@@ -210,7 +210,6 @@ def cmd_synth(args) -> int:
         no_noise=args.no_noise,
         audit_errors=args.audit_errors,
         output="average" if args.output_average else "last",
-        em_score_halved=args.em_halved,
         cfg=_method_config(args, args.method),
         cell_cap=args.cell_cap,
     )
@@ -424,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-noise", action="store_true")
     p.add_argument("--audit-errors", action="store_true")
     p.add_argument("--output-average", action="store_true")
-    p.add_argument("--em-halved", action="store_true", help="halve the selection exponent")
     p.add_argument("--cell-cap", type=int, default=DEFAULT_CELL_CAP)
     p.add_argument("--samples", type=int, default=None, help="synthetic records to sample")
     p.add_argument("--out", default=None, help="synthetic CSV path")

@@ -36,7 +36,6 @@ class RunConfig:
     no_noise: bool = False  # debugging hook: exact selection + exact measurement
     audit_errors: bool = False  # record full-workload max error per round
     output: str = "last"  # "last" or "average" (histogram methods only)
-    em_score_halved: bool = False
 
     def __post_init__(self):
         if self.T < 1:
@@ -69,7 +68,7 @@ class Synthesizer(abc.ABC):
     def finalize(self):
         """Output distribution handle (answers / sample_dataset / save)."""
 
-    def private_round(self, current, private_answers, acct, rng, no_noise, em_halved=False):
+    def private_round(self, current, private_answers, acct, rng, no_noise):
         """One self-selected round from the current answers; returns (selected, None)."""
         raise NotImplementedError
 
@@ -111,9 +110,7 @@ def run(
     for t in range(1, cfg.T + 1):
         current = synth.answers() if post is None else post
         if synth.self_selecting:
-            selected, noisy = synth.private_round(
-                current, private, acct, rng, cfg.no_noise, cfg.em_score_halved
-            )
+            selected, noisy = synth.private_round(current, private, acct, rng, cfg.no_noise)
             post = synth.answers() if audit else None
             rec: dict = {
                 "round": t,
@@ -132,7 +129,6 @@ def run(
                 t,
                 per_workload=cfg.per_workload,
                 no_noise=cfg.no_noise,
-                em_halved=cfg.em_score_halved,
             )
             synth.update(ledger)
             post = synth.answers()

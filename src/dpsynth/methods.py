@@ -60,7 +60,6 @@ def fit(
     no_noise: bool = False,
     audit_errors: bool = False,
     output: str = "last",
-    em_score_halved: bool = False,
     cfg=None,
     cell_cap: int = DEFAULT_CELL_CAP,
 ):
@@ -98,7 +97,6 @@ def fit(
         no_noise=no_noise,
         audit_errors=audit_errors,
         output=output,
-        em_score_halved=em_score_halved,
     )
     cfg = CONFIGS[method]() if cfg is None else cfg
     if not isinstance(cfg, CONFIGS[method]):

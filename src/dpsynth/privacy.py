@@ -7,8 +7,11 @@ per-query parameter is
 
     eps0 = sqrt(2 * rho / (k * T * (alpha^2 + (1 - alpha)^2)))
 
-so that T rounds of k exponential draws at parameter 2*alpha*eps0 and k
-Gaussian draws at noise 1/(n*(1-alpha)*eps0) compose to exactly rho.
+so that T rounds of k exponential draws and k Gaussian draws at noise
+1/(n*(1-alpha)*eps0) compose to exactly rho. Each selection draws at the one
+exponent alpha*eps0 per unit of sensitivity (:meth:`Accountant.em_exponent`)
+and costs (alpha*eps0)^2 / 2; DualQuery's draws spend rho at the rate
+:func:`dualquery_eta` derives.
 
 The draws are one call per round each: the loop's and FEM's selections
 (:func:`select_k`) and DualQuery's query draws (:func:`dualquery_select`)
@@ -93,12 +96,11 @@ class Accountant:
             raise BudgetError("selection-only budget has no measurement share")
         return sensitivity_scale / (self.n * (1.0 - self.alpha) * self.eps0)
 
-    def em_exponent(self, halved: bool = False) -> float:
+    def em_exponent(self) -> float:
         """Selection exponent per unit of score, alpha*eps0*n: scores are
-        errors of normalized counts, which one record moves by 1/n. `halved`
-        divides it by 2 (the more conservative convention)."""
-        coef = self.alpha * self.eps0 * self.n
-        return coef * 0.5 if halved else coef
+        errors of normalized counts, which one record moves by 1/n, so a draw
+        costs (alpha*eps0)^2 / 2, the share :meth:`spent_rho` composes."""
+        return self.alpha * self.eps0 * self.n
 
     def spent_rho(self) -> float:
         """Recompose the budget actually consumed by T rounds (sanity check)."""
@@ -112,7 +114,7 @@ class Accountant:
         return zcdp_to_dp(self.rho, delta)
 
 
-def dualquery_eta(acct: Accountant, samples: int, *, halved: bool = False) -> float:
+def dualquery_eta(acct: Accountant, samples: int) -> float:
     """The query-weight rate eta at which DualQuery spends exactly acct.rho.
 
     In round t a query's log-weight is eta times its summed payoffs (absolute
@@ -121,11 +123,9 @@ def dualquery_eta(acct: Accountant, samples: int, *, halved: bool = False) -> fl
     then an exponential mechanism that costs (eta*(t-1)/n)^2 / 2, as a draw of
     :func:`exp_mechanism` does, and T rounds compose to
     rho = samples * eta^2 * sum_{t=1..T} (t-1)^2 / (2 n^2). At T=1 eta is 0.
-    `halved` halves eta, which spends rho/4.
     """
     squares = (acct.T - 1) * acct.T * (2 * acct.T - 1) // 6  # sum of (t-1)^2
-    eta = acct.n * math.sqrt(2.0 * acct.rho / (samples * squares)) if squares else 0.0
-    return eta * 0.5 if halved else eta
+    return acct.n * math.sqrt(2.0 * acct.rho / (samples * squares)) if squares else 0.0
 
 
 def exp_mechanism_probs(scores: np.ndarray, exponent: float) -> np.ndarray:
@@ -151,18 +151,18 @@ def exp_mechanism(scores: np.ndarray, exponent: float, count: int, rng, *, no_no
     return np.minimum(np.searchsorted(cum, rng.random(count), side="right"), scores.size - 1)
 
 
-def select_k(scores: np.ndarray, acct: Accountant, rng, *, no_noise=False, halved=False) -> list[int]:
+def select_k(scores: np.ndarray, acct: Accountant, rng, *, no_noise=False) -> list[int]:
     """acct.k selections over `scores`, absolute errors of normalized counts:
     draws at the accountant's exponent, or the exact argmax k times under no_noise."""
-    return exp_mechanism(scores, acct.em_exponent(halved), acct.k, rng, no_noise=no_noise).tolist()
+    return exp_mechanism(scores, acct.em_exponent(), acct.k, rng, no_noise=no_noise).tolist()
 
 
-def dualquery_select(logw, payoff, acct: Accountant, samples: int, rng, *, no_noise=False, halved=False):
+def dualquery_select(logw, payoff, acct: Accountant, samples: int, rng, *, no_noise=False):
     """DualQuery's draws of one round: add :func:`dualquery_eta` times `payoff`
     (None before the first record) to the log-weights `logw` in place, then
     draw `samples` queries with probabilities proportional to exp(logw)."""
     if payoff is not None:
-        logw += dualquery_eta(acct, samples, halved=halved) * payoff
+        logw += dualquery_eta(acct, samples) * payoff
     return exp_mechanism(logw, 1.0, samples, rng, no_noise=no_noise)
 
 
@@ -226,7 +226,6 @@ def select_and_measure_round(
     *,
     per_workload: bool = False,
     no_noise: bool = False,
-    em_halved: bool = False,
 ) -> list[int]:
     """One Sample-then-Measure round; mutates the ledger, returns selections.
 
@@ -244,7 +243,7 @@ def select_and_measure_round(
     slices = queries.slices()
     if per_workload:
         scores = np.maximum.reduceat(scores, [sl.start for sl in slices])
-    selected = select_k(scores, acct, rng, no_noise=no_noise, halved=em_halved)
+    selected = select_k(scores, acct, rng, no_noise=no_noise)
     if per_workload:
         ids = np.concatenate([np.arange(slices[s].start, slices[s].stop) for s in selected])
     else:

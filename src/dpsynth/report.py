@@ -93,11 +93,6 @@ def write_report(report: dict, path) -> None:
         f.write("\n")
 
 
-def load_report(path) -> dict:
-    with open(path) as f:
-        return json.load(f)
-
-
 def write_trace(trace: list[dict], path) -> None:
     """One JSON object per line, one line per round."""
     with open(path, "w") as f:

@@ -90,8 +90,8 @@ class DualQuerySynthesizer(_SearchBase):
     minimizing their total indicator count (exhaustive scan, lowest cell
     index on ties). The update and the draws are one call of
     :func:`~dpsynth.privacy.dualquery_select`: exponential mechanisms at the
-    rate eta that spends the accountant's budget, halved under em_halved, or
-    under no_noise the query of largest log-weight every time.
+    rate eta that spends the accountant's budget, or under no_noise the query
+    of largest log-weight every time.
     """
 
     def __init__(self, domain, queries, cfg: DualQueryConfig, cell_cap: int = DEFAULT_CELL_CAP):
@@ -99,10 +99,9 @@ class DualQuerySynthesizer(_SearchBase):
         self.cfg = cfg
         self.logw = np.zeros(queries.total_queries)  # query log-weights: eta times summed payoffs
 
-    def private_round(self, current, private_answers, acct, rng, no_noise, em_halved=False):
+    def private_round(self, current, private_answers, acct, rng, no_noise):
         payoff = np.abs(private_answers - current) if self.counts.any() else None  # of the records so far
-        drawn = dualquery_select(self.logw, payoff, acct, self.cfg.samples, rng,
-                                 no_noise=no_noise, halved=em_halved)
+        drawn = dualquery_select(self.logw, payoff, acct, self.cfg.samples, rng, no_noise=no_noise)
         objective = self.queries.transpose_mass(np.bincount(drawn, minlength=self.queries.total_queries))
         self.counts[int(np.argmin(objective))] += 1.0
         return [int(q) for q in drawn], None
@@ -125,9 +124,9 @@ class FemSynthesizer(_SearchBase):
         self.cfg = cfg
         self.base = np.zeros(domain.total_cells)  # sum of selected-query indicators
 
-    def private_round(self, current, private_answers, acct: Accountant, rng, no_noise, em_halved=False):
+    def private_round(self, current, private_answers, acct: Accountant, rng, no_noise):
         scores = np.abs(private_answers - current)
-        picked = select_k(scores, acct, rng, no_noise=no_noise, halved=em_halved)
+        picked = select_k(scores, acct, rng, no_noise=no_noise)
         self.base += self.queries.transpose_mass(np.bincount(picked, minlength=self.queries.total_queries))
         dom = self.domain
         noise = rng.exponential(self.cfg.sigma, size=(self.cfg.samples, dom.onehot_width))

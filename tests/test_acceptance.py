@@ -28,7 +28,7 @@ from dpsynth.privacy import (
 from dpsynth.public import best_mixture_error
 from dpsynth.queries import build_workloads
 from dpsynth.rap import RapConfig
-from dpsynth.report import canonical_json, errors, load_report
+from dpsynth.report import canonical_json, errors
 from dpsynth.toy import gen_toy
 
 from cli_process import run_dpsynth
@@ -432,7 +432,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
         assert proc.returncode == 0, proc.stderr
         outs.append(
             (
-                canonical_json(load_report(rep)),
+                canonical_json(json.loads(rep.read_text())),
                 csv_out.read_bytes(),
                 trace.read_bytes(),
             )

@@ -17,7 +17,6 @@ SRC = ROOT / "src" / "dpsynth"
 # documented entry points that callers of the library use and nothing inside calls
 ENTRY_POINTS = {
     "canonical_json",  # report: the byte-stable form of a report
-    "load_report",  # report: read back a written report
 }
 # methods that a base class outside the library calls
 FRAMEWORK_HOOKS = {

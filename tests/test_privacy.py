@@ -112,10 +112,6 @@ def test_em_probs_frozen():
     gap = math.log(3) / exponent
     p = exp_mechanism_probs(np.array([0.0, gap]), exponent)
     assert np.allclose(p, [0.25, 0.75], atol=1e-12)
-    # halved exponent: exp(ln3/2) ratio
-    ph = exp_mechanism_probs(np.array([0.0, gap]), acct.em_exponent(halved=True))
-    r = math.exp(math.log(3) / 2)
-    assert np.allclose(ph, [1 / (1 + r), r / (1 + r)], atol=1e-12)
 
 
 def test_em_select_frequencies():
@@ -149,13 +145,11 @@ def test_select_k_argmax_or_k_draws():
     scores = np.array([0.02, 0.05, 0.05, 0.01])
     # exact selection: the lowest-index maximum, k times, and no draw
     rng = np.random.default_rng(8)
-    assert select_k(scores, acct, rng, no_noise=True, halved=True) == [1, 1, 1]
+    assert select_k(scores, acct, rng, no_noise=True) == [1, 1, 1]
     assert rng.random() == np.random.default_rng(8).random()
-    for halved in (False, True):
-        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
-        exponent = acct.alpha * acct.eps0 * acct.n * (0.5 if halved else 1.0)
-        want = exp_mechanism(scores, exponent, 3, twin).tolist()
-        assert select_k(scores, acct, rng, halved=halved) == want
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    want = exp_mechanism(scores, acct.alpha * acct.eps0 * acct.n, 3, twin).tolist()
+    assert select_k(scores, acct, rng) == want
 
 
 def test_gaussian_measure_stats():
@@ -261,17 +255,6 @@ def _recomposed_fit(monkeypatch, method, k, **loop):
 def test_recomposed_rho_equals_the_stated_rho(monkeypatch, method, k, per_workload):
     spent, rho = _recomposed_fit(monkeypatch, method, k, per_workload=per_workload)
     assert abs(spent - rho) <= 1e-12 * rho, (spent, rho)
-
-
-@pytest.mark.parametrize("method", [*LOOP_METHODS, "fem", "dualquery"])
-def test_recomposed_rho_with_halved_exponent_is_below_the_stated_rho(monkeypatch, method):
-    # halving the selection exponent quarters the selection spend; dualquery
-    # and fem spend their whole budget on selection
-    spent, rho = _recomposed_fit(monkeypatch, method, 1, em_score_halved=True)
-    if method in ("fem", "dualquery"):
-        assert abs(spent - rho / 4) <= 1e-12 * rho, (spent, rho)
-    else:
-        assert 0 < spent < rho
 
 
 def test_one_call_draws_as_one_call_per_draw():

@@ -108,26 +108,24 @@ def test_dualquery_weights_stay_distribution_and_favor_errors():
     assert np.isfinite(synth.logw).all() and all(0 <= q < qs.total_queries for q in drawn)
 
 
-@pytest.mark.parametrize("halved", [False, True])
-def test_dualquery_rate_recomposes_to_the_stated_rho(halved):
+def test_dualquery_rate_recomposes_to_the_stated_rho():
     # after two rounds the gap of two queries' log-weights is the rate times
     # the gap of their payoffs; T rounds of `samples` draws, each an exponential
     # mechanism with log-weight sensitivity rate*(t-1)/n, spend
-    # samples * rate^2 * sum (t-1)^2 / (2 n^2): the stated rho, or a quarter
-    # of it with the exponent halved
+    # samples * rate^2 * sum (t-1)^2 / (2 n^2): the stated rho
     dom, qs = _setup((4,))
     samples, T, n, rho = 7, 5, 300, 0.05
     acct = Accountant.selection_only(rho, T, 1, n)
     synth = DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=samples))
     priv = np.array([0.7, 0.1, 0.1, 0.1])
     rng = np.random.default_rng(3)
-    synth.private_round(synth.answers(), priv, acct, rng, False, em_halved=halved)
+    synth.private_round(synth.answers(), priv, acct, rng, False)
     current = synth.answers()
-    synth.private_round(current, priv, acct, rng, False, em_halved=halved)
+    synth.private_round(current, priv, acct, rng, False)
     payoff = np.abs(priv - current)
     rate = (synth.logw[0] - synth.logw[1]) / (payoff[0] - payoff[1])
     spent = samples * rate**2 * sum((t - 1) ** 2 for t in range(1, T + 1)) / (2 * n**2)
-    assert abs(spent - (rho / 4 if halved else rho)) <= 1e-12
+    assert abs(spent - rho) <= 1e-12
 
 
 def test_fem_noise_free_limit_unperturbed_argmin():
@@ -221,47 +219,6 @@ def test_search_methods_through_the_loop():
         assert abs(out.probs.sum() - 1.0) < 1e-12
 
 
-def test_fem_selection_honours_em_halved():
-    # the halved exponent draws from the halved selection distribution
-    from dpsynth.privacy import exp_mechanism
-
-    dom, qs = _setup((2, 4))
-    priv = np.array([0.8, 0.2, 0.4, 0.3, 0.2, 0.1])
-    acct = Accountant(rho=0.1, T=2, k=3, alpha=1.0, n=100)
-    synth = FemSynthesizer(dom, qs, FemConfig(samples=2))
-    current = synth.answers()
-    scores = np.abs(priv - current)
-    differs = False
-    for seed in range(20):
-        want = {}
-        for halved in (False, True):
-            twin = np.random.default_rng(seed)
-            exponent = acct.alpha * acct.eps0 * acct.n * (0.5 if halved else 1.0)
-            want[halved] = exp_mechanism(scores, exponent, 3, twin).tolist()
-            picked, _ = FemSynthesizer(dom, qs, FemConfig(samples=2)).private_round(
-                current, priv, acct, np.random.default_rng(seed), False, em_halved=halved
-            )
-            assert picked == want[halved]
-        differs |= want[False] != want[True]
-    assert differs
-
-
-def test_loop_passes_em_halved_to_fem_and_dualquery():
-    dom, qs = _setup((2, 4))
-    data = Dataset(dom, np.array([[0, 1], [1, 3], [0, 0], [1, 1]] * 10))
-    acct = Accountant(rho=0.2, T=5, k=1, alpha=1.0, n=data.n)
-    for make in (
-        lambda: FemSynthesizer(dom, qs, FemConfig(samples=5)),
-        lambda: DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=5)),
-    ):
-        picks = []
-        for halved in (False, True):
-            cfg = RunConfig(T=5, k=1, alpha=1.0, em_score_halved=halved)
-            _, trace = run(data, qs, make(), acct, cfg, np.random.default_rng(1))
-            picks.append([r["selected"] for r in trace])
-        assert picks[0] != picks[1]
-
-
 @pytest.mark.parametrize("search", ["dualquery", "fem"])
 def test_one_answers_pass_per_round(monkeypatch, search):
     # the loop's current answers serve the round; nothing evaluates them twice
@@ -318,15 +275,13 @@ REPLAY_CASES = [
     ((8, 8, 8, 8), 3, 1),
     ((3, 4, 2, 5), [(2, 0, 1), (3, 1, 0), (0, 1, 2)], 2),
 ]
-MODES = {"plain": {}, "em_halved": {"em_halved": True}, "no_noise": {"no_noise": True}}
+MODES = {"plain": {}, "no_noise": {"no_noise": True}}
 
 # mode -> seed -> the queries DualQuery draws in each of three rounds, pinned
 # so that no change in how the draws are made moves them
 DUALQUERY_DRAWS = {
     "plain": {0: [[3, 1, 0, 0, 4, 5], [2, 2, 2, 3, 2, 0], [3, 0, 3, 0, 3, 1]],
               1: [[3, 5, 0, 5, 1, 2], [4, 4, 4, 3, 4, 4], [4, 4, 4, 4, 4, 4]]},
-    "em_halved": {0: [[3, 1, 0, 0, 4, 5], [2, 2, 2, 3, 3, 0], [3, 0, 3, 0, 3, 2]],
-                  1: [[3, 5, 0, 5, 1, 2], [4, 4, 4, 0, 4, 4], [4, 4, 4, 4, 3, 4]]},
     "no_noise": {0: [[0] * 6, [2] * 6, [2] * 6], 1: [[0] * 6, [2] * 6, [2] * 6]},
 }
 
@@ -377,7 +332,7 @@ def test_dualquery_counts_match_per_draw_reference(sizes, workloads, k, mode):
 def test_fem_counts_match_per_record_reference(sizes, workloads, k, sigma, samples, mode):
     # a twin generator replays the selection, then draws one noise vector per
     # record: the round's single draw must be that same stream
-    opts = {"no_noise": False, "em_halved": False, **MODES[mode]}
+    opts = {"no_noise": False, **MODES[mode]}
     T = 3
     for seed in range(3):
         dom, qs, priv = _replay_setup(sizes, workloads, seed)
@@ -387,9 +342,8 @@ def test_fem_counts_match_per_record_reference(sizes, workloads, k, sigma, sampl
         picks, want = [], np.zeros(dom.total_cells)
         for _ in range(T):
             current = synth.answers()
-            picked, _ = synth.private_round(current, priv, acct, rng, opts["no_noise"], opts["em_halved"])
-            assert picked == select_k(np.abs(priv - current), acct, twin, no_noise=opts["no_noise"],
-                                      halved=opts["em_halved"])
+            picked, _ = synth.private_round(current, priv, acct, rng, opts["no_noise"])
+            assert picked == select_k(np.abs(priv - current), acct, twin, no_noise=opts["no_noise"])
             picks += picked
             want += fem_records_loop(dom, cell_sums_loop(qs, picks), twin, sigma, samples)
             assert np.array_equal(synth.counts, want)
