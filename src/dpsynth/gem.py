@@ -14,6 +14,11 @@ final model.
 
 Gradients are computed by a purpose-built reverse pass (matrix calculus by
 hand, no autograd dependency); adam-style moment estimates drive the steps.
+G trains in place on one flat float64 parameter vector: the (W, b) layers
+are views into it, and the gradient buffer, Adam's moments and the EMA share
+its layout and are allocated once. A fit runs one forward pass per parameter
+version: the pass that answers the queries also opens the next round's fit,
+and a round that stops on gamma leaves its last pass for the answers.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ import numpy as np
 from .domain import ConfigError, DataError, Domain, ProductMixture
 from .loop import Synthesizer
 from .privacy import MeasurementLedger
-from .queries import QuerySet, product_answers, product_answers_grad
+from .queries import QuerySet, prefix_outers, product_answers, product_answers_grad
 
 LOSSES = ("l1", "l2")  # the choices of GemConfig.loss
 
@@ -88,8 +93,29 @@ def block_softmax(logits: np.ndarray, domain: Domain) -> np.ndarray:
     return P
 
 
+def flat_params(params: Params) -> tuple[np.ndarray, Params]:
+    """(theta, views): the parameters copied into one flat float64 vector, W
+    then b layer by layer, and the (W, b) list as views into it."""
+    theta = np.concatenate([x.ravel() for layer in params for x in layer], dtype=np.float64)
+    return theta, layer_views(theta, params)
+
+
+def layer_views(flat: np.ndarray, like: Params) -> Params:
+    """The (W, b) list shaped like `like`, as views into a flat vector laid out as `flat_params` lays it."""
+    out, pos = [], 0
+    for W, b in like:
+        out.append((flat[pos : pos + W.size].reshape(W.shape), flat[pos + W.size : pos + W.size + b.size]))
+        pos += W.size + b.size
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def forward(params: Params, Z: np.ndarray, domain: Domain):
-    """Returns (P, cache); P rows are concatenated attribute distributions."""
+    """Returns (P, cache); P rows are concatenated attribute distributions.
+
+    Diverged weights overflow without a warning: a fit's `_fit_terms`
+    reports the non-finite answers.
+    """
     acts = [np.asarray(Z, dtype=np.float64)]
     pres = []
     A = acts[0]
@@ -116,17 +142,17 @@ def block_softmax_grad(P: np.ndarray, dP: np.ndarray, domain: Domain) -> np.ndar
     return gl
 
 
-def backward(params: Params, cache, dP: np.ndarray, domain: Domain) -> Params:
-    """Gradient of a scalar loss w.r.t. every parameter, given dLoss/dP."""
+def backward(params: Params, cache, dP: np.ndarray, domain: Domain, grads: Params) -> Params:
+    """Gradient of a scalar loss w.r.t. every parameter, given dLoss/dP,
+    written into `grads` (laid out as `params`, views of one flat buffer)."""
     acts, pres, P = cache
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params)  # type: ignore
     dA = block_softmax_grad(P, dP, domain)
     for li in range(len(params) - 1, -1, -1):
-        W, _ = params[li]
-        A_prev = acts[li]
-        grads[li] = (A_prev.T @ dA, dA.sum(axis=0))
+        gW, gb = grads[li]
+        np.matmul(acts[li].T, dA, out=gW)
+        np.sum(dA, axis=0, out=gb)
         if li > 0:
-            dA = (dA @ W.T) * (pres[li - 1] > 0.0)
+            dA = (dA @ params[li][0].T) * (pres[li - 1] > 0.0)
     return grads
 
 
@@ -153,24 +179,16 @@ def _fit_terms(c: np.ndarray, gamma: float, kind: str):
     return loss, active, coeff
 
 
-def _residuals(params: Params, Z: np.ndarray, queries: QuerySet, qidx, targets: np.ndarray):
-    """One forward pass: (cache, residuals c = targets - answers) at query ids qidx.
-
-    Diverged weights overflow without a warning: `_fit_terms` reports them.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        P, cache = forward(params, Z, queries.domain)
-        return cache, np.asarray(targets, dtype=np.float64) - product_answers(P, queries, qidx)
-
-
-def _gradient(params: Params, cache, queries: QuerySet, qidx, c: np.ndarray, gamma: float, kind: str):
-    """(loss, parameter gradients) from the cache (which ends with P) and
-    residuals of one forward pass."""
+def _gradient(params: Params, cache, queries: QuerySet, qidx, c, gamma, kind, grads: Params, outers=None):
+    """The loss, with its parameter gradients written into `grads`, from the
+    cache (which ends with P) and residuals of one forward pass; `outers` are
+    that pass's prefix outer products when qidx is None."""
     loss, active, coeff = _fit_terms(c, gamma, kind)
     if qidx is not None:  # gather only the active queries: often a few of thousands
         qidx, coeff = qidx[active], coeff[active]
-    dP = product_answers_grad(cache[2], queries, coeff, qidx)
-    return loss, backward(params, cache, dP, queries.domain)
+    dP = product_answers_grad(cache[2], queries, coeff, qidx, outers)
+    backward(params, cache, dP, queries.domain, grads)
+    return loss
 
 
 def gem_loss(
@@ -187,7 +205,8 @@ def gem_loss(
     Fits `queries` at the ids qidx (None: all). Returns (loss, residuals
     c = targets - answers). Raises if gamma leaves no active entry.
     """
-    _, c = _residuals(params, Z, queries, qidx, targets)
+    P, _ = forward(params, Z, queries.domain)
+    c = np.asarray(targets, dtype=np.float64) - product_answers(P, queries, qidx)
     return _fit_terms(c, gamma, kind)[0], c
 
 
@@ -199,28 +218,42 @@ def gem_gradient(
     targets: np.ndarray,
     gamma: float = 0.0,
     kind: str = "l1",
+    grads: Params | None = None,
 ):
-    """Loss, parameter gradients, and residuals in one reverse pass."""
-    cache, c = _residuals(params, Z, queries, qidx, targets)
-    loss, grads = _gradient(params, cache, queries, qidx, c, gamma, kind)
+    """Loss, parameter gradients, and residuals in one reverse pass.
+
+    The gradients go into `grads` (views of one flat buffer, laid out as
+    `params`) when given. On the whole collection (qidx None) the answers
+    and the gradient contract the same prefix outer products.
+    """
+    if grads is None:
+        grads = layer_views(np.empty(sum(W.size + b.size for W, b in params)), params)
+    P, cache = forward(params, Z, queries.domain)
+    outers = prefix_outers(P, queries) if qidx is None else None
+    c = np.asarray(targets, dtype=np.float64) - product_answers(P, queries, qidx, outers)
+    loss = _gradient(params, cache, queries, qidx, c, gamma, kind, grads, outers)
     return loss, grads, c
 
 
 class Adam:
-    """Bias-corrected first/second moment steps.
+    """Bias-corrected first/second moment steps on one array: the generator's
+    flat parameter vector, or RAP's table of logits.
 
-    Parameters and gradients are lists of layers, each a tuple of arrays:
-    (W, b) pairs for the generator, one (M,) layer for relaxed rows.
+    The moments and the scratch buffers are allocated once; `step` moves
+    the parameters in place.
     """
 
-    def __init__(self, params, lr: float):
+    def __init__(self, x: np.ndarray, lr: float):
         self.lr = lr
         self.t = 0
-        self.m = [[np.zeros_like(x) for x in layer] for layer in params]
-        self.v = [[np.zeros_like(x) for x in layer] for layer in params]
+        self.m = np.zeros_like(x)
+        self.v = np.zeros_like(x)
+        self._den = np.empty_like(x)
+        self._step = np.empty_like(x)
 
-    def direction(self, grads) -> list[tuple[np.ndarray, ...]]:
-        """Advance the moments by `grads` in place and return the steps to subtract.
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """Advance the moments by `g` in place and return the step to subtract,
+        in a scratch buffer that the next call overwrites.
 
         A step is lr * (m / c1) / (sqrt(v / c2) + eps), computed in place in
         that order of operations, so it is bit-identical to the expression.
@@ -228,41 +261,30 @@ class Adam:
         self.t += 1
         c1 = 1.0 - ADAM_B1**self.t
         c2 = 1.0 - ADAM_B2**self.t
-        out = []
-        for m, v, g in zip(self.m, self.v, grads):
-            steps = []
-            for mi, vi, gi in zip(m, v, g):
-                mi *= ADAM_B1
-                mi += (1 - ADAM_B1) * gi
-                den = np.square(gi)
-                den *= 1 - ADAM_B2
-                vi *= ADAM_B2
-                vi += den
-                np.sqrt(np.divide(vi, c2, out=den), out=den)
-                den += ADAM_EPS
-                step = mi / c1
-                step *= self.lr
-                steps.append(np.divide(step, den, out=step))
-            out.append(tuple(steps))
-        return out
+        m, v, den, step = self.m, self.v, self._den, self._step
+        m *= ADAM_B1
+        m += np.multiply(g, 1 - ADAM_B1, out=den)
+        np.square(g, out=den)
+        den *= 1 - ADAM_B2
+        v *= ADAM_B2
+        v += den
+        np.sqrt(np.divide(v, c2, out=den), out=den)
+        den += ADAM_EPS
+        np.divide(m, c1, out=step)
+        step *= self.lr
+        return np.divide(step, den, out=step)
 
-    def step(self, params, grads):
-        return [
-            tuple(x - d for x, d in zip(layer, steps))
-            for layer, steps in zip(params, self.direction(grads))
-        ]
+    def step(self, x: np.ndarray, g: np.ndarray) -> None:
+        """Advance the moments by `g` and move `x` by the step, in place."""
+        x -= self.direction(g)
 
 
-def ema_update(ema: Params, current: Params, beta: float) -> Params:
-    """new_ema = beta * ema + (1 - beta) * current, layerwise."""
-    if len(ema) != len(current):
-        raise DataError("parameter lists differ in depth")
-    out = []
-    for (eW, eb), (W, b) in zip(ema, current):
-        if eW.shape != W.shape or eb.shape != b.shape:
-            raise DataError("parameter shapes differ")
-        out.append((beta * eW + (1 - beta) * W, beta * eb + (1 - beta) * b))
-    return out
+def ema_update(ema: np.ndarray, current: np.ndarray, beta: float) -> None:
+    """ema = beta * ema + (1 - beta) * current, in place, on flat parameter vectors."""
+    if ema.shape != current.shape:
+        raise DataError("parameter vectors differ in shape")
+    ema *= beta
+    ema += (1 - beta) * current
 
 
 class GemOutput(ProductMixture):
@@ -277,6 +299,8 @@ class GemOutput(ProductMixture):
 
 
 class GemSynthesizer(Synthesizer):
+    """GEM's private rounds on the flat vector `theta`; `params` are its (W, b) views."""
+
     def __init__(
         self,
         domain: Domain,
@@ -295,25 +319,29 @@ class GemSynthesizer(Synthesizer):
         z_dim = cfg.z_dim if init is None else init[0][0].shape[0]
         self.z_batch = rng.standard_normal((cfg.batch, z_dim))
         if init is None:
-            self.params = init_params(rng, z_dim, cfg.hidden, domain.onehot_width)
-        else:
-            self.params = [(W.copy(), b.copy()) for W, b in init]
-        self.opt = Adam(self.params, cfg.lr)
-        self.ema: Params | None = None
+            init = init_params(rng, z_dim, cfg.hidden, domain.onehot_width)
+        self.theta, self.params = flat_params(init)
+        self._grad = np.empty_like(self.theta)
+        self._grads = layer_views(self._grad, self.params)
+        self.opt = Adam(self.theta, cfg.lr)
+        self.ema: np.ndarray | None = None  # laid out as theta
         self.gamma: float | None = None
         self.round = 0
-        self._answered: tuple[Params, np.ndarray] | None = None  # (params, their answers)
+        self._fixed: tuple[int, tuple] | None = None  # (opt.t, cache) of the fixed batch's pass
+        self._answered: tuple[int, np.ndarray] | None = None  # (opt.t, answers)
 
-    def _noise(self) -> np.ndarray:
-        if self.cfg.resample_z:
-            return self.rng.standard_normal(self.z_batch.shape)
-        return self.z_batch
+    def _pass(self, fresh_noise: bool = False):
+        """The forward cache at the current parameters: on fresh noise, or on
+        the fixed batch, whose pass runs once per parameter version."""
+        if fresh_noise:
+            return forward(self.params, self.rng.standard_normal(self.z_batch.shape), self.domain)[1]
+        if self._fixed is None or self._fixed[0] != self.opt.t:
+            self._fixed = self.opt.t, forward(self.params, self.z_batch, self.domain)[1]
+        return self._fixed[1]
 
     def answers(self) -> np.ndarray:
-        # an update that took no Adam step leaves the same params object
-        if self._answered is None or self._answered[0] is not self.params:
-            P, _ = forward(self.params, self.z_batch, self.domain)
-            self._answered = self.params, self.queries.answers_probs(P)
+        if self._answered is None or self._answered[0] != self.opt.t:
+            self._answered = self.opt.t, self.queries.answers_probs(self._pass()[2])
         return self._answered[1].copy()
 
     def update(self, ledger: MeasurementLedger) -> None:
@@ -323,11 +351,12 @@ class GemSynthesizer(Synthesizer):
         qidx = ledger.indices()
         # every step answers all of the ledger's queries: prepared once
         gather = self.queries.gather(qidx, self.z_batch.shape[0])
-        targets = ledger.answers()
+        targets = np.asarray(ledger.answers(), dtype=np.float64)
         # sampled max error of this round's fresh measurements, before fitting
         rounds = ledger.rounds()
         fresh = rounds == rounds.max()
-        cache, c = _residuals(self.params, self.z_batch, self.queries, gather, targets)
+        cache = self._pass()
+        c = targets - product_answers(cache[2], self.queries, gather)
         sampled_max = float(np.abs(c[fresh]).max())
         # the early-stop threshold guards against overfitting noisy targets;
         # with exact measurements it would stall the fit, so drop it
@@ -341,21 +370,26 @@ class GemSynthesizer(Synthesizer):
         for step in range(self.cfg.t_max):
             # the stop test and the gradient read one pass; with fixed noise, step 1's is the one above
             if step or self.cfg.resample_z:
-                cache, c = _residuals(self.params, self._noise(), self.queries, gather, targets)
+                cache = self._pass(self.cfg.resample_z)
+                c = targets - product_answers(cache[2], self.queries, gather)
             if np.abs(c).max() < self.gamma:
                 break
-            _, grads = _gradient(self.params, cache, self.queries, qidx, c, self.gamma, self.cfg.loss)
-            self.params = self.opt.step(self.params, grads)
+            _gradient(self.params, cache, self.queries, qidx, c, self.gamma, self.cfg.loss, self._grads)
+            self.opt.step(self.theta, self._grad)
             if ema_on:
                 if self.ema is None:
-                    self.ema = [(W.copy(), b.copy()) for W, b in self.params]
+                    self.ema = self.theta.copy()
                 else:
-                    self.ema = ema_update(self.ema, self.params, self.cfg.ema_beta)
+                    ema_update(self.ema, self.theta, self.cfg.ema_beta)
 
     def finalize(self) -> GemOutput:
-        params = self.ema if self.ema is not None else self.params
-        P, _ = forward(params, self.z_batch, self.domain)
-        return GemOutput(self.domain, P, params)
+        """The output, on its own copy of the parameters (the EMA's once it started)."""
+        if self.ema is None:
+            theta, P = self.theta.copy(), self._pass()[2]
+        else:
+            theta = self.ema.copy()
+            P, _ = forward(layer_views(theta, self.params), self.z_batch, self.domain)
+        return GemOutput(self.domain, P, layer_views(theta, self.params))
 
 
 # -- checkpoint I/O --------------------------------------------------------

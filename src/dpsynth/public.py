@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .domain import ConfigError, DataError, Dataset, Domain, DomainError, SupportDistribution
-from .gem import Adam, GemConfig, Params, gem_gradient, init_params
+from .gem import Adam, GemConfig, Params, flat_params, gem_gradient, init_params, layer_views
 from .pep import PepConfig, PepSynthesizer
 from .queries import QuerySet, SupportMap
 
@@ -98,12 +98,14 @@ def gem_pub_pretrain(
         raise ConfigError("lr must be > 0 and finite")
     restricted = restrict_to_public(queries, public.domain)
     targets = public_answers(restricted, public)
-    params = init_params(rng, cfg.z_dim, cfg.hidden, domain.onehot_width)
+    theta, params = flat_params(init_params(rng, cfg.z_dim, cfg.hidden, domain.onehot_width))
     Z = rng.standard_normal((cfg.batch, cfg.z_dim))
-    opt = Adam(params, lr)
-    for _ in range(steps):
-        _, grads, c = gem_gradient(params, Z, restricted, None, targets, 0.0, cfg.loss)
-        params = opt.step(params, grads)
+    grad = np.empty_like(theta)
+    grads = layer_views(grad, params)
+    opt = Adam(theta, lr)
+    for _ in range(steps):  # in place: theta, the gradient and Adam's moments are allocated once
+        _, _, c = gem_gradient(params, Z, restricted, None, targets, 0.0, cfg.loss, grads)
+        opt.step(theta, grad)
     return params, {"steps": steps, "max_err": float(np.abs(c).max()), "queries": restricted.total_queries}
 
 

@@ -415,14 +415,33 @@ def _loo(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return loo.reshape(-1, vals.shape[2])
 
 
-def product_answers(P: np.ndarray, queries: QuerySet, qidx: np.ndarray | Gather | None = None) -> np.ndarray:
+def prefix_outers(P: np.ndarray, queries: QuerySet) -> list[list[tuple[slice, np.ndarray]]]:
+    """Per prefix group of the collection's plan, per row chunk of P: the
+    rows and the row-wise outer product of the prefix's blocks over them.
+
+    `product_answers` and `product_answers_grad` on the whole collection
+    both contract these; a caller that needs both at one P builds them once.
+    """
+    dom = queries.domain
+    out = []
+    for g in queries._prefix_plan[0]:
+        first = _blocks(P, dom, g.prefix)
+        chunks = _row_chunks(P.shape[0], math.prod(dom.sizes[f] for f in g.prefix))
+        out.append([(r, _outer(first, r)) for r in chunks])
+    return out
+
+
+def product_answers(
+    P: np.ndarray, queries: QuerySet, qidx: np.ndarray | Gather | None = None, outers=None
+) -> np.ndarray:
     """Batch-mean product answers: answer of q = mean_b prod_{i in q} P[b, i].
 
     qidx=None answers the whole collection, one contraction per shared prefix:
-    the outer product of the prefix's blocks times the last blocks of all its
-    workloads at once. An array of query ids, or a `Gather` of them prepared
-    once for many calls, answers just those: per chunk, the (chunk, k, B)
-    rows of P.T at their one-hot columns, multiplied over k and averaged over B.
+    the outer product of the prefix's blocks (`prefix_outers`, or `outers`
+    if given) times the last blocks of all its workloads at once. An array
+    of query ids, or a `Gather` of them prepared once for many calls,
+    answers just those: per chunk, the (chunk, k, B) rows of P.T at their
+    one-hot columns, multiplied over k and averaged over B.
     """
     B = P.shape[0]
     if qidx is not None:
@@ -431,21 +450,18 @@ def product_answers(P: np.ndarray, queries: QuerySet, qidx: np.ndarray | Gather 
         for s, cols, _ in gather.chunks:
             out[s] = P.T[cols].prod(axis=1).sum(axis=1) / B  # the mean, without np.mean's overhead
         return out
-    dom = queries.domain
     groups, perm = queries._prefix_plan
     parts = []
-    for g in groups:
-        first = _blocks(P, dom, g.prefix)
+    for g, chunks in zip(groups, prefix_outers(P, queries) if outers is None else outers):
         lasts = P[:, g.lasts]
         # 1-way: the blocks' column sums
-        chunks = _row_chunks(B, math.prod(dom.sizes[f] for f in g.prefix))
-        acc = sum(_outer(first, r).T @ lasts[r] if first else lasts[r].sum(axis=0) for r in chunks)
+        acc = sum(outer.T @ lasts[r] if g.prefix else lasts[r].sum(axis=0) for r, outer in chunks)
         parts.append(acc.ravel())
     return np.concatenate(parts)[perm] / B
 
 
 def product_answers_grad(
-    P: np.ndarray, queries: QuerySet, coeff: np.ndarray, qidx: np.ndarray | Gather | None = None
+    P: np.ndarray, queries: QuerySet, coeff: np.ndarray, qidx: np.ndarray | Gather | None = None, outers=None
 ) -> np.ndarray:
     """Gradient w.r.t. P of sum_j coeff[j] * product_answers(P, queries, qidx)[j].
 
@@ -472,15 +488,15 @@ def product_answers_grad(
     grouped[perm] = coeff / B  # the coefficients in the groups' (prefix value, last column) layout
     dP = np.zeros_like(P)
     start = 0
-    for g in groups:
+    for g, chunks in zip(groups, prefix_outers(P, queries) if outers is None else outers):
         first = _blocks(P, dom, g.prefix)
         sizes = [dom.sizes[f] for f in g.prefix]
         C = grouped[start : start + math.prod(sizes) * g.lasts.size].reshape(-1, g.lasts.size)
         start += C.size
         lasts = P[:, g.lasts]
-        for r in _row_chunks(B, C.shape[0]):
+        for r, outer in chunks:
             # the last blocks: the outer product of the prefix's blocks times C
-            d_lasts = _outer(first, r) @ C
+            d_lasts = outer @ C
             col = 0
             for wi in g.workloads:  # one slice per workload: two workloads may share a last block
                 f, sz = queries.workloads[wi].features[-1], queries.workloads[wi].sizes[-1]

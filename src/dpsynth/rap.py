@@ -125,7 +125,7 @@ class RapSynthesizer(Synthesizer):
         history = [loss]
         # per-coordinate moment scaling; raw softmax gradients are ~1e-4 so a
         # bare lr*g step at lr=0.1 goes nowhere. Moments reset each round.
-        opt = Adam([(M,)], self.cfg.lr)
+        opt = Adam(M, self.cfg.lr)
         start = START_SCALE
         g = None  # the gradient at M, kept across a momentum restart
         for _ in range(self.cfg.max_steps):
@@ -133,7 +133,7 @@ class RapSynthesizer(Synthesizer):
                 g = self._grad(M, queries, qidx, P, diff)
                 if not g.any():  # exact stationary point
                     break
-            ((delta,),) = opt.direction([(g,)])
+            delta = opt.direction(g)
             scale = start
             for _ in range(MAX_HALVINGS + 1):
                 M_try = M - scale * delta
@@ -146,7 +146,7 @@ class RapSynthesizer(Synthesizer):
                     break  # even the plain scaled gradient fails: done
                 # stale momentum points uphill near the optimum; restart
                 # from the same M, whose gradient g is still current
-                opt = Adam([(M,)], self.cfg.lr)
+                opt = Adam(M, self.cfg.lr)
                 start = START_SCALE
                 continue
             # warm start: the next search begins at this scale, or at twice

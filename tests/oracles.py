@@ -452,3 +452,159 @@ class DrawLog:
                     assert call["size"] == len(drawn)
                     rho += call["size"] / n**2 / (2 * call["sigma"] ** 2)
         return rho
+
+
+# -- GEM on (W, b) lists ----------------------------------------------------
+# The generator's training as written layer by layer: fresh arrays for every
+# Adam step, EMA and gradient, and a forward pass for every residual pass and
+# every answers call. The library's in-place flat-vector training must match
+# it bit for bit.
+
+
+def forward_list(params, Z, domain):
+    """(P, cache) of the generator on the noise rows Z."""
+    from dpsynth.gem import block_softmax
+
+    acts, pres = [np.asarray(Z, dtype=np.float64)], []
+    A = acts[0]
+    for W, b in params[:-1]:
+        pre = A @ W + b
+        pres.append(pre)
+        A = np.maximum(pre, 0.0)
+        acts.append(A)
+    W, b = params[-1]
+    P = block_softmax(A @ W + b, domain)
+    return P, (acts, pres, P)
+
+
+def backward_list(params, cache, dP, domain):
+    """Per-layer (dW, db) of a loss from its derivative dP, as fresh arrays."""
+    from dpsynth.gem import block_softmax_grad
+
+    acts, pres, P = cache
+    grads = [None] * len(params)
+    dA = block_softmax_grad(P, dP, domain)
+    for li in range(len(params) - 1, -1, -1):
+        grads[li] = (acts[li].T @ dA, dA.sum(axis=0))
+        if li > 0:
+            dA = (dA @ params[li][0].T) * (pres[li - 1] > 0.0)
+    return grads
+
+
+def fit_coefficients(c, gamma, kind):
+    """d loss / d answers of residuals c over the active set |c| >= gamma."""
+    active = np.abs(c) >= gamma
+    n_act = int(active.sum())
+    if kind == "l1":
+        return np.where(active, -np.sign(c) / n_act, 0.0)
+    return np.where(active, -2.0 * c / n_act, 0.0)
+
+
+class AdamList:
+    """Adam over a list of layers, each step's moments and step as fresh arrays."""
+
+    def __init__(self, params, lr):
+        from dpsynth.gem import ADAM_B1, ADAM_B2, ADAM_EPS
+
+        self.b1, self.b2, self.eps = ADAM_B1, ADAM_B2, ADAM_EPS
+        self.lr, self.t = lr, 0
+        self.m = [[np.zeros_like(x) for x in layer] for layer in params]
+        self.v = [[np.zeros_like(x) for x in layer] for layer in params]
+
+    def step(self, params, grads):
+        self.t += 1
+        c1, c2 = 1.0 - self.b1**self.t, 1.0 - self.b2**self.t
+        out = []
+        for j, (layer, g) in enumerate(zip(params, grads)):
+            new = []
+            for i, (x, gi) in enumerate(zip(layer, g)):
+                self.m[j][i] = self.b1 * self.m[j][i] + (1 - self.b1) * gi
+                self.v[j][i] = self.b2 * self.v[j][i] + (1 - self.b2) * gi**2
+                new.append(x - self.lr * (self.m[j][i] / c1) / (np.sqrt(self.v[j][i] / c2) + self.eps))
+            out.append(tuple(new))
+        return out
+
+
+def ema_update_list(ema, current, beta):
+    """beta * ema + (1 - beta) * current, layer by layer."""
+    return [(beta * eW + (1 - beta) * W, beta * eb + (1 - beta) * b) for (eW, eb), (W, b) in zip(ema, current)]
+
+
+class GemListReference:
+    """GEM's private rounds on (W, b) lists: `GemSynthesizer` without its flat
+    vector, its in-place steps or its kept forward passes."""
+
+    def __init__(self, domain, queries, cfg, rng, total_rounds, init=None):
+        from dpsynth.gem import init_params
+
+        self.domain, self.queries, self.cfg, self.rng = domain, queries, cfg, rng
+        self.total_rounds = total_rounds
+        z_dim = cfg.z_dim if init is None else init[0][0].shape[0]
+        self.z_batch = rng.standard_normal((cfg.batch, z_dim))
+        if init is None:
+            self.params = init_params(rng, z_dim, cfg.hidden, domain.onehot_width)
+        else:
+            self.params = [(W.copy(), b.copy()) for W, b in init]
+        self.opt = AdamList(self.params, cfg.lr)
+        self.ema, self.gamma, self.round = None, None, 0
+
+    def _residuals(self, Z, qidx, targets):
+        from dpsynth.queries import product_answers
+
+        P, cache = forward_list(self.params, Z, self.domain)
+        return cache, targets - product_answers(P, self.queries, qidx)
+
+    def answers(self):
+        return self.queries.answers_probs(forward_list(self.params, self.z_batch, self.domain)[0])
+
+    def update(self, ledger):
+        from dpsynth.gem import GAMMA_BETA
+        from dpsynth.queries import product_answers_grad
+
+        self.round += 1
+        qidx, targets, rounds = ledger.indices(), ledger.answers(), ledger.rounds()
+        cache, c = self._residuals(self.z_batch, qidx, targets)
+        sampled_max = float(np.abs(c[rounds == rounds.max()]).max())
+        if ledger.exact:
+            self.gamma = 0.0
+        elif self.gamma is None:
+            self.gamma = sampled_max
+        else:
+            self.gamma = GAMMA_BETA * self.gamma + (1 - GAMMA_BETA) * sampled_max
+        for step in range(self.cfg.t_max):
+            if step or self.cfg.resample_z:
+                Z = self.rng.standard_normal(self.z_batch.shape) if self.cfg.resample_z else self.z_batch
+                cache, c = self._residuals(Z, qidx, targets)
+            if np.abs(c).max() < self.gamma:
+                break
+            coeff = fit_coefficients(c, self.gamma, self.cfg.loss)
+            active = np.abs(c) >= self.gamma
+            dP = product_answers_grad(cache[2], self.queries, coeff[active], qidx[active])
+            self.params = self.opt.step(self.params, backward_list(self.params, cache, dP, self.domain))
+            if self.round > self.total_rounds // 2:
+                if self.ema is None:
+                    self.ema = [(W.copy(), b.copy()) for W, b in self.params]
+                else:
+                    self.ema = ema_update_list(self.ema, self.params, self.cfg.ema_beta)
+
+    def final_params(self):
+        return self.ema if self.ema is not None else self.params
+
+
+def gem_pub_pretrain_list(domain, public, queries, cfg, rng, steps, lr):
+    """`gem_pub_pretrain` on lists: (params, max residual at the last step)."""
+    from dpsynth.gem import init_params
+    from dpsynth.public import public_answers, restrict_to_public
+    from dpsynth.queries import product_answers, product_answers_grad
+
+    restricted = restrict_to_public(queries, public.domain)
+    targets = public_answers(restricted, public)
+    params = init_params(rng, cfg.z_dim, cfg.hidden, domain.onehot_width)
+    Z = rng.standard_normal((cfg.batch, cfg.z_dim))
+    opt = AdamList(params, lr)
+    for _ in range(steps):
+        P, cache = forward_list(params, Z, domain)
+        c = targets - product_answers(P, restricted)
+        dP = product_answers_grad(P, restricted, fit_coefficients(c, 0.0, cfg.loss))
+        params = opt.step(params, backward_list(params, cache, dP, domain))
+    return params, float(np.abs(c).max())

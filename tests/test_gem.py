@@ -23,10 +23,14 @@ from dpsynth.privacy import MeasurementLedger
 from dpsynth.queries import product_answers_grad
 
 from oracles import (
+    GemListReference,
     block_softmax_grad_loop,
     block_softmax_loop,
     central_difference,
+    ema_update_list,
     flatten_params,
+    forward_list,
+    gem_pub_pretrain_list,
     unflatten_params,
 )
 
@@ -281,10 +285,12 @@ def test_answers_reused_until_a_step_moves_the_params(monkeypatch):
     assert passes == []
     assert np.array_equal(again, qs.answers_probs(forward(synth.params, synth.z_batch, dom)[0]))
     synth.gamma = None
-    synth.update(led)  # takes Adam steps: a new params list
+    synth.update(led)  # takes Adam steps: a new parameter version
+    assert 0 < synth.opt.t
     passes.clear()
     moved = synth.answers()
-    assert passes == [1]
+    # a round that stopped on gamma left its stop test's pass at these parameters
+    assert passes == ([] if synth.opt.t < cfg.t_max else [1])
     assert np.array_equal(moved, qs.answers_probs(forward(synth.params, synth.z_batch, dom)[0]))
     assert not np.array_equal(moved, again)
 
@@ -316,18 +322,27 @@ def test_exact_targets_pins_gamma_to_zero():
 
 
 def test_ema_update_rules():
-    z = [(np.zeros((2, 2)), np.zeros(2))]
-    o = [(np.ones((2, 2)), np.ones(2))]
-    half = ema_update(z, o, 0.5)
-    assert np.allclose(half[0][0], 0.5) and np.allclose(half[0][1], 0.5)
-    fixed = ema_update(o, o, 0.3)
-    assert np.allclose(fixed[0][0], 1.0)
-    copied = ema_update(z, o, 0.0)
-    assert np.allclose(copied[0][0], 1.0)
+    z, o = np.zeros(6), np.ones(6)
+    half = z.copy()
+    ema_update(half, o, 0.5)  # in place
+    assert np.allclose(half, 0.5)
+    fixed = o.copy()
+    ema_update(fixed, o, 0.3)
+    assert np.allclose(fixed, 1.0)
+    copied = z.copy()
+    ema_update(copied, o, 0.0)
+    assert np.allclose(copied, 1.0)
     with pytest.raises(DataError):
-        ema_update(z, [(np.ones((3, 2)), np.ones(2))], 0.5)
-    with pytest.raises(DataError):
-        ema_update(z, o + o, 0.5)
+        ema_update(z.copy(), np.ones(7), 0.5)
+
+
+def test_ema_update_matches_the_layerwise_expression():
+    # in place on the flat vector, bit for bit the layerwise fresh-array form
+    rng = np.random.default_rng(8)
+    ema, cur = init_params(rng, 3, (5,), 6), init_params(rng, 3, (5,), 6)
+    flat = flatten_params(ema)
+    ema_update(flat, flatten_params(cur), 0.9)
+    assert np.array_equal(flat, flatten_params(ema_update_list(ema, cur, 0.9)))
 
 
 def test_ema_starts_after_half_the_rounds():
@@ -419,12 +434,10 @@ def test_update_trajectory_deterministic():
 
 
 def test_adam_moves_against_gradient():
-    params = [(np.zeros((1, 2)), np.zeros(2))]
-    opt = Adam(params, lr=0.1)
-    grads = [(np.array([[1.0, -1.0]]), np.array([0.5, -0.5]))]
-    stepped = opt.step(params, grads)
-    assert stepped[0][0][0, 0] < 0 < stepped[0][0][0, 1]
-    assert stepped[0][1][0] < 0 < stepped[0][1][1]
+    x = np.zeros(4)
+    opt = Adam(x, lr=0.1)
+    opt.step(x, np.array([1.0, -1.0, 0.5, -0.5]))  # in place
+    assert x[0] < 0 < x[1] and x[2] < 0 < x[3]
 
 
 def test_update_runs_one_forward_pass_per_step(monkeypatch):
@@ -464,32 +477,174 @@ def test_adam_in_place_moments_match_the_textbook_expressions():
     from dpsynth.gem import ADAM_B1, ADAM_B2, ADAM_EPS
 
     rng = np.random.default_rng(9)
-    params = init_params(rng, 3, (5,), 6)
-    opt = Adam(params, lr=0.01)
-    m = [[np.zeros_like(x) for x in layer] for layer in params]
-    v = [[np.zeros_like(x) for x in layer] for layer in params]
+    x = flatten_params(init_params(rng, 3, (5,), 6))
+    opt = Adam(x, lr=0.01)
+    m, v = np.zeros_like(x), np.zeros_like(x)
     for t in range(1, 8):
         # gradients across several orders of magnitude, as a fit sees them
-        grads = [tuple(rng.standard_normal(x.shape) * 10.0 ** rng.integers(-6, 2) for x in layer)
-                 for layer in params]
-        steps = opt.direction(grads)
-        for j, (g, got) in enumerate(zip(grads, steps)):
-            for i, gi in enumerate(g):
-                m[j][i] = ADAM_B1 * m[j][i] + (1 - ADAM_B1) * gi
-                v[j][i] = ADAM_B2 * v[j][i] + (1 - ADAM_B2) * gi**2
-                want = 0.01 * (m[j][i] / (1.0 - ADAM_B1**t)) / (np.sqrt(v[j][i] / (1.0 - ADAM_B2**t)) + ADAM_EPS)
-                assert np.array_equal(got[i], want)
-                assert np.array_equal(opt.m[j][i], m[j][i]) and np.array_equal(opt.v[j][i], v[j][i])
+        g = rng.standard_normal(x.shape) * 10.0 ** rng.integers(-6, 2, size=x.shape)
+        got = opt.direction(g)
+        m = ADAM_B1 * m + (1 - ADAM_B1) * g
+        v = ADAM_B2 * v + (1 - ADAM_B2) * g**2
+        want = 0.01 * (m / (1.0 - ADAM_B1**t)) / (np.sqrt(v / (1.0 - ADAM_B2**t)) + ADAM_EPS)
+        assert np.array_equal(got, want)
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
 
 
 def test_adam_direction_then_subtract_equals_step():
     rng = np.random.default_rng(4)
-    params = init_params(rng, 3, (5,), 6)
-    a, b = Adam(params, lr=0.01), Adam(params, lr=0.01)
-    p_step = p_dir = params
+    x = flatten_params(init_params(rng, 3, (5,), 6))
+    a, b = Adam(x, lr=0.01), Adam(x, lr=0.01)
+    x_step, x_dir = x.copy(), x.copy()
     for _ in range(5):
-        grads = [(rng.standard_normal(W.shape), rng.standard_normal(bb.shape)) for W, bb in params]
-        p_step = a.step(p_step, grads)
-        p_dir = [(W - dW, bb - db) for (W, bb), (dW, db) in zip(p_dir, b.direction(grads))]
-        assert np.array_equal(flatten_params(p_step), flatten_params(p_dir))
+        g = rng.standard_normal(x.shape)
+        a.step(x_step, g)
+        x_dir = x_dir - b.direction(g)
+        assert np.array_equal(x_step, x_dir)
     assert a.t == b.t == 5
+
+
+# -- in-place training against the list-based reference ---------------------
+
+
+def _noisy_rounds(qs, rounds, seed):
+    """Per round, two measured queries with targets far from any fit, so steps run."""
+    rng = np.random.default_rng(seed)
+    return [[(int(q), float(rng.uniform(0.0, 0.6))) for q in rng.choice(qs.total_queries, 2, replace=False)]
+            for _ in range(rounds)]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+@pytest.mark.parametrize("loss", ["l1", "l2"])
+@pytest.mark.parametrize("resample_z", [False, True], ids=["fixed", "resampled"])
+def test_update_matches_the_list_reference_bit_for_bit(resample_z, loss, warm):
+    # five rounds of four: the EMA runs in rounds 3-5
+    dom = Domain(("a", "b", "c"), (3, 2, 4))
+    qs = build_workloads(dom, 2)
+    cfg = GemConfig(hidden=(8, 6), z_dim=4, batch=8, lr=1e-2, t_max=6, loss=loss, resample_z=resample_z)
+    init = init_params(np.random.default_rng(3), 5, (7,), dom.onehot_width) if warm else None
+    synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(21), total_rounds=4, init=init)
+    ref = GemListReference(dom, qs, cfg, np.random.default_rng(21), total_rounds=4, init=init)
+    led = MeasurementLedger()
+    for t, measured in enumerate(_noisy_rounds(qs, 5, seed=2), start=1):
+        for q, a in measured:
+            led.record(q, a, t)
+        synth.update(led)
+        ref.update(led)
+        assert synth.opt.t == ref.opt.t
+        assert np.array_equal(flatten_params(synth.params), flatten_params(ref.params))
+        assert np.array_equal(synth.answers(), ref.answers())
+        assert (synth.ema is None) == (ref.ema is None)
+        if synth.ema is not None:
+            assert np.array_equal(synth.ema, flatten_params(ref.ema))
+    assert ref.opt.t > 6 and ref.ema is not None  # steps in several rounds, and the EMA ran
+    out = synth.finalize()
+    P, _ = forward_list(ref.final_params(), ref.z_batch, dom)
+    assert np.array_equal(out.P, P)
+    assert np.array_equal(flatten_params(out.params), flatten_params(ref.final_params()))
+
+
+@pytest.mark.parametrize("loss", ["l1", "l2"])
+def test_pretraining_matches_the_list_reference_bit_for_bit(loss):
+    from dpsynth import Dataset, gem_pub_pretrain
+
+    dom = Domain(("a", "b", "c", "d"), (3, 2, 4, 2))
+    qs = build_workloads(dom, 3)
+    public = Dataset(dom, np.random.default_rng(4).integers(0, dom.sizes, size=(60, 4)))
+    cfg = GemConfig(hidden=(8, 6), z_dim=4, batch=8, loss=loss)
+    params, info = gem_pub_pretrain(dom, public, qs, cfg, np.random.default_rng(6), steps=20, lr=1e-2)
+    want, max_err = gem_pub_pretrain_list(dom, public, qs, cfg, np.random.default_rng(6), 20, 1e-2)
+    assert np.array_equal(flatten_params(params), flatten_params(want))
+    assert info["max_err"] == max_err
+
+
+def _counting(monkeypatch):
+    calls = []
+    real = gem_module.forward
+    monkeypatch.setattr(gem_module, "forward", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_update_reuses_the_pass_that_answers_made(monkeypatch):
+    # one forward pass per parameter version: an update right after answers()
+    # makes no opening pass, and answers() after a round that took steps makes one
+    dom = Domain(("a", "b"), (3, 3))
+    qs = build_workloads(dom, 1)
+    led = MeasurementLedger(exact=True)  # gamma 0: every step runs
+    led.record(0, 0.9, 1)
+    calls = _counting(monkeypatch)
+    for resample_z in (False, True):
+        cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, t_max=5, resample_z=resample_z)
+        synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(5), total_rounds=2)
+        draws = []
+        rng = synth.rng
+        synth.rng = SimpleNamespace(standard_normal=lambda *a: draws.append(1) or rng.standard_normal(*a))
+        synth.answers()
+        calls.clear()
+        synth.update(led)
+        assert synth.opt.t == cfg.t_max
+        # fixed noise: steps 2..t_max each read a new version; fresh noise: every step draws
+        assert len(calls) == (cfg.t_max if resample_z else cfg.t_max - 1)
+        assert len(draws) == (cfg.t_max if resample_z else 0)
+        calls.clear()
+        synth.answers()
+        synth.answers()
+        assert len(calls) == 1  # the last step's version, once
+
+
+def test_round_stopped_by_gamma_makes_no_pass(monkeypatch):
+    dom = Domain(("a", "b"), (3, 3))
+    qs = build_workloads(dom, 1)
+    cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, lr=1e-2, t_max=4)
+    synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(5), total_rounds=4)
+    led = MeasurementLedger()
+    led.record(0, 0.9, 1)
+    synth.update(led)  # steps, then the loop's answers
+    synth.answers()
+    calls = _counting(monkeypatch)
+    synth.gamma = 10.0  # the next round stops before its first step
+    led.record(4, 0.2, 2)
+    before = synth.opt.t
+    synth.update(led)
+    assert synth.opt.t == before and calls == []
+    synth.answers()
+    assert calls == []
+
+
+def test_round_stopped_by_gamma_after_steps_leaves_its_pass_to_answers(monkeypatch):
+    # the stop test's pass is at the final parameters, and answers() reads it
+    dom = Domain(("a", "b"), (3, 3))
+    qs = build_workloads(dom, 1)
+    cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, lr=1e-2, t_max=50)
+    synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(5), total_rounds=4)
+    led = MeasurementLedger()
+    led.record(0, 0.9, 1)
+    synth.update(led)
+    assert 0 < synth.opt.t < cfg.t_max  # stopped on gamma after some steps
+    calls = _counting(monkeypatch)
+    synth.answers()
+    assert calls == []
+
+
+@pytest.mark.parametrize("rounds", [4, 1], ids=["no-ema", "ema"])
+def test_finalized_output_owns_its_parameters(rounds):
+    # later updates move the synthesizer's buffers in place, not the output's
+    dom = Domain(("a", "b"), (3, 4))
+    qs = build_workloads(dom, 2)
+    cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, lr=1e-2, t_max=5)
+    synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(2), total_rounds=rounds)
+    led = MeasurementLedger(exact=True)
+    led.record(0, 0.9, 1)
+    synth.update(led)
+    assert (synth.ema is None) == (rounds == 4)  # the EMA starts after half the rounds
+    out = synth.finalize()
+    params, answers = flatten_params(out.params), out.answers(qs)
+    for x in (synth.theta, synth.ema):
+        if x is not None:
+            assert not any(np.shares_memory(x, a) for layer in out.params for a in layer)
+    led.record(5, 0.1, 2)
+    synth.update(led)
+    synth.update(led)
+    assert not np.array_equal(flatten_params(synth.params), params)
+    assert np.array_equal(flatten_params(out.params), params)
+    assert np.array_equal(out.answers(qs), answers)
