@@ -16,13 +16,15 @@ cells by scanning one row of the map. On the full domain those ids are the
 cells' values times each workload's place values (`cell_ids`), with no map.
 Product queries over relaxed rows (gem, rap-softmax) take one of two paths. The whole collection is
 one contraction per shared prefix: the row-wise outer product of the prefix's
-attribute blocks times all of its workloads' last blocks side by side, in row
-chunks of bounded size, scattered into query order by one permutation; the
-gradient walks the same plan. A subset of query ids gathers just their
-one-hot columns, read as rows of P transposed, through a `Gather` that a
-caller which evaluates the same ids many times (one gem or rap-softmax
-update) prepares once: per chunk of ids, their columns and a slot-to-column
-one-hot matrix that scatters the gradient back with one matmul. The
+attribute blocks times all of its workloads' last blocks side by side (a view
+of P when their columns are one run), in row chunks of bounded size. Each
+group's result is written in place into its span of one buffer, which one
+permutation takes to query order; the gradient walks the same plan. A subset
+of query ids gathers just their one-hot columns, read as rows of P
+transposed, through a `Gather` that a caller which evaluates the same ids
+many times (one gem or rap-softmax update) prepares once: per chunk of ids,
+their columns and a slot-to-column one-hot matrix that scatters the
+gradient back with one matmul. The
 transpose of the dense evaluator maps weights on queries to the weight each
 cell of the domain meets, for the search baselines.
 """
@@ -71,7 +73,13 @@ class PrefixGroup:
 
     prefix: tuple[int, ...]  # the shared attributes, in workload order (empty at k=1)
     workloads: tuple[int, ...]  # indices into the collection, ascending
-    lasts: np.ndarray  # one-hot columns of the workloads' last blocks, side by side
+    blocks: tuple[slice, ...]  # one-hot columns of each prefix attribute's block
+    # one-hot columns of the workloads' last blocks, side by side: a slice when
+    # they are one run (every group of a lexicographic all-k collection)
+    lasts: slice | np.ndarray
+    width: int  # the number of those columns
+    rows: int  # prefix value combinations (1 at k=1)
+    span: slice  # the group's (rows, width) results, flattened in C order, in the plan's layout
 
 
 class Gather:
@@ -155,20 +163,33 @@ class QuerySet:
     def _prefix_plan(self) -> tuple[list[PrefixGroup], np.ndarray]:
         """(groups, perm): the workloads grouped by prefix, in order of first
         appearance, and the permutation that takes the groups' results, each
-        a (prefix value, last-block column) array flattened in C order and
-        concatenated, to query order."""
+        a (prefix value, last-block column) array flattened in C order into
+        its span of the plan's layout, to query order."""
         members: dict[tuple[int, ...], list[int]] = {}
         for wi, w in enumerate(self.workloads):
             members.setdefault(w.features[:-1], []).append(wi)
         dom = self.domain
-        groups, order = [], []
+        groups, start = [], 0
+        perm = np.empty(self.total_queries, dtype=np.int64)
         for prefix, wis in members.items():
             ws = [self.workloads[wi] for wi in wis]
-            lasts = np.concatenate([dom.offset(w.features[-1]) + np.arange(w.sizes[-1]) for w in ws])
-            groups.append(PrefixGroup(prefix, tuple(wis), lasts))
-            rows = np.arange(math.prod(ws[0].sizes[:-1]))[:, None]
-            order.append(np.hstack([w.offset + rows * w.sizes[-1] + np.arange(w.sizes[-1]) for w in ws]).ravel())
-        return groups, np.argsort(np.concatenate(order))
+            firsts = [dom.offset(w.features[-1]) for w in ws]  # each last block's first column
+            lasts = np.concatenate([f + np.arange(w.sizes[-1]) for f, w in zip(firsts, ws)])
+            rows, width = math.prod(ws[0].sizes[:-1]), lasts.size
+            # query (prefix value v, value j of workload w's last block) sits at
+            # start + v * width + (w's first column in the group) + j of the layout
+            col = start
+            for w in ws:
+                at = col + np.arange(rows)[:, None] * width + np.arange(w.sizes[-1])
+                perm[w.offset : w.offset + w.n_queries] = at.ravel()
+                col += w.sizes[-1]
+            run = all(b - a == w.sizes[-1] for a, b, w in zip(firsts, firsts[1:], ws))
+            blocks = tuple(slice(dom.offset(f), dom.offset(f) + dom.sizes[f]) for f in prefix)
+            span = slice(start, start + rows * width)
+            cols = slice(firsts[0], firsts[0] + width) if run else lasts
+            groups.append(PrefixGroup(prefix, tuple(wis), blocks, cols, width, rows, span))
+            start = span.stop
+        return groups, perm
 
     def gather(self, qidx: np.ndarray, rows: int) -> Gather:
         """The query ids `qidx` prepared for product evaluation over batches of `rows` rows."""
@@ -378,11 +399,6 @@ def build_workloads(
 # -- product-query relaxation (differentiable path) -----------------------
 
 
-def _blocks(P: np.ndarray, domain: Domain, features) -> list[np.ndarray]:
-    """The (B, size) attribute blocks of P of the given attributes, in their order."""
-    return [P[:, domain.offset(f) : domain.offset(f) + domain.sizes[f]] for f in features]
-
-
 def _row_chunks(B: int, width: int) -> list[slice]:
     """Row ranges whose (rows, width) intermediates stay within _CHUNK_TARGET elements."""
     step = max(1, _CHUNK_TARGET // width)
@@ -406,12 +422,14 @@ def _loo(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     k = vals.shape[1]
     loo = np.empty_like(vals)
+    loo[:, 0] = weights[:, None]
     for t in range(k):
+        # slot t holds w * v_0 ... v_{t-1}: carry it on to slot t+1, then finish it
         row = loo[:, t]
-        row[...] = weights[:, None]
-        for u in range(k):
-            if u != t:
-                row *= vals[:, u]
+        if t + 1 < k:
+            np.multiply(row, vals[:, t], out=loo[:, t + 1])
+        for u in range(t + 1, k):
+            row *= vals[:, u]
     return loo.reshape(-1, vals.shape[2])
 
 
@@ -422,12 +440,10 @@ def prefix_outers(P: np.ndarray, queries: QuerySet) -> list[list[tuple[slice, np
     `product_answers` and `product_answers_grad` on the whole collection
     both contract these; a caller that needs both at one P builds them once.
     """
-    dom = queries.domain
     out = []
     for g in queries._prefix_plan[0]:
-        first = _blocks(P, dom, g.prefix)
-        chunks = _row_chunks(P.shape[0], math.prod(dom.sizes[f] for f in g.prefix))
-        out.append([(r, _outer(first, r)) for r in chunks])
+        first = [P[:, cols] for cols in g.blocks]
+        out.append([(r, _outer(first, r)) for r in _row_chunks(P.shape[0], g.rows)])
     return out
 
 
@@ -438,7 +454,8 @@ def product_answers(
 
     qidx=None answers the whole collection, one contraction per shared prefix:
     the outer product of the prefix's blocks (`prefix_outers`, or `outers`
-    if given) times the last blocks of all its workloads at once. An array
+    if given) times the last blocks of all its workloads at once, written
+    into the group's span of one buffer and permuted to query order. An array
     of query ids, or a `Gather` of them prepared once for many calls,
     answers just those: per chunk, the (chunk, k, B) rows of P.T at their
     one-hot columns, multiplied over k and averaged over B.
@@ -451,13 +468,21 @@ def product_answers(
             out[s] = P.T[cols].prod(axis=1).sum(axis=1) / B  # the mean, without np.mean's overhead
         return out
     groups, perm = queries._prefix_plan
-    parts = []
+    grouped = np.empty(queries.total_queries)  # the groups' results, in the plan's layout
     for g, chunks in zip(groups, prefix_outers(P, queries) if outers is None else outers):
         lasts = P[:, g.lasts]
-        # 1-way: the blocks' column sums
-        acc = sum(outer.T @ lasts[r] if g.prefix else lasts[r].sum(axis=0) for r, outer in chunks)
-        parts.append(acc.ravel())
-    return np.concatenate(parts)[perm] / B
+        acc = grouped[g.span].reshape(g.rows, g.width)
+        for i, (r, outer) in enumerate(chunks):  # the first row chunk writes in place, the rest add on
+            dest = None if i else acc
+            if g.prefix:
+                part = np.matmul(outer.T, lasts[r], out=dest)
+            else:  # 1-way: the blocks' column sums, each summed pairwise down one contiguous column
+                part = np.sum(np.asfortranarray(lasts[r]), 0, keepdims=True, out=dest)
+            if i:
+                acc += part
+    out = grouped[perm]
+    out /= B
+    return out
 
 
 def product_answers_grad(
@@ -487,12 +512,10 @@ def product_answers_grad(
     grouped = np.empty_like(coeff)
     grouped[perm] = coeff / B  # the coefficients in the groups' (prefix value, last column) layout
     dP = np.zeros_like(P)
-    start = 0
     for g, chunks in zip(groups, prefix_outers(P, queries) if outers is None else outers):
-        first = _blocks(P, dom, g.prefix)
+        first = [P[:, cols] for cols in g.blocks]
         sizes = [dom.sizes[f] for f in g.prefix]
-        C = grouped[start : start + math.prod(sizes) * g.lasts.size].reshape(-1, g.lasts.size)
-        start += C.size
+        C = grouped[g.span].reshape(g.rows, g.width)
         lasts = P[:, g.lasts]
         for r, outer in chunks:
             # the last blocks: the outer product of the prefix's blocks times C
@@ -508,7 +531,7 @@ def product_answers_grad(
             # contracted into each prefix block with the other blocks
             d_outer = (lasts[r] @ C.T).reshape(-1, *sizes)
             axes = range(1, len(sizes) + 1)
-            for t, (f, sz) in enumerate(zip(g.prefix, sizes)):
+            for t, cols in enumerate(g.blocks):
                 others = [x for j, blk in enumerate(first) if j != t for x in (blk[r], [0, j + 1])]
-                dP[r, dom.offset(f) : dom.offset(f) + sz] += np.einsum(d_outer, [0, *axes], *others, [0, t + 1])
+                dP[r, cols] += np.einsum(d_outer, [0, *axes], *others, [0, t + 1])
     return dP

@@ -11,7 +11,10 @@ was accepted on its first trial, and halves it at most MAX_HALVINGS (8) times,
 after which the step is dropped. A round, and a momentum restart after a
 failed search, start at scale 1/2. A round fits only the columns of the
 attribute blocks that its measured queries read: the others get a zero
-gradient, so they would not move anyway. It prepares its measured query ids
+gradient, so they would not move anyway. The fit is bit-identical to one
+over every column while no logit reaches `gem.SHIFT_BOUND`; past it, such
+a logit in an unread block sends only the full-width block softmax down its
+shifted path, a few ulps away. It prepares its measured query ids
 once (`QuerySet.gather`) and holds those columns of the logits column-major,
 so the block softmax's per-block reductions, the gather of each query's
 columns (rows of the transpose) and the gradient read contiguous memory; the

@@ -608,3 +608,52 @@ def gem_pub_pretrain_list(domain, public, queries, cfg, rng, steps, lr):
         dP = product_answers_grad(P, restricted, fit_coefficients(c, 0.0, cfg.loss))
         params = opt.step(params, backward_list(params, cache, dP, domain))
     return params, float(np.abs(c).max())
+
+
+# -- product answers as the prefix contraction was first written -----------
+# Per prefix group, one contraction per row chunk, summed, flattened into a
+# list of parts, then one concatenation and one permutation found by argsort.
+# The library writes each group in place into one buffer and must match this
+# bit for bit.
+
+
+def product_answers_parts(P, queries):
+    """Batch-mean answers of the whole collection, group by group as parts."""
+    from dpsynth.queries import _row_chunks  # reads the chunk budget at call time
+
+    dom = queries.domain
+    members = {}
+    for wi, w in enumerate(queries.workloads):
+        members.setdefault(w.features[:-1], []).append(wi)
+    parts, order = [], []
+    for prefix, wis in members.items():
+        ws = [queries.workloads[wi] for wi in wis]
+        lasts = P[:, np.concatenate([dom.offset(w.features[-1]) + np.arange(w.sizes[-1]) for w in ws])]
+        first = [P[:, dom.offset(f) : dom.offset(f) + dom.sizes[f]] for f in prefix]
+        acc = 0
+        for r in _row_chunks(P.shape[0], math.prod(dom.sizes[f] for f in prefix)):
+            if not prefix:
+                acc = acc + lasts[r].sum(axis=0)
+                continue
+            outer = first[0][r]
+            for A in first[1:]:
+                outer = (outer[:, :, None] * A[r, None, :]).reshape(outer.shape[0], -1)
+            acc = acc + outer.T @ lasts[r]
+        parts.append(acc.ravel())
+        rows = np.arange(math.prod(ws[0].sizes[:-1]))[:, None]
+        order.append(np.hstack([w.offset + rows * w.sizes[-1] + np.arange(w.sizes[-1]) for w in ws]).ravel())
+    return np.concatenate(parts)[np.argsort(np.concatenate(order))] / P.shape[0]
+
+
+def loo_loop(vals, weights):
+    """(chunk * k, B) per-slot rows of (chunk, k, B) values: each query's
+    weight times its other k-1 values, multiplied slot by slot in order."""
+    k = vals.shape[1]
+    out = np.empty_like(vals)
+    for t in range(k):
+        row = np.repeat(weights[:, None], vals.shape[2], axis=1)
+        for u in range(k):
+            if u != t:
+                row = row * vals[:, u]
+        out[:, t] = row
+    return out.reshape(-1, vals.shape[2])

@@ -118,6 +118,50 @@ def test_block_softmax_shifts_each_block_by_its_own_max():
     assert np.allclose(P[0, 3:], [0.25, 0.75], atol=1e-15)
 
 
+def test_block_softmax_shifts_logits_past_the_bound():
+    # blocks ~1600 apart at |logit| 800, past SHIFT_BOUND: an unshifted
+    # exp(801) overflows, so a finite answer shows that each block was shifted
+    dom = Domain(("a", "b"), (3, 2))
+    logits = np.array([[800.0, 799.0, 801.0, -800.0, -800.0 + math.log(3.0)]])
+    assert np.abs(logits).max() >= gem_module.SHIFT_BOUND
+    P = block_softmax(logits, dom)
+    assert np.isfinite(P).all()
+    assert np.abs(P - block_softmax_loop(logits, dom)).max() <= 1e-15
+    assert np.allclose(P[0, 3:], [0.25, 0.75], atol=1e-15)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("offset", [0.0, 700.0])  # below and past SHIFT_BOUND
+def test_block_softmax_paths_match_per_block_loop(order, offset):
+    dom = Domain(tuple(f"a{i}" for i in range(len(UNEQUAL_SIZES))), UNEQUAL_SIZES)
+    rng = np.random.default_rng(3)
+    # a constant offset leaves every block's softmax as it is, but moves the logits past the bound
+    logits = np.asarray(rng.standard_normal((100, dom.onehot_width)) * 3 + offset, order=order)
+    assert (np.abs(logits).max() < gem_module.SHIFT_BOUND) == (offset == 0.0)
+    P = block_softmax(logits, dom)
+    assert P.flags[f"{order}_CONTIGUOUS"]
+    assert np.abs(P - block_softmax_loop(logits, dom)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_block_softmax_of_a_non_finite_logit_takes_the_shifted_path(bad):
+    # the output is the per-block-max formula's, nan blocks and all
+    dom = Domain(tuple(f"a{i}" for i in range(len(UNEQUAL_SIZES))), UNEQUAL_SIZES)
+    logits = np.random.default_rng(4).standard_normal((5, dom.onehot_width))
+    logits[2, dom.offset(3) + 1] = bad
+    starts, ids = dom.block_starts, dom.block_ids
+    with np.errstate(invalid="ignore"):
+        want = logits - np.maximum.reduceat(logits, starts, axis=1)[:, ids]
+        want = np.exp(want)
+        want /= np.add.reduceat(want, starts, axis=1)[:, ids]
+        P = block_softmax(logits, dom)
+    assert np.array_equal(P, want, equal_nan=True)
+    # only the bad entry's block of its row is touched, and -inf there is a 0
+    assert np.isfinite(np.delete(P[2], np.s_[dom.offset(3) : dom.offset(4)])).all()
+    assert np.isfinite(P[[0, 1, 3, 4]]).all()
+    assert (P[2, dom.offset(3) + 1] == 0.0) == (bad == -np.inf)
+
+
 def _fixed_answer_setup():
     # two attributes of size 2 with constant output (0.4, 0.6 | 0.2, 0.8)
     dom = Domain(("a", "b"), (2, 2))

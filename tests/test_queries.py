@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpsynth import ConfigError, DataError, Dataset, Domain, build_workloads
-from dpsynth.queries import QuerySet, SupportMap, Workload, product_answers, product_answers_grad
+from dpsynth.queries import QuerySet, SupportMap, Workload, prefix_outers, product_answers, product_answers_grad
 
 from oracles import (
     MarginalQuery,
@@ -12,6 +12,8 @@ from oracles import (
     answer_histogram,
     answer_records,
     cell_sums_loop,
+    loo_loop,
+    product_answers_parts,
     product_query,
     query_mask,
     query_of,
@@ -299,6 +301,51 @@ def test_full_product_gradient_matches_subset(sizes, k, B, monkeypatch):
     # one row per chunk
     monkeypatch.setattr(queries, "_CHUNK_TARGET", 1)
     assert np.abs(product_answers_grad(P, qs, coeff) - subset).max() < 1e-12
+
+
+RELAXED_SIZES = (2, 3, 4, 5, 6, 8, 10, 12, 16, 4, 6, 8)
+
+
+@pytest.mark.parametrize("case", ["all-3-way", "sampled", "unsorted", "1-way"])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("forced_chunks", [False, True])
+def test_whole_collection_answers_equal_the_parts_formula(case, order, forced_chunks, monkeypatch):
+    # each group's contraction written in place equals the per-group parts,
+    # summed, concatenated and permuted, bit for bit
+    import dpsynth.queries as queries
+
+    rng = np.random.default_rng(11)
+    dom = Domain(tuple(f"a{i}" for i in range(len(RELAXED_SIZES))), RELAXED_SIZES)
+    qs = {
+        "all-3-way": lambda: build_workloads(dom, 3),
+        "sampled": lambda: build_workloads(dom, 3, 40, rng),
+        # prefix (5, 1) before (3, 0), and its last blocks 7, 2, 9 out of order
+        "unsorted": lambda: QuerySet.from_subsets(dom, [(5, 1, 7), (3, 0, 2), (5, 1, 2), (0, 3, 11), (5, 1, 9)]),
+        "1-way": lambda: build_workloads(dom, 1),
+    }[case]()
+    runs = [isinstance(g.lasts, slice) for g in qs._prefix_plan[0]]
+    assert all(runs) == (case in ("all-3-way", "1-way"))
+    B = 6 if forced_chunks else 100
+    P = np.asarray(_normalized_rows(rng, dom, B), order=order)
+    if forced_chunks:  # at most two rows per chunk, at every prefix
+        monkeypatch.setattr(queries, "_CHUNK_TARGET", 2)
+        assert len(queries._row_chunks(B, 1)) == 3
+    want = product_answers_parts(P, qs)
+    assert np.array_equal(product_answers(P, qs), want)
+    # the prefix outer products passed in, as GEM^Pub's pretraining passes them
+    assert np.array_equal(product_answers(P, qs, outers=prefix_outers(P, qs)), want)
+    assert np.array_equal(qs.answers_probs(P), want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_leave_one_out_products_equal_the_per_slot_loop(k):
+    import dpsynth.queries as queries
+
+    rng = np.random.default_rng(k)
+    vals = rng.uniform(size=(7, k, 5))
+    vals[0, 0] = 0.0  # a zero value keeps its slot's product nonzero
+    weights = rng.standard_normal(7)
+    assert np.array_equal(queries._loo(vals, weights), loo_loop(vals, weights))
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
