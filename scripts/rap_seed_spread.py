@@ -4,10 +4,12 @@ The toy is gen_toy(4, 8, 2000, seed=0) with all 3-way marginals, fit at
 epsilon=1, delta=1/n^2, T=20, k=1 and RapConfig(max_steps=300), as in
 acceptance criterion 7. RAP's line search turns last-bit rounding changes
 into different accepted steps, so one seed's error says little; this prints
-the mean, SD and SE of the max error over fit seeds 0-19.
+the mean, SD and SE of the max error over fit seeds 0-19. `--epsilon E`
+fits at another epsilon (same delta), where the measurement noise differs.
 
-    PYTHONPATH=src python3 scripts/rap_seed_spread.py
+    PYTHONPATH=src python3 scripts/rap_seed_spread.py [--epsilon 0.3]
 """
+import argparse
 import math
 import time
 
@@ -24,21 +26,24 @@ SEEDS = range(20)
 T = 20
 
 
-def max_err(seed: int) -> float:
-    """Max error of one criterion-7 RAP fit at fit seed `seed`."""
+def max_err(seed: int, epsilon: float) -> float:
+    """Max error of one criterion-7 RAP fit at fit seed `seed`, at `epsilon`."""
     domain, data = gen_toy(4, 8, 2000, seed=0)
     queries = build_workloads(domain, 3)
-    rho = dp_to_zcdp(1.0, 1.0 / data.n**2)
+    rho = dp_to_zcdp(epsilon, 1.0 / data.n**2)
     rng = np.random.default_rng(seed)
     out, *_ = fit("rap-softmax", data, queries, rho, rng, T=T, cfg=RapConfig(max_steps=300))
     return errors(queries.answers_records(data), out.answers(queries))[0]
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--epsilon", type=float, default=1.0, help="privacy epsilon of each fit (default 1)")
+    args = parser.parse_args()
     t0 = time.perf_counter()
     errs = []
     for seed in SEEDS:
-        errs.append(max_err(seed))
+        errs.append(max_err(seed, args.epsilon))
         print(f"seed {seed:2d}  max error {errs[-1]:.4f}", flush=True)
     sd = float(np.std(errs, ddof=1))
     print(

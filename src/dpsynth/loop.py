@@ -9,6 +9,7 @@ scores, and the measurements.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +104,13 @@ def run(
         raise ConfigError("averaged output is only available for histogram methods")
     audit = cfg.no_noise or cfg.audit_errors
     private = queries.answers_records(data)
-    ledger = MeasurementLedger(exact=cfg.no_noise)
+    if synth.self_selecting:  # no Gaussian measurement (alpha = 1)
+        sigma = None
+    elif cfg.no_noise:
+        sigma = 0.0
+    else:
+        sigma = acct.gaussian_sigma(math.sqrt(2.0) if cfg.per_workload else 1.0)
+    ledger = MeasurementLedger(sigma)
     trace: list[dict] = []
     total = 0.0  # running sum of each round's output probabilities
     post = None  # answers after the last update, while the state has not moved since

@@ -188,12 +188,18 @@ class MeasurementLedger:
 
     At most one live entry per query: re-measuring replaces the old value and
     moves the entry to the end, so rounds are nondecreasing in entry order.
-    `exact` says the answers were measured without noise.
+    `sigma` is the Gaussian standard deviation of every measurement: 0.0 when
+    the answers were measured without noise, None when it is unknown (a
+    ledger built by hand). `exact` says sigma is 0.0.
     """
 
-    def __init__(self, exact: bool = False):
-        self.exact = bool(exact)
+    def __init__(self, sigma: float | None = None):
+        self.sigma = sigma
         self._entries: dict[int, tuple[float, int]] = {}
+
+    @property
+    def exact(self) -> bool:
+        return self.sigma == 0.0
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -9,17 +9,30 @@ never increases across accepted steps. The search is warm-started: it tries
 first the scale the previous step accepted, doubled (up to 1) when that step
 was accepted on its first trial, and halves it at most MAX_HALVINGS (8) times,
 after which the step is dropped. A round, and a momentum restart after a
-failed search, start at scale 1/2. A round fits only the columns of the
-attribute blocks that its measured queries read: the others get a zero
-gradient, so they would not move anyway. The fit is bit-identical to one
-over every column while no logit reaches `gem.SHIFT_BOUND`; past it, such
-a logit in an unread block sends only the full-width block softmax down its
-shifted path, a few ulps away. It prepares its measured query ids
-once (`QuerySet.gather`) and holds those columns of the logits column-major,
-so the block softmax's per-block reductions, the gather of each query's
-columns (rows of the transpose) and the gradient read contiguous memory; the
-gradient comes back column-major too. A clipping variant (rows clipped to
-[0,1] instead of softmax-normalized) is kept as a reference point.
+failed search, start at scale 1/2. A round's fit stops at the first of these
+rules, tested in this order:
+
+1. `max_steps` steps have been tried (a momentum restart counts as one);
+2. every measured residual is within the ledger's noise `sigma` (the
+   discrepancy principle: such a residual cannot be told apart from the
+   noise), tested before every gradient, the first one included; a ledger
+   with no sigma skips it, and at sigma 0 only an exact fit stops here;
+3. the gradient is exactly zero;
+4. a line search on a fresh momentum fails all its trials;
+5. PLATEAU_WINDOW accepted steps cut the loss by less than PLATEAU_TOL of
+   its value before them.
+
+A round fits only the columns of the attribute blocks that its measured
+queries read: the others get a zero gradient, so they would not move anyway.
+The fit is bit-identical to one over every column while no logit reaches
+`gem.SHIFT_BOUND`; past it, such a logit in an unread block sends only the
+full-width block softmax down its shifted path, a few ulps away. It prepares
+its measured query ids once (`QuerySet.gather`) and holds those columns of
+the logits column-major, so the block softmax's per-block reductions, the
+gather of each query's columns (rows of the transpose) and the gradient read
+contiguous memory; the gradient comes back column-major too. A clipping
+variant (rows clipped to [0,1] instead of softmax-normalized) is kept as a
+reference point.
 """
 from __future__ import annotations
 
@@ -133,6 +146,9 @@ class RapSynthesizer(Synthesizer):
         g = None  # the gradient at M, kept across a momentum restart
         for _ in range(self.cfg.max_steps):
             if g is None:
+                # residuals within the noise: fitting further fits the noise
+                if ledger.sigma is not None and np.abs(diff).max() <= ledger.sigma:
+                    break
                 g = self._grad(M, queries, qidx, P, diff)
                 if not g.any():  # exact stationary point
                     break

@@ -657,3 +657,55 @@ def loo_loop(vals, weights):
                 row = row * vals[:, u]
         out[:, t] = row
     return out.reshape(-1, vals.shape[2])
+
+
+# -- RAP's fit without the noise stop ---------------------------------------
+# The relaxed-table update as it ran before it stopped at the measurement
+# noise: max_steps, an exactly zero gradient, a failed search on a fresh
+# momentum and the plateau are its only stops. With no sigma, or sigma 0, the
+# library's update must match it bit for bit.
+
+
+def rap_update_no_noise_stop(synth, ledger):
+    """`RapSynthesizer.update(ledger)` with the residual-within-sigma stop left out."""
+    from dpsynth.gem import Adam
+    from dpsynth.rap import MAX_HALVINGS, PLATEAU_TOL, PLATEAU_WINDOW, START_SCALE
+
+    if len(ledger) == 0:
+        return
+    cols, queries, qidx = synth._read_blocks(ledger.indices())
+    qidx = queries.gather(qidx, synth.cfg.rows)
+    targets = np.clip(ledger.answers(), 0.0, 1.0)
+    M = np.asfortranarray(synth.M[:, cols])
+    loss, P, diff = synth._loss(M, queries, qidx, targets)
+    history = [loss]
+    opt = Adam(M, synth.cfg.lr)
+    start = START_SCALE
+    g = None
+    for _ in range(synth.cfg.max_steps):
+        if g is None:
+            g = synth._grad(M, queries, qidx, P, diff)
+            if not g.any():
+                break
+        delta = opt.direction(g)
+        scale = start
+        for _ in range(MAX_HALVINGS + 1):
+            M_try = M - scale * delta
+            new_loss, new_P, new_diff = synth._loss(M_try, queries, qidx, targets)
+            if new_loss <= loss:
+                break
+            scale *= 0.5
+        else:
+            if opt.t == 1:
+                break
+            opt = Adam(M, synth.cfg.lr)
+            start = START_SCALE
+            continue
+        start = min(2.0 * scale, 1.0) if scale == start else scale
+        M, loss, P, diff, g = M_try, new_loss, new_P, new_diff, None
+        history.append(loss)
+        if len(history) > PLATEAU_WINDOW:
+            ref = history[-PLATEAU_WINDOW - 1]
+            if ref - loss < PLATEAU_TOL * max(ref, 1e-12):
+                break
+    synth.M[:, cols] = M

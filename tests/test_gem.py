@@ -344,7 +344,7 @@ def test_update_reduces_loss_on_seeded_instance():
     qs = build_workloads(dom, 1)
     cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, lr=1e-2, t_max=50)
     synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(7), total_rounds=2)
-    led = MeasurementLedger(exact=True)
+    led = MeasurementLedger(sigma=0.0)
     led.record(0, 0.8, 1)
     qidx = led.indices()
     before, _ = gem_loss(synth.params, synth.z_batch, qs, qidx, led.answers())
@@ -359,7 +359,7 @@ def test_exact_targets_pins_gamma_to_zero():
     cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, t_max=1)
     synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(0), total_rounds=2)
     synth.gamma = 10.0
-    led = MeasurementLedger(exact=True)
+    led = MeasurementLedger(sigma=0.0)
     led.record(0, 0.9, 1)
     synth.update(led)
     assert synth.gamma == 0.0
@@ -394,7 +394,7 @@ def test_ema_starts_after_half_the_rounds():
     qs = build_workloads(dom, 1)
     cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, t_max=3)
     synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(1), total_rounds=4)
-    led = MeasurementLedger(exact=True)
+    led = MeasurementLedger(sigma=0.0)
     led.record(0, 0.8, 1)
     synth.update(led)
     assert synth.ema is None  # round 1 of 4: not yet
@@ -468,7 +468,7 @@ def test_update_trajectory_deterministic():
     for _ in range(2):
         cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, t_max=20)
         synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(11), total_rounds=3)
-        led = MeasurementLedger(exact=True)
+        led = MeasurementLedger(sigma=0.0)
         led.record(0, 0.7, 1)
         synth.update(led)
         led.record(4, 0.3, 2)
@@ -492,7 +492,7 @@ def test_update_runs_one_forward_pass_per_step(monkeypatch):
 
     dom = Domain(("a", "b"), (3, 3))
     qs = build_workloads(dom, 1)
-    led = MeasurementLedger(exact=True)
+    led = MeasurementLedger(sigma=0.0)
     led.record(0, 0.9, 1)
     led.record(4, 0.05, 1)
     calls = []
@@ -614,7 +614,7 @@ def test_update_reuses_the_pass_that_answers_made(monkeypatch):
     # makes no opening pass, and answers() after a round that took steps makes one
     dom = Domain(("a", "b"), (3, 3))
     qs = build_workloads(dom, 1)
-    led = MeasurementLedger(exact=True)  # gamma 0: every step runs
+    led = MeasurementLedger(sigma=0.0)  # gamma 0: every step runs
     led.record(0, 0.9, 1)
     calls = _counting(monkeypatch)
     for resample_z in (False, True):
@@ -677,7 +677,7 @@ def test_finalized_output_owns_its_parameters(rounds):
     qs = build_workloads(dom, 2)
     cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, lr=1e-2, t_max=5)
     synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(2), total_rounds=rounds)
-    led = MeasurementLedger(exact=True)
+    led = MeasurementLedger(sigma=0.0)
     led.record(0, 0.9, 1)
     synth.update(led)
     assert (synth.ema is None) == (rounds == 4)  # the EMA starts after half the rounds

@@ -207,3 +207,42 @@ def test_no_noise_run_fits_gem_to_exact_targets():
     acct = Accountant(rho=0.5, T=3, k=1, alpha=0.5, n=data.n)
     run(data, qs, synth, acct, RunConfig(T=3, k=1, no_noise=True), rng)
     assert synth.gamma == 0.0
+
+
+@pytest.mark.parametrize(
+    "per_workload, no_noise, scale",
+    [(False, False, 1.0), (True, False, np.sqrt(2.0)), (False, True, None), (True, True, None)],
+)
+def test_run_ledger_carries_the_measurement_sigma(per_workload, no_noise, scale):
+    # a single query is measured at sensitivity 1, a whole workload at sqrt(2),
+    # and an exact run at sigma 0; the update rules read it off the ledger
+    dom, data, qs = _instance()
+    sigmas = []
+
+    class Recording(MwemSynthesizer):
+        def update(self, ledger):
+            sigmas.append(ledger.sigma)
+            super().update(ledger)
+
+    acct = Accountant(rho=0.5, T=3, k=1, alpha=0.5, n=data.n)
+    cfg = RunConfig(T=3, k=1, per_workload=per_workload, no_noise=no_noise)
+    run(data, qs, Recording(dom, qs), acct, cfg, np.random.default_rng(0))
+    want = 0.0 if no_noise else acct.gaussian_sigma(scale)
+    assert sigmas == [want] * 3
+    assert want > 0.0 or no_noise
+
+
+@pytest.mark.parametrize("search", ["dualquery", "fem"])
+def test_run_self_selecting_methods_need_no_measurement_sigma(search):
+    # at alpha = 1 there is no Gaussian share, so gaussian_sigma raises;
+    # the loop must not ask for it for a method that measures nothing
+    dom, data, qs = _instance()
+    if search == "dualquery":
+        synth = DualQuerySynthesizer(dom, qs, DualQueryConfig(samples=5))
+    else:
+        synth = FemSynthesizer(dom, qs, FemConfig(samples=5))
+    acct = Accountant.selection_only(rho=0.5, T=2, k=1, n=data.n)
+    with pytest.raises(BudgetError):
+        acct.gaussian_sigma()
+    _, trace = run(data, qs, synth, acct, RunConfig(T=2, k=1, alpha=acct.alpha), np.random.default_rng(0))
+    assert len(trace) == 2

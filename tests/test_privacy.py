@@ -174,6 +174,14 @@ def test_ledger_remeasure_moves_to_end():
     assert led.rounds().tolist() == [1, 2]
 
 
+@pytest.mark.parametrize("sigma, exact", [(None, False), (0.0, True), (0.01, False)])
+def test_ledger_is_exact_only_at_sigma_zero(sigma, exact):
+    # a hand-built ledger's noise is unknown; only sigma 0 means exact answers
+    led = MeasurementLedger() if sigma is None else MeasurementLedger(sigma)
+    assert led.sigma == sigma
+    assert led.exact is exact
+
+
 def _toy_instance(seed=0, n=50):
     rng = np.random.default_rng(seed)
     dom = Domain(("a", "b"), (3, 3))

@@ -71,12 +71,13 @@ def test_update_already_matched_no_movement():
     qs = build_workloads(dom, 1)
     synth = RapSynthesizer(dom, qs, RapConfig(rows=4, max_steps=100), np.random.default_rng(0))
     exact = synth.answers()
-    led = MeasurementLedger()
-    led.record(0, float(exact[0]), 1)
-    led.record(2, float(exact[2]), 2)
-    before = synth.M.copy()
-    synth.update(led)
-    assert np.array_equal(before, synth.M)
+    for sigma in (None, 0.0):  # noise unknown, and exact measurements
+        led = MeasurementLedger(sigma)
+        led.record(0, float(exact[0]), 1)
+        led.record(2, float(exact[2]), 2)
+        before = synth.M.copy()
+        synth.update(led)
+        assert np.array_equal(before, synth.M)
 
 
 def test_update_binary_single_query():
@@ -310,3 +311,102 @@ def test_update_fits_only_the_blocks_its_queries_read(original, monkeypatch):
             full.update(led)
         assert np.array_equal(synth.M, full.M)
     assert not np.array_equal(synth.M, start)
+
+
+def _fit_residual(synth, led):
+    """The max |answer - clipped target| over the ledger's queries, as the fit computes it."""
+    cols, queries, qidx = synth._read_blocks(led.indices())
+    qidx = queries.gather(qidx, synth.cfg.rows)
+    M = np.asfortranarray(synth.M[:, cols])
+    return float(np.abs(synth._loss(M, queries, qidx, np.clip(led.answers(), 0.0, 1.0))[2]).max())
+
+
+@pytest.mark.parametrize("original", [False, True])
+def test_update_takes_no_step_when_residuals_start_within_sigma(original, monkeypatch):
+    # residuals inside the measurement noise are not fitted: no Adam step,
+    # not even a first one, while a ledger without sigma moves the rows
+    from dpsynth.gem import Adam
+
+    dom = Domain(("a", "b"), (3, 4))
+    qs = build_workloads(dom, 2)
+    cfg = RapConfig(rows=5, max_steps=100, original=original)
+    ans = RapSynthesizer(dom, qs, cfg, np.random.default_rng(1)).answers()
+    steps = []
+    real_direction = Adam.direction
+    monkeypatch.setattr(Adam, "direction", lambda self, g: steps.append(1) or real_direction(self, g))
+    fits = {}
+    for sigma in (0.01, None):
+        synth = RapSynthesizer(dom, qs, cfg, np.random.default_rng(1))
+        led = MeasurementLedger(sigma)
+        for rnd, (qi, off) in enumerate([(0, 0.0099), (5, -0.0099), (11, 0.004)], start=1):
+            led.record(qi, float(ans[qi] + off), rnd)
+        before = synth.M.copy()
+        steps.clear()
+        synth.update(led)
+        fits[sigma] = (len(steps), np.array_equal(synth.M, before))
+    assert fits[0.01] == (0, True)
+    assert fits[None][0] > 0 and not fits[None][1]
+
+
+@pytest.mark.parametrize("original", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("max_steps", [3, 300])
+def test_update_stops_at_the_first_fit_within_sigma(original, seed, max_steps, monkeypatch):
+    # every gradient is taken at residuals above sigma, and a round ends
+    # within sigma, unless another stop came first: then it ends where the
+    # fit without the noise stop ends (at 3 steps the cap often comes first)
+    from oracles import rap_update_no_noise_stop
+
+    dom, data = gen_toy(4, [3, 4, 2, 5], 500, seed=seed)
+    qs = build_workloads(dom, 2)
+    truth = qs.answers_records(data)
+    rng = np.random.default_rng(seed)
+    sigma = 0.02
+    cfg = RapConfig(rows=20, max_steps=max_steps, original=original)
+    synth = RapSynthesizer(dom, qs, cfg, np.random.default_rng(seed + 10))
+    ref = RapSynthesizer(dom, qs, cfg, np.random.default_rng(0))
+    opened = []  # the fit's max residual at every gradient it takes
+    real_grad = RapSynthesizer._grad
+
+    def grad(self, M, queries, qidx, P, diff):
+        if self is synth:
+            opened.append(float(np.abs(diff).max()))
+        return real_grad(self, M, queries, qidx, P, diff)
+
+    monkeypatch.setattr(RapSynthesizer, "_grad", grad)
+    led = MeasurementLedger(sigma)
+    within = 0
+    for rnd, qi in enumerate(rng.choice(qs.total_queries, 8, replace=False), start=1):
+        led.record(int(qi), float(truth[qi] + rng.normal(0.0, sigma)), rnd)
+        ref.M = synth.M.copy()
+        opened.clear()
+        synth.update(led)
+        rap_update_no_noise_stop(ref, led)
+        assert all(r > sigma for r in opened)
+        if _fit_residual(synth, led) <= sigma:
+            within += 1
+        else:
+            assert np.array_equal(synth.M, ref.M)
+    assert within >= 4 if max_steps == 300 else within < 8
+
+
+@pytest.mark.parametrize("original", [False, True])
+@pytest.mark.parametrize("sigma", [None, 0.0])
+def test_update_without_noise_is_the_fit_without_the_noise_stop(original, sigma):
+    # an unknown sigma, or exact measurements, leave nothing to stop at:
+    # rounds end bit for bit where the fit without the noise stop ends
+    from oracles import rap_update_no_noise_stop
+
+    dom, data = gen_toy(4, [3, 4, 2, 5], 500, seed=4)
+    qs = build_workloads(dom, 2)
+    truth = qs.answers_records(data)
+    rng = np.random.default_rng(5)
+    cfg = RapConfig(rows=12, max_steps=60, original=original)
+    synth = RapSynthesizer(dom, qs, cfg, np.random.default_rng(6))
+    ref = RapSynthesizer(dom, qs, cfg, np.random.default_rng(6))
+    led = MeasurementLedger(sigma)
+    for rnd, qi in enumerate(rng.choice(qs.total_queries, 6, replace=False), start=1):
+        led.record(int(qi), float(truth[qi] + rng.normal(0.0, 0.02)), rnd)
+        synth.update(led)
+        rap_update_no_noise_stop(ref, led)
+        assert np.array_equal(synth.M, ref.M)
