@@ -26,7 +26,7 @@ from .domain import (
     SupportDistribution,
     load_npz,
 )
-from .gem import LOSSES, GemOutput, forward, load_checkpoint, save_checkpoint
+from .gem import LOSSES, GemOutput, flat_params, forward, load_checkpoint, save_checkpoint
 from .loop import DEFAULT_ALPHA, DEFAULT_K, DEFAULT_T
 from .methods import CONFIGS, HISTOGRAM_METHODS, METHODS, SEARCH_METHODS, fit
 from .privacy import Accountant, dp_to_zcdp, zcdp_to_dp
@@ -310,7 +310,8 @@ def _load_artifact(path, domain: Domain, args):
         if dist.domain.names != domain.names or dist.domain.sizes != domain.sizes:
             raise DataError(f"{path}: artifact domain does not match --domain")
         return dist
-    params = _load_checkpoint(path, domain)
+    # the float32 network the generator trains as, so a saved fit is reproduced exactly
+    _, params = flat_params(_load_checkpoint(path, domain))
     Z = np.random.default_rng(args.seed).standard_normal((args.gem_batch, params[0][0].shape[0]))
     return ProductMixture(domain, forward(params, Z, domain)[0])
 

@@ -17,11 +17,14 @@ final model.
 
 Gradients are computed by a purpose-built reverse pass (matrix calculus by
 hand, no autograd dependency); adam-style moment estimates drive the steps.
-G trains in place on one flat float64 parameter vector: the (W, b) layers
+G trains in place on one flat float32 parameter vector: the (W, b) layers
 are views into it, and the gradient buffer, Adam's moments and the EMA share
-its layout and are allocated once. A fit runs one forward pass per parameter
-version: the pass that answers the queries also opens the next round's fit,
-and a round that stops on gamma leaves its last pass for the answers.
+its layout and dtype and are allocated once. The network runs at single
+precision, as a PyTorch generator does by default; its logits are upcast,
+so P, the answers, the residuals and the stop test stay float64. A fit runs
+one forward pass per parameter version: the pass that answers the queries
+also opens the next round's fit, and a round that stops on gamma leaves its
+last pass for the answers.
 """
 from __future__ import annotations
 
@@ -70,6 +73,9 @@ ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 # parameters are a list of (W, b) per layer; hidden layers use a rectifier,
 # the last layer feeds the per-attribute softmax blocks
 Params = list[tuple[np.ndarray, np.ndarray]]
+# the dtype G trains in; init_params and the noise draw float64 and are cast,
+# so the random stream does not depend on it
+PARAM_DTYPE = np.float32
 
 
 def init_params(rng: np.random.Generator, z_dim: int, hidden: tuple[int, ...], out_width: int) -> Params:
@@ -108,9 +114,10 @@ def block_softmax(logits: np.ndarray, domain: Domain) -> np.ndarray:
 
 
 def flat_params(params: Params) -> tuple[np.ndarray, Params]:
-    """(theta, views): the parameters copied into one flat float64 vector, W
-    then b layer by layer, and the (W, b) list as views into it."""
-    theta = np.concatenate([x.ravel() for layer in params for x in layer], dtype=np.float64)
+    """(theta, views): the parameters copied into one flat float32 vector
+    (PARAM_DTYPE, rounded once), W then b layer by layer, and the (W, b) list
+    as views into it."""
+    theta = np.concatenate([x.ravel() for layer in params for x in layer], dtype=PARAM_DTYPE)
     return theta, layer_views(theta, params)
 
 
@@ -127,10 +134,11 @@ def layer_views(flat: np.ndarray, like: Params) -> Params:
 def forward(params: Params, Z: np.ndarray, domain: Domain):
     """Returns (P, cache); P rows are concatenated attribute distributions.
 
-    Diverged weights overflow without a warning: a fit's `_fit_terms`
-    reports the non-finite answers.
+    The layers run in the dtype of the parameters, and the logits are upcast:
+    P is float64 either way. Diverged weights overflow without a warning: a
+    fit's `_fit_terms` reports the non-finite answers.
     """
-    acts = [np.asarray(Z, dtype=np.float64)]
+    acts = [np.asarray(Z, dtype=params[0][0].dtype)]
     pres = []
     A = acts[0]
     for W, b in params[:-1]:
@@ -140,7 +148,7 @@ def forward(params: Params, Z: np.ndarray, domain: Domain):
         acts.append(A)
     W, b = params[-1]
     logits = A @ W + b
-    P = block_softmax(logits, domain)
+    P = block_softmax(logits.astype(np.float64, copy=False), domain)
     return P, (acts, pres, P)
 
 
@@ -158,9 +166,12 @@ def block_softmax_grad(P: np.ndarray, dP: np.ndarray, domain: Domain) -> np.ndar
 
 def backward(params: Params, cache, dP: np.ndarray, domain: Domain, grads: Params) -> Params:
     """Gradient of a scalar loss w.r.t. every parameter, given dLoss/dP,
-    written into `grads` (laid out as `params`, views of one flat buffer)."""
+    written into `grads` (laid out as `params`, views of one flat buffer).
+
+    dLoss/dlogits is taken in float64 from P and cast to the parameters'
+    dtype for the layers' matmuls."""
     acts, pres, P = cache
-    dA = block_softmax_grad(P, dP, domain)
+    dA = block_softmax_grad(P, dP, domain).astype(params[-1][0].dtype, copy=False)
     for li in range(len(params) - 1, -1, -1):
         gW, gb = grads[li]
         np.matmul(acts[li].T, dA, out=gW)
@@ -236,12 +247,13 @@ def gem_gradient(
 ):
     """Loss, parameter gradients, and residuals in one reverse pass.
 
-    The gradients go into `grads` (views of one flat buffer, laid out as
-    `params`) when given. On the whole collection (qidx None) the answers
-    and the gradient contract the same prefix outer products.
+    The gradients, in the parameters' dtype, go into `grads` (views of one
+    flat buffer, laid out as `params`) when given. On the whole collection
+    (qidx None) the answers and the gradient contract the same prefix outer
+    products.
     """
     if grads is None:
-        grads = layer_views(np.empty(sum(W.size + b.size for W, b in params)), params)
+        grads = layer_views(np.empty(sum(W.size + b.size for W, b in params), params[0][0].dtype), params)
     P, cache = forward(params, Z, queries.domain)
     outers = prefix_outers(P, queries) if qidx is None else None
     c = np.asarray(targets, dtype=np.float64) - product_answers(P, queries, qidx, outers)
@@ -331,7 +343,7 @@ class GemSynthesizer(Synthesizer):
         self.total_rounds = int(total_rounds)
         # a warm start's weights fix the architecture; cfg's shape is for fresh weights
         z_dim = cfg.z_dim if init is None else init[0][0].shape[0]
-        self.z_batch = rng.standard_normal((cfg.batch, z_dim))
+        self.z_batch = rng.standard_normal((cfg.batch, z_dim)).astype(PARAM_DTYPE)
         if init is None:
             init = init_params(rng, z_dim, cfg.hidden, domain.onehot_width)
         self.theta, self.params = flat_params(init)
@@ -358,7 +370,12 @@ class GemSynthesizer(Synthesizer):
             self._answered = self.opt.t, self.queries.answers_probs(self._pass()[2])
         return self._answered[1].copy()
 
+    @np.errstate(over="ignore", invalid="ignore")
     def update(self, ledger: MeasurementLedger) -> None:
+        """One round's fit. A learning rate past float32's range (or steps that
+        diverge) overflows the step without a warning: the next pass's
+        `_fit_terms`, or `finalize` after the last step, reports the
+        non-finite answers."""
         if len(ledger) == 0:
             return
         self.round += 1
@@ -397,12 +414,17 @@ class GemSynthesizer(Synthesizer):
                     ema_update(self.ema, self.theta, self.cfg.ema_beta)
 
     def finalize(self) -> GemOutput:
-        """The output, on its own copy of the parameters (the EMA's once it started)."""
+        """The output, on its own copy of the parameters (the EMA's once it started).
+
+        Raises ConfigError if the fit's last step diverged, which no pass of
+        `update` followed to report."""
         if self.ema is None:
             theta, P = self.theta.copy(), self._pass()[2]
         else:
             theta = self.ema.copy()
             P, _ = forward(layer_views(theta, self.params), self.z_batch, self.domain)
+        if not np.isfinite(P).all():
+            raise ConfigError("the generator diverged (non-finite answers); lower its learning rate")
         return GemOutput(self.domain, P, layer_views(theta, self.params))
 
 
@@ -415,10 +437,11 @@ CHECKPOINT_VERSION = 1
 def save_checkpoint(params: Params, domain: Domain, path) -> None:
     """JSON container of layer shapes and parameters.
 
-    Floats are serialized with shortest round-trip repr, so a save/load
-    cycle reproduces the arrays bit for bit. The noise width `z_dim` and the
-    `hidden` widths are written for readers of the file; loading reads them
-    off the weights.
+    Floats are serialized with shortest round-trip repr of their double
+    value, so a save/load cycle reproduces float64 arrays bit for bit, and
+    float32 arrays once the warm start rounds them back. The noise width
+    `z_dim` and the `hidden` widths are written for readers of the file;
+    loading reads them off the weights.
     """
     obj = {
         "format": CHECKPOINT_FORMAT,
@@ -436,8 +459,9 @@ def save_checkpoint(params: Params, domain: Domain, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[Params, Domain]:
-    """(params, domain) of a checkpoint; raises DataError unless its layers
-    chain from the noise to the domain's one-hot width."""
+    """(params, domain) of a checkpoint, the weights as float64 arrays of the
+    written values (`flat_params` rounds them to float32); raises DataError
+    unless its layers chain from the noise to the domain's one-hot width."""
     with open(path) as f:
         try:
             obj = json.load(f)

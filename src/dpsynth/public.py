@@ -76,6 +76,7 @@ def public_answers(restricted: QuerySet, public: Dataset) -> np.ndarray:
     return restricted.answers_records(Dataset(dom, records))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gem_pub_pretrain(
     domain: Domain,
     public: Dataset,
@@ -89,6 +90,8 @@ def gem_pub_pretrain(
 
     Only workloads that fit inside the public schema contribute. Returns the
     trained parameters plus a small info dict (steps, max error at the last step).
+    As in `GemSynthesizer.update`, steps that diverge overflow without a
+    warning and raise ConfigError.
     """
     if public.n == 0:
         raise DataError("empty public dataset")
@@ -99,13 +102,15 @@ def gem_pub_pretrain(
     restricted = restrict_to_public(queries, public.domain)
     targets = public_answers(restricted, public)
     theta, params = flat_params(init_params(rng, cfg.z_dim, cfg.hidden, domain.onehot_width))
-    Z = rng.standard_normal((cfg.batch, cfg.z_dim))
+    Z = rng.standard_normal((cfg.batch, cfg.z_dim)).astype(theta.dtype)
     grad = np.empty_like(theta)
     grads = layer_views(grad, params)
     opt = Adam(theta, lr)
     for _ in range(steps):  # in place: theta, the gradient and Adam's moments are allocated once
         _, _, c = gem_gradient(params, Z, restricted, None, targets, 0.0, cfg.loss, grads)
         opt.step(theta, grad)
+    if not np.isfinite(theta).all():  # the last step diverged: no pass after it to report it
+        raise ConfigError("the generator diverged (non-finite weights); lower its learning rate")
     return params, {"steps": steps, "max_err": float(np.abs(c).max()), "queries": restricted.total_queries}
 
 

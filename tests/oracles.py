@@ -457,15 +457,24 @@ class DrawLog:
 # -- GEM on (W, b) lists ----------------------------------------------------
 # The generator's training as written layer by layer: fresh arrays for every
 # Adam step, EMA and gradient, and a forward pass for every residual pass and
-# every answers call. The library's in-place flat-vector training must match
-# it bit for bit.
+# every answers call. The layers, Adam's moments and the EMA run in float32,
+# as the library's do: the weights and the noise are drawn in float64 and cast
+# once, the logits are upcast, and P, the answers and the residuals stay
+# float64. The library's in-place flat-vector training must match it bit for
+# bit.
+
+
+def float32_params(params):
+    """A (W, b) list rounded to float32 layer by layer."""
+    return [(W.astype(np.float32), b.astype(np.float32)) for W, b in params]
 
 
 def forward_list(params, Z, domain):
-    """(P, cache) of the generator on the noise rows Z."""
+    """(P, cache) of the generator on the noise rows Z, in the parameters'
+    dtype up to the logits and in float64 from there."""
     from dpsynth.gem import block_softmax
 
-    acts, pres = [np.asarray(Z, dtype=np.float64)], []
+    acts, pres = [np.asarray(Z, dtype=params[0][0].dtype)], []
     A = acts[0]
     for W, b in params[:-1]:
         pre = A @ W + b
@@ -473,17 +482,18 @@ def forward_list(params, Z, domain):
         A = np.maximum(pre, 0.0)
         acts.append(A)
     W, b = params[-1]
-    P = block_softmax(A @ W + b, domain)
+    P = block_softmax((A @ W + b).astype(np.float64), domain)
     return P, (acts, pres, P)
 
 
 def backward_list(params, cache, dP, domain):
-    """Per-layer (dW, db) of a loss from its derivative dP, as fresh arrays."""
+    """Per-layer (dW, db) of a loss from its derivative dP, as fresh arrays in
+    the parameters' dtype."""
     from dpsynth.gem import block_softmax_grad
 
     acts, pres, P = cache
     grads = [None] * len(params)
-    dA = block_softmax_grad(P, dP, domain)
+    dA = block_softmax_grad(P, dP, domain).astype(params[-1][0].dtype)
     for li in range(len(params) - 1, -1, -1):
         grads[li] = (acts[li].T @ dA, dA.sum(axis=0))
         if li > 0:
@@ -542,9 +552,8 @@ class GemListReference:
         z_dim = cfg.z_dim if init is None else init[0][0].shape[0]
         self.z_batch = rng.standard_normal((cfg.batch, z_dim))
         if init is None:
-            self.params = init_params(rng, z_dim, cfg.hidden, domain.onehot_width)
-        else:
-            self.params = [(W.copy(), b.copy()) for W, b in init]
+            init = init_params(rng, z_dim, cfg.hidden, domain.onehot_width)
+        self.params = float32_params(init)
         self.opt = AdamList(self.params, cfg.lr)
         self.ema, self.gamma, self.round = None, None, 0
 
@@ -599,7 +608,7 @@ def gem_pub_pretrain_list(domain, public, queries, cfg, rng, steps, lr):
 
     restricted = restrict_to_public(queries, public.domain)
     targets = public_answers(restricted, public)
-    params = init_params(rng, cfg.z_dim, cfg.hidden, domain.onehot_width)
+    params = float32_params(init_params(rng, cfg.z_dim, cfg.hidden, domain.onehot_width))
     Z = rng.standard_normal((cfg.batch, cfg.z_dim))
     opt = AdamList(params, lr)
     for _ in range(steps):

@@ -423,6 +423,21 @@ def test_dist_domain_mismatch_exits_4(toy, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {dist}: artifact domain does not match --domain\n"
 
 
+def test_saved_generator_evaluates_to_the_reported_error(toy, tmp_path, capsys):
+    # evaluate runs the checkpoint through the float32 network the fit trained
+    # and answered with, on the same noise: the report's error, exactly
+    dom, dat = toy
+    ck, report = tmp_path / "gen.json", tmp_path / "report.json"
+    rc = _synth(toy, tmp_path, "--save-dist", ck, "--report", report, method="gem", budget=("--rho", "0.5"))
+    assert rc == 0
+    eval_report = tmp_path / "eval_report.json"
+    rc = main(["evaluate", "--domain", str(dom), "--data", str(dat), "--dist", str(ck), "--marginal-k", "2",
+               "--seed", "0", "--report", str(eval_report)])
+    assert rc == 0
+    capsys.readouterr()
+    assert json.loads(eval_report.read_text())["errors"] == json.loads(report.read_text())["errors"]
+
+
 def test_checkpoint_domain_mismatch_exits_4(toy, tmp_path, capsys):
     # evaluate --dist and synth --gem-init share one checkpoint loader
     dom, dat = toy
@@ -687,13 +702,19 @@ def test_alpha_one_rejected_for_a_measuring_method_before_pretraining(toy3, caps
     assert "pretrained" not in err
 
 
-@pytest.mark.parametrize("subcommand", ["synth", "pretrain"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("subcommand", ["synth", "synth-last-step", "pretrain"])
 def test_diverged_generator_exits_2(toy3, tmp_path, capsys, subcommand):
     # a learning rate this large sends the weights to inf and the answers to
-    # NaN; that is a bad setting, not bad data
+    # NaN; that is a bad setting, not bad data. It is past float32's range
+    # too, and the float32 step overflows without a warning: the one error
+    # line is all a run prints. In synth-last-step the only step is the
+    # fit's last, and no later pass reports it
     dom, dat = toy3
     if subcommand == "synth":
         rc = _synth3(toy3, "gem", "--T", "3", "--gem-lr", "1e300")
+    elif subcommand == "synth-last-step":
+        rc = _synth3(toy3, "gem", "--T", "1", "--gem-tmax", "1", "--gem-lr", "1e300")
     else:
         rc = main(["pretrain", "--domain", str(dom), "--public", str(dat), "--out", str(tmp_path / "g.json"),
                    "--lr", "1e300"])

@@ -29,6 +29,7 @@ from oracles import (
     central_difference,
     ema_update_list,
     flatten_params,
+    float32_params,
     forward_list,
     gem_pub_pretrain_list,
     unflatten_params,
@@ -692,3 +693,136 @@ def test_finalized_output_owns_its_parameters(rounds):
     assert not np.array_equal(flatten_params(synth.params), params)
     assert np.array_equal(flatten_params(out.params), params)
     assert np.array_equal(out.answers(qs), answers)
+
+
+# -- single-precision generator, double-precision answers --------------------
+
+
+def test_generator_trains_in_float32_and_answers_in_float64():
+    dom = Domain(("a", "b", "c"), (3, 2, 4))
+    qs = build_workloads(dom, 2)
+    cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, lr=1e-2, t_max=5)
+    # one round in all: the EMA runs from round 1
+    synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(2), total_rounds=1)
+    led = MeasurementLedger()
+    led.record(0, 0.9, 1)
+    led.record(7, 0.05, 1)
+    synth.update(led)
+    assert synth.opt.t > 0 and synth.ema is not None
+    for x in (synth.theta, synth._grad, synth.opt.m, synth.opt.v, synth.ema, synth.z_batch):
+        assert x.dtype == np.float32
+    assert all(a.dtype == np.float32 for layer in synth.params for a in layer)
+    out = synth.finalize()
+    assert all(a.dtype == np.float32 for layer in out.params for a in layer)
+    assert out.P.dtype == np.float64 and synth._pass()[2].dtype == np.float64
+    for ans in (synth.answers(), out.answers(qs)):
+        assert ans.dtype == np.float64
+        for w in qs.workloads:
+            assert abs(ans[w.offset : w.offset + w.n_queries].sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+def test_building_a_synthesizer_draws_float64_and_casts(warm):
+    # the noise and the fresh weights are the float64 draws, rounded: the
+    # random stream after them is the one a float64 generator leaves
+    dom = Domain(("a", "b"), (3, 4))
+    qs = build_workloads(dom, 1)
+    cfg = GemConfig(hidden=(8, 6), z_dim=4, batch=8)
+    init = init_params(np.random.default_rng(1), 3, (5,), dom.onehot_width) if warm else None
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    synth = GemSynthesizer(dom, qs, cfg, rng, total_rounds=2, init=init)
+    Z = ref.standard_normal((cfg.batch, 3 if warm else cfg.z_dim))
+    weights = init if warm else init_params(ref, cfg.z_dim, cfg.hidden, dom.onehot_width)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(synth.z_batch, Z.astype(np.float32))
+    assert np.array_equal(synth.theta, flatten_params(weights).astype(np.float32))
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2"])
+def test_float32_gradient_agrees_with_float64_at_the_same_weights(kind):
+    dom = Domain(("a", "b", "c"), (3, 2, 4))
+    qs = build_workloads(dom, 2)
+    for seed in range(5):
+        r = np.random.default_rng(seed)
+        p32 = float32_params(init_params(r, 4, (16, 8), dom.onehot_width))
+        p64 = [(W.astype(np.float64), b.astype(np.float64)) for W, b in p32]
+        Z = r.standard_normal((10, 4)).astype(np.float32).astype(np.float64)
+        targets = r.uniform(0.0, 0.5, size=qs.total_queries)
+        loss32, g32, c32 = gem_gradient(p32, Z, qs, None, targets, 0.0, kind)
+        loss64, g64, c64 = gem_gradient(p64, Z, qs, None, targets, 0.0, kind)
+        assert all(a.dtype == np.float32 for layer in g32 for a in layer)
+        assert all(a.dtype == np.float64 for layer in g64 for a in layer)
+        assert c32.dtype == c64.dtype == np.float64
+        assert np.array_equal(np.sign(c32), np.sign(c64))  # one active set and one sign pattern
+        f32, f64 = flatten_params(g32).astype(np.float64), flatten_params(g64)
+        assert np.abs(f32 - f64).max() <= 1e-4 * np.abs(f64).max()
+        assert abs(loss32 - loss64) <= 1e-4 * loss64
+
+
+def test_float64_parameters_keep_the_float64_network():
+    # gem_loss and gem_gradient on float64 weights stay float64 end to end,
+    # so finite differences still check the maths in double precision
+    dom = Domain(("a", "b"), (3, 3))
+    qs = build_workloads(dom, 1)
+    qidx = np.array([0, 2, 4])
+    worst = 0.0
+    for seed in range(10):  # acceptance criterion 4's nets
+        r = np.random.default_rng(seed)
+        params = init_params(r, 4, (8,), dom.onehot_width)
+        Z = r.standard_normal((4, 4))
+        targets = r.uniform(0.05, 0.95, size=3)
+        kind = "l1" if seed % 2 == 0 else "l2"
+        P, (acts, pres, _) = forward(params, Z, dom)
+        assert all(a.dtype == np.float64 for a in (P, *acts, *pres))
+        _, grads, _ = gem_gradient(params, Z, qs, qidx, targets, 0.0, kind)
+        rev = flatten_params(grads)
+        assert rev.dtype == np.float64
+
+        def f(vec):
+            return gem_loss(unflatten_params(vec, params), Z, qs, qidx, targets, 0.0, kind)[0]
+
+        fd = central_difference(f, flatten_params(params).copy(), h=1e-5)
+        denom = np.maximum(np.maximum(np.abs(rev), np.abs(fd)), 1e-6)
+        worst = max(worst, float((np.abs(rev - fd) / denom).max()))
+    assert f"{worst:.2e}" == "1.37e-07"
+
+
+def test_float32_generator_survives_a_checkpoint_and_warm_start(tmp_path):
+    dom = Domain(("a", "b", "c"), (3, 2, 4))
+    qs = build_workloads(dom, 2)
+    cfg = GemConfig(hidden=(8,), z_dim=4, batch=8, lr=1e-2, t_max=5)
+    synth = GemSynthesizer(dom, qs, cfg, np.random.default_rng(8), total_rounds=2)
+    led = MeasurementLedger()
+    for t, measured in enumerate(_noisy_rounds(qs, 2, seed=3), start=1):
+        for q, a in measured:
+            led.record(q, a, t)
+        synth.update(led)
+    out = synth.finalize()
+    path = tmp_path / "gen.json"
+    out.save_checkpoint(path)
+    loaded, dom2 = load_checkpoint(path)
+    want = flatten_params(out.params)
+    assert want.dtype == np.float32
+    assert np.array_equal(flatten_params(loaded), want)  # decimal doubles hold float32 values exactly
+    warm = GemSynthesizer(dom2, qs, cfg, np.random.default_rng(0), total_rounds=2, init=loaded)
+    assert warm.theta.dtype == np.float32 and np.array_equal(warm.theta, want)
+    path2 = tmp_path / "gen2.json"
+    warm.finalize().save_checkpoint(path2)
+    assert path2.read_text() == path.read_text()
+
+
+def test_float64_checkpoint_is_rounded_to_float32_once(tmp_path):
+    # a checkpoint written from float64 weights keeps loading as it was
+    # written, and the warm start rounds it to float32
+    dom = Domain(("a", "b"), (3, 2))
+    qs = build_workloads(dom, 1)
+    params = init_params(np.random.default_rng(9), 5, (8, 4), dom.onehot_width)
+    path = tmp_path / "old.json"
+    save_checkpoint(params, dom, path)
+    assert json.loads(path.read_text())["version"] == 1
+    loaded, _ = load_checkpoint(path)
+    assert np.array_equal(flatten_params(loaded), flatten_params(params))
+    synth = GemSynthesizer(dom, qs, GemConfig(batch=8), np.random.default_rng(0), total_rounds=2, init=loaded)
+    rounded = flatten_params(params).astype(np.float32)
+    assert not np.array_equal(rounded.astype(np.float64), flatten_params(params))  # the rounding is real
+    assert np.array_equal(synth.theta, rounded)

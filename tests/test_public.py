@@ -147,6 +147,17 @@ def test_gem_pub_pretrain_fits_public():
     assert warm_err < cold_err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gem_pub_pretrain_whose_last_step_diverges_raises():
+    # one step at a rate past float32's range leaves infinite weights and no
+    # later pass to report them
+    dom = Domain(("a", "b"), (3, 3))
+    pub = Dataset(dom, np.random.default_rng(0).integers(0, 3, size=(50, 2)))
+    cfg = GemConfig(hidden=(8,), z_dim=4, batch=8)
+    with pytest.raises(ConfigError, match="learning rate"):
+        gem_pub_pretrain(dom, pub, build_workloads(dom, 1), cfg, np.random.default_rng(0), steps=1, lr=1e300)
+
+
 def test_gem_pub_pretrain_restricts_queries():
     rng = np.random.default_rng(3)
     dom = Domain(("a", "b", "c"), (2, 2, 2))
