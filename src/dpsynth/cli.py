@@ -26,7 +26,7 @@ from .domain import (
     SupportDistribution,
     load_npz,
 )
-from .gem import LOSSES, GemOutput, flat_params, forward, load_checkpoint, save_checkpoint
+from .gem import LOSSES, load_checkpoint, save_checkpoint
 from .loop import DEFAULT_ALPHA, DEFAULT_K, DEFAULT_T
 from .methods import CONFIGS, HISTOGRAM_METHODS, METHODS, SEARCH_METHODS, fit
 from .privacy import Accountant, dp_to_zcdp, zcdp_to_dp
@@ -52,8 +52,6 @@ METHOD_FLAGS = {
     "--gem-loss": ("gem", "loss"),
     "--gem-lr": ("gem", "lr"),
     "--gem-tmax": ("gem", "t_max"),
-    "--gem-resample-z": ("gem", "resample_z"),
-    "--gem-ema-beta": ("gem", "ema_beta"),
     "--rap-rows": ("rap-softmax", "rows"),
     "--rap-lr": ("rap-softmax", "lr"),
     "--rap-steps": ("rap-softmax", "max_steps"),
@@ -193,6 +191,7 @@ def cmd_synth(args) -> int:
         )
 
     t0 = time.perf_counter()
+    out: SupportDistribution | ProductMixture  # each kind answers, samples and writes its own archive
     out, trace, acct, info = fit(
         args.method,
         data,
@@ -228,7 +227,7 @@ def cmd_synth(args) -> int:
         count = args.samples if args.samples is not None else data.n
         out.sample_dataset(count, rng).to_csv(args.out)
     if args.save_dist:
-        _save_artifact(out, args.save_dist)
+        out.save_npz(args.save_dist)
     if args.trace:
         write_trace(trace, args.trace)
     if args.dump_errors:
@@ -257,13 +256,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _save_artifact(out: SupportDistribution | ProductMixture, path) -> None:
-    if isinstance(out, GemOutput):
-        out.save_checkpoint(path)
-    else:
-        out.save_npz(path)  # support distribution or relaxed rows
-
-
 def _config_echo(args) -> dict:
     skip = {"func", "domain", "data", "out", "report", "trace", "dump_errors", "save_dist"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and not callable(v)}
@@ -275,8 +267,6 @@ def _config_echo(args) -> dict:
 def cmd_evaluate(args) -> int:
     if (args.synthetic is None) == (args.dist is None):
         raise ConfigError("give exactly one of --synthetic or --dist")
-    if args.gem_batch < 1:
-        raise ConfigError(f"--gem-batch must be >= 1, got {args.gem_batch}")
     domain = Domain.load(args.domain)
     data = Dataset.from_csv(args.data, domain)
     queries = _build_queries(args, domain)
@@ -284,7 +274,10 @@ def cmd_evaluate(args) -> int:
     if args.synthetic:
         synth_ans = queries.answers_records(Dataset.from_csv(args.synthetic, domain))
     else:
-        synth_ans = _load_artifact(args.dist, domain, args).answers(queries)
+        dist = load_npz(args.dist)
+        if dist.domain.names != domain.names or dist.domain.sizes != domain.sizes:
+            raise DataError(f"{args.dist}: artifact domain does not match --domain")
+        synth_ans = dist.answers(queries)
     mx, mn, rmse = errors(true_ans, synth_ans)
     print(f"max={mx:.6g} mean={mn:.6g} rmse={rmse:.6g}")
     if args.dump_errors:
@@ -301,19 +294,6 @@ def cmd_evaluate(args) -> int:
             args.report,
         )
     return EXIT_OK
-
-
-def _load_artifact(path, domain: Domain, args):
-    """Support-distribution .npz, relaxed-rows .npz, or a generator checkpoint."""
-    if str(path).endswith(".npz"):
-        dist = load_npz(path)
-        if dist.domain.names != domain.names or dist.domain.sizes != domain.sizes:
-            raise DataError(f"{path}: artifact domain does not match --domain")
-        return dist
-    # the float32 network the generator trains as, so a saved fit is reproduced exactly
-    _, params = flat_params(_load_checkpoint(path, domain))
-    Z = np.random.default_rng(args.seed).standard_normal((args.gem_batch, params[0][0].shape[0]))
-    return ProductMixture(domain, forward(params, Z, domain)[0])
 
 
 def _load_checkpoint(path, domain: Domain):
@@ -427,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-cap", type=int, default=DEFAULT_CELL_CAP)
     p.add_argument("--samples", type=int, default=None, help="synthetic records to sample")
     p.add_argument("--out", default=None, help="synthetic CSV path")
-    p.add_argument("--save-dist", default=None, help="distribution artifact path")
+    p.add_argument("--save-dist", default=None, help="distribution archive path (read by evaluate --dist)")
     p.add_argument("--report", default=None)
     p.add_argument("--trace", default=None)
     p.add_argument("--dump-errors", default=None)
@@ -442,10 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--synthetic", default=None, help="synthetic CSV")
-    p.add_argument("--dist", default=None, help="distribution artifact")
+    p.add_argument("--dist", default=None, help="distribution archive (synth --save-dist)")
     _workload_args(p)
     p.add_argument("--seed", type=int, default=0)
-    _method_flags(p, ("--gem-batch",))
     p.add_argument("--report", default=None)
     p.add_argument("--dump-errors", default=None)
     p.set_defaults(func=cmd_evaluate)

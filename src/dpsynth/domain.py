@@ -434,8 +434,10 @@ class SupportDistribution:
         return cls(data.domain, cells, counts / data.n)
 
     def save_npz(self, path) -> None:
+        """Writes the `load_npz` archive to `path` as given (np.savez on a name would append .npz)."""
         cells = {} if self.cells is None else {"cells": self.cells}
-        np.savez(path, **cells, probs=self.probs, domain=self.domain.to_json())
+        with open(path, "wb") as f:
+            np.savez(f, **cells, probs=self.probs, domain=self.domain.to_json())
 
 
 class ProductMixture:
@@ -472,7 +474,9 @@ class ProductMixture:
         return Dataset(self.domain, rec)
 
     def save_npz(self, path) -> None:
-        np.savez(path, P=self.P, domain=self.domain.to_json())
+        """Writes the `load_npz` archive to `path` as given."""
+        with open(path, "wb") as f:
+            np.savez(f, P=self.P, domain=self.domain.to_json())
 
 
 def load_npz(path) -> SupportDistribution | ProductMixture:
@@ -487,9 +491,10 @@ def load_npz(path) -> SupportDistribution | ProductMixture:
     try:
         with np.load(path, allow_pickle=False) as z:
             arrays = dict(z)
-    except (EOFError, TypeError, ValueError, zipfile.BadZipFile) as e:
-        # TypeError: a bare .npy array; ValueError: pickled or object data
-        raise DataError(f"{path}: not a distribution archive: {e}") from None
+    except (EOFError, TypeError, ValueError, zipfile.BadZipFile):
+        # TypeError: a bare .npy array; ValueError: pickled or object data, or
+        # text. numpy's message would advise loading such a file unsafely.
+        raise DataError(f"{path}: not an .npz distribution archive") from None
     if "domain" not in arrays:
         raise DataError(f"{path}: the archive names no domain")
     domain = Domain.from_json(str(arrays["domain"]))

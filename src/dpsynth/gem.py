@@ -2,8 +2,11 @@
 
 The generator is a small fully connected network: Gaussian noise in, one
 logit per one-hot column out, each attribute block squashed by its own
-softmax. A fixed batch of noise vectors is drawn once per run, so the
-synthetic distribution is the uniform mixture of B product distributions.
+softmax. One batch of B noise vectors is drawn when the synthesizer is
+built and kept for the whole run: every training step, every answer and the
+output read it, so the synthetic distribution is the uniform mixture of the B
+product distributions that G maps it to, and `finalize` returns that mixture
+(a `ProductMixture`, saved and evaluated as rap-softmax's is).
 The block softmax shifts each block by its max only when some |logit|
 reaches SHIFT_BOUND (or is not finite), where exp could overflow; below it
 the exponent is taken directly, which saves the per-block max.
@@ -12,8 +15,8 @@ Training at each round minimizes the mean absolute (or squared) residual
 against measured answers whose current residual exceeds a moving threshold
 gamma; gamma tracks an exponential moving average (beta 0.5) of the
 per-round sampled max error. After half the rounds an exponential moving
-average of the weights (beta 0.9) starts accumulating and is used as the
-final model.
+average of the weights (the constant EMA_BETA, 0.9) starts accumulating and
+is used as the final model.
 
 Gradients are computed by a purpose-built reverse pass (matrix calculus by
 hand, no autograd dependency); adam-style moment estimates drive the steps.
@@ -50,8 +53,6 @@ class GemConfig:
     lr: float = 1e-4
     t_max: int = 100
     loss: str = "l1"  # one of LOSSES
-    resample_z: bool = False  # draw fresh noise every training step
-    ema_beta: float = 0.9
 
     def __post_init__(self):
         if self.loss not in LOSSES:
@@ -60,12 +61,12 @@ class GemConfig:
             raise ConfigError("z_dim, batch and hidden widths must be >= 1, t_max >= 0")
         if not 0 < self.lr < np.inf:
             raise ConfigError("lr must be > 0 and finite")
-        if not (0.0 < self.ema_beta < 1.0):
-            raise ConfigError("ema_beta must lie in (0, 1)")
 
 
-# moving-average weight of the fit threshold gamma (see the module docstring)
+# moving-average weights of the fit threshold gamma and of the weights' EMA
+# (see the module docstring)
 GAMMA_BETA = 0.5
+EMA_BETA = 0.9
 # Adam's moment decays and denominator guard
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -313,17 +314,6 @@ def ema_update(ema: np.ndarray, current: np.ndarray, beta: float) -> None:
     ema += (1 - beta) * current
 
 
-class GemOutput(ProductMixture):
-    """The generator's mixture, with the parameters that produced it."""
-
-    def __init__(self, domain: Domain, P: np.ndarray, params: Params):
-        super().__init__(domain, P)
-        self.params = params
-
-    def save_checkpoint(self, path) -> None:
-        save_checkpoint(self.params, self.domain, path)
-
-
 class GemSynthesizer(Synthesizer):
     """GEM's private rounds on the flat vector `theta`; `params` are its (W, b) views."""
 
@@ -339,7 +329,6 @@ class GemSynthesizer(Synthesizer):
         self.domain = domain
         self.queries = queries
         self.cfg = cfg
-        self.rng = rng
         self.total_rounds = int(total_rounds)
         # a warm start's weights fix the architecture; cfg's shape is for fresh weights
         z_dim = cfg.z_dim if init is None else init[0][0].shape[0]
@@ -356,11 +345,9 @@ class GemSynthesizer(Synthesizer):
         self._fixed: tuple[int, tuple] | None = None  # (opt.t, cache) of the fixed batch's pass
         self._answered: tuple[int, np.ndarray] | None = None  # (opt.t, answers)
 
-    def _pass(self, fresh_noise: bool = False):
-        """The forward cache at the current parameters: on fresh noise, or on
-        the fixed batch, whose pass runs once per parameter version."""
-        if fresh_noise:
-            return forward(self.params, self.rng.standard_normal(self.z_batch.shape), self.domain)[1]
+    def _pass(self):
+        """The forward cache of the noise batch at the current parameters; it
+        runs once per parameter version."""
         if self._fixed is None or self._fixed[0] != self.opt.t:
             self._fixed = self.opt.t, forward(self.params, self.z_batch, self.domain)[1]
         return self._fixed[1]
@@ -399,9 +386,9 @@ class GemSynthesizer(Synthesizer):
             self.gamma = GAMMA_BETA * self.gamma + (1 - GAMMA_BETA) * sampled_max
         ema_on = self.round > self.total_rounds // 2
         for step in range(self.cfg.t_max):
-            # the stop test and the gradient read one pass; with fixed noise, step 1's is the one above
-            if step or self.cfg.resample_z:
-                cache = self._pass(self.cfg.resample_z)
+            # the stop test and the gradient read one pass; step 1's is the one above
+            if step:
+                cache = self._pass()
                 c = targets - product_answers(cache[2], self.queries, gather)
             if np.abs(c).max() < self.gamma:
                 break
@@ -411,21 +398,21 @@ class GemSynthesizer(Synthesizer):
                 if self.ema is None:
                     self.ema = self.theta.copy()
                 else:
-                    ema_update(self.ema, self.theta, self.cfg.ema_beta)
+                    ema_update(self.ema, self.theta, EMA_BETA)
 
-    def finalize(self) -> GemOutput:
-        """The output, on its own copy of the parameters (the EMA's once it started).
+    def finalize(self) -> ProductMixture:
+        """The mixture of the noise batch at the current parameters, or at the
+        EMA's once it started.
 
         Raises ConfigError if the fit's last step diverged, which no pass of
         `update` followed to report."""
         if self.ema is None:
-            theta, P = self.theta.copy(), self._pass()[2]
+            P = self._pass()[2]
         else:
-            theta = self.ema.copy()
-            P, _ = forward(layer_views(theta, self.params), self.z_batch, self.domain)
+            P, _ = forward(layer_views(self.ema, self.params), self.z_batch, self.domain)
         if not np.isfinite(P).all():
             raise ConfigError("the generator diverged (non-finite answers); lower its learning rate")
-        return GemOutput(self.domain, P, layer_views(theta, self.params))
+        return ProductMixture(self.domain, P)
 
 
 # -- checkpoint I/O --------------------------------------------------------

@@ -547,7 +547,7 @@ class GemListReference:
     def __init__(self, domain, queries, cfg, rng, total_rounds, init=None):
         from dpsynth.gem import init_params
 
-        self.domain, self.queries, self.cfg, self.rng = domain, queries, cfg, rng
+        self.domain, self.queries, self.cfg = domain, queries, cfg
         self.total_rounds = total_rounds
         z_dim = cfg.z_dim if init is None else init[0][0].shape[0]
         self.z_batch = rng.standard_normal((cfg.batch, z_dim))
@@ -557,22 +557,22 @@ class GemListReference:
         self.opt = AdamList(self.params, cfg.lr)
         self.ema, self.gamma, self.round = None, None, 0
 
-    def _residuals(self, Z, qidx, targets):
+    def _residuals(self, qidx, targets):
         from dpsynth.queries import product_answers
 
-        P, cache = forward_list(self.params, Z, self.domain)
+        P, cache = forward_list(self.params, self.z_batch, self.domain)
         return cache, targets - product_answers(P, self.queries, qidx)
 
     def answers(self):
         return self.queries.answers_probs(forward_list(self.params, self.z_batch, self.domain)[0])
 
     def update(self, ledger):
-        from dpsynth.gem import GAMMA_BETA
+        from dpsynth.gem import EMA_BETA, GAMMA_BETA
         from dpsynth.queries import product_answers_grad
 
         self.round += 1
         qidx, targets, rounds = ledger.indices(), ledger.answers(), ledger.rounds()
-        cache, c = self._residuals(self.z_batch, qidx, targets)
+        cache, c = self._residuals(qidx, targets)
         sampled_max = float(np.abs(c[rounds == rounds.max()]).max())
         if ledger.exact:
             self.gamma = 0.0
@@ -581,9 +581,8 @@ class GemListReference:
         else:
             self.gamma = GAMMA_BETA * self.gamma + (1 - GAMMA_BETA) * sampled_max
         for step in range(self.cfg.t_max):
-            if step or self.cfg.resample_z:
-                Z = self.rng.standard_normal(self.z_batch.shape) if self.cfg.resample_z else self.z_batch
-                cache, c = self._residuals(Z, qidx, targets)
+            if step:
+                cache, c = self._residuals(qidx, targets)
             if np.abs(c).max() < self.gamma:
                 break
             coeff = fit_coefficients(c, self.gamma, self.cfg.loss)
@@ -594,7 +593,7 @@ class GemListReference:
                 if self.ema is None:
                     self.ema = [(W.copy(), b.copy()) for W, b in self.params]
                 else:
-                    self.ema = ema_update_list(self.ema, self.params, self.cfg.ema_beta)
+                    self.ema = ema_update_list(self.ema, self.params, EMA_BETA)
 
     def final_params(self):
         return self.ema if self.ema is not None else self.params

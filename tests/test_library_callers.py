@@ -1,4 +1,5 @@
-"""Every function, class and method in the library has a caller outside the tests.
+"""Every function, class and method in the library has a caller outside the
+tests, and every name a library module imports is used in that module.
 
 Code that only tests call belongs in `tests/oracles.py`. A use is the
 definition's name (as a name, an attribute or a string, the way the benchmark
@@ -105,3 +106,21 @@ def test_every_library_definition_has_a_non_test_caller():
         if not outside:
             unused.append(f"{path.name}:{node.lineno} {owner.name + '.' if owner else ''}{node.name}")
     assert not unused, "only tests call: " + ", ".join(unused)
+
+
+def test_every_library_import_is_used():
+    # __init__.py imports to re-export; every other module must read what it imports
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _parse(path)
+        imported = {
+            alias.asname or alias.name.split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+    assert not unused, "imported and never used: " + ", ".join(unused)
